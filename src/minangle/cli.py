@@ -56,8 +56,6 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
-_DEG_PER_RAD = 180.0 / math.pi
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -28,12 +28,13 @@ from typing import IO, Any
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, is_degenerate
+from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig
 from .regularity import (
     ConditionVerdict,
     EquivalenceAudit,
     MeshQuality,
     SimplexQuality,
+    _degenerate_cells,
     subsimplex_count,
 )
 
@@ -250,11 +251,9 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
     Report-based: never raises for mesh-content problems.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    degenerate = [
-        index
-        for index in range(mesh.cell_count)
-        if is_degenerate(mesh.cell_simplex(index), cfg)
-    ]
+    degenerate = np.flatnonzero(
+        _degenerate_cells(mesh.vertices[mesh.cells], cfg.degeneracy_rel_tol)
+    ).tolist()
     used = np.zeros(mesh.vertex_count, dtype=bool)
     used[mesh.cells.ravel()] = True
     unused = [int(i) for i in np.flatnonzero(~used)]

@@ -19,8 +19,24 @@ the extreme angles a, g stand in for the minimum over all of them.
 
 Subsimplices run from dimension 2 (triangles, where dihedral angles are
 the ordinary planar angles) up to the cell itself; edges and vertices
-carry no dihedral angles and are excluded.  Every subsimplex is projected
-onto its own affine hull before its angles are measured.
+carry no dihedral angles and are excluded.
+
+One batched kernel scans every subsimplex of many cells at once.  Each
+cell is translated to its vertex 0 and divided by its diameter, so results
+do not depend on where in the double range the cell lives.  The k edge
+vectors of a subsimplex are put into coordinates of its own affine hull by
+a QR factorization, E^T = Q R, which never forms the Gram matrix E E^T
+(its condition number is the square of E's).  The rows of R^-1 are then the
+barycentric gradients g_1..g_k, and g_0 = -(g_1 + ... + g_k).  From them,
+with n_i = -g_i/|g_i| the outward unit normals and |det R| = k! * volume:
+
+    dihedral angle  beta_ij = 2 atan2(|n_i + n_j|, |n_i - n_j|)
+    vertex k-sine   sin_k(A_i) = 1 / (|det R| * prod_{j != i} |g_j|)
+    ball ratio      1 / (sum_j |g_j| * diameter)
+
+(Brandts, Korotov and Krizek, CAMWA 2008; Shewchuk, "What is a good
+linear finite element?", 2002).  The atan2 form stays accurate for angles
+near 0 and pi, where arccos of a cosine loses half the digits.
 """
 
 from __future__ import annotations
@@ -30,15 +46,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .angles import all_dihedral_angles, ball_ratio, dihedral_sum, vertex_sines
+import numpy as np
+
+from .angles import vertex_sines
 from .errors import DegeneracyError, InvalidInputError
-from .geometry import (
-    DEFAULT_TOLERANCES,
-    Simplex,
-    ToleranceConfig,
-    is_degenerate,
-    project_intrinsic,
-)
+from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
     from .meshio import Mesh
@@ -72,6 +84,11 @@ AUDIT_TOLERANCE = 1e-9
 # Subsimplex enumeration is exhaustive (2^(d+1) subsets), so high
 # dimensions are refused unless explicitly overridden.
 DIMENSION_CAP = 12
+
+# The scan works on chunks of cells; this bounds the float64 values held by
+# the widest array of one chunk (512 KiB), so memory does not grow with the
+# mesh.
+_CHUNK_FLOATS = 1 << 16
 
 CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"
@@ -219,33 +236,178 @@ def subsimplex_count(dim: int, min_dim: int = 2) -> int:
     return sum(math.comb(dim + 1, size) for size in range(min_dim + 1, dim + 2))
 
 
+def _subset_at(k: int, position: int) -> tuple[int, ...]:
+    """The vertex subset at ``position`` in the enumeration order of :func:`subsimplices`."""
+    return next(itertools.islice(_index_subsets(k, 2), position, None))
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """Per-cell results of the subsimplex scan, one array entry per cell.
+
+    ``first_degenerate`` is the position, in :func:`subsimplices` order, of
+    the first subsimplex (the cell included) that fails the degeneracy
+    rule, or -1.  The metric entries of a degenerate cell are meaningless.
+    """
+
+    first_degenerate: np.ndarray
+    min_dihedral: np.ndarray
+    max_dihedral: np.ndarray
+    min_dsine: np.ndarray
+    ball_ratio: np.ndarray
+    dihedral_sum: np.ndarray
+    forward_margin: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.first_degenerate >= 0
+
+
+def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
+    """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
+    step = max(1, _CHUNK_FLOATS // floats_per_cell)
+    return [func(points[start : start + step]) for start in range(0, len(points), step)]
+
+
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """Each cell of ``x`` scaled exactly by a power of two so its largest entry is in [0.5, 1)."""
+    _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
+    return np.ldexp(x, -exponent[:, None, None])
+
+
+def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
+
+    Returns the normalized vertices and their (N, m, m) pairwise distances.
+    The exact power-of-two rescalings before the subtraction and before the
+    squares keep every intermediate inside the normal double range.
+    """
+    scaled = _pow2_scaled(points)
+    shifted = _pow2_scaled(scaled - scaled[:, :1])
+    dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
+    diameter = dist.max(axis=(1, 2))
+    diameter[diameter == 0.0] = 1.0  # coincident vertices: the degeneracy rule flags the cell
+    return shifted / diameter[:, None, None], dist / diameter[:, None, None]
+
+
+def _intrinsic_r(
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R factors of the subsets' edge matrices, |det R|, and the degeneracy rule.
+
+    ``subsets`` is (S, k+1) vertex indices.  Returns R (N, S, k, k),
+    |det R| = sqrt(det G) (N, S), and whether sqrt(det G) <= tol * (subset
+    diameter)^k (N, S), the rule of :func:`minangle.geometry.is_degenerate`.
+    """
+    k = subsets.shape[1] - 1
+    corners = z[:, subsets]
+    edges = corners[:, :, 1:] - corners[:, :, :1]
+    r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
+    volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    a, b = np.triu_indices(k + 1, 1)
+    diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
+    return r, volume, volume <= tol * diameter**k
+
+
+def _degenerate_cells(points: np.ndarray, tol: float) -> np.ndarray:
+    """Which cells (N, m, d) fail the degeneracy rule themselves; subsimplices are not tested."""
+    _, m, d = points.shape
+    whole = np.arange(m)[None]
+
+    def chunk(part: np.ndarray) -> np.ndarray:
+        return _intrinsic_r(*_normalized(part), whole, tol)[2][:, 0]
+
+    return np.concatenate(_chunked(points, m * m * d, chunk))
+
+
+def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    n, m, _ = points.shape
+    z, dist = _normalized(points)
+    first = np.full(n, -1)
+    lo = np.full(n, np.inf)
+    hi = np.full(n, -np.inf)
+    forward = np.full(n, np.inf)
+    position = 0
+    for size in range(3, m + 1):
+        k = size - 1
+        subsets = np.array(list(itertools.combinations(range(m), size)))
+        r, volume, degenerate = _intrinsic_r(z, dist, subsets, tol)
+        hit = degenerate.any(axis=1) & (first < 0)
+        first[hit] = position + degenerate[hit].argmax(axis=1)
+        position += len(subsets)
+        # Degenerate subsimplices get a unit stand-in so inv() stays defined;
+        # their cells are discarded.
+        r[degenerate] = np.eye(k)
+        volume[degenerate] = 1.0
+        inverse = np.linalg.inv(r)
+        grads = np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
+        lengths = np.linalg.norm(grads, axis=-1)
+        # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
+        units = grads / lengths[..., None]
+        i, j = np.triu_indices(k + 1, 1)
+        angles = 2.0 * np.arctan2(
+            np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
+            np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
+        )
+        others = np.array([[w for w in range(k + 1) if w != v] for v in range(k + 1)])
+        dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+        lo = np.minimum(lo, angles.min(axis=(1, 2)))
+        hi = np.maximum(hi, angles.max(axis=(1, 2)))
+        # Forward direction: every dihedral sine of a subsimplex must dominate
+        # the subsimplex's own smallest vertex sine.
+        margin = np.sin(angles).min(axis=-1) - dsines.min(axis=-1)
+        forward = np.minimum(forward, margin.min(axis=1))
+    # The last level holds one subset, the cell itself.
+    min_dsine = dsines[:, 0].min(axis=-1)
+    ball = 1.0 / (lengths[:, 0].sum(axis=-1) * dist.max(axis=(1, 2)))
+    return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=-1), forward
+
+
+def _scan(points: np.ndarray, tol: float) -> _Scan:
+    """Scan every subsimplex of dimension >= 2 of each cell (N, m, d), m >= 3."""
+    _, m, d = points.shape
+    floats_per_cell = max(math.comb(m, size) * size * size * d for size in range(3, m + 1))
+    parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
+    return _Scan(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _check_scan_dim(k: int, what: object, allow_high_dim: bool) -> None:
+    if k < 2:
+        raise InvalidInputError(f"dihedral angles need dimension >= 2, got {what!r}")
+    _check_dimension_cap(k, allow_high_dim)
+
+
+def _scan_simplex(s: Simplex, cfg: ToleranceConfig, allow_high_dim: bool) -> _Scan:
+    """The scan of one simplex; raises DegeneracyError naming the first degenerate subset."""
+    _check_scan_dim(s.intrinsic_dim, s, allow_high_dim)
+    scan = _scan(s.vertices[None], cfg.degeneracy_rel_tol)
+    if scan.degenerate[0]:
+        subset = _subset_at(s.intrinsic_dim, int(scan.first_degenerate[0]))
+        raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
+    return scan
+
+
+def _scan_mesh(mesh: "Mesh", cfg: ToleranceConfig, allow_high_dim: bool) -> _Scan:
+    _check_scan_dim(mesh.ambient_dim, mesh, allow_high_dim)
+    return _scan(mesh.vertices[mesh.cells], cfg.degeneracy_rel_tol)
+
+
 def min_dihedral_over_subsimplices(
     s: Simplex, cfg: ToleranceConfig | None = None, *, allow_high_dim: bool = False
 ) -> tuple[float, float]:
     """(min, max) over all dihedral angles of all subsimplices of ``s``.
 
-    Each subsimplex (dimension 2 up to the cell itself) is projected onto
-    its affine hull before its angles are measured.  For d = 2 this is the
-    span of the planar angles; for d = 3 the minimum combines face angles
-    and face-to-face dihedral angles.
+    Every subsimplex (dimension 2 up to the cell itself) is measured in
+    coordinates of its own affine hull.  For d = 2 this is the span of the
+    planar angles; for d = 3 the minimum combines face angles and
+    face-to-face dihedral angles.
 
     Raises:
-        DegeneracyError: naming the offending vertex subset if any
-            subsimplex is degenerate at the configured tolerance.
+        DegeneracyError: naming the first degenerate vertex subset, in the
+            enumeration order of :func:`subsimplices`.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    if s.intrinsic_dim < 2:
-        raise InvalidInputError(f"dihedral angles need dimension >= 2, got {s!r}")
-    _check_dimension_cap(s.intrinsic_dim, allow_high_dim)
-    lo, hi = math.inf, -math.inf
-    for subset in _index_subsets(s.intrinsic_dim, 2):
-        sub = Simplex(s.vertices[list(subset)])
-        if is_degenerate(sub, cfg):
-            raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
-        angle_set = all_dihedral_angles(sub, cfg)
-        lo = min(lo, angle_set.min_angle())
-        hi = max(hi, angle_set.max_angle())
-    return lo, hi
+    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    return float(scan.min_dihedral[0]), float(scan.max_dihedral[0])
 
 
 def min_vertex_dsine(s: Simplex) -> float:
@@ -261,17 +423,16 @@ def cell_quality(
     allow_high_dim: bool = False,
 ) -> SimplexQuality:
     """All quality metrics of one cell; raises DegeneracyError on bad cells."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    if is_degenerate(s, cfg):
-        raise DegeneracyError(f"cell {cell_index} is degenerate")
-    lo, hi = min_dihedral_over_subsimplices(s, cfg, allow_high_dim=allow_high_dim)
+    if s.intrinsic_dim != s.ambient_dim:
+        raise InvalidInputError(f"cell quality needs a full-dimensional simplex, got {s!r}")
+    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES, allow_high_dim)
     return SimplexQuality(
         cell_index=cell_index,
-        min_dihedral_all_sub=lo,
-        max_dihedral_all_sub=hi,
-        min_vertex_dsine=min_vertex_dsine(s),
-        ball_ratio=ball_ratio(s),
-        dihedral_sum_top=dihedral_sum(s, cfg),
+        min_dihedral_all_sub=float(scan.min_dihedral[0]),
+        max_dihedral_all_sub=float(scan.max_dihedral[0]),
+        min_vertex_dsine=float(scan.min_dsine[0]),
+        ball_ratio=float(scan.ball_ratio[0]),
+        dihedral_sum_top=float(scan.dihedral_sum[0]),
         subsimplex_count=subsimplex_count(s.intrinsic_dim),
     )
 
@@ -285,23 +446,27 @@ def mesh_quality(
     """Per-cell quality for a whole mesh.
 
     Degenerate cells are collected rather than raised, so a single bad
-    cell cannot abort the scan.  Cells are processed in index order and
+    cell cannot abort the scan.  Cells are reported in index order and
     the result is deterministic.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    cells: list[SimplexQuality] = []
-    degenerate: list[int] = []
-    for index in range(mesh.cell_count):
-        try:
-            cells.append(
-                cell_quality(mesh.cell_simplex(index), index, cfg, allow_high_dim=allow_high_dim)
-            )
-        except DegeneracyError:
-            degenerate.append(index)
+    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    good = np.flatnonzero(~scan.degenerate)
+    count = subsimplex_count(mesh.ambient_dim)
+    cells = tuple(
+        SimplexQuality(index, lo, hi, dsine, ball, total, count)
+        for index, lo, hi, dsine, ball, total in zip(
+            good.tolist(),
+            scan.min_dihedral[good].tolist(),
+            scan.max_dihedral[good].tolist(),
+            scan.min_dsine[good].tolist(),
+            scan.ball_ratio[good].tolist(),
+            scan.dihedral_sum[good].tolist(),
+        )
+    )
     return MeshQuality(
         ambient_dim=mesh.ambient_dim,
-        cells=tuple(cells),
-        degenerate_cells=tuple(degenerate),
+        cells=cells,
+        degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
     )
 
 
@@ -394,40 +559,6 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     return s ** (d * (d - 1) // 2)
 
 
-def _audit_cell(s: Simplex, index: int, cfg: ToleranceConfig, allow_high_dim: bool) -> CellAudit:
-    if is_degenerate(s, cfg):
-        raise DegeneracyError(f"cell {index} is degenerate")
-    _check_dimension_cap(s.intrinsic_dim, allow_high_dim)
-    forward = math.inf
-    lo, hi = math.inf, -math.inf
-    for subset in _index_subsets(s.intrinsic_dim, 2):
-        sub = Simplex(s.vertices[list(subset)])
-        if is_degenerate(sub, cfg):
-            raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
-        angle_set = all_dihedral_angles(sub, cfg)
-        sub_min = angle_set.min_angle()
-        sub_max = angle_set.max_angle()
-        lo = min(lo, sub_min)
-        hi = max(hi, sub_max)
-        # Forward direction: every dihedral sine of the subsimplex must
-        # dominate the subsimplex's own smallest vertex sine.
-        min_dihedral_sine = min(math.sin(a) for a in angle_set.values())
-        intrinsic = sub if sub.intrinsic_dim == sub.ambient_dim else project_intrinsic(sub, cfg)
-        min_sine = vertex_sines(intrinsic).min_sine()
-        forward = min(forward, min_dihedral_sine - min_sine)
-    cell_min_dsine = min_vertex_dsine(s)
-    bound = certified_dsine_bound(lo, hi, s.intrinsic_dim)
-    return CellAudit(
-        cell_index=index,
-        min_vertex_dsine=cell_min_dsine,
-        min_dihedral_all_sub=lo,
-        max_dihedral_all_sub=hi,
-        certified_bound=bound,
-        forward_margin=forward,
-        backward_margin=cell_min_dsine - bound,
-    )
-
-
 def equivalence_audit(
     mesh: "Mesh",
     cfg: ToleranceConfig | None = None,
@@ -443,16 +574,20 @@ def equivalence_audit(
     margins are reported per cell; degenerate cells are flagged and the
     audit continues.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    cells: list[CellAudit] = []
-    degenerate: list[int] = []
-    for index in range(mesh.cell_count):
-        try:
-            cells.append(_audit_cell(mesh.cell_simplex(index), index, cfg, allow_high_dim))
-        except DegeneracyError:
-            degenerate.append(index)
+    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    good = np.flatnonzero(~scan.degenerate)
+    cells = []
+    for index, lo, hi, dsine, forward in zip(
+        good.tolist(),
+        scan.min_dihedral[good].tolist(),
+        scan.max_dihedral[good].tolist(),
+        scan.min_dsine[good].tolist(),
+        scan.forward_margin[good].tolist(),
+    ):
+        bound = certified_dsine_bound(lo, hi, mesh.ambient_dim)
+        cells.append(CellAudit(index, dsine, lo, hi, bound, forward, dsine - bound))
     return EquivalenceAudit(
         ambient_dim=mesh.ambient_dim,
         cells=tuple(cells),
-        degenerate_cells=tuple(degenerate),
+        degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
     )

@@ -314,3 +314,34 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "check" in capsys.readouterr().out
+
+
+class TestExtremeScale:
+    """check and audit see the same regular 6-simplex at every scale.
+
+    At the scales below, the unnormalized Gram determinant of the cell
+    underflows (wrongly degenerate, exit 3) or the d-sine formula overflows.
+    """
+
+    @staticmethod
+    def run(path, command, capsys):
+        argv = [command, str(path), "-o", "-"]
+        if command == "check":
+            argv += ["--alpha0", "0.5", "--dsine-min", "0.5"]
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-60, 1e60, 1e100, 1e300])
+    def test_matches_unit_scale(self, tmp_path, capsys, command, scale):
+        vertices = regular_simplex(6).vertices
+        cells = [list(range(7))]
+        unit = write_mesh_file(tmp_path / "unit.json", vertices, cells)
+        scaled = write_mesh_file(tmp_path / "scaled.json", vertices * scale, cells)
+        unit_code, unit_doc = self.run(unit, command, capsys)
+        code, doc = self.run(scaled, command, capsys)
+        assert code == unit_code == EXIT_OK
+        assert doc.get("degenerate_cells") is None
+        for key, value in unit_doc["aggregates"].items():
+            # The forward margin of a regular simplex is 0 up to rounding.
+            assert doc["aggregates"][key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
