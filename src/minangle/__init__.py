@@ -31,15 +31,12 @@ from .generators import (
 )
 from .geometry import (
     DEFAULT_TOLERANCES,
-    Facet,
     Simplex,
     ToleranceConfig,
     facet,
     is_degenerate,
-    orthonormal_frame,
     outward_unit_normal,
     outward_unit_normals,
-    project_intrinsic,
     simplex_measure,
 )
 from .meshio import (

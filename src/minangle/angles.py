@@ -15,28 +15,20 @@ vertex, times the sines of the dihedral angles at that facet.  That
 identity is the engine behind the regularity-condition equivalence checks
 in :mod:`minangle.regularity`.
 
-Simplices embedded with k < d are projected onto their affine hull before
-any normals are taken, so subsimplex angles are intrinsic.
+Every function here is the kernel of :mod:`minangle.geometry` at N=1, which
+takes the angles and d-sines from the barycentric gradients of the simplex
+in coordinates of its own affine hull; so subsimplex angles are intrinsic,
+and the values agree with the mesh scan of :mod:`minangle.regularity`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegeneracyError, InvalidInputError
-from .geometry import (
-    DEFAULT_TOLERANCES,
-    Simplex,
-    ToleranceConfig,
-    facet,
-    is_degenerate,
-    outward_unit_normals,
-    project_intrinsic,
-    simplex_measure,
-)
+from .errors import InvalidInputError
+from .geometry import Simplex, ToleranceConfig, _simplex_forms, facet
 
 __all__ = [
     "DihedralAngleSet",
@@ -52,18 +44,15 @@ __all__ = [
     "vertex_sines",
 ]
 
-# Above this dimension the d-sine numerator/denominator mix factorially
-# large and small factors; switch to log-domain accumulation.
-_DIRECT_EVAL_MAX_DIM = 12
-
 
 @dataclass(frozen=True)
 class DihedralAngleSet:
     """All k(k+1)/2 dihedral angles of one simplex, plus its outward normals.
 
     Angles are keyed by the unordered facet pair (i, j) with i < j and are
-    given in radians; ``normals`` are the outward unit normals of the
-    intrinsically projected simplex, one row per facet.
+    given in radians; ``normals`` are the outward unit normals, one row per
+    facet: in the simplex's coordinates when it is full-dimensional (k = d),
+    and in the orthonormal hull coordinates of its R factor when k < d.
     """
 
     simplex_dim: int
@@ -120,30 +109,22 @@ class ProductDecomposition:
     residual: float
 
 
-def _intrinsic(s: Simplex, cfg: ToleranceConfig | None) -> Simplex:
-    return s if s.intrinsic_dim == s.ambient_dim else project_intrinsic(s, cfg)
-
-
 def all_dihedral_angles(s: Simplex, cfg: ToleranceConfig | None = None) -> DihedralAngleSet:
     """Every dihedral angle of ``s``, computed from one set of normals.
 
-    Embedded simplices (k < d) are projected onto their affine hull first,
-    so the angles are intrinsic.  Requires intrinsic dimension >= 2.
+    Embedded simplices (k < d) are measured in coordinates of their own
+    affine hull, so the angles are intrinsic.  Requires intrinsic
+    dimension >= 2.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     k = s.intrinsic_dim
     if k < 2:
         raise InvalidInputError(f"dihedral angles need dimension >= 2, got {s!r}")
-    normals = outward_unit_normals(_intrinsic(s, cfg), cfg)
-    cosines = -(normals @ normals.T)
-    if cfg.cosine_clamp:
-        cosines = np.clip(cosines, -1.0, 1.0)
-    angles = {
-        (i, j): float(np.arccos(cosines[i, j]))
-        for i in range(k + 1)
-        for j in range(i + 1, k + 1)
-    }
-    return DihedralAngleSet(simplex_dim=k, angles=angles, normals=normals)
+    units, _, values, _ = _simplex_forms(
+        s, cfg, "dihedral angles", ambient=k == s.ambient_dim
+    )
+    pairs = itertools.combinations(range(k + 1), 2)  # the np.triu_indices order
+    angles = dict(zip(pairs, values.tolist()))
+    return DihedralAngleSet(simplex_dim=k, angles=angles, normals=-units)
 
 
 def dihedral_angle(s: Simplex, i: int, j: int, cfg: ToleranceConfig | None = None) -> float:
@@ -160,67 +141,37 @@ def dihedral_angle(s: Simplex, i: int, j: int, cfg: ToleranceConfig | None = Non
     return all_dihedral_angles(s, cfg).angle(i, j)
 
 
-def _facet_measures(s: Simplex) -> list[float]:
-    return [simplex_measure(facet(s, j).simplex) for j in range(s.intrinsic_dim + 1)]
-
-
-def _require_full_dim(s: Simplex, what: str) -> int:
+def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     d = s.ambient_dim
     if s.intrinsic_dim != d:
         raise InvalidInputError(f"{what} needs a full-dimensional simplex, got {s!r}")
+    if d < min_dim:
+        raise InvalidInputError(f"{what} needs dimension >= {min_dim}")
     return d
-
-
-def _dsine_from_measures(d: int, volume: float, facet_meas: list[float], i: int) -> float:
-    others = [m for j, m in enumerate(facet_meas) if j != i]
-    if volume == 0.0 or any(m == 0.0 for m in others):
-        raise DegeneracyError("d-sine undefined: degenerate simplex or facet")
-    if d <= _DIRECT_EVAL_MAX_DIM:
-        return d ** (d - 1) * volume ** (d - 1) / (math.factorial(d - 1) * math.prod(others))
-    log_value = (
-        (d - 1) * (math.log(d) + math.log(volume))
-        - math.lgamma(d)
-        - math.fsum(math.log(m) for m in others)
-    )
-    return math.exp(log_value)
 
 
 def d_sine(s: Simplex, i: int) -> float:
     """The d-sine of the solid angle at vertex ``i`` of a d-simplex.
 
-    Requires a full-dimensional simplex with d >= 2 (project subsimplices
-    first).  The value lies in (0, 1] for nondegenerate input; 1 is
-    attained exactly at the corner of a right-angle (orthogonal-edge)
-    simplex.
+    Requires a full-dimensional simplex with d >= 2.  The value lies in
+    (0, 1] for nondegenerate input; 1 is attained exactly at the corner of
+    a right-angle (orthogonal-edge) simplex.
 
     Raises:
         InvalidInputError: if ``s`` is not full-dimensional, d < 2, or
             ``i`` is out of range.
-        DegeneracyError: if the simplex or one of the facets opposite the
-            other vertices is degenerate.
+        DegeneracyError: if ``s`` is degenerate.
     """
-    d = _require_full_dim(s, "d-sine")
-    if d < 2:
-        raise InvalidInputError("d-sine needs dimension >= 2")
+    d = _require_full_dim(s, "d-sine", 2)
     if not 0 <= i <= d:
         raise InvalidInputError(f"vertex index {i} out of range 0..{d}")
-    if is_degenerate(s):
-        raise DegeneracyError(f"d-sine undefined for degenerate {s!r}")
-    return _dsine_from_measures(d, simplex_measure(s), _facet_measures(s), i)
+    return vertex_sines(s).sines[i]
 
 
 def vertex_sines(s: Simplex) -> VertexSineSet:
-    """All d+1 vertex d-sines, sharing one pass of measure computations."""
-    d = _require_full_dim(s, "vertex sines")
-    if d < 2:
-        raise InvalidInputError("d-sine needs dimension >= 2")
-    if is_degenerate(s):
-        raise DegeneracyError(f"d-sine undefined for degenerate {s!r}")
-    volume = simplex_measure(s)
-    facet_meas = _facet_measures(s)
-    return VertexSineSet(
-        sines=tuple(_dsine_from_measures(d, volume, facet_meas, i) for i in range(d + 1))
-    )
+    """All d+1 vertex d-sines of a full-dimensional simplex, d >= 2."""
+    _require_full_dim(s, "d-sine", 2)
+    return VertexSineSet(sines=tuple(_simplex_forms(s, None, "d-sine")[3].tolist()))
 
 
 def product_decomposition(
@@ -229,27 +180,23 @@ def product_decomposition(
     """Factor the d-sine at vertex ``i`` through the facet omitting the last vertex.
 
     The sub-sine is the (d-1)-sine of vertex ``i`` inside the facet
-    conv{A_0..A_{d-1}} after intrinsic projection; the dihedral factors are
-    sin(beta_j) for the angles between the facet omitting A_j and the facet
-    omitting A_d, j != i.  Vertex ``i`` must belong to the shared facet
-    (i < d); reorder the vertices first if it does not.
+    conv{A_0..A_{d-1}}, measured in its own affine hull; the dihedral
+    factors are sin(beta_j) for the angles between the facet omitting A_j
+    and the facet omitting A_d, j != i.  Vertex ``i`` must belong to the
+    shared facet (i < d); reorder the vertices first if it does not.
     """
-    d = _require_full_dim(s, "product decomposition")
-    if d < 3:
-        raise InvalidInputError("product decomposition needs dimension >= 3")
+    d = _require_full_dim(s, "product decomposition", 3)
     if not 0 <= i < d:
         raise InvalidInputError(
             f"vertex index {i} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
-    angle_set = all_dihedral_angles(s, cfg)
-    dihedral_sines = tuple(
-        math.sin(angle_set.angle(j, d)) for j in range(d) if j != i
-    )
-    shared_facet = project_intrinsic(facet(s, d).simplex, cfg)
-    sub_sine = d_sine(shared_facet, i)
+    _, _, angles, sines = _simplex_forms(s, cfg, "product decomposition")
+    position = {pair: n for n, pair in enumerate(itertools.combinations(range(d + 1), 2))}
+    dihedral_sines = tuple(math.sin(angles[position[j, d]]) for j in range(d) if j != i)
+    sub_sine = float(_simplex_forms(facet(s, d), cfg, "d-sine")[3][i])
     product = sub_sine * math.prod(dihedral_sines)
-    direct = d_sine(s, i)
+    direct = float(sines[i])
     return ProductDecomposition(
         vertex_index=i,
         sub_sine=sub_sine,
@@ -270,13 +217,12 @@ def dihedral_sum(s: Simplex, cfg: ToleranceConfig | None = None) -> float:
 
 
 def inradius(s: Simplex) -> float:
-    """Radius of the inscribed ball: d * meas_d(S) / sum of facet measures."""
-    d = _require_full_dim(s, "inradius")
-    if is_degenerate(s):
-        raise DegeneracyError(f"inradius undefined for degenerate {s!r}")
-    return d * simplex_measure(s) / math.fsum(_facet_measures(s))
+    """Radius of the inscribed ball: 1 / sum_j |g_j| over the barycentric gradients."""
+    return ball_ratio(s) * s.diameter()
 
 
 def ball_ratio(s: Simplex) -> float:
     """Inradius divided by the diameter; scale-invariant, in (0, 1)."""
-    return inradius(s) / s.diameter()
+    _require_full_dim(s, "ball ratio")
+    _, lengths, _, _ = _simplex_forms(s, None, "ball ratio")
+    return float(1.0 / lengths.sum())

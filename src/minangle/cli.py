@@ -181,6 +181,24 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Family aggregate -> how the members' values of the same report key combine.
+_FAMILY_AGGREGATES = {
+    "min_dihedral_rad": min,
+    "max_dihedral_rad": max,
+    "min_dsine": min,
+    "min_ball_ratio": min,
+}
+
+
+def _family_aggregates(mesh_docs: list[dict[str, Any]]) -> dict[str, float | None]:
+    """Extrema over the members' report aggregates; None where no member has cells."""
+    result = {}
+    for key, pick in _FAMILY_AGGREGATES.items():
+        values = [doc["aggregates"][key] for doc in mesh_docs]
+        result[key] = pick((value for value in values if value is not None), default=None)
+    return result
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
@@ -202,12 +220,6 @@ def cmd_family(args: argparse.Namespace) -> int:
     any_degenerate = False
     any_violated = False
     family_worst: dict[str, dict[str, Any]] = {}
-    aggregates = {
-        "min_dihedral_rad": math.inf,
-        "max_dihedral_rad": -math.inf,
-        "min_dsine": math.inf,
-        "min_ball_ratio": math.inf,
-    }
     for index, (path, mesh) in enumerate(zip(paths, meshes)):
         quality = mesh_quality(mesh, cfg)
         verdicts = _mesh_verdicts(quality, args)
@@ -216,17 +228,6 @@ def cmd_family(args: argparse.Namespace) -> int:
         mesh_docs.append({"index": index, "path": str(path), **doc})
         any_degenerate = any_degenerate or bool(quality.degenerate_cells)
         any_violated = any_violated or any(not v.satisfied for v in verdicts)
-        if quality.cells:
-            aggregates["min_dihedral_rad"] = min(
-                aggregates["min_dihedral_rad"], quality.min_dihedral()
-            )
-            aggregates["max_dihedral_rad"] = max(
-                aggregates["max_dihedral_rad"], quality.max_dihedral()
-            )
-            aggregates["min_dsine"] = min(aggregates["min_dsine"], quality.min_dsine())
-            aggregates["min_ball_ratio"] = min(
-                aggregates["min_ball_ratio"], quality.min_ball_ratio()
-            )
         trend.append(
             {
                 "index": index,
@@ -256,9 +257,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     family_doc: dict[str, Any] = {
         "ambient_dimension": meshes[0].ambient_dim,
         "mesh_count": len(meshes),
-        "family_aggregates": {
-            key: (None if math.isinf(value) else value) for key, value in aggregates.items()
-        },
+        "family_aggregates": _family_aggregates(mesh_docs),
         "trend": trend,
         "verdicts": list(family_worst.values()),
         "meshes": mesh_docs,

@@ -1,7 +1,7 @@
 """Deterministic simplex generators: reference shapes and degenerating families.
 
 The regular and corner simplices are closed-form reference shapes (all
-dihedral angles arccos(1/d); corner d-sine exactly 1).  The flatten and
+dihedral angles have cosine 1/d; corner d-sine exactly 1).  The flatten and
 needle families interpolate from the regular simplex down to a flat
 sliver or a collapsed edge as the parameter t drops toward 0, which is
 exactly the degeneration the regularity conditions are designed to catch.

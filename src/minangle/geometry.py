@@ -1,11 +1,29 @@
-"""Geometric primitives for k-simplices embedded in R^d.
+"""Geometric primitives for k-simplices embedded in R^d, and the kernel behind them.
 
-A simplex is an ordered list of vertex coordinates.  All k-dimensional
-measures are computed from Gram determinants of the edge vectors, so that
-facets and lower-dimensional subsimplices living inside a larger ambient
-space go through exactly the same code path as full-dimensional ones.
-Angles themselves live in :mod:`minangle.angles`; this module supplies the
-measures, frames, projections, and outward normals they are built from.
+A simplex is an ordered list of vertex coordinates.  Every measure, normal,
+dihedral angle and vertex sine in the package comes from one batched kernel,
+which works on stacks of simplices of the same dimension:
+
+* each simplex is translated to its vertex 0 and divided by its diameter,
+  after exact power-of-two rescalings, so results do not depend on where in
+  the double range it lives;
+* its k edge vectors are put into coordinates of its own affine hull by a QR
+  factorization, E^T = Q R, which never forms the Gram matrix G = E E^T (its
+  condition number is the square of E's).  |det R| = sqrt(det G) = k! * volume;
+* the rows of R^-1 are the barycentric gradients g_1..g_k, and
+  g_0 = -(g_1 + ... + g_k).  With n_i = -g_i/|g_i| the outward unit normals:
+
+      dihedral angle  beta_ij = 2 atan2(|n_i + n_j|, |n_i - n_j|)
+      vertex k-sine   sin_k(A_i) = 1 / (|det R| * prod_{j != i} |g_j|)
+      ball ratio      1 / sum_j |g_j|   (the normalized diameter is 1)
+
+(Brandts, Korotov and Krizek, CAMWA 2008; Shewchuk, "What is a good linear
+finite element?", 2002).  The atan2 form stays accurate for angles near 0
+and pi, where the inverse cosine of a cosine loses half the digits.
+
+The single-simplex functions here and in :mod:`minangle.angles` are the
+kernel at N=1; :mod:`minangle.regularity` runs it over every subsimplex of
+many cells at once.
 
 All functions here are pure: nothing mutates its inputs and there is no
 global state, so values can be shared freely across threads.
@@ -22,15 +40,12 @@ from .errors import DegeneracyError, InvalidInputError
 
 __all__ = [
     "DEFAULT_TOLERANCES",
-    "Facet",
     "Simplex",
     "ToleranceConfig",
     "facet",
     "is_degenerate",
-    "orthonormal_frame",
     "outward_unit_normal",
     "outward_unit_normals",
-    "project_intrinsic",
     "simplex_measure",
 ]
 
@@ -43,23 +58,15 @@ class ToleranceConfig:
         degeneracy_rel_tol: relative degeneracy threshold.  A k-simplex is
             treated as degenerate when sqrt(det G) <= tol * (max edge)^k,
             which makes the test invariant under uniform scaling.
-        cosine_clamp: clamp arccos arguments into [-1, 1].  Rounding can
-            push |n_i . n_j| a few ulp above 1; leave this on.
-        angle_unit: "radians" or "degrees", used only at the reporting
-            boundary.  Internal computation is always in radians.
     """
 
     degeneracy_rel_tol: float = 1e-12
-    cosine_clamp: bool = True
-    angle_unit: str = "radians"
 
     def __post_init__(self) -> None:
         if not self.degeneracy_rel_tol > 0.0:
             raise InvalidInputError(
                 f"degeneracy_rel_tol must be positive, got {self.degeneracy_rel_tol}"
             )
-        if self.angle_unit not in ("radians", "degrees"):
-            raise InvalidInputError(f"unknown angle unit {self.angle_unit!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -120,9 +127,9 @@ class Simplex:
         return self._vertices[1:] - self._vertices[0]
 
     def diameter(self) -> float:
-        """Largest pairwise vertex distance."""
+        """Largest pairwise vertex distance; hypot scales, so no square overflows."""
         diff = self._vertices[:, None, :] - self._vertices[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+        return float(np.hypot.reduce(np.abs(diff), axis=-1).max())
 
     def permuted(self, order) -> "Simplex":
         """Simplex with vertices reordered by the given index sequence."""
@@ -135,48 +142,124 @@ class Simplex:
         return f"Simplex(k={self.intrinsic_dim}, d={self.ambient_dim})"
 
 
-@dataclass(frozen=True)
-class Facet:
-    """The (k-1)-subsimplex opposite one vertex, with its origin recorded.
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """Each cell of ``x`` scaled exactly by a power of two so its largest entry is in [0.5, 1)."""
+    _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
+    return np.ldexp(x, -exponent[:, None, None])
 
-    The facet inherits the parent's vertex order with the omitted vertex
-    removed.
+
+def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
+
+    Returns the normalized vertices and their (N, m, m) pairwise distances.
+    The exact power-of-two rescalings before the subtraction and before the
+    squares keep every intermediate inside the normal double range.
     """
+    scaled = _pow2_scaled(points)
+    shifted = _pow2_scaled(scaled - scaled[:, :1])
+    dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
+    diameter = dist.max(axis=(1, 2))
+    diameter[diameter == 0.0] = 1.0  # coincident vertices: the degeneracy rule flags the cell
+    return shifted / diameter[:, None, None], dist / diameter[:, None, None]
 
-    simplex: Simplex
-    omitted_vertex_index: int
+
+def _intrinsic_r(
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R factors of the subsets' edge matrices, |det R|, and the degeneracy rule.
+
+    ``subsets`` is (S, k+1) vertex indices.  Returns R (N, S, k, k),
+    |det R| = sqrt(det G) (N, S), and whether sqrt(det G) <= tol * (subset
+    diameter)^k (N, S), the rule of :func:`is_degenerate`.
+    """
+    k = subsets.shape[1] - 1
+    corners = z[:, subsets]
+    edges = corners[:, :, 1:] - corners[:, :, :1]
+    r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
+    volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    a, b = np.triu_indices(k + 1, 1)
+    diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
+    return r, volume, volume <= tol * diameter**k
 
 
-def _gram_root(s: Simplex) -> float:
-    """sqrt(det G) of the edge Gram matrix; clipped at 0 for exact degeneracy."""
-    edges = s.edge_vectors()
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    return math.sqrt(det) if det > 0.0 else 0.0
+def _gradient_forms(
+    columns: np.ndarray, volume: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients, dihedral angles and vertex sines of stacked k-simplices.
+
+    ``columns`` (..., k, k) holds the edge vectors A_j - A_0 of each simplex
+    as columns, in orthonormal coordinates: R of :func:`_intrinsic_r`, or
+    E^T of a full-dimensional simplex.  ``volume`` (...) is |det columns|.
+    Returns the unit gradients g_i/|g_i| (..., k+1, k), the lengths |g_i|
+    (..., k+1), the dihedral angles (..., k(k+1)/2) of the facet pairs in
+    ``np.triu_indices(k + 1, 1)`` order, and the vertex k-sines (..., k+1).
+    """
+    k = columns.shape[-1]
+    inverse = np.linalg.inv(columns)
+    grads = np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
+    lengths = np.linalg.norm(grads, axis=-1)
+    # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
+    units = grads / lengths[..., None]
+    i, j = np.triu_indices(k + 1, 1)
+    angles = 2.0 * np.arctan2(
+        np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
+        np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
+    )
+    others = np.array([[w for w in range(k + 1) if w != v] for v in range(k + 1)])
+    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+    return units, lengths, angles, dsines
+
+
+def _whole(s: Simplex, cfg: ToleranceConfig | None):
+    """The kernel's first stage on all of ``s`` (N = S = 1): z, R, |det R| and the rule."""
+    tol = (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
+    z, dist = _normalized(s.vertices[None])
+    r, volume, degenerate = _intrinsic_r(z, dist, np.arange(s.vertex_count)[None], tol)
+    return z, r, volume, bool(degenerate[0, 0])
+
+
+def _simplex_forms(
+    s: Simplex, cfg: ToleranceConfig | None, what: str, *, ambient: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_gradient_forms` of ``s`` itself, normalized to diameter 1.
+
+    The gradients come from R, or with ``ambient`` from the normalized edge
+    matrix of a full-dimensional ``s``, so the normals keep the input's
+    coordinates.
+
+    Raises:
+        DegeneracyError: if ``s`` fails the degeneracy rule.
+    """
+    z, r, volume, degenerate = _whole(s, cfg)
+    if degenerate:
+        raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
+    columns = np.swapaxes(z[:, None, 1:], -1, -2) if ambient else r
+    units, lengths, angles, dsines = _gradient_forms(columns, volume)
+    return units[0, 0], lengths[0, 0], angles[0, 0], dsines[0, 0]
 
 
 def simplex_measure(s: Simplex) -> float:
     """k-dimensional measure of a k-simplex embedded in R^d.
 
-    Computed as sqrt(det G) / k! where G is the Gram matrix of the edge
-    vectors from vertex 0.  Exactly degenerate input yields 0 rather than
-    an error; the result is always nonnegative.
+    Computed as |det R| / k! = sqrt(det G) / k!, with G the Gram matrix of
+    the edge vectors from vertex 0.  Exactly degenerate input yields 0
+    rather than an error; the result is always nonnegative.
     """
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
-    return _gram_root(s) / math.factorial(k)
+    _, _, volume, _ = _whole(s, None)
+    return float(volume[0, 0]) / math.factorial(k) * s.diameter() ** k
 
 
-def facet(s: Simplex, i: int) -> Facet:
+def facet(s: Simplex, i: int) -> Simplex:
     """The (k-1)-facet of ``s`` opposite vertex ``i``, order preserved."""
     k = s.intrinsic_dim
     if k < 1:
         raise InvalidInputError("a 0-simplex has no facets")
     if not 0 <= i <= k:
         raise InvalidInputError(f"facet index {i} out of range 0..{k}")
-    kept = np.delete(s.vertices, i, axis=0)
-    return Facet(Simplex(kept), i)
+    return Simplex(np.delete(s.vertices, i, axis=0))
 
 
 def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
@@ -185,90 +268,21 @@ def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
     True iff sqrt(det G) <= degeneracy_rel_tol * (max edge length)^k.
     Deterministic; never raises.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    k = s.intrinsic_dim
-    if k == 0:
+    if s.intrinsic_dim == 0:
         return False
-    return _gram_root(s) <= cfg.degeneracy_rel_tol * s.diameter() ** k
-
-
-def orthonormal_frame(s: Simplex, cfg: ToleranceConfig | None = None) -> np.ndarray:
-    """Orthonormal basis of the direction space of the affine hull of ``s``.
-
-    Returns a (k, d) array whose rows span the same subspace as the edge
-    vectors.  Uses pivoted modified Gram-Schmidt with one
-    re-orthogonalization pass; pivoting picks the remaining edge with the
-    largest residual norm, which keeps slivers from poisoning the frame.
-
-    Raises:
-        DegeneracyError: if ``s`` is degenerate at the configured tolerance.
-    """
-    if is_degenerate(s, cfg):
-        raise DegeneracyError(f"cannot build a frame for degenerate {s!r}")
-    k, d = s.intrinsic_dim, s.ambient_dim
-    work = s.edge_vectors().copy()
-    frame = np.zeros((k, d))
-    for m in range(k):
-        residual_norms = np.linalg.norm(work[m:], axis=1)
-        pivot = m + int(np.argmax(residual_norms))
-        if pivot != m:
-            work[[m, pivot]] = work[[pivot, m]]
-        v = work[m]
-        for _ in range(2):
-            v = v - frame[:m].T @ (frame[:m] @ v)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise DegeneracyError(f"edge vectors of {s!r} do not span {k} dimensions")
-        frame[m] = v / norm
-        if m + 1 < k:
-            work[m + 1 :] -= np.outer(work[m + 1 :] @ frame[m], frame[m])
-    return frame
-
-
-def project_intrinsic(s: Simplex, cfg: ToleranceConfig | None = None) -> Simplex:
-    """Express ``s`` in R^k coordinates of its own affine hull.
-
-    The result is full-dimensional (intrinsic_dim == ambient_dim == k),
-    has vertex 0 at the origin, and preserves all pairwise distances.
-    """
-    frame = orthonormal_frame(s, cfg)
-    coords = (s.vertices - s.vertices[0]) @ frame.T
-    return Simplex(coords)
-
-
-def _barycentric_gradients(s: Simplex) -> np.ndarray:
-    """Gradients of the barycentric coordinates of a full-dimensional simplex.
-
-    Row i is the gradient of the i-th barycentric coordinate; it is
-    orthogonal to facet F_i and points from the facet toward vertex A_i.
-    """
-    edges = s.edge_vectors()
-    try:
-        inv = np.linalg.inv(edges)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"singular edge matrix for {s!r}") from exc
-    grads = inv.T
-    return np.vstack([-grads.sum(axis=0), grads])
+    *_, degenerate = _whole(s, cfg)
+    return degenerate
 
 
 def outward_unit_normals(s: Simplex, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """All k+1 outward unit facet normals of a full-dimensional simplex.
 
-    Row i is the unit normal of facet F_i pointing away from vertex A_i.
-    ``s`` must be full-dimensional in its intrinsic space; project
-    subsimplices with :func:`project_intrinsic` first.
+    Row i is the unit normal of facet F_i pointing away from vertex A_i, in
+    the coordinates of ``s``.
     """
     if s.intrinsic_dim != s.ambient_dim:
-        raise InvalidInputError(
-            f"normals need a full-dimensional simplex, got {s!r}; apply project_intrinsic"
-        )
-    if is_degenerate(s, cfg):
-        raise DegeneracyError(f"normals are undefined for degenerate {s!r}")
-    grads = _barycentric_gradients(s)
-    norms = np.linalg.norm(grads, axis=1)
-    if not np.all(norms > 0.0) or not np.all(np.isfinite(norms)):
-        raise DegeneracyError(f"degenerate facet encountered in {s!r}")
-    return -grads / norms[:, None]
+        raise InvalidInputError(f"normals need a full-dimensional simplex, got {s!r}")
+    return -_simplex_forms(s, cfg, "normals", ambient=True)[0]
 
 
 def outward_unit_normal(s: Simplex, i: int, cfg: ToleranceConfig | None = None) -> np.ndarray:

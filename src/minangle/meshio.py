@@ -274,7 +274,7 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
 
 @dataclass(frozen=True)
 class ConformityReport:
-    """Facet-matching conformity summary.
+    """Conformity summary from matching facets.
 
     This is a combinatorial necessary condition only: every (d-1)-facet,
     identified by its sorted vertex-index set, may be shared by at most two

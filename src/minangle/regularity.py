@@ -21,22 +21,11 @@ Subsimplices run from dimension 2 (triangles, where dihedral angles are
 the ordinary planar angles) up to the cell itself; edges and vertices
 carry no dihedral angles and are excluded.
 
-One batched kernel scans every subsimplex of many cells at once.  Each
-cell is translated to its vertex 0 and divided by its diameter, so results
-do not depend on where in the double range the cell lives.  The k edge
-vectors of a subsimplex are put into coordinates of its own affine hull by
-a QR factorization, E^T = Q R, which never forms the Gram matrix E E^T
-(its condition number is the square of E's).  The rows of R^-1 are then the
-barycentric gradients g_1..g_k, and g_0 = -(g_1 + ... + g_k).  From them,
-with n_i = -g_i/|g_i| the outward unit normals and |det R| = k! * volume:
-
-    dihedral angle  beta_ij = 2 atan2(|n_i + n_j|, |n_i - n_j|)
-    vertex k-sine   sin_k(A_i) = 1 / (|det R| * prod_{j != i} |g_j|)
-    ball ratio      1 / (sum_j |g_j| * diameter)
-
-(Brandts, Korotov and Krizek, CAMWA 2008; Shewchuk, "What is a good
-linear finite element?", 2002).  The atan2 form stays accurate for angles
-near 0 and pi, where arccos of a cosine loses half the digits.
+One batched kernel (:mod:`minangle.geometry`) scans every subsimplex of
+many cells at once: each cell is normalized, each subsimplex's edges are
+put into coordinates of its own affine hull by a stacked QR factorization,
+and the angles, vertex sines and ball ratio come from the barycentric
+gradients.
 """
 
 from __future__ import annotations
@@ -50,7 +39,14 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, InvalidInputError
-from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig
+from .geometry import (
+    DEFAULT_TOLERANCES,
+    Simplex,
+    ToleranceConfig,
+    _gradient_forms,
+    _intrinsic_r,
+    _normalized,
+)
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
     from .meshio import Mesh
@@ -77,8 +73,8 @@ __all__ = [
 ]
 
 # Margins on sine-scale quantities are asserted down to this absolute
-# tolerance; double-precision Gram determinants on well-conditioned cells
-# carry ~1e-12 relative error, so 1e-9 leaves headroom.
+# tolerance; on well-conditioned cells the kernel's values carry well under
+# 1e-12 relative error, so 1e-9 leaves headroom.
 AUDIT_TOLERANCE = 1e-9
 
 # Subsimplex enumeration is exhaustive (2^(d+1) subsets), so high
@@ -269,46 +265,6 @@ def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
     return [func(points[start : start + step]) for start in range(0, len(points), step)]
 
 
-def _pow2_scaled(x: np.ndarray) -> np.ndarray:
-    """Each cell of ``x`` scaled exactly by a power of two so its largest entry is in [0.5, 1)."""
-    _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
-    return np.ldexp(x, -exponent[:, None, None])
-
-
-def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
-
-    Returns the normalized vertices and their (N, m, m) pairwise distances.
-    The exact power-of-two rescalings before the subtraction and before the
-    squares keep every intermediate inside the normal double range.
-    """
-    scaled = _pow2_scaled(points)
-    shifted = _pow2_scaled(scaled - scaled[:, :1])
-    dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
-    diameter = dist.max(axis=(1, 2))
-    diameter[diameter == 0.0] = 1.0  # coincident vertices: the degeneracy rule flags the cell
-    return shifted / diameter[:, None, None], dist / diameter[:, None, None]
-
-
-def _intrinsic_r(
-    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R factors of the subsets' edge matrices, |det R|, and the degeneracy rule.
-
-    ``subsets`` is (S, k+1) vertex indices.  Returns R (N, S, k, k),
-    |det R| = sqrt(det G) (N, S), and whether sqrt(det G) <= tol * (subset
-    diameter)^k (N, S), the rule of :func:`minangle.geometry.is_degenerate`.
-    """
-    k = subsets.shape[1] - 1
-    corners = z[:, subsets]
-    edges = corners[:, :, 1:] - corners[:, :, :1]
-    r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
-    volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
-    a, b = np.triu_indices(k + 1, 1)
-    diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
-    return r, volume, volume <= tol * diameter**k
-
-
 def _degenerate_cells(points: np.ndarray, tol: float) -> np.ndarray:
     """Which cells (N, m, d) fail the degeneracy rule themselves; subsimplices are not tested."""
     _, m, d = points.shape
@@ -339,18 +295,7 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
         # their cells are discarded.
         r[degenerate] = np.eye(k)
         volume[degenerate] = 1.0
-        inverse = np.linalg.inv(r)
-        grads = np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
-        lengths = np.linalg.norm(grads, axis=-1)
-        # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
-        units = grads / lengths[..., None]
-        i, j = np.triu_indices(k + 1, 1)
-        angles = 2.0 * np.arctan2(
-            np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
-            np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
-        )
-        others = np.array([[w for w in range(k + 1) if w != v] for v in range(k + 1)])
-        dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+        _, lengths, angles, dsines = _gradient_forms(r, volume)
         lo = np.minimum(lo, angles.min(axis=(1, 2)))
         hi = np.maximum(hi, angles.max(axis=(1, 2)))
         # Forward direction: every dihedral sine of a subsimplex must dominate
@@ -359,7 +304,7 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
         forward = np.minimum(forward, margin.min(axis=1))
     # The last level holds one subset, the cell itself.
     min_dsine = dsines[:, 0].min(axis=-1)
-    ball = 1.0 / (lengths[:, 0].sum(axis=-1) * dist.max(axis=(1, 2)))
+    ball = 1.0 / lengths[:, 0].sum(axis=-1)  # the normalized diameter is 1
     return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=-1), forward
 
 

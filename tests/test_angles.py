@@ -13,11 +13,13 @@ from minangle import (
     Simplex,
     all_dihedral_angles,
     ball_ratio,
+    cell_quality,
     d_sine,
     dihedral_angle,
     dihedral_sum,
     flatten_family,
     inradius,
+    is_degenerate,
     product_decomposition,
     random_simplex,
     regular_simplex,
@@ -61,6 +63,19 @@ class TestDihedralAngle:
                     assert dihedral_angle(tet, i, j) == pytest.approx(
                         tetra_dihedral_by_cross(tet.vertices, i, j), abs=1e-10
                     )
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+    def test_sliver_closed_form(self, t):
+        # The apex sits at height t over the centroid of a unit triangle, whose
+        # inradius is 1/(2 sqrt 3): the base angles are atan(2 sqrt(3) t).
+        sliver = flatten_family(3, t)
+        exact = math.atan(2.0 * math.sqrt(3.0) * t)
+        assert not is_degenerate(sliver)
+        for i in range(3):
+            assert dihedral_angle(sliver, i, 3) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert cell_quality(sliver).min_dihedral_all_sub == pytest.approx(
+            exact, rel=1e-12, abs=0.0
+        )
 
     def test_corner_coordinate_plane_pair(self):
         assert dihedral_angle(corner(3), 1, 2) == pytest.approx(math.pi / 2, abs=1e-12)

@@ -6,7 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from minangle import Mesh, dump_mesh, regular_simplex
+from minangle import (
+    Mesh,
+    Simplex,
+    all_dihedral_angles,
+    ball_ratio,
+    cell_quality,
+    d_sine,
+    dump_mesh,
+    inradius,
+    is_degenerate,
+    min_vertex_dsine,
+    product_decomposition,
+    regular_simplex,
+    vertex_sines,
+)
 from minangle.cli import main
 
 EXIT_OK, EXIT_VIOLATED, EXIT_INPUT_ERROR, EXIT_DEGENERATE = 0, 1, 2, 3
@@ -316,8 +330,11 @@ class TestUsage:
         assert "check" in capsys.readouterr().out
 
 
+SCALES = [1e-300, 1e-100, 1e-60, 1e60, 1e100, 1e300]
+
+
 class TestExtremeScale:
-    """check and audit see the same regular 6-simplex at every scale.
+    """check, audit and the single-simplex API see the same regular 6-simplex at every scale.
 
     At the scales below, the unnormalized Gram determinant of the cell
     underflows (wrongly degenerate, exit 3) or the d-sine formula overflows.
@@ -332,7 +349,7 @@ class TestExtremeScale:
         return code, json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("command", ["check", "audit"])
-    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-60, 1e60, 1e100, 1e300])
+    @pytest.mark.parametrize("scale", SCALES)
     def test_matches_unit_scale(self, tmp_path, capsys, command, scale):
         vertices = regular_simplex(6).vertices
         cells = [list(range(7))]
@@ -345,3 +362,24 @@ class TestExtremeScale:
         for key, value in unit_doc["aggregates"].items():
             # The forward margin of a regular simplex is 0 up to rounding.
             assert doc["aggregates"][key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_library_matches_unit_scale(self, scale):
+        unit = regular_simplex(6)
+        scaled = Simplex(unit.vertices * scale)
+        assert not is_degenerate(scaled)
+        for s in (unit, scaled):
+            assert min_vertex_dsine(s) == cell_quality(s).min_vertex_dsine
+        for metric in (
+            lambda s: vertex_sines(s).sines,
+            lambda s: d_sine(s, 2),
+            min_vertex_dsine,
+            ball_ratio,
+            lambda s: all_dihedral_angles(s).values(),
+        ):
+            np.testing.assert_allclose(metric(scaled), metric(unit), rtol=1e-12, atol=0.0)
+        assert inradius(scaled) == pytest.approx(scale * inradius(unit), rel=1e-12, abs=0.0)
+        # The residual of a regular simplex is 0 up to rounding.
+        assert product_decomposition(scaled, 1).residual == pytest.approx(
+            product_decomposition(unit, 1).residual, rel=1e-12, abs=1e-15
+        )

@@ -1,4 +1,4 @@
-"""Tests for the geometric kernel: measures, frames, projections, normals."""
+"""Tests for the geometric kernel: measures, hull coordinates, normals."""
 
 import math
 
@@ -12,16 +12,17 @@ from minangle import (
     InvalidInputError,
     Simplex,
     ToleranceConfig,
+    all_dihedral_angles,
     facet,
+    flatten_family,
     is_degenerate,
-    orthonormal_frame,
     outward_unit_normal,
     outward_unit_normals,
-    project_intrinsic,
     random_simplex,
     regular_simplex,
     simplex_measure,
 )
+from minangle.geometry import _intrinsic_r, _normalized
 from oracles import cayley_menger_measure, rigid_motion
 
 REGULAR_TETRA_MEASURE = math.sqrt(2.0) / 12.0
@@ -123,21 +124,19 @@ class TestFacet:
     def test_definition_on_triangle(self):
         tri = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         f = facet(tri, 0)
-        assert f.omitted_vertex_index == 0
-        np.testing.assert_array_equal(f.simplex.vertices, [[1.0, 0.0], [0.0, 1.0]])
+        assert isinstance(f, Simplex)
+        np.testing.assert_array_equal(f.vertices, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_corner_facet_opposite_apex(self):
         f = facet(corner(3), 3)
-        np.testing.assert_array_equal(
-            f.simplex.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-        )
+        np.testing.assert_array_equal(f.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_facet_count_and_distinctness(self, d):
         s = regular_simplex(d)
         facets = [facet(s, i) for i in range(d + 1)]
         assert len(facets) == d + 1
-        keys = {tuple(map(tuple, f.simplex.vertices)) for f in facets}
+        keys = {tuple(map(tuple, f.vertices)) for f in facets}
         assert len(keys) == d + 1
 
     def test_index_out_of_range(self):
@@ -148,46 +147,56 @@ class TestFacet:
 
 
 class TestOrthonormalFrame:
+    """The kernel's hull frame: E^T = Q R, so R holds the edges in the orthonormal frame Q."""
+
     def test_single_direction(self):
-        s = Simplex([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        frame = orthonormal_frame(s)
-        np.testing.assert_allclose(frame, [[1.0, 0.0, 0.0]], atol=1e-15)
+        coords, _ = kernel_hull_coordinates(Simplex([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(np.abs(coords), [[0.0], [1.0]], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_frame_gram_is_identity(self, d):
-        frame = orthonormal_frame(corner(d))
-        np.testing.assert_allclose(frame @ frame.T, np.eye(d), atol=1e-12)
+        # Q^T Q = I exactly when R^T R reproduces the edge Gram matrix E E^T.
+        s = corner(d)
+        coords, _ = kernel_hull_coordinates(s)
+        edges = s.edge_vectors() / s.diameter()
+        np.testing.assert_allclose(coords[1:] @ coords[1:].T, edges @ edges.T, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_projection_is_isometric_for_measure(self, d):
+        rng = np.random.default_rng(42 + d)
         for seed in range(10):
             s = random_simplex(d, seed=42 + seed, min_quality=1e-3)
-            projected = project_intrinsic(s)
-            assert simplex_measure(projected) == pytest.approx(
-                simplex_measure(s), rel=1e-10
+            embedded = Simplex(rigid_motion(np.hstack([s.vertices, np.zeros((d + 1, 2))]), rng))
+            coords, _ = kernel_hull_coordinates(embedded)
+            assert simplex_measure(Simplex(coords)) * embedded.diameter() ** d == pytest.approx(
+                cayley_menger_measure(s.vertices), rel=1e-10
+            )
+            assert simplex_measure(embedded) == pytest.approx(
+                cayley_menger_measure(s.vertices), rel=1e-10
             )
 
     def test_degenerate_simplex_raises(self):
+        collinear = Simplex([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        assert is_degenerate(collinear)
         with pytest.raises(DegeneracyError):
-            orthonormal_frame(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+            all_dihedral_angles(collinear)
 
 
 class TestProjectIntrinsic:
+    """Hull coordinates (the columns of R) keep every pairwise distance."""
+
     def test_triangle_in_coordinate_plane(self):
         tri3d = Simplex([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
-        flat = project_intrinsic(tri3d)
-        assert flat.ambient_dim == 2
-        assert flat.intrinsic_dim == 2
-        np.testing.assert_allclose(
-            _pairwise(flat.vertices), _pairwise(tri3d.vertices), rtol=1e-12
-        )
+        coords, dist = kernel_hull_coordinates(tri3d)
+        assert coords.shape == (3, 2)
+        np.testing.assert_allclose(_pairwise(coords), dist, rtol=1e-12)
+        np.testing.assert_allclose(dist * tri3d.diameter(), _pairwise(tri3d.vertices), rtol=1e-12)
 
     def test_full_dimensional_input_is_congruent(self):
         s = random_simplex(3, seed=11, min_quality=1e-2)
+        coords, _ = kernel_hull_coordinates(s)
         np.testing.assert_allclose(
-            _pairwise(project_intrinsic(s).vertices),
-            _pairwise(s.vertices),
-            rtol=1e-10,
+            _pairwise(coords) * s.diameter(), _pairwise(s.vertices), rtol=1e-10
         )
 
     def test_random_triangle_in_r5(self):
@@ -197,15 +206,17 @@ class TestProjectIntrinsic:
             tri = Simplex(v)
             if is_degenerate(tri):
                 continue
-            flat = project_intrinsic(tri)
-            assert flat.ambient_dim == 2
+            coords, _ = kernel_hull_coordinates(tri)
+            assert coords.shape == (3, 2)
             np.testing.assert_allclose(
-                _pairwise(flat.vertices), _pairwise(v), rtol=1e-10
+                _pairwise(coords) * tri.diameter(), _pairwise(v), rtol=1e-10
             )
 
     def test_degenerate_simplex_rejected(self):
+        collinear = Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert is_degenerate(collinear)
         with pytest.raises(DegeneracyError):
-            project_intrinsic(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+            all_dihedral_angles(collinear)
 
 
 class TestOutwardNormals:
@@ -225,7 +236,7 @@ class TestOutwardNormals:
             lengths = np.linalg.norm(normals, axis=1)
             np.testing.assert_allclose(lengths, 1.0, atol=1e-12)
             for i in range(d + 1):
-                rest = facet(s, i).simplex
+                rest = facet(s, i)
                 edges = rest.vertices[1:] - rest.vertices[0]
                 # orthogonal to every facet edge
                 np.testing.assert_allclose(edges @ normals[i], 0.0, atol=1e-10)
@@ -252,10 +263,10 @@ class TestIsDegenerate:
         assert not is_degenerate(regular_simplex(3))
 
     def test_flat_sliver_at_default_tolerance(self):
-        from minangle import flatten_family
-
+        # sqrt(det G) = (sqrt(3)/2) t against the tolerance 1e-12 * diameter^3.
         assert is_degenerate(flatten_family(3, 1e-15))
-        assert not is_degenerate(flatten_family(3, 1e-3))
+        for t in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
+            assert not is_degenerate(flatten_family(3, t))
 
     def test_scale_invariance(self):
         thin = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]])
@@ -274,9 +285,13 @@ class TestToleranceConfig:
         with pytest.raises(InvalidInputError):
             ToleranceConfig(degeneracy_rel_tol=0.0)
 
-    def test_rejects_unknown_unit(self):
-        with pytest.raises(InvalidInputError):
-            ToleranceConfig(angle_unit="gradians")
+
+def kernel_hull_coordinates(s):
+    """Normalized vertices of ``s`` in the kernel's hull frame, and their pairwise distances."""
+    z, dist = _normalized(s.vertices[None])
+    r = _intrinsic_r(z, dist, np.arange(s.vertex_count)[None], 1e-12)[0]
+    coords = np.vstack([np.zeros(s.intrinsic_dim), r[0, 0].T])
+    return coords, dist[0]
 
 
 def _pairwise(v):

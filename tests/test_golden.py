@@ -1,11 +1,14 @@
-"""Golden corpus: the batched mesh scan against a per-cell reference.
+"""Golden corpus: the batched mesh scan against a per-cell oracle reference.
 
-The reference evaluates every cell with the single-simplex API
-(``subsimplices``, ``all_dihedral_angles``, ``vertex_sines``, ``ball_ratio``,
-``dihedral_sum``, ``project_intrinsic``), which projects each subsimplex by
-pivoted Gram-Schmidt and takes angles by arccos.  The meshes are jittered
-Kuhn triangulations of the unit cube with one planted sliver and one
-collapsed vertex each.
+The reference evaluates every vertex subset of every cell with the oracles
+of ``tests/oracles.py``, which share no code with the package: each subset
+is put into coordinates of its affine hull by an SVD, its angles are taken
+by arccos of normals from the inverse of the projected edge matrix, and its
+d-sines, inradius and forward margins come from Cayley-Menger measures.  A
+cell is degenerate when some subset's product of singular values is at most
+the degeneracy tolerance times its diameter^k.  The meshes are jittered Kuhn
+triangulations of the unit cube with one planted sliver and one collapsed
+vertex each.
 """
 
 import itertools
@@ -16,24 +19,19 @@ import pytest
 
 from minangle import (
     AUDIT_TOLERANCE,
+    DEFAULT_TOLERANCES,
     CellAudit,
-    DegeneracyError,
     EquivalenceAudit,
     Mesh,
     MeshQuality,
     SimplexQuality,
-    all_dihedral_angles,
-    ball_ratio,
     certified_dsine_bound,
-    dihedral_sum,
     equivalence_audit,
     mesh_quality,
-    project_intrinsic,
     subsimplex_count,
-    subsimplices,
-    vertex_sines,
 )
 from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
+from oracles import ball_ratio_cm, hull_coordinates, simplex_dihedral_angles, vertex_sines_cm
 
 # (dimension, subdivisions per axis)
 CORPUS = [(2, 6), (3, 3), (4, 2), (5, 1)]
@@ -43,8 +41,8 @@ SLIVER_ANGLE = 1e-3
 # Cells whose smallest dihedral angle reaches this are well shaped: their
 # values must agree to 1e-12 relative.  Below it the reference is the less
 # accurate side (arccos loses about eps/sin(beta) absolute, 4e-11 relative
-# at beta = 1.7e-3, and its Gram determinants square the condition number),
-# so those values are compared to 1e-9 absolute.
+# at beta = 1.7e-3, and Cayley-Menger determinants of a sliver lose digits
+# to cancellation), so those values are compared to 1e-9 absolute.
 WELL_SHAPED_ANGLE = 0.1
 
 
@@ -75,20 +73,25 @@ def kuhn_mesh(d, n, seed):
     return Mesh(vertices, cells)
 
 
-def reference_cell(s, index, d):
-    """(SimplexQuality, CellAudit) of one cell from the single-simplex API."""
+def reference_cell(vertices, index, d):
+    """(SimplexQuality, CellAudit) of one cell from the oracles, or None if degenerate."""
     lo, hi, forward = math.inf, -math.inf, math.inf
-    for sub in subsimplices(s):
-        angles = all_dihedral_angles(sub)
-        lo = min(lo, angles.min_angle())
-        hi = max(hi, angles.max_angle())
-        intrinsic = sub if sub.intrinsic_dim == d else project_intrinsic(sub)
-        sub_dsine = vertex_sines(intrinsic).min_sine()
-        forward = min(forward, min(math.sin(a) for a in angles.values()) - sub_dsine)
-    dsine = vertex_sines(s).min_sine()
+    for size in range(3, d + 2):
+        for subset in itertools.combinations(range(d + 1), size):
+            sub = vertices[list(subset)]
+            gram_root = hull_coordinates(sub)[1]
+            diameter = max(math.dist(p, q) for p, q in itertools.combinations(sub, 2))
+            if gram_root <= DEFAULT_TOLERANCES.degeneracy_rel_tol * diameter ** (size - 1):
+                return None
+            angles = simplex_dihedral_angles(sub).values()
+            lo = min(lo, min(angles))
+            hi = max(hi, max(angles))
+            forward = min(forward, min(math.sin(a) for a in angles) - min(vertex_sines_cm(sub)))
+    # The last subset is the cell itself, so ``angles`` are the cell's own.
+    dsine = min(vertex_sines_cm(vertices))
     bound = certified_dsine_bound(lo, hi, d)
     quality = SimplexQuality(
-        index, lo, hi, dsine, ball_ratio(s), dihedral_sum(s), subsimplex_count(d)
+        index, lo, hi, dsine, ball_ratio_cm(vertices), math.fsum(angles), subsimplex_count(d)
     )
     return quality, CellAudit(index, dsine, lo, hi, bound, forward, dsine - bound)
 
@@ -97,11 +100,11 @@ def reference(mesh):
     d = mesh.ambient_dim
     qualities, audits, degenerate = [], [], []
     for index in range(mesh.cell_count):
-        try:
-            quality, audit = reference_cell(mesh.cell_simplex(index), index, d)
-        except DegeneracyError:
+        cell = reference_cell(mesh.cell_simplex(index).vertices, index, d)
+        if cell is None:
             degenerate.append(index)
             continue
+        quality, audit = cell
         qualities.append(quality)
         audits.append(audit)
     return (
