@@ -24,7 +24,7 @@ Identical inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -35,6 +35,7 @@ from .generators import KINDS, GeneratorSpec, generate
 from .geometry import ToleranceConfig
 from .meshio import (
     Mesh,
+    _dumps,
     audit_to_dict,
     build_quality_report,
     conformity_check,
@@ -137,7 +138,7 @@ def _emit(text: str, destination: str) -> None:
 
 
 def _emit_json(doc: dict[str, Any], destination: str) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", destination)
+    _emit(_dumps(doc) + "\n", destination)
 
 
 def _require_threshold(args: argparse.Namespace) -> None:
@@ -204,7 +205,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     manifest_path = Path(args.manifest)
     try:
-        manifest_text = manifest_path.read_text()
+        manifest_text = manifest_path.read_bytes()
     except OSError as exc:
         raise InvalidInputError(f"cannot read manifest {manifest_path}: {exc}") from exc
     paths = parse_family_manifest(manifest_text, base_dir=manifest_path.parent)
@@ -280,6 +281,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_INFO_ROW = "%5d %17.7f %17.7f %10.7f %10.7f %17.7f\n"
+_INFO_DEGENERATE_ROW = "%5d        degenerate\n"
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     mesh = load_mesh(args.mesh)
@@ -313,17 +318,20 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"{'min_dsine':>10} {'ball_ratio':>10} {'dihedral_sum_rad':>17}"
     )
     out.write(header + "\n")
-    rows = {c.cell_index: c for c in quality.cells}
-    for index in range(mesh.cell_count):
-        cell = rows.get(index)
-        if cell is None:
-            out.write(f"{index:>5} {'degenerate':>17}\n")
-            continue
-        out.write(
-            f"{index:>5} {cell.min_dihedral_all_sub:>17.7f} "
-            f"{cell.max_dihedral_all_sub:>17.7f} {cell.min_vertex_dsine:>10.7f} "
-            f"{cell.ball_ratio:>10.7f} {cell.dihedral_sum_top:>17.7f}\n"
+    # One %-template row per cell, filled from the flattened values in one call.
+    templates = [_INFO_DEGENERATE_ROW] * mesh.cell_count
+    rows: list[tuple] = [(index,) for index in range(mesh.cell_count)]
+    for cell in quality.cells:
+        templates[cell.cell_index] = _INFO_ROW
+        rows[cell.cell_index] = (
+            cell.cell_index,
+            cell.min_dihedral_all_sub,
+            cell.max_dihedral_all_sub,
+            cell.min_vertex_dsine,
+            cell.ball_ratio,
+            cell.dihedral_sum_top,
         )
+    out.write("".join(templates) % tuple(itertools.chain.from_iterable(rows)))
     return EXIT_OK
 
 

@@ -25,12 +25,15 @@ The single-simplex functions here and in :mod:`minangle.angles` are the
 kernel at N=1; :mod:`minangle.regularity` runs it over every subsimplex of
 many cells at once.
 
-All functions here are pure: nothing mutates its inputs and there is no
-global state, so values can be shared freely across threads.
+All functions here are pure: nothing mutates its inputs, and the only
+global state is the kernel's index tables, built once per size and
+read-only, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,6 +166,30 @@ def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted / diameter[:, None, None], dist / diameter[:, None, None]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``: the index pairs a < b of m vertices, built once per m."""
+    a, b = np.triu_indices(m, 1)
+    return _read_only(a), _read_only(b)
+
+
+@functools.lru_cache(maxsize=None)
+def _others(m: int) -> np.ndarray:
+    """(m, m-1) array whose row v lists 0..m-1 without v, built once per m."""
+    return _read_only(np.array([[w for w in range(m) if w != v] for v in range(m)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _combinations(m: int, size: int) -> np.ndarray:
+    """The ``itertools.combinations(range(m), size)`` subsets as rows, built once per (m, size)."""
+    return _read_only(np.array(list(itertools.combinations(range(m), size))))
+
+
 def _intrinsic_r(
     z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +204,7 @@ def _intrinsic_r(
     edges = corners[:, :, 1:] - corners[:, :, :1]
     r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
     volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
-    a, b = np.triu_indices(k + 1, 1)
+    a, b = _pairs(k + 1)
     diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
     return r, volume, volume <= tol * diameter**k
 
@@ -200,21 +227,21 @@ def _gradient_forms(
     lengths = np.linalg.norm(grads, axis=-1)
     # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
     units = grads / lengths[..., None]
-    i, j = np.triu_indices(k + 1, 1)
+    i, j = _pairs(k + 1)
     angles = 2.0 * np.arctan2(
         np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
         np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
     )
-    others = np.array([[w for w in range(k + 1) if w != v] for v in range(k + 1)])
-    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., _others(k + 1)], axis=-1))
     return units, lengths, angles, dsines
 
 
 def _whole(s: Simplex, cfg: ToleranceConfig | None):
     """The kernel's first stage on all of ``s`` (N = S = 1): z, R, |det R| and the rule."""
     tol = (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
+    m = s.vertex_count
     z, dist = _normalized(s.vertices[None])
-    r, volume, degenerate = _intrinsic_r(z, dist, np.arange(s.vertex_count)[None], tol)
+    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), tol)
     return z, r, volume, bool(degenerate[0, 0])
 
 

@@ -19,6 +19,7 @@ inputs produce byte-identical report files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import IO, Any
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig
+from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, _others
 from .regularity import (
     ConditionVerdict,
     EquivalenceAudit,
@@ -59,6 +60,70 @@ __all__ = [
 
 _DEG_PER_RAD = 180.0 / math.pi
 
+# The C one-shot encoder: the same float repr, NaN/Infinity and ASCII
+# escaping as json.dumps, without the pure-Python path its indent takes.
+_ENCODE = json.JSONEncoder().encode
+_SCALARS = frozenset({type(None), bool, int, float})
+_INDENT = "  "
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte; every JSON document written goes here.
+
+    A list of flat dicts of scalars is rendered from one %-template per key
+    tuple, filled from one C-encoder call over all of its values; a flat
+    list of scalars is one encoder call.  Anything else recurses, and a dict
+    with a non-str key falls back to json.dumps.
+    """
+    return _encode(value, 0)
+
+
+def _encode(value: Any, level: int) -> str:
+    if not isinstance(value, (dict, list, tuple)):
+        return _ENCODE(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            return json.dumps(value, indent=2).replace("\n", "\n" + _INDENT * level)
+        body = ("," + inner).join(
+            f"{_ENCODE(key)}: {_encode(item, level + 1)}" for key, item in value.items()
+        )
+        return "{" + inner + body + "\n" + _INDENT * level + "}"
+    if _SCALARS.issuperset(map(type, value)):
+        # A scalar never encodes to text holding ", ".
+        body = _ENCODE(value)[1:-1].replace(", ", "," + inner)
+    else:
+        body = _records(value, level + 1)
+        if body is None:
+            body = ("," + inner).join(_encode(item, level + 1) for item in value)
+    return "[" + inner + body + "\n" + _INDENT * level + "]"
+
+
+def _records(rows: list | tuple, level: int) -> str | None:
+    """Flat dicts of scalars rendered at ``level`` and joined; None if ``rows`` is not that."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    layout = list(map(tuple, rows))
+    templates = {keys: _record_template(keys, level) for keys in set(layout)}
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    if None in templates.values() or not _SCALARS.issuperset(map(type, values)):
+        return None
+    pieces = _ENCODE(values)[1:-1].split(", ") if values else []
+    return (",\n" + _INDENT * level).join(map(templates.__getitem__, layout)) % tuple(pieces)
+
+
+def _record_template(keys: tuple, level: int) -> str | None:
+    """The %-template of a flat dict with these keys, or None for a non-str key."""
+    if not keys:
+        return "{}"
+    if not all(type(key) is str for key in keys):
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    fields = ("," + inner).join(_ENCODE(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + fields + "\n" + _INDENT * level + "}"
+
 
 class Mesh:
     """A simplicial mesh: a vertex pool plus (d+1)-tuples of vertex indices.
@@ -75,6 +140,8 @@ class Mesh:
             varr = np.array(vertices, dtype=float, copy=True)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"inconsistent vertex coordinates: {exc}") from exc
+        except OverflowError as exc:
+            raise InvalidInputError(f"vertex coordinate outside the double range: {exc}") from exc
         if varr.ndim != 2 or varr.shape[0] < 1 or varr.shape[1] < 1:
             raise InvalidInputError("vertices must form a nonempty 2-d coordinate array")
         if not np.all(np.isfinite(varr)):
@@ -84,23 +151,10 @@ class Mesh:
         cell_list = list(cells)
         if not cell_list:
             raise InvalidInputError("mesh has no cells")
-        for pos, cell in enumerate(cell_list):
-            indices = list(cell)
-            if len(indices) != dim + 1:
-                raise InvalidInputError(
-                    f"cell {pos}: expected {dim + 1} vertex indices for dimension {dim}, "
-                    f"got {len(indices)}"
-                )
-            if len(set(indices)) != len(indices):
-                raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
-            for idx in indices:
-                if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-                    raise InvalidInputError(f"cell {pos}: vertex index {idx!r} is not an integer")
-                if not 0 <= idx < varr.shape[0]:
-                    raise InvalidInputError(
-                        f"cell {pos}: vertex index {idx} out of range 0..{varr.shape[0] - 1}"
-                    )
-        carr = np.array(cell_list, dtype=np.int64)
+        carr = _stacked_cells(cell_list, dim, varr.shape[0])
+        if carr is None:
+            _raise_first_bad_cell(cell_list, dim, varr.shape[0])
+            carr = np.array(cell_list, dtype=np.int64)
         varr.setflags(write=False)
         carr.setflags(write=False)
         self._vertices = varr
@@ -139,6 +193,71 @@ class Mesh:
         )
 
 
+def _is_index_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _stacked_cells(cells: list, dim: int, vertex_count: int) -> np.ndarray | None:
+    """The cells as an (N, dim+1) int64 array, or None if any cell breaks a structural rule.
+
+    Index types are checked as one set of types; arity, range and distinct
+    indices on the stacked, row-sorted array.
+    """
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(cells)))
+        stacked = np.array(cells)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (
+        not all(map(_is_index_type, kinds))
+        or stacked.ndim != 2
+        or stacked.shape[1] != dim + 1
+        or stacked.dtype.kind not in "iu"
+    ):
+        return None
+    ordered = np.sort(stacked, axis=1)
+    if (
+        ordered[:, 0].min() < 0
+        or ordered[:, -1].max() >= vertex_count
+        or (ordered[:, 1:] == ordered[:, :-1]).any()
+    ):
+        return None
+    return stacked.astype(np.int64)
+
+
+def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> None:
+    """Raise InvalidInputError for the first cell that breaks a structural rule, if any."""
+    for pos, cell in enumerate(cells):
+        indices = list(cell)
+        if len(indices) != dim + 1:
+            raise InvalidInputError(
+                f"cell {pos}: expected {dim + 1} vertex indices for dimension {dim}, "
+                f"got {len(indices)}"
+            )
+        if len(set(indices)) != len(indices):
+            raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
+        for idx in indices:
+            if not _is_index_type(type(idx)):
+                raise InvalidInputError(f"cell {pos}: vertex index {idx!r} is not an integer")
+            if not 0 <= idx < vertex_count:
+                raise InvalidInputError(
+                    f"cell {pos}: vertex index {idx} out of range 0..{vertex_count - 1}"
+                )
+
+
+def _raise_first_bad_vertex(vertices: list, dim: int) -> None:
+    """Raise InvalidInputError for the first vertex that is not ``dim`` numbers, if any."""
+    for pos, coords in enumerate(vertices):
+        if not isinstance(coords, list) or len(coords) != dim:
+            raise InvalidInputError(
+                f"vertex {pos}: expected {dim} coordinates, got "
+                f"{len(coords) if isinstance(coords, list) else type(coords).__name__}"
+            )
+        for value in coords:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not a number")
+
+
 def parse_mesh(source: str | bytes | IO) -> Mesh:
     """Parse a canonical mesh document from text, bytes, or a file object.
 
@@ -157,28 +276,26 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise InvalidInputError("vertices must be a nonempty array of coordinate arrays")
-    for pos, coords in enumerate(vertices):
-        if not isinstance(coords, list) or len(coords) != dim:
-            raise InvalidInputError(
-                f"vertex {pos}: expected {dim} coordinates, got "
-                f"{len(coords) if isinstance(coords, list) else type(coords).__name__}"
-            )
-        for value in coords:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not a number")
+    if not (
+        set(map(type, vertices)) == {list}
+        and set(map(len, vertices)) == {dim}
+        and {int, float}.issuperset(map(type, itertools.chain.from_iterable(vertices)))
+    ):
+        _raise_first_bad_vertex(vertices, dim)
     cellrows = data["cells"]
     if not isinstance(cellrows, list) or not cellrows:
         raise InvalidInputError("cells must be a nonempty array of index arrays")
-    for pos, row in enumerate(cellrows):
-        if not isinstance(row, list):
-            raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
+    if set(map(type, cellrows)) != {list}:
+        for pos, row in enumerate(cellrows):
+            if not isinstance(row, list):
+                raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
     return Mesh(vertices, cellrows)
 
 
 def load_mesh(path: str | Path) -> Mesh:
     """Read and parse a mesh file from disk."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidInputError(f"cannot read mesh file {path}: {exc}") from exc
     try:
@@ -194,7 +311,7 @@ def dump_mesh(mesh: Mesh) -> str:
         "vertices": [[float(x) for x in row] for row in mesh.vertices],
         "cells": [[int(i) for i in row] for row in mesh.cells],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def write_mesh(mesh: Mesh, sink: IO[str]) -> None:
@@ -222,13 +339,21 @@ def parse_family_manifest(source: str | bytes | IO, base_dir: str | Path | None 
 def _read_json(source: str | bytes | IO, what: str) -> Any:
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
         return json.loads(source)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"{what} document is not valid UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"malformed {what} document: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc
+    except RecursionError as exc:
+        raise InvalidInputError(
+            f"malformed {what} document: arrays or objects nested too deeply"
         ) from exc
 
 
@@ -256,15 +381,12 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
     ).tolist()
     used = np.zeros(mesh.vertex_count, dtype=bool)
     used[mesh.cells.ravel()] = True
-    unused = [int(i) for i in np.flatnonzero(~used)]
-    seen: dict[tuple[int, ...], int] = {}
-    duplicates = []
-    for index in range(mesh.cell_count):
-        key = tuple(sorted(int(i) for i in mesh.cells[index]))
-        if key in seen:
-            duplicates.append(index)
-        else:
-            seen[key] = index
+    unused = np.flatnonzero(~used).tolist()
+    # A cell is a duplicate when an earlier cell has the same vertex set.
+    _, first, owner = np.unique(
+        np.sort(mesh.cells, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    duplicates = np.flatnonzero(first[owner.reshape(-1)] != np.arange(mesh.cell_count)).tolist()
     return ValidationReport(
         degenerate_cells=tuple(degenerate),
         unused_vertices=tuple(unused),
@@ -293,19 +415,19 @@ class ConformityReport:
 
 def conformity_check(mesh: Mesh) -> ConformityReport:
     """Count how many cells share each (d-1)-facet and report violations."""
-    counts: dict[tuple[int, ...], int] = {}
-    for row in mesh.cells:
-        cell = [int(i) for i in row]
-        for omit in range(len(cell)):
-            key = tuple(sorted(cell[:omit] + cell[omit + 1 :]))
-            counts[key] = counts.get(key, 0) + 1
+    cells = np.sort(mesh.cells, axis=1)
+    m = cells.shape[1]
+    # Dropping one entry of a sorted row leaves the facet's sorted key.
+    facets = cells[:, _others(m)].reshape(-1, m - 1)
+    keys, counts = np.unique(facets, axis=0, return_counts=True)
     overshared = tuple(
-        (facet_key, count) for facet_key, count in sorted(counts.items()) if count > 2
+        (tuple(key), count)
+        for key, count in zip(keys[counts > 2].tolist(), counts[counts > 2].tolist())
     )
-    boundary = sum(1 for count in counts.values() if count == 1)
-    interior = sum(1 for count in counts.values() if count == 2)
+    boundary = int((counts == 1).sum())
+    interior = int((counts == 2).sum())
     return ConformityReport(
-        facet_count=len(counts),
+        facet_count=len(keys),
         boundary_facets=boundary,
         interior_facets=interior,
         overshared_facets=overshared,
@@ -483,8 +605,7 @@ def report_from_dict(doc: dict[str, Any]) -> QualityReport:
 
 def write_report(report: QualityReport, sink: IO[str], degrees: bool = False) -> None:
     """Serialize a quality report as JSON to a text sink."""
-    json.dump(report_to_dict(report, degrees), sink, indent=2)
-    sink.write("\n")
+    sink.write(_dumps(report_to_dict(report, degrees)) + "\n")
 
 
 def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, Any]:

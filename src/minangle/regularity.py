@@ -43,6 +43,7 @@ from .geometry import (
     DEFAULT_TOLERANCES,
     Simplex,
     ToleranceConfig,
+    _combinations,
     _gradient_forms,
     _intrinsic_r,
     _normalized,
@@ -268,7 +269,7 @@ def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
 def _degenerate_cells(points: np.ndarray, tol: float) -> np.ndarray:
     """Which cells (N, m, d) fail the degeneracy rule themselves; subsimplices are not tested."""
     _, m, d = points.shape
-    whole = np.arange(m)[None]
+    whole = _combinations(m, m)
 
     def chunk(part: np.ndarray) -> np.ndarray:
         return _intrinsic_r(*_normalized(part), whole, tol)[2][:, 0]
@@ -286,7 +287,7 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     position = 0
     for size in range(3, m + 1):
         k = size - 1
-        subsets = np.array(list(itertools.combinations(range(m), size)))
+        subsets = _combinations(m, size)
         r, volume, degenerate = _intrinsic_r(z, dist, subsets, tol)
         hit = degenerate.any(axis=1) & (first < 0)
         first[hit] = position + degenerate[hit].argmax(axis=1)

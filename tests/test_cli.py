@@ -316,6 +316,49 @@ class TestInfoCommand:
         capsys.readouterr()
 
 
+class TestMalformedInput:
+    """Input no parser can take is an input error (exit 2, one line), never a traceback."""
+
+    def assert_input_error(self, argv, capsys, needle):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+
+    def test_huge_integer_coordinate(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"ambient_dimension": 2, "vertices": [[%s, 0], [1, 0], [0, 1]], '
+            '"cells": [[0, 1, 2]]}' % ("9" * 400)
+        )
+        for command in (["check", str(path), "--alpha0", "0.1"], ["audit", str(path)],
+                        ["info", str(path)]):
+            self.assert_input_error(command, capsys, "outside the double range")
+
+    def test_deeply_nested_mesh_and_manifest(self, tmp_path, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        mesh = tmp_path / "deep.json"
+        mesh.write_text('{"ambient_dimension": 2, "vertices": %s, "cells": [[0, 1, 2]]}' % deep)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"meshes": %s}' % deep)
+        self.assert_input_error(["audit", str(mesh)], capsys, "nested too deeply")
+        self.assert_input_error(
+            ["family", str(manifest), "--alpha0", "0.1"], capsys, "nested too deeply"
+        )
+
+    def test_non_utf8_mesh_and_manifest(self, tmp_path, capsys, tetra_path):
+        mesh = tmp_path / "ff.json"
+        mesh.write_bytes(b'{"ambient_dimension": 3, \xff "vertices": []}')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"meshes": ["' + str(tetra_path).encode() + b'\xff"]}')
+        self.assert_input_error(["info", str(mesh)], capsys, "not valid UTF-8")
+        self.assert_input_error(["check", str(mesh), "--alpha0", "0.1"], capsys, "UTF-8")
+        self.assert_input_error(
+            ["family", str(manifest), "--alpha0", "0.1"], capsys, "not valid UTF-8"
+        )
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_INPUT_ERROR

@@ -12,6 +12,7 @@ vertex each.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from minangle import (
     mesh_quality,
     subsimplex_count,
 )
+from minangle.cli import main
+from minangle.meshio import audit_to_dict, build_quality_report, dump_mesh, report_to_dict
 from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
 from oracles import ball_ratio_cm, hull_coordinates, simplex_dihedral_angles, vertex_sines_cm
 
@@ -193,3 +196,61 @@ def test_equivalence_audit_matches_reference(corpus):
     assert EquivalenceAudit(new.ambient_dim, new.cells, ()).satisfied() == EquivalenceAudit(
         ref.ambient_dim, ref.cells, ()
     ).satisfied()
+
+
+def old_info_table(mesh, quality):
+    """The ``info`` table as the per-row f-string loop wrote it."""
+    lines = []
+    rows = {c.cell_index: c for c in quality.cells}
+    for index in range(mesh.cell_count):
+        cell = rows.get(index)
+        if cell is None:
+            lines.append(f"{index:>5} {'degenerate':>17}\n")
+            continue
+        lines.append(
+            f"{index:>5} {cell.min_dihedral_all_sub:>17.7f} "
+            f"{cell.max_dihedral_all_sub:>17.7f} {cell.min_vertex_dsine:>10.7f} "
+            f"{cell.ball_ratio:>10.7f} {cell.dihedral_sum_top:>17.7f}\n"
+        )
+    return "".join(lines)
+
+
+def test_cli_output_matches_json_dumps(corpus, tmp_path, capsys):
+    """Reports and the ``info`` table are byte-identical to the json.dumps(indent=2) path."""
+    mesh, _ = corpus
+    path = tmp_path / "mesh.json"
+    path.write_text(dump_mesh(mesh))
+    mesh_doc = {
+        "ambient_dimension": mesh.ambient_dim,
+        "vertices": mesh.vertices.tolist(),
+        "cells": mesh.cells.tolist(),
+    }
+    assert path.read_text() == json.dumps(mesh_doc, indent=2) + "\n"
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(dump_mesh(kuhn_mesh(mesh.ambient_dim, 1, seed=7)))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"meshes": [coarse.name, path.name]}))
+    quality = mesh_quality(mesh)
+    audit = equivalence_audit(mesh)
+    flags = ["--alpha0", "0.01", "--dsine-min", "0.01"]
+    verdicts = [verdict_min_dihedral(quality, 0.01), verdict_min_dsine(quality, 0.01)]
+    report = tmp_path / "report.json"
+    for degrees in ([], ["--degrees"]):
+        expected = {
+            "check": report_to_dict(build_quality_report(mesh, quality, verdicts), bool(degrees)),
+            "audit": audit_to_dict(audit, bool(degrees)),
+        }
+        for command, doc in expected.items():
+            argv = [command, str(path), *(flags if command == "check" else []), *degrees]
+            assert main([*argv, "-o", str(report)]) == 3
+            assert report.read_text() == json.dumps(doc, indent=2) + "\n"
+        assert main(["family", str(manifest), *flags, *degrees, "-o", str(report)]) == 3
+        text = report.read_text()
+        family = json.loads(text)
+        assert text == json.dumps(family, indent=2) + "\n"
+        assert family["meshes"][1] == {"index": 1, "path": str(path), **expected["check"]}
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    table = out[out.index("dihedral_sum_rad\n") + len("dihedral_sum_rad\n"):]
+    assert table == old_info_table(mesh, quality)
+    assert "degenerate\n" in table

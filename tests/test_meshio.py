@@ -1,11 +1,14 @@
 """Tests for mesh parsing, validation, conformity, and report serialization."""
 
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minangle import (
     InvalidInputError,
@@ -23,6 +26,7 @@ from minangle import (
     validate_mesh,
     write_report,
 )
+from minangle.meshio import _dumps
 from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
 
 TETRA_DOC = {
@@ -287,3 +291,224 @@ class TestMeshConstruction:
         bad = [[0.0, 0.0, math.nan]] + TETRA_DOC["vertices"][1:]
         with pytest.raises(InvalidInputError):
             Mesh(bad, [[0, 1, 2, 3]])
+
+
+class TestStructuralErrors:
+    """Whole-array checks must name the same first bad cell, with the same message, as a scan."""
+
+    VERTICES = TETRA_DOC["vertices"]
+    GOOD = [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0, True, 2, 3], "cell 2: vertex index True is not an integer"),
+            ([0, 1.0, 2, 3], "cell 2: vertex index 1.0 is not an integer"),
+            ([0, 1, 2, 4], "cell 2: vertex index 4 out of range 0..3"),
+            ([-1, 1, 2, 3], "cell 2: vertex index -1 out of range 0..3"),
+            ([0, 1, 2, 10**400], f"cell 2: vertex index {10**400} out of range 0..3"),
+            ([0, 1, 1, 3], "cell 2: repeated vertex index in [0, 1, 1, 3]"),
+            ([0, 1, 2], "cell 2: expected 4 vertex indices for dimension 3, got 3"),
+            ([0, 1, 2, 3, 0], "cell 2: expected 4 vertex indices for dimension 3, got 5"),
+            ([0, 1, 1], "cell 2: expected 4 vertex indices for dimension 3, got 3"),
+            ([0, 9, 2.5, 3], "cell 2: vertex index 9 out of range 0..3"),
+        ],
+    )
+    def test_first_bad_cell_is_named(self, bad, message):
+        # A later cell breaking a different rule must not be the one reported.
+        cells = [self.GOOD, [3, 2, 1, 0], bad, [0.5, 1, 2, 3], [0, 0, 0]]
+        with pytest.raises(InvalidInputError) as mesh_error:
+            Mesh(self.VERTICES, cells)
+        assert str(mesh_error.value) == message
+        with pytest.raises(InvalidInputError) as parse_error:
+            parse_mesh(json.dumps(dict(TETRA_DOC, cells=cells)))
+        assert str(parse_error.value) == message
+
+    def test_ragged_cells_name_the_first_short_row(self):
+        cells = [self.GOOD] * 5 + [[0, 1]] + [self.GOOD, [0, 1, 2, 3, 0, 1]]
+        with pytest.raises(InvalidInputError, match=r"^cell 5: expected 4 vertex indices"):
+            Mesh(self.VERTICES, cells)
+
+    def test_numpy_bool_index_rejected(self):
+        # numpy 2 spells the value np.True_.
+        with pytest.raises(InvalidInputError, match=r"^cell 0: vertex index (np\.)?True_? is not"):
+            Mesh(self.VERTICES, [[np.bool_(True), 0, 2, 3]])
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 1, 2, 3), (3, 2, 1, 0)],
+            np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.int32),
+            np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.uint64),
+            [[np.int16(0), 1, 2, 3], [np.uint64(3), 2, 1, 0]],
+        ],
+    )
+    def test_integer_types_accepted(self, cells):
+        mesh = Mesh(self.VERTICES, cells)
+        assert mesh.cells.dtype == np.int64
+        assert mesh.cells.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        assert not mesh.cells.flags.writeable
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, "x", 0.0]],
+             "vertex 1: expected 3 coordinates, got 2"),
+            ([[0.0, 0.0, 0.0], [1.0, True, 0.0], [0.0, 0.0]],
+             "vertex 1: coordinate True is not a number"),
+            ([[0.0, 0.0, 0.0], [1.0, None, 0.0]], "vertex 1: coordinate None is not a number"),
+            ([[0.0, 0.0, 0.0], 5, [0.0, 0.0]], "vertex 1: expected 3 coordinates, got int"),
+            ([[0.0, 0.0, 0.0], {"x": 1}], "vertex 1: expected 3 coordinates, got dict"),
+        ],
+    )
+    def test_first_bad_vertex_is_named(self, vertices, message):
+        with pytest.raises(InvalidInputError) as error:
+            parse_mesh(json.dumps(dict(TETRA_DOC, vertices=vertices)))
+        assert str(error.value) == message
+
+    def test_non_array_cell_row_named(self):
+        doc = dict(TETRA_DOC, cells=[self.GOOD, 7, "abc"])
+        with pytest.raises(InvalidInputError, match=r"^cell 1: expected an array of vertex"):
+            parse_mesh(json.dumps(doc))
+
+    def test_huge_integer_coordinate_is_an_input_error(self):
+        doc = dict(TETRA_DOC, vertices=[[10**400, 0, 0]] + TETRA_DOC["vertices"][1:])
+        with pytest.raises(InvalidInputError, match="outside the double range"):
+            parse_mesh(json.dumps(doc))
+
+    def test_deep_nesting_is_an_input_error(self):
+        deep = '{"ambient_dimension": 3, "vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(InvalidInputError, match="nested too deeply"):
+            parse_mesh(deep)
+        with pytest.raises(InvalidInputError, match="nested too deeply"):
+            parse_family_manifest('{"meshes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+    def test_invalid_utf8_is_an_input_error(self):
+        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
+            parse_mesh(b'{"ambient_dimension": 3, "\xff": 1}')
+        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
+            parse_family_manifest(b'{"meshes": ["\xff.json"]}')
+
+
+def _reference_validation(cells):
+    """(duplicates, facet counts) by the dict scan over every cell and facet."""
+    seen, duplicates, counts = set(), [], {}
+    for index, cell in enumerate(cells):
+        key = tuple(sorted(cell))
+        if key in seen:
+            duplicates.append(index)
+        seen.add(key)
+        for omit in range(len(cell)):
+            facet_key = tuple(sorted(cell[:omit] + cell[omit + 1 :]))
+            counts[facet_key] = counts.get(facet_key, 0) + 1
+    return tuple(duplicates), counts
+
+
+@st.composite
+def planted_meshes(draw):
+    """Random cells on a small vertex pool, with planted duplicates and over-shared facets."""
+    d = draw(st.integers(2, 4))
+    pool = draw(st.integers(d + 2, d + 6))
+    subsets = st.lists(st.integers(0, pool - 1), min_size=d + 1, max_size=d + 1, unique=True)
+    cells = draw(st.lists(subsets, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.sampled_from(cells))
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.permutations(source)))
+    for _ in range(draw(st.integers(0, 3))):
+        facet = draw(st.sampled_from(cells))[:d]
+        apex = draw(st.sampled_from([v for v in range(pool) if v not in facet]))
+        cells.append(draw(st.permutations(facet + [apex])))
+    vertices = np.random.default_rng(draw(st.integers(0, 99))).uniform(size=(pool, d))
+    return Mesh(vertices, cells), cells
+
+
+class TestValidationAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(planted_meshes())
+    def test_duplicates_and_facets_match_dict_scan(self, planted):
+        mesh, cells = planted
+        duplicates, counts = _reference_validation(cells)
+        report = validate_mesh(mesh)
+        assert report.duplicate_cells == duplicates
+        used = {v for cell in cells for v in cell}
+        unused = tuple(v for v in range(mesh.vertex_count) if v not in used)
+        assert report.unused_vertices == unused
+        conformity = conformity_check(mesh)
+        assert conformity.facet_count == len(counts)
+        assert conformity.boundary_facets == sum(c == 1 for c in counts.values())
+        assert conformity.interior_facets == sum(c == 2 for c in counts.values())
+        assert conformity.overshared_facets == tuple(
+            (key, count) for key, count in sorted(counts.items()) if count > 2
+        )
+        assert all(type(v) is int for key, count in conformity.overshared_facets
+                   for v in (*key, count))
+
+    def test_planted_defects_on_a_refined_mesh(self):
+        # A 3x3 grid of squares, two triangles each.
+        side = 4
+        vertices = [[x, y] for x in range(side) for y in range(side)]
+        cells = []
+        for x, y in itertools.product(range(side - 1), repeat=2):
+            v = x * side + y
+            cells += [[v, v + side, v + side + 1], [v, v + 1, v + side + 1]]
+        cells.insert(5, cells[2][::-1])
+        cells.append([cells[0][0], cells[0][1], 15])
+        cells.append([cells[0][1], cells[0][0], 11])
+        mesh = Mesh(vertices, cells)
+        duplicates, counts = _reference_validation(cells)
+        assert validate_mesh(mesh).duplicate_cells == duplicates == (5,)
+        overshared = conformity_check(mesh).overshared_facets
+        assert overshared == tuple((k, c) for k, c in sorted(counts.items()) if c > 2)
+        assert (tuple(sorted(cells[0][:2])), 3) in overshared
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5])
+)
+KEYS = st.sampled_from(["index", "value", "%", "%s", "%(x)s", "a, b", '"q"', "é", "\u2603"])
+TEXT = st.text() | st.sampled_from(["%", "%s%%", ", ", "a, b", '", "', "é ü", "\u2603", "\x00"])
+RECORDS = st.lists(st.dictionaries(KEYS, SCALARS, max_size=5), max_size=6)
+DOCS = st.recursive(
+    SCALARS | TEXT,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(KEYS | TEXT, children, max_size=5)
+    | RECORDS,
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``_dumps`` must equal ``json.dumps(value, indent=2)`` byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(DOCS)
+    @example({"cells": [{"index": 0, "min": 1.5}, {"index": 1, "degenerate": True}, {}]})
+    @example({"values": [math.nan, math.inf, -math.inf, -0.0, 10**30, True, False, None]})
+    @example([{"%s": 1, "a, b": 2.5}, {"a, b": None, "%s": -0.0}, {"%%": "x, y"}])
+    @example({"nested": [[], {}, [{}], [[1, 2], [3.5]], "", "é, %s"]})
+    @example({1: [1.5], "a": {None: True, 2.5: "x"}})
+    @example([{"a": 1}, {2: 3}, {"a": [1, {"b": None}]}])
+    @example((1, (2.5, "x"), [{"t": (1,)}]))
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_reports_and_meshes_match_json_dumps(self):
+        mesh = overshared_triple_mesh()
+        quality = mesh_quality(mesh)
+        report = build_quality_report(mesh, quality, [verdict_min_dihedral(quality, 1.0)])
+        for degrees in (False, True):
+            doc = report_to_dict(report, degrees)
+            sink = io.StringIO()
+            write_report(report, sink, degrees)
+            assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
+        doc = {
+            "ambient_dimension": 3,
+            "vertices": mesh.vertices.tolist(),
+            "cells": mesh.cells.tolist(),
+        }
+        assert dump_mesh(mesh) == json.dumps(doc, indent=2) + "\n"
