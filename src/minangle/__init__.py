@@ -42,18 +42,14 @@ from .geometry import (
 from .meshio import (
     ConformityReport,
     Mesh,
-    QualityReport,
     ValidationReport,
-    build_quality_report,
     conformity_check,
     dump_mesh,
     load_mesh,
     parse_family_manifest,
     parse_mesh,
-    report_from_dict,
     report_to_dict,
     validate_mesh,
-    write_mesh,
     write_report,
 )
 from .regularity import (
@@ -63,7 +59,6 @@ from .regularity import (
     EquivalenceAudit,
     MeshQuality,
     SimplexQuality,
-    Thresholds,
     cell_quality,
     certified_dsine_bound,
     check_generalized_condition,

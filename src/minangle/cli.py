@@ -15,7 +15,7 @@ Exit codes (usable directly in CI)::
     2  input error (bad file, bad flags, unreadable manifest member)
     3  degenerate geometry encountered mid-check
 
-Thresholds are always given in radians; --degrees only adds degree
+Angle thresholds are always given in radians; --degrees only adds degree
 annotations to the emitted reports and never changes a verdict.  Reports
 go to the path given with -o/--report, or to standard output with ``-o -``.
 Identical inputs and flags produce byte-identical reports.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -37,7 +36,6 @@ from .meshio import (
     Mesh,
     _dumps,
     audit_to_dict,
-    build_quality_report,
     conformity_check,
     dump_mesh,
     load_mesh,
@@ -146,28 +144,32 @@ def _require_threshold(args: argparse.Namespace) -> None:
         raise InvalidInputError("at least one of --alpha0 / --dsine-min is required")
 
 
-def _mesh_verdicts(quality, args: argparse.Namespace) -> list:
+def _check_report(mesh: Mesh, cfg: ToleranceConfig, args: argparse.Namespace) -> dict[str, Any]:
+    """The ``check`` report of one mesh under the requested thresholds."""
+    quality = mesh_quality(mesh, cfg)
     verdicts = []
     if args.alpha0 is not None:
         verdicts.append(verdict_min_dihedral(quality, args.alpha0))
     if args.dsine_min is not None:
         verdicts.append(verdict_min_dsine(quality, args.dsine_min))
-    return verdicts
+    return report_to_dict(quality, verdicts, args.degrees)
+
+
+def _check_exit(docs: list[dict[str, Any]]) -> int:
+    """The exit code of ``check`` reports: degenerate geometry first, then any violation."""
+    if any("degenerate_cells" in doc for doc in docs):
+        return EXIT_DEGENERATE
+    if any(not verdict["satisfied"] for doc in docs for verdict in doc["verdicts"]):
+        return EXIT_VIOLATED
+    return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
-    mesh = load_mesh(args.mesh)
-    quality = mesh_quality(mesh, cfg)
-    verdicts = _mesh_verdicts(quality, args)
-    report = build_quality_report(mesh, quality, verdicts)
-    _emit_json(report_to_dict(report, degrees=args.degrees), args.report)
-    if quality.degenerate_cells:
-        return EXIT_DEGENERATE
-    if any(not v.satisfied for v in verdicts):
-        return EXIT_VIOLATED
-    return EXIT_OK
+    doc = _check_report(load_mesh(args.mesh), cfg, args)
+    _emit_json(doc, args.report)
+    return _check_exit([doc])
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -200,6 +202,30 @@ def _family_aggregates(mesh_docs: list[dict[str, Any]]) -> dict[str, float | Non
     return result
 
 
+def _family_verdicts(mesh_docs: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Each condition's verdict over the members.
+
+    A condition holds when every member satisfies it.  Its worst mesh is the
+    member with the lowest worst value, the earliest one on a tie.  Every
+    member's report lists the same conditions in the same order.
+    """
+    result = []
+    for verdicts in zip(*(doc["verdicts"] for doc in mesh_docs)):
+        worst_mesh = min(range(len(verdicts)), key=lambda i: verdicts[i]["worst_value"])
+        worst = verdicts[worst_mesh]
+        result.append(
+            {
+                "condition": worst["condition"],
+                "threshold": worst["threshold"],
+                "satisfied": all(verdict["satisfied"] for verdict in verdicts),
+                "worst_mesh": worst_mesh,
+                "worst_cell": worst["worst_cell"],
+                "worst_value": worst["worst_value"],
+            }
+        )
+    return result
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
@@ -208,7 +234,10 @@ def cmd_family(args: argparse.Namespace) -> int:
         manifest_text = manifest_path.read_bytes()
     except OSError as exc:
         raise InvalidInputError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    paths = parse_family_manifest(manifest_text, base_dir=manifest_path.parent)
+    try:
+        paths = parse_family_manifest(manifest_text, base_dir=manifest_path.parent)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{manifest_path}: {exc}") from exc
     meshes = [load_mesh(p) for p in paths]
     dims = {m.ambient_dim for m in meshes}
     if len(dims) > 1:
@@ -216,59 +245,29 @@ def cmd_family(args: argparse.Namespace) -> int:
             f"family members disagree on ambient dimension: {sorted(dims)}"
         )
 
-    mesh_docs = []
-    trend = []
-    any_degenerate = False
-    any_violated = False
-    family_worst: dict[str, dict[str, Any]] = {}
-    for index, (path, mesh) in enumerate(zip(paths, meshes)):
-        quality = mesh_quality(mesh, cfg)
-        verdicts = _mesh_verdicts(quality, args)
-        report = build_quality_report(mesh, quality, verdicts)
-        doc = report_to_dict(report, degrees=args.degrees)
-        mesh_docs.append({"index": index, "path": str(path), **doc})
-        any_degenerate = any_degenerate or bool(quality.degenerate_cells)
-        any_violated = any_violated or any(not v.satisfied for v in verdicts)
-        trend.append(
-            {
-                "index": index,
-                "path": str(path),
-                "min_dihedral_rad": doc["aggregates"]["min_dihedral_rad"],
-                "min_dsine": doc["aggregates"]["min_dsine"],
-            }
-        )
-        for verdict in verdicts:
-            worst = family_worst.setdefault(
-                verdict.condition,
-                {
-                    "condition": verdict.condition,
-                    "threshold": verdict.threshold_used,
-                    "satisfied": True,
-                    "worst_mesh": index,
-                    "worst_cell": verdict.worst_cell,
-                    "worst_value": math.inf,
-                },
-            )
-            worst["satisfied"] = worst["satisfied"] and verdict.satisfied
-            if verdict.worst_value < worst["worst_value"]:
-                worst["worst_value"] = verdict.worst_value
-                worst["worst_mesh"] = index
-                worst["worst_cell"] = verdict.worst_cell
-
+    mesh_docs = [
+        {"index": index, "path": str(path), **_check_report(mesh, cfg, args)}
+        for index, (path, mesh) in enumerate(zip(paths, meshes))
+    ]
+    trend = [
+        {
+            "index": doc["index"],
+            "path": doc["path"],
+            "min_dihedral_rad": doc["aggregates"]["min_dihedral_rad"],
+            "min_dsine": doc["aggregates"]["min_dsine"],
+        }
+        for doc in mesh_docs
+    ]
     family_doc: dict[str, Any] = {
         "ambient_dimension": meshes[0].ambient_dim,
         "mesh_count": len(meshes),
         "family_aggregates": _family_aggregates(mesh_docs),
         "trend": trend,
-        "verdicts": list(family_worst.values()),
+        "verdicts": _family_verdicts(mesh_docs),
         "meshes": mesh_docs,
     }
     _emit_json(family_doc, args.report)
-    if any_degenerate:
-        return EXIT_DEGENERATE
-    if any_violated:
-        return EXIT_VIOLATED
-    return EXIT_OK
+    return _check_exit(mesh_docs)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Sequence
 
 import numpy as np
 
@@ -36,25 +36,20 @@ from .regularity import (
     MeshQuality,
     SimplexQuality,
     _degenerate_cells,
-    subsimplex_count,
 )
 
 __all__ = [
     "ConformityReport",
     "Mesh",
-    "QualityReport",
     "ValidationReport",
     "audit_to_dict",
-    "build_quality_report",
     "conformity_check",
     "dump_mesh",
     "load_mesh",
     "parse_family_manifest",
     "parse_mesh",
-    "report_from_dict",
     "report_to_dict",
     "validate_mesh",
-    "write_mesh",
     "write_report",
 ]
 
@@ -314,10 +309,6 @@ def dump_mesh(mesh: Mesh) -> str:
     return _dumps(doc) + "\n"
 
 
-def write_mesh(mesh: Mesh, sink: IO[str]) -> None:
-    sink.write(dump_mesh(mesh))
-
-
 def parse_family_manifest(source: str | bytes | IO, base_dir: str | Path | None = None) -> list[Path]:
     """Parse a family manifest, resolving member paths against ``base_dir``."""
     data = _read_json(source, "manifest")
@@ -434,49 +425,6 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     )
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    """Per-cell quality records plus mesh aggregates and verdicts.
-
-    The aggregates always equal the extrema of the per-cell records (over
-    nondegenerate cells).
-    """
-
-    ambient_dim: int
-    cell_count: int
-    cells: tuple[SimplexQuality, ...]
-    degenerate_cells: tuple[int, ...]
-    min_dihedral: float
-    max_dihedral: float
-    min_dsine: float
-    min_ball_ratio: float
-    verdicts: tuple[ConditionVerdict, ...] = ()
-
-
-def build_quality_report(
-    mesh: Mesh, quality: MeshQuality, verdicts: tuple[ConditionVerdict, ...] | list = ()
-) -> QualityReport:
-    """Assemble a QualityReport; aggregates are recomputed from the cells."""
-    if not quality.cells and not quality.degenerate_cells:
-        raise InvalidInputError("refusing to build a report for an empty mesh")
-    has_cells = bool(quality.cells)
-    return QualityReport(
-        ambient_dim=mesh.ambient_dim,
-        cell_count=mesh.cell_count,
-        cells=quality.cells,
-        degenerate_cells=quality.degenerate_cells,
-        min_dihedral=quality.min_dihedral() if has_cells else math.nan,
-        max_dihedral=quality.max_dihedral() if has_cells else math.nan,
-        min_dsine=quality.min_dsine() if has_cells else math.nan,
-        min_ball_ratio=quality.min_ball_ratio() if has_cells else math.nan,
-        verdicts=tuple(verdicts),
-    )
-
-
-def _num(value: float) -> float | None:
-    return None if isinstance(value, float) and math.isnan(value) else float(value)
-
-
 def _cell_dict(cell: SimplexQuality, degrees: bool) -> dict[str, Any]:
     row: dict[str, Any] = {
         "index": cell.cell_index,
@@ -493,16 +441,25 @@ def _cell_dict(cell: SimplexQuality, degrees: bool) -> dict[str, Any]:
     return row
 
 
-def _degenerate_cell_dict(index: int) -> dict[str, Any]:
-    return {
-        "index": index,
-        "min_dihedral_rad": None,
-        "max_dihedral_rad": None,
-        "min_dsine": None,
-        "ball_ratio": None,
-        "dihedral_sum_rad": None,
-        "degenerate": True,
-    }
+# The fields after "index" of a degenerate cell's row in each report.
+_DEGENERATE_QUALITY_ROW = {
+    "min_dihedral_rad": None,
+    "max_dihedral_rad": None,
+    "min_dsine": None,
+    "ball_ratio": None,
+    "dihedral_sum_rad": None,
+    "degenerate": True,
+}
+_DEGENERATE_AUDIT_ROW = {"degenerate": True}
+
+
+def _indexed_rows(
+    rows: list[dict[str, Any]], degenerate_cells: tuple[int, ...], degenerate_row: dict[str, Any]
+) -> list[dict[str, Any]]:
+    """The good cells' ``rows`` plus one ``degenerate_row`` per degenerate cell, by index."""
+    rows.extend({"index": index, **degenerate_row} for index in degenerate_cells)
+    rows.sort(key=lambda row: row["index"])
+    return rows
 
 
 def _verdict_dict(verdict: ConditionVerdict) -> dict[str, Any]:
@@ -518,94 +475,51 @@ def _verdict_dict(verdict: ConditionVerdict) -> dict[str, Any]:
     return row
 
 
-def report_to_dict(report: QualityReport, degrees: bool = False) -> dict[str, Any]:
+def report_to_dict(
+    quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
+) -> dict[str, Any]:
     """Quality report as a JSON-ready dict with deterministic key order.
 
-    Angles are emitted in radians; ``degrees=True`` adds parallel ``*_deg``
-    annotation fields and changes nothing else.
+    The aggregates are the extrema over the nondegenerate cells, or null
+    when there are none.  Angles are emitted in radians; ``degrees=True``
+    adds parallel ``*_deg`` annotation fields and changes nothing else.
     """
-    rows = [_cell_dict(c, degrees) for c in report.cells]
-    rows.extend(_degenerate_cell_dict(i) for i in report.degenerate_cells)
-    rows.sort(key=lambda r: r["index"])
+    if not quality.cells and not quality.degenerate_cells:
+        raise InvalidInputError("refusing to build a report for an empty mesh")
+    rows = _indexed_rows(
+        [_cell_dict(c, degrees) for c in quality.cells],
+        quality.degenerate_cells,
+        _DEGENERATE_QUALITY_ROW,
+    )
+    has_cells = bool(quality.cells)
+    low = quality.min_dihedral() if has_cells else None
+    high = quality.max_dihedral() if has_cells else None
     aggregates: dict[str, Any] = {
-        "min_dihedral_rad": _num(report.min_dihedral),
-        "max_dihedral_rad": _num(report.max_dihedral),
-        "min_dsine": _num(report.min_dsine),
-        "min_ball_ratio": _num(report.min_ball_ratio),
+        "min_dihedral_rad": low,
+        "max_dihedral_rad": high,
+        "min_dsine": quality.min_dsine() if has_cells else None,
+        "min_ball_ratio": quality.min_ball_ratio() if has_cells else None,
     }
     if degrees:
-        aggregates["min_dihedral_deg"] = (
-            None if _num(report.min_dihedral) is None else report.min_dihedral * _DEG_PER_RAD
-        )
-        aggregates["max_dihedral_deg"] = (
-            None if _num(report.max_dihedral) is None else report.max_dihedral * _DEG_PER_RAD
-        )
+        aggregates["min_dihedral_deg"] = low * _DEG_PER_RAD if has_cells else None
+        aggregates["max_dihedral_deg"] = high * _DEG_PER_RAD if has_cells else None
     doc: dict[str, Any] = {
-        "ambient_dimension": report.ambient_dim,
-        "cell_count": report.cell_count,
+        "ambient_dimension": quality.ambient_dim,
+        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
         "aggregates": aggregates,
         "cells": rows,
-        "verdicts": [_verdict_dict(v) for v in report.verdicts],
+        "verdicts": [_verdict_dict(v) for v in verdicts],
     }
-    if report.degenerate_cells:
-        doc["degenerate_cells"] = list(report.degenerate_cells)
+    if quality.degenerate_cells:
+        doc["degenerate_cells"] = list(quality.degenerate_cells)
     return doc
 
 
-def report_from_dict(doc: dict[str, Any]) -> QualityReport:
-    """Rebuild a QualityReport from its JSON dict (inverse of report_to_dict)."""
-    try:
-        cells = []
-        degenerate = []
-        for row in doc["cells"]:
-            if row.get("degenerate"):
-                degenerate.append(int(row["index"]))
-                continue
-            cells.append(
-                SimplexQuality(
-                    cell_index=int(row["index"]),
-                    min_dihedral_all_sub=float(row["min_dihedral_rad"]),
-                    max_dihedral_all_sub=float(row["max_dihedral_rad"]),
-                    min_vertex_dsine=float(row["min_dsine"]),
-                    ball_ratio=float(row["ball_ratio"]),
-                    dihedral_sum_top=float(row["dihedral_sum_rad"]),
-                    subsimplex_count=subsimplex_count(int(doc["ambient_dimension"])),
-                )
-            )
-        verdicts = tuple(
-            ConditionVerdict(
-                condition=str(v["condition"]),
-                threshold_used=float(v["threshold"]),
-                satisfied=bool(v["satisfied"]),
-                worst_cell=int(v["worst_cell"]),
-                worst_value=float(v["worst_value"]),
-                degenerate_cells=tuple(v.get("degenerate_cells", ())),
-            )
-            for v in doc["verdicts"]
-        )
-        agg = doc["aggregates"]
-
-        def _back(value):
-            return math.nan if value is None else float(value)
-
-        return QualityReport(
-            ambient_dim=int(doc["ambient_dimension"]),
-            cell_count=int(doc["cell_count"]),
-            cells=tuple(cells),
-            degenerate_cells=tuple(degenerate),
-            min_dihedral=_back(agg["min_dihedral_rad"]),
-            max_dihedral=_back(agg["max_dihedral_rad"]),
-            min_dsine=_back(agg["min_dsine"]),
-            min_ball_ratio=_back(agg["min_ball_ratio"]),
-            verdicts=verdicts,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed quality report document: {exc}") from exc
-
-
-def write_report(report: QualityReport, sink: IO[str], degrees: bool = False) -> None:
+def write_report(
+    quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str], degrees: bool = False
+) -> None:
     """Serialize a quality report as JSON to a text sink."""
-    sink.write(_dumps(report_to_dict(report, degrees)) + "\n")
+    sink.write(_dumps(report_to_dict(quality, verdicts, degrees)) + "\n")
 
 
 def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, Any]:
@@ -625,8 +539,6 @@ def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, A
             row["min_dihedral_deg"] = cell.min_dihedral_all_sub * _DEG_PER_RAD
             row["max_dihedral_deg"] = cell.max_dihedral_all_sub * _DEG_PER_RAD
         rows.append(row)
-    rows.extend({"index": i, "degenerate": True} for i in audit.degenerate_cells)
-    rows.sort(key=lambda r: r["index"])
     has_cells = bool(audit.cells)
     doc: dict[str, Any] = {
         "ambient_dimension": audit.ambient_dim,
@@ -636,7 +548,7 @@ def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, A
             "min_forward_margin": audit.min_forward_margin() if has_cells else None,
             "min_backward_margin": audit.min_backward_margin() if has_cells else None,
         },
-        "cells": rows,
+        "cells": _indexed_rows(rows, audit.degenerate_cells, _DEGENERATE_AUDIT_ROW),
         "satisfied": audit.satisfied(),
     }
     if audit.degenerate_cells:

@@ -60,7 +60,6 @@ __all__ = [
     "EquivalenceAudit",
     "MeshQuality",
     "SimplexQuality",
-    "Thresholds",
     "cell_quality",
     "certified_dsine_bound",
     "check_generalized_condition",
@@ -89,25 +88,6 @@ _CHUNK_FLOATS = 1 << 16
 
 CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Condition constants: dihedral lower bound alpha0 and d-sine lower bound C.
-
-    Either may be omitted (None) when only one condition is being checked.
-    """
-
-    alpha0: float | None = None
-    dsine_min: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.alpha0 is not None and not 0.0 < self.alpha0 < math.pi:
-            raise InvalidInputError(f"alpha0 must lie in (0, pi), got {self.alpha0}")
-        if self.dsine_min is not None and not 0.0 < self.dsine_min <= 1.0:
-            raise InvalidInputError(f"dsine_min must lie in (0, 1], got {self.dsine_min}")
-        if self.alpha0 is None and self.dsine_min is None:
-            raise InvalidInputError("at least one threshold is required")
 
 
 @dataclass(frozen=True)
@@ -419,9 +399,13 @@ def mesh_quality(
 def _verdict(
     condition: str,
     threshold: float,
+    in_range: bool,
+    rule: str,
     quality: MeshQuality,
     metric,
 ) -> ConditionVerdict:
+    if not in_range:
+        raise InvalidInputError(f"{rule}, got {threshold}")
     worst_cell = -1
     worst_value = math.inf
     for cell in quality.cells:  # ascending index; ties keep the lowest
@@ -445,17 +429,17 @@ def _verdict(
 
 def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdict:
     """Verdict of the minimum angle condition for precomputed quality."""
-    Thresholds(alpha0=alpha0)
     return _verdict(
-        CONDITION_MIN_DIHEDRAL, alpha0, quality, lambda c: c.min_dihedral_all_sub
+        CONDITION_MIN_DIHEDRAL, alpha0, 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
+        quality, lambda c: c.min_dihedral_all_sub,
     )
 
 
 def verdict_min_dsine(quality: MeshQuality, dsine_min: float) -> ConditionVerdict:
     """Verdict of the generalized (d-sine) condition for precomputed quality."""
-    Thresholds(dsine_min=dsine_min)
     return _verdict(
-        CONDITION_MIN_DSINE, dsine_min, quality, lambda c: c.min_vertex_dsine
+        CONDITION_MIN_DSINE, dsine_min, 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
+        quality, lambda c: c.min_vertex_dsine,
     )
 
 

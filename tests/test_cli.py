@@ -226,6 +226,40 @@ class TestFamilyCommand:
         assert len(trend) == 3
         assert doc["verdicts"][0]["satisfied"] is False
 
+    @pytest.mark.parametrize(
+        "params, worst_mesh, code",
+        [
+            ([0.5, 0.125, 0.25], 1, EXIT_VIOLATED),  # the worst member in the middle
+            ([0.5, 0.125, 0.125], 1, EXIT_VIOLATED),  # a tie: the earlier member is the worst
+            ([0.125, 0.5, 0.125], 0, EXIT_VIOLATED),
+            ([0.5, 0.25, 0.25], 1, EXIT_OK),
+        ],
+    )
+    def test_family_verdicts_reduce_member_verdicts(self, tmp_path, params, worst_mesh, code):
+        manifest = self.make_family(tmp_path, params)
+        report = tmp_path / "family_report.json"
+        argv = ["family", str(manifest), "--alpha0", "0.5", "--dsine-min", "0.3"]
+        assert main([*argv, "-o", str(report)]) == code
+        doc = json.loads(report.read_text())
+        expected = []
+        for rows in zip(*(member["verdicts"] for member in doc["meshes"])):
+            values = [row["worst_value"] for row in rows]
+            first = values.index(min(values))
+            expected.append(
+                {
+                    "condition": rows[0]["condition"],
+                    "threshold": rows[0]["threshold"],
+                    "satisfied": all(row["satisfied"] for row in rows),
+                    "worst_mesh": first,
+                    "worst_cell": rows[first]["worst_cell"],
+                    "worst_value": values[first],
+                }
+            )
+        assert doc["verdicts"] == expected
+        assert [v["condition"] for v in expected] == ["min_dihedral", "min_dsine"]
+        assert {v["worst_mesh"] for v in expected} == {worst_mesh}
+        assert all(v["satisfied"] is (code == EXIT_OK) for v in expected)
+
     def test_family_of_regular_meshes_passes(self, tmp_path, tetra_path):
         manifest = tmp_path / "family.json"
         manifest.write_text(json.dumps({"meshes": [str(tetra_path)] * 3}))
@@ -319,12 +353,13 @@ class TestInfoCommand:
 class TestMalformedInput:
     """Input no parser can take is an input error (exit 2, one line), never a traceback."""
 
-    def assert_input_error(self, argv, capsys, needle):
+    def assert_input_error(self, argv, capsys, *needles):
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert needle in captured.err
+        for needle in needles:
+            assert needle in captured.err
 
     def test_huge_integer_coordinate(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -344,7 +379,7 @@ class TestMalformedInput:
         manifest.write_text('{"meshes": %s}' % deep)
         self.assert_input_error(["audit", str(mesh)], capsys, "nested too deeply")
         self.assert_input_error(
-            ["family", str(manifest), "--alpha0", "0.1"], capsys, "nested too deeply"
+            ["family", str(manifest), "--alpha0", "0.1"], capsys, str(manifest), "nested too deeply"
         )
 
     def test_non_utf8_mesh_and_manifest(self, tmp_path, capsys, tetra_path):
@@ -355,7 +390,22 @@ class TestMalformedInput:
         self.assert_input_error(["info", str(mesh)], capsys, "not valid UTF-8")
         self.assert_input_error(["check", str(mesh), "--alpha0", "0.1"], capsys, "UTF-8")
         self.assert_input_error(
-            ["family", str(manifest), "--alpha0", "0.1"], capsys, "not valid UTF-8"
+            ["family", str(manifest), "--alpha0", "0.1"], capsys, str(manifest), "not valid UTF-8"
+        )
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('["a.json"]', "must be an object with a 'meshes' array"),
+            ('{"meshes": []}', "must be a nonempty array of paths"),
+            ('{"meshes": [1]}', "entry 0 is not a path string"),
+        ],
+    )
+    def test_non_object_manifest(self, tmp_path, capsys, text, needle):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        self.assert_input_error(
+            ["family", str(manifest), "--alpha0", "0.1"], capsys, f"error: {manifest}: ", needle
         )
 
 

@@ -32,7 +32,7 @@ from minangle import (
     subsimplex_count,
 )
 from minangle.cli import main
-from minangle.meshio import audit_to_dict, build_quality_report, dump_mesh, report_to_dict
+from minangle.meshio import audit_to_dict, dump_mesh, report_to_dict
 from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
 from oracles import ball_ratio_cm, hull_coordinates, simplex_dihedral_angles, vertex_sines_cm
 
@@ -237,7 +237,7 @@ def test_cli_output_matches_json_dumps(corpus, tmp_path, capsys):
     report = tmp_path / "report.json"
     for degrees in ([], ["--degrees"]):
         expected = {
-            "check": report_to_dict(build_quality_report(mesh, quality, verdicts), bool(degrees)),
+            "check": report_to_dict(quality, verdicts, bool(degrees)),
             "audit": audit_to_dict(audit, bool(degrees)),
         }
         for command, doc in expected.items():

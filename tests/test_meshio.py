@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from minangle import (
     InvalidInputError,
     Mesh,
-    build_quality_report,
+    MeshQuality,
     conformity_check,
     dump_mesh,
     load_mesh,
@@ -21,7 +21,6 @@ from minangle import (
     parse_family_manifest,
     parse_mesh,
     regular_simplex,
-    report_from_dict,
     report_to_dict,
     validate_mesh,
     write_report,
@@ -188,12 +187,12 @@ class TestQualityReport:
             verdicts.append(verdict_min_dihedral(quality, alpha0))
         if dsine_min is not None:
             verdicts.append(verdict_min_dsine(quality, dsine_min))
-        return build_quality_report(mesh, quality, verdicts)
+        return quality, verdicts
 
     def test_regular_tetrahedron_report_values(self):
-        report = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
+        quality, verdicts = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
         sink = io.StringIO()
-        write_report(report, sink)
+        write_report(quality, verdicts, sink)
         doc = json.loads(sink.getvalue())
         assert doc["aggregates"]["min_dihedral_rad"] == pytest.approx(
             1.0471976, abs=1e-6
@@ -208,8 +207,7 @@ class TestQualityReport:
         }
 
     def test_aggregates_equal_extrema_of_cells(self):
-        report = self.build(glued_pair_mesh(), alpha0=0.5, dsine_min=0.1)
-        doc = report_to_dict(report)
+        doc = report_to_dict(*self.build(glued_pair_mesh(), alpha0=0.5, dsine_min=0.1))
         cells = doc["cells"]
         assert doc["aggregates"]["min_dihedral_rad"] == min(
             c["min_dihedral_rad"] for c in cells
@@ -223,38 +221,28 @@ class TestQualityReport:
         )
         assert len(cells) == 2
 
-    def test_dict_round_trip(self):
-        report = self.build(glued_pair_mesh(), alpha0=1.0, dsine_min=0.7)
-        doc = report_to_dict(report)
-        again = report_from_dict(doc)
-        assert report_to_dict(again) == doc
-
     def test_degenerate_cell_row_is_annotated(self):
         mesh = Mesh(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 0.0], [6.0, 0.0], [7.0, 0.0]],
             [[0, 1, 2], [3, 4, 5]],
         )
-        report = self.build(mesh, alpha0=0.5)
-        doc = report_to_dict(report)
+        doc = report_to_dict(*self.build(mesh, alpha0=0.5))
         assert doc["degenerate_cells"] == [1]
         degenerate_row = doc["cells"][1]
         assert degenerate_row["degenerate"] is True
         assert degenerate_row["min_dsine"] is None
 
     def test_degree_annotations_are_additive(self):
-        report = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
-        plain = report_to_dict(report)
-        annotated = report_to_dict(report, degrees=True)
+        quality, verdicts = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
+        plain = report_to_dict(quality, verdicts)
+        annotated = report_to_dict(quality, verdicts, degrees=True)
         assert annotated["verdicts"] == plain["verdicts"]
         assert annotated["cells"][0]["min_dihedral_deg"] == pytest.approx(60.0, abs=1e-9)
         assert "min_dihedral_deg" not in plain["cells"][0]
 
     def test_empty_quality_rejected(self):
-        from minangle import MeshQuality
-
-        mesh = parse_mesh(json.dumps(TETRA_DOC))
-        with pytest.raises(InvalidInputError):
-            build_quality_report(mesh, MeshQuality(ambient_dim=3, cells=()), ())
+        with pytest.raises(InvalidInputError, match="empty mesh"):
+            report_to_dict(MeshQuality(3, ()), ())
 
 
 class TestFamilyManifest:
@@ -500,11 +488,11 @@ class TestJsonWriter:
     def test_reports_and_meshes_match_json_dumps(self):
         mesh = overshared_triple_mesh()
         quality = mesh_quality(mesh)
-        report = build_quality_report(mesh, quality, [verdict_min_dihedral(quality, 1.0)])
+        verdicts = [verdict_min_dihedral(quality, 1.0)]
         for degrees in (False, True):
-            doc = report_to_dict(report, degrees)
+            doc = report_to_dict(quality, verdicts, degrees)
             sink = io.StringIO()
-            write_report(report, sink, degrees)
+            write_report(quality, verdicts, sink, degrees)
             assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
         doc = {
             "ambient_dimension": 3,

@@ -10,7 +10,6 @@ from minangle import (
     InvalidInputError,
     Mesh,
     Simplex,
-    Thresholds,
     cell_quality,
     certified_dsine_bound,
     check_generalized_condition,
@@ -25,6 +24,7 @@ from minangle import (
     subsimplex_count,
     subsimplices,
 )
+from minangle.regularity import verdict_min_dihedral
 from oracles import planar_angle
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
@@ -164,8 +164,9 @@ class TestConditionChecks:
     def test_zero_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
             check_minimum_angle_condition(single_cell_mesh(regular_simplex(3)), alpha0=0.0)
-        with pytest.raises(InvalidInputError):
-            Thresholds(alpha0=math.pi)
+        quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        with pytest.raises(InvalidInputError, match=r"alpha0 must lie in \(0, pi\), got 3\.14159"):
+            verdict_min_dihedral(quality, math.pi)
 
     def test_generalized_condition_both_ways(self):
         mesh = single_cell_mesh(regular_simplex(3))
