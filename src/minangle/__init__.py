@@ -54,7 +54,6 @@ from .meshio import (
 )
 from .regularity import (
     AUDIT_TOLERANCE,
-    CellAudit,
     ConditionVerdict,
     EquivalenceAudit,
     MeshQuality,

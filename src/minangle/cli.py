@@ -24,10 +24,11 @@ Identical inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .generators import KINDS, GeneratorSpec, generate
@@ -35,6 +36,7 @@ from .geometry import ToleranceConfig
 from .meshio import (
     Mesh,
     _dumps,
+    _quality_columns,
     audit_to_dict,
     conformity_check,
     dump_mesh,
@@ -232,7 +234,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     try:
         manifest_text = manifest_path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InvalidInputError(f"cannot read manifest {manifest_path}: {exc}") from exc
     try:
         paths = parse_family_manifest(manifest_text, base_dir=manifest_path.parent)
@@ -280,8 +282,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_INFO_HEADER = "%5s %17s %17s %10s %10s %17s\n"
 _INFO_ROW = "%5d %17.7f %17.7f %10.7f %10.7f %17.7f\n"
-_INFO_DEGENERATE_ROW = "%5d        degenerate\n"
+# A degenerate cell's row takes six values like any other and prints only the first.
+_INFO_DEGENERATE_ROW = "%5d        degenerate" + "%.0s" * 5 + "\n"
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -312,26 +316,25 @@ def cmd_info(args: argparse.Namespace) -> int:
     if validation.degenerate_cells:
         out.write(f"warning: degenerate cells {list(validation.degenerate_cells)}\n")
 
-    header = (
-        f"{'cell':>5} {'min_dihedral_rad':>17} {'max_dihedral_rad':>17} "
-        f"{'min_dsine':>10} {'ball_ratio':>10} {'dihedral_sum_rad':>17}"
-    )
-    out.write(header + "\n")
-    # One %-template row per cell, filled from the flattened values in one call.
-    templates = [_INFO_DEGENERATE_ROW] * mesh.cell_count
-    rows: list[tuple] = [(index,) for index in range(mesh.cell_count)]
-    for cell in quality.cells:
-        templates[cell.cell_index] = _INFO_ROW
-        rows[cell.cell_index] = (
-            cell.cell_index,
-            cell.min_dihedral_all_sub,
-            cell.max_dihedral_all_sub,
-            cell.min_vertex_dsine,
-            cell.ball_ratio,
-            cell.dihedral_sum_top,
-        )
-    out.write("".join(templates) % tuple(itertools.chain.from_iterable(rows)))
+    columns = _quality_columns(quality)
+    out.write(_INFO_HEADER % ("cell", *columns))
+    # One %-template row per cell, filled from the flattened (cell, 6) table in one call.
+    templates = np.full(mesh.cell_count, _INFO_DEGENERATE_ROW, dtype=object)
+    templates[quality.cells] = _INFO_ROW
+    table = np.empty((mesh.cell_count, 6), dtype=object)
+    table[:, 0] = np.arange(mesh.cell_count)
+    table[quality.cells, 1:] = np.column_stack(list(columns.values()))
+    out.write("".join(templates) % tuple(table.ravel().tolist()))
     return EXIT_OK
+
+
+# Control characters, say from a path in a manifest, are escaped so an error stays one line.
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in [*range(32), 127]}
+
+
+def _error(message: str, code: int) -> int:
+    print(f"error: {message.translate(_ESCAPES)}", file=sys.stderr)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -343,15 +346,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (InvalidInputError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (InvalidInputError, GenerationError, OSError) as exc:
+        return _error(str(exc), EXIT_INPUT_ERROR)
     except DegeneracyError as exc:
-        print(f"error: degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _error(f"degenerate geometry: {exc}", EXIT_DEGENERATE)
 
 
 def run() -> None:

@@ -75,8 +75,8 @@ def _require_dim(d: int, minimum: int) -> None:
 
 
 def _require_scale(scale: float) -> None:
-    if not scale > 0.0:
-        raise InvalidInputError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise InvalidInputError(f"scale must be positive and finite, got {scale}")
 
 
 def _require_param(t: float) -> None:

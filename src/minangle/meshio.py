@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Sequence
@@ -34,7 +35,6 @@ from .regularity import (
     ConditionVerdict,
     EquivalenceAudit,
     MeshQuality,
-    SimplexQuality,
     _degenerate_cells,
 )
 
@@ -291,7 +291,7 @@ def load_mesh(path: str | Path) -> Mesh:
     """Read and parse a mesh file from disk."""
     try:
         text = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InvalidInputError(f"cannot read mesh file {path}: {exc}") from exc
     try:
         return parse_mesh(text)
@@ -425,22 +425,6 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     )
 
 
-def _cell_dict(cell: SimplexQuality, degrees: bool) -> dict[str, Any]:
-    row: dict[str, Any] = {
-        "index": cell.cell_index,
-        "min_dihedral_rad": cell.min_dihedral_all_sub,
-        "max_dihedral_rad": cell.max_dihedral_all_sub,
-        "min_dsine": cell.min_vertex_dsine,
-        "ball_ratio": cell.ball_ratio,
-        "dihedral_sum_rad": cell.dihedral_sum_top,
-    }
-    if degrees:
-        row["min_dihedral_deg"] = cell.min_dihedral_all_sub * _DEG_PER_RAD
-        row["max_dihedral_deg"] = cell.max_dihedral_all_sub * _DEG_PER_RAD
-        row["dihedral_sum_deg"] = cell.dihedral_sum_top * _DEG_PER_RAD
-    return row
-
-
 # The fields after "index" of a degenerate cell's row in each report.
 _DEGENERATE_QUALITY_ROW = {
     "min_dihedral_rad": None,
@@ -454,11 +438,19 @@ _DEGENERATE_AUDIT_ROW = {"degenerate": True}
 
 
 def _indexed_rows(
-    rows: list[dict[str, Any]], degenerate_cells: tuple[int, ...], degenerate_row: dict[str, Any]
+    cells: np.ndarray,
+    columns: dict[str, np.ndarray],
+    degenerate_cells: tuple[int, ...],
+    degenerate_row: dict[str, Any],
 ) -> list[dict[str, Any]]:
-    """The good cells' ``rows`` plus one ``degenerate_row`` per degenerate cell, by index."""
+    """One row per cell by index: ``columns`` for the good ``cells``, ``degenerate_row`` else."""
+    keys = ("index", *columns)
+    rows = [
+        dict(zip(keys, values))
+        for values in zip(cells.tolist(), *(column.tolist() for column in columns.values()))
+    ]
     rows.extend({"index": index, **degenerate_row} for index in degenerate_cells)
-    rows.sort(key=lambda row: row["index"])
+    rows.sort(key=operator.itemgetter("index"))
     return rows
 
 
@@ -475,6 +467,17 @@ def _verdict_dict(verdict: ConditionVerdict) -> dict[str, Any]:
     return row
 
 
+def _quality_columns(quality: MeshQuality) -> dict[str, np.ndarray]:
+    """A quality report's per-cell columns; the ``info`` table prints them in this order."""
+    return {
+        "min_dihedral_rad": quality.min_dihedral_all_sub,
+        "max_dihedral_rad": quality.max_dihedral_all_sub,
+        "min_dsine": quality.min_vertex_dsine,
+        "ball_ratio": quality.ball_ratio,
+        "dihedral_sum_rad": quality.dihedral_sum_top,
+    }
+
+
 def report_to_dict(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
 ) -> dict[str, Any]:
@@ -484,14 +487,17 @@ def report_to_dict(
     when there are none.  Angles are emitted in radians; ``degrees=True``
     adds parallel ``*_deg`` annotation fields and changes nothing else.
     """
-    if not quality.cells and not quality.degenerate_cells:
+    if not len(quality.cells) and not quality.degenerate_cells:
         raise InvalidInputError("refusing to build a report for an empty mesh")
+    columns = _quality_columns(quality)
+    if degrees:
+        columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
+        columns["max_dihedral_deg"] = quality.max_dihedral_all_sub * _DEG_PER_RAD
+        columns["dihedral_sum_deg"] = quality.dihedral_sum_top * _DEG_PER_RAD
     rows = _indexed_rows(
-        [_cell_dict(c, degrees) for c in quality.cells],
-        quality.degenerate_cells,
-        _DEGENERATE_QUALITY_ROW,
+        quality.cells, columns, quality.degenerate_cells, _DEGENERATE_QUALITY_ROW
     )
-    has_cells = bool(quality.cells)
+    has_cells = bool(len(quality.cells))
     low = quality.min_dihedral() if has_cells else None
     high = quality.max_dihedral() if has_cells else None
     aggregates: dict[str, Any] = {
@@ -524,22 +530,18 @@ def write_report(
 
 def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, Any]:
     """Equivalence-audit report as a JSON-ready dict."""
-    rows = []
-    for cell in audit.cells:
-        row: dict[str, Any] = {
-            "index": cell.cell_index,
-            "min_dsine": cell.min_vertex_dsine,
-            "min_dihedral_rad": cell.min_dihedral_all_sub,
-            "max_dihedral_rad": cell.max_dihedral_all_sub,
-            "certified_bound": cell.certified_bound,
-            "forward_margin": cell.forward_margin,
-            "backward_margin": cell.backward_margin,
-        }
-        if degrees:
-            row["min_dihedral_deg"] = cell.min_dihedral_all_sub * _DEG_PER_RAD
-            row["max_dihedral_deg"] = cell.max_dihedral_all_sub * _DEG_PER_RAD
-        rows.append(row)
-    has_cells = bool(audit.cells)
+    columns = {
+        "min_dsine": audit.min_vertex_dsine,
+        "min_dihedral_rad": audit.min_dihedral_all_sub,
+        "max_dihedral_rad": audit.max_dihedral_all_sub,
+        "certified_bound": audit.certified_bound,
+        "forward_margin": audit.forward_margin,
+        "backward_margin": audit.backward_margin,
+    }
+    if degrees:
+        columns["min_dihedral_deg"] = audit.min_dihedral_all_sub * _DEG_PER_RAD
+        columns["max_dihedral_deg"] = audit.max_dihedral_all_sub * _DEG_PER_RAD
+    has_cells = bool(len(audit.cells))
     doc: dict[str, Any] = {
         "ambient_dimension": audit.ambient_dim,
         "cell_count": len(audit.cells) + len(audit.degenerate_cells),
@@ -548,7 +550,9 @@ def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, A
             "min_forward_margin": audit.min_forward_margin() if has_cells else None,
             "min_backward_margin": audit.min_backward_margin() if has_cells else None,
         },
-        "cells": _indexed_rows(rows, audit.degenerate_cells, _DEGENERATE_AUDIT_ROW),
+        "cells": _indexed_rows(
+            audit.cells, columns, audit.degenerate_cells, _DEGENERATE_AUDIT_ROW
+        ),
         "satisfied": audit.satisfied(),
     }
     if audit.degenerate_cells:

@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
 
 __all__ = [
     "AUDIT_TOLERANCE",
-    "CellAudit",
     "ConditionVerdict",
     "DIMENSION_CAP",
     "EquivalenceAudit",
@@ -92,7 +91,7 @@ CONDITION_MIN_DSINE = "min_dsine"
 
 @dataclass(frozen=True)
 class SimplexQuality:
-    """Per-cell quality metrics used by both conditions and the reports."""
+    """The quality metrics of one cell, as :func:`cell_quality` returns them."""
 
     cell_index: int
     min_dihedral_all_sub: float
@@ -103,25 +102,33 @@ class SimplexQuality:
     subsimplex_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshQuality:
-    """Quality of every cell of a mesh, with degenerate cells set aside."""
+    """Quality of a mesh as columns: entry i of each metric array belongs to cell ``cells[i]``.
+
+    ``cells`` lists the nondegenerate cells in ascending order, ``degenerate_cells`` the rest.
+    """
 
     ambient_dim: int
-    cells: tuple[SimplexQuality, ...]
+    cells: np.ndarray
+    min_dihedral_all_sub: np.ndarray
+    max_dihedral_all_sub: np.ndarray
+    min_vertex_dsine: np.ndarray
+    ball_ratio: np.ndarray
+    dihedral_sum_top: np.ndarray
     degenerate_cells: tuple[int, ...] = ()
 
     def min_dihedral(self) -> float:
-        return min(c.min_dihedral_all_sub for c in self.cells)
+        return float(self.min_dihedral_all_sub.min())
 
     def max_dihedral(self) -> float:
-        return max(c.max_dihedral_all_sub for c in self.cells)
+        return float(self.max_dihedral_all_sub.max())
 
     def min_dsine(self) -> float:
-        return min(c.min_vertex_dsine for c in self.cells)
+        return float(self.min_vertex_dsine.min())
 
     def min_ball_ratio(self) -> float:
-        return min(c.ball_ratio for c in self.cells)
+        return float(self.ball_ratio.min())
 
 
 @dataclass(frozen=True)
@@ -141,36 +148,29 @@ class ConditionVerdict:
     degenerate_cells: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class CellAudit:
-    """Equivalence margins for one cell; both margins are >= 0 up to rounding."""
-
-    cell_index: int
-    min_vertex_dsine: float
-    min_dihedral_all_sub: float
-    max_dihedral_all_sub: float
-    certified_bound: float
-    forward_margin: float
-    backward_margin: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceAudit:
-    """Per-cell audit of both directions of the condition equivalence."""
+    """Both equivalence margins, >= 0 up to rounding, as columns like :class:`MeshQuality`'s."""
 
     ambient_dim: int
-    cells: tuple[CellAudit, ...]
+    cells: np.ndarray
+    min_vertex_dsine: np.ndarray
+    min_dihedral_all_sub: np.ndarray
+    max_dihedral_all_sub: np.ndarray
+    certified_bound: np.ndarray
+    forward_margin: np.ndarray
+    backward_margin: np.ndarray
     degenerate_cells: tuple[int, ...] = ()
     tolerance: float = AUDIT_TOLERANCE
 
     def min_forward_margin(self) -> float:
-        return min(c.forward_margin for c in self.cells)
+        return float(self.forward_margin.min())
 
     def min_backward_margin(self) -> float:
-        return min(c.backward_margin for c in self.cells)
+        return float(self.backward_margin.min())
 
     def satisfied(self) -> bool:
-        if self.degenerate_cells or not self.cells:
+        if self.degenerate_cells or not len(self.cells):
             return False
         return (
             self.min_forward_margin() >= -self.tolerance
@@ -369,29 +369,22 @@ def mesh_quality(
     *,
     allow_high_dim: bool = False,
 ) -> MeshQuality:
-    """Per-cell quality for a whole mesh.
+    """Per-cell quality for a whole mesh, as columns over the nondegenerate cells.
 
     Degenerate cells are collected rather than raised, so a single bad
-    cell cannot abort the scan.  Cells are reported in index order and
-    the result is deterministic.
+    cell cannot abort the scan.  Cells are in index order and the result
+    is deterministic.
     """
     scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
     good = np.flatnonzero(~scan.degenerate)
-    count = subsimplex_count(mesh.ambient_dim)
-    cells = tuple(
-        SimplexQuality(index, lo, hi, dsine, ball, total, count)
-        for index, lo, hi, dsine, ball, total in zip(
-            good.tolist(),
-            scan.min_dihedral[good].tolist(),
-            scan.max_dihedral[good].tolist(),
-            scan.min_dsine[good].tolist(),
-            scan.ball_ratio[good].tolist(),
-            scan.dihedral_sum[good].tolist(),
-        )
-    )
     return MeshQuality(
         ambient_dim=mesh.ambient_dim,
-        cells=cells,
+        cells=good,
+        min_dihedral_all_sub=scan.min_dihedral[good],
+        max_dihedral_all_sub=scan.max_dihedral[good],
+        min_vertex_dsine=scan.min_dsine[good],
+        ball_ratio=scan.ball_ratio[good],
+        dihedral_sum_top=scan.dihedral_sum[good],
         degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
     )
 
@@ -402,20 +395,17 @@ def _verdict(
     in_range: bool,
     rule: str,
     quality: MeshQuality,
-    metric,
+    values: np.ndarray,
 ) -> ConditionVerdict:
     if not in_range:
         raise InvalidInputError(f"{rule}, got {threshold}")
-    worst_cell = -1
-    worst_value = math.inf
-    for cell in quality.cells:  # ascending index; ties keep the lowest
-        value = metric(cell)
-        if value < worst_value:
-            worst_cell, worst_value = cell.cell_index, value
     if quality.degenerate_cells:
         # A degenerate cell has no positive quality at all; it is the worst.
         worst_cell, worst_value = quality.degenerate_cells[0], 0.0
-    if worst_cell < 0:
+    elif len(values):
+        worst = int(np.argmin(values))  # the lowest index on ties
+        worst_cell, worst_value = int(quality.cells[worst]), float(values[worst])
+    else:
         raise InvalidInputError("mesh produced no cells to check")
     return ConditionVerdict(
         condition=condition,
@@ -431,7 +421,7 @@ def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdic
     """Verdict of the minimum angle condition for precomputed quality."""
     return _verdict(
         CONDITION_MIN_DIHEDRAL, alpha0, 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
-        quality, lambda c: c.min_dihedral_all_sub,
+        quality, quality.min_dihedral_all_sub,
     )
 
 
@@ -439,7 +429,7 @@ def verdict_min_dsine(quality: MeshQuality, dsine_min: float) -> ConditionVerdic
     """Verdict of the generalized (d-sine) condition for precomputed quality."""
     return _verdict(
         CONDITION_MIN_DSINE, dsine_min, 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
-        quality, lambda c: c.min_vertex_dsine,
+        quality, quality.min_vertex_dsine,
     )
 
 
@@ -471,6 +461,14 @@ def check_generalized_condition(
     return verdict_min_dsine(quality, dsine_min), quality
 
 
+def _certified_bound(alpha0, gamma0, d: int):
+    """s^(d(d-1)/2) with s = min(sin alpha0, sin gamma0), elementwise and unchecked.
+
+    ``np.float_power`` rounds like Python's ``s ** e``; ``np.power`` does not.
+    """
+    return np.float_power(np.minimum(np.sin(alpha0), np.sin(gamma0)), d * (d - 1) // 2)
+
+
 def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     """Lower bound on every vertex d-sine certified by an angle window.
 
@@ -485,8 +483,7 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
         raise InvalidInputError(
             f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
         )
-    s = min(math.sin(alpha0), math.sin(gamma0))
-    return s ** (d * (d - 1) // 2)
+    return float(_certified_bound(alpha0, gamma0, d))
 
 
 def equivalence_audit(
@@ -502,22 +499,21 @@ def equivalence_audit(
     the cell's smallest vertex d-sine must be at least the certified bound
     computed from the cell's extreme subsimplex dihedral angles.  Both
     margins are reported per cell; degenerate cells are flagged and the
-    audit continues.
+    audit continues.  The bound skips :func:`certified_dsine_bound`'s window
+    check: a measured angle that rounds to pi still has a sine of 1.2e-16.
     """
     scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
     good = np.flatnonzero(~scan.degenerate)
-    cells = []
-    for index, lo, hi, dsine, forward in zip(
-        good.tolist(),
-        scan.min_dihedral[good].tolist(),
-        scan.max_dihedral[good].tolist(),
-        scan.min_dsine[good].tolist(),
-        scan.forward_margin[good].tolist(),
-    ):
-        bound = certified_dsine_bound(lo, hi, mesh.ambient_dim)
-        cells.append(CellAudit(index, dsine, lo, hi, bound, forward, dsine - bound))
+    lo, hi, dsine = scan.min_dihedral[good], scan.max_dihedral[good], scan.min_dsine[good]
+    bound = _certified_bound(lo, hi, mesh.ambient_dim)
     return EquivalenceAudit(
         ambient_dim=mesh.ambient_dim,
-        cells=tuple(cells),
+        cells=good,
+        min_vertex_dsine=dsine,
+        min_dihedral_all_sub=lo,
+        max_dihedral_all_sub=hi,
+        certified_bound=bound,
+        forward_margin=scan.forward_margin[good],
+        backward_margin=dsine - bound,
         degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
     )

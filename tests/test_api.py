@@ -53,7 +53,6 @@ PUBLIC_NAMES = {
     "write_report",
     # regularity
     "AUDIT_TOLERANCE",
-    "CellAudit",
     "ConditionVerdict",
     "EquivalenceAudit",
     "MeshQuality",

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minangle import (
     Mesh,
@@ -16,12 +21,15 @@ from minangle import (
     dump_mesh,
     inradius,
     is_degenerate,
+    mesh_quality,
     min_vertex_dsine,
     product_decomposition,
+    random_simplex,
     regular_simplex,
     vertex_sines,
 )
 from minangle.cli import main
+from test_golden import kuhn_mesh
 
 EXIT_OK, EXIT_VIOLATED, EXIT_INPUT_ERROR, EXIT_DEGENERATE = 0, 1, 2, 3
 
@@ -199,6 +207,18 @@ class TestAuditCommand:
         )
         assert main(["audit", str(sliver), "-o", "/dev/null"]) == EXIT_DEGENERATE
 
+    def test_angle_rounding_to_pi_gets_a_margin(self, tmp_path):
+        """A good cell whose largest angle rounds to pi is audited, not rejected as input."""
+        path = write_mesh_file(
+            tmp_path / "flat.json", [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-17]], [[0, 1, 2]]
+        )
+        report = tmp_path / "audit.json"
+        argv = ["audit", str(path), "--degeneracy-tol", "1e-300", "-o", str(report)]
+        assert main(argv) in (EXIT_OK, EXIT_VIOLATED)
+        cell = json.loads(report.read_text())["cells"][0]
+        assert cell["max_dihedral_rad"] == math.pi
+        assert math.isfinite(cell["backward_margin"])
+
 
 class TestFamilyCommand:
     def make_family(self, tmp_path, params):
@@ -313,6 +333,14 @@ class TestGenerateCommand:
         )
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0"])
+    def test_bad_scale_is_one_error_line(self, capsys, scale):
+        argv = ["generate", "--kind", "regular", "--dim", "3", f"--scale={scale}"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scale must be positive and finite, got {float(scale)}\n"
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "--kind", "spiky", "--dim", "3"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
@@ -394,6 +422,18 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize(
+        "member, shown", [("a\0b.json", "a\\x00b.json"), ("a\nb\r\x1b.json", "a\\nb\\r\\x1b.json")]
+    )
+    def test_control_characters_in_member_path(self, tmp_path, capsys, member, shown):
+        """A NUL byte is an input error too, and control characters are escaped in the one line."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"meshes": [member]}))
+        self.assert_input_error(
+            ["family", str(manifest), "--alpha0", "0.1"], capsys,
+            f"cannot read mesh file {tmp_path}/{shown}",
+        )
+
+    @pytest.mark.parametrize(
         "text, needle",
         [
             ('["a.json"]', "must be an object with a 'meshes' array"),
@@ -407,6 +447,96 @@ class TestMalformedInput:
         self.assert_input_error(
             ["family", str(manifest), "--alpha0", "0.1"], capsys, f"error: {manifest}: ", needle
         )
+
+
+def golden_bases():
+    """A small golden-corpus mesh (a sliver, a collapse), and that mesh without the collapse."""
+    mesh = kuhn_mesh(2, 2, seed=1_002)
+    good = mesh.cells[mesh_quality(mesh).cells]
+    return [dump_mesh(mesh).encode(), dump_mesh(Mesh(mesh.vertices, good.tolist())).encode()]
+
+
+FUZZ_BASES = golden_bases()
+# Bytes that make an inserted run likely to stay JSON-like, or to break it in a known way.
+FUZZ_TOKENS = [b"-", b"e", b"9", b"0", b".", b",", b"[", b"]", b"{", b"}", b'"', b" ", b"1e400",
+               b"NaN", b"Infinity", b"true", b"null", b"\xff", b"\xef\xbb\xbf", b"\\u0000"]
+BITS = [1 << i for i in range(8)]
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.sampled_from(BITS)),
+    st.tuples(
+        st.just("insert"),
+        st.integers(0, 1 << 20),
+        st.one_of(st.sampled_from(FUZZ_TOKENS), st.binary(min_size=1, max_size=6)),
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 20), st.integers(1, 12)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(0)),
+)
+
+# Half the files stay intact, so the commands also get past parsing.
+EDITS = st.one_of(st.just([]), st.lists(MUTATION, min_size=1, max_size=3))
+
+
+def mutate(data, mutations):
+    """``data`` with each (kind, position, argument) edit applied in turn; flips are bit flips."""
+    for kind, position, argument in mutations:
+        at = position % (len(data) + 1)
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ argument]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + argument + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + argument:]
+        elif kind == "truncate":
+            data = data[:at]
+    return data
+
+
+class TestFuzzedInput:
+    """Mutated mesh and manifest bytes keep the exit-code contract of every reading command."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from(range(len(FUZZ_BASES))),
+        mesh_edits=EDITS,
+        manifest_edits=EDITS,
+        threshold=st.sampled_from(["1e-9", "0.3"]),
+    )
+    def test_exit_code_contract(self, tmp_path_factory, base, mesh_edits, manifest_edits,
+                                threshold):
+        workdir = tmp_path_factory.mktemp("fuzz")
+        mesh = workdir / "mesh.json"
+        mesh.write_bytes(mutate(FUZZ_BASES[base], mesh_edits))
+        manifest = workdir / "manifest.json"
+        manifest.write_bytes(mutate(json.dumps({"meshes": ["mesh.json"] * 2}).encode(),
+                                    manifest_edits))
+        report = workdir / "report.json"
+        flags = ["--alpha0", threshold, "--dsine-min", threshold, "-o", str(report)]
+        for argv in (["check", str(mesh), *flags], ["audit", str(mesh), "-o", str(report)],
+                     ["info", str(mesh)], ["family", str(manifest), *flags]):
+            report.unlink(missing_ok=True)
+            self.assert_contract(argv)
+
+    @staticmethod
+    def assert_contract(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)  # any exception escaping main fails the test
+        assert code in (EXIT_OK, EXIT_VIOLATED, EXIT_INPUT_ERROR, EXIT_DEGENERATE), argv
+        lines = err.getvalue().split("\n")[:-1]
+        if code == EXIT_INPUT_ERROR:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        else:
+            # Exit 3 from a report has no error line, from a DegeneracyError exactly one.
+            assert lines == [] or (code == EXIT_DEGENERATE and len(lines) == 1
+                                   and lines[0].startswith("error: ")), (argv, lines)
+        if code != EXIT_VIOLATED:
+            return
+        doc = json.loads(Path(argv[argv.index("-o") + 1]).read_text())
+        if argv[0] == "audit":
+            tolerance = doc["audit_tolerance"]
+            assert min(doc["aggregates"].values()) < -tolerance, doc["aggregates"]
+        else:
+            assert not all(verdict["satisfied"] for verdict in doc["verdicts"]), argv
 
 
 class TestUsage:
@@ -476,3 +606,55 @@ class TestExtremeScale:
         assert product_decomposition(scaled, 1).residual == pytest.approx(
             product_decomposition(unit, 1).residual, rel=1e-12, abs=1e-15
         )
+
+
+# Report keys holding differences on the sine scale, which may be 0: compared absolutely.
+MARGIN_KEYS = {"forward_margin", "backward_margin", "min_forward_margin", "min_backward_margin"}
+
+
+def assert_reports_match(doc, unit_doc, where=""):
+    """Same layout, verdict flags and cells; numbers to 1e-12, relative or (margins) absolute."""
+    if isinstance(unit_doc, dict):
+        assert list(doc) == list(unit_doc), where
+        for key, value in unit_doc.items():
+            assert_reports_match(doc[key], value, f"{where}.{key}")
+    elif isinstance(unit_doc, list):
+        assert len(doc) == len(unit_doc), where
+        for position, (got, want) in enumerate(zip(doc, unit_doc)):
+            assert_reports_match(got, want, f"{where}[{position}]")
+    elif isinstance(unit_doc, float) and where.rsplit(".", 1)[-1] in MARGIN_KEYS:
+        assert doc == pytest.approx(unit_doc, rel=0.0, abs=1e-12), where
+    elif isinstance(unit_doc, float):
+        assert doc == pytest.approx(unit_doc, rel=1e-12, abs=0.0), where
+    else:
+        assert doc == unit_doc, where
+
+
+class TestExtremeScaleRandom:
+    """Random well-shaped simplices under a rigid motion give the same reports at 1e+-100."""
+
+    @staticmethod
+    def moved_cells(d):
+        """Three random simplices of dimension d, rotated and translated by a seeded motion."""
+        rng = np.random.default_rng(7_000 + d)
+        rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        blocks = [
+            random_simplex(d, seed, min_quality=1e-2).vertices @ rotation.T
+            + rng.uniform(-1.0, 1.0, d)
+            for seed in range(3)
+        ]
+        return np.vstack(blocks), [list(range(k * (d + 1), (k + 1) * (d + 1))) for k in range(3)]
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_unit_scale(self, tmp_path, capsys, command, scale, d):
+        vertices, cells = self.moved_cells(d)
+        unit = write_mesh_file(tmp_path / "unit.json", vertices, cells)
+        scaled = write_mesh_file(tmp_path / "scaled.json", vertices * scale, cells)
+        run = TestExtremeScale.run
+        unit_code, unit_doc = run(unit, command, capsys)
+        code, doc = run(scaled, command, capsys)
+        assert code == unit_code
+        assert "degenerate_cells" not in unit_doc
+        assert_reports_match(doc, unit_doc)

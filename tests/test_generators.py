@@ -170,6 +170,23 @@ class TestRandomSimplex:
             random_simplex(1)
 
 
+class TestScale:
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        """Rejected up front, before an infinite scale turns into inf - inf = nan coordinates."""
+        makers = [
+            lambda: regular_simplex(3, scale),
+            lambda: corner_simplex(3, scale),
+            lambda: flatten_family(3, 0.5, scale),
+            lambda: needle_family(3, 0.5, scale),
+            lambda: random_simplex(3, seed=1, scale=scale),
+            lambda: GeneratorSpec(kind="regular", dim=3, scale=scale),
+        ]
+        for make in makers:
+            with pytest.raises(InvalidInputError, match="scale must be positive and finite, got"):
+                make()
+
+
 class TestGeneratorSpec:
     def test_dispatch_matches_direct_calls(self):
         np.testing.assert_array_equal(

@@ -11,6 +11,7 @@ triangulations of the unit cube with one planted sliver and one collapsed
 vertex each.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,15 +22,12 @@ import pytest
 from minangle import (
     AUDIT_TOLERANCE,
     DEFAULT_TOLERANCES,
-    CellAudit,
     EquivalenceAudit,
     Mesh,
     MeshQuality,
-    SimplexQuality,
     certified_dsine_bound,
     equivalence_audit,
     mesh_quality,
-    subsimplex_count,
 )
 from minangle.cli import main
 from minangle.meshio import audit_to_dict, dump_mesh, report_to_dict
@@ -47,6 +45,15 @@ SLIVER_ANGLE = 1e-3
 # at beta = 1.7e-3, and Cayley-Menger determinants of a sliver lose digits
 # to cancellation), so those values are compared to 1e-9 absolute.
 WELL_SHAPED_ANGLE = 0.1
+# The metric columns of MeshQuality and EquivalenceAudit, in field order.
+QUALITY_FIELDS = (
+    "min_dihedral_all_sub", "max_dihedral_all_sub", "min_vertex_dsine", "ball_ratio",
+    "dihedral_sum_top",
+)
+AUDIT_FIELDS = (
+    "min_vertex_dsine", "min_dihedral_all_sub", "max_dihedral_all_sub", "certified_bound",
+    "forward_margin", "backward_margin",
+)
 
 
 def kuhn_mesh(d, n, seed):
@@ -76,8 +83,8 @@ def kuhn_mesh(d, n, seed):
     return Mesh(vertices, cells)
 
 
-def reference_cell(vertices, index, d):
-    """(SimplexQuality, CellAudit) of one cell from the oracles, or None if degenerate."""
+def reference_cell(vertices, d):
+    """The oracle values of one cell by metric field name, or None if it is degenerate."""
     lo, hi, forward = math.inf, -math.inf, math.inf
     for size in range(3, d + 2):
         for subset in itertools.combinations(range(d + 1), size):
@@ -93,26 +100,37 @@ def reference_cell(vertices, index, d):
     # The last subset is the cell itself, so ``angles`` are the cell's own.
     dsine = min(vertex_sines_cm(vertices))
     bound = certified_dsine_bound(lo, hi, d)
-    quality = SimplexQuality(
-        index, lo, hi, dsine, ball_ratio_cm(vertices), math.fsum(angles), subsimplex_count(d)
-    )
-    return quality, CellAudit(index, dsine, lo, hi, bound, forward, dsine - bound)
+    return {
+        "min_dihedral_all_sub": lo,
+        "max_dihedral_all_sub": hi,
+        "min_vertex_dsine": dsine,
+        "ball_ratio": ball_ratio_cm(vertices),
+        "dihedral_sum_top": math.fsum(angles),
+        "certified_bound": bound,
+        "forward_margin": forward,
+        "backward_margin": dsine - bound,
+    }
 
 
 def reference(mesh):
+    """The oracles' (MeshQuality, EquivalenceAudit) of ``mesh``, built cell by cell."""
     d = mesh.ambient_dim
-    qualities, audits, degenerate = [], [], []
+    good, rows, degenerate = [], [], []
     for index in range(mesh.cell_count):
-        cell = reference_cell(mesh.cell_simplex(index).vertices, index, d)
-        if cell is None:
+        row = reference_cell(mesh.cell_simplex(index).vertices, d)
+        if row is None:
             degenerate.append(index)
-            continue
-        quality, audit = cell
-        qualities.append(quality)
-        audits.append(audit)
+        else:
+            good.append(index)
+            rows.append(row)
+    cells = np.array(good, dtype=np.int64)
+
+    def columns(fields):
+        return (np.array([row[field] for row in rows]) for field in fields)
+
     return (
-        MeshQuality(d, tuple(qualities), tuple(degenerate)),
-        EquivalenceAudit(d, tuple(audits), tuple(degenerate)),
+        MeshQuality(d, cells, *columns(QUALITY_FIELDS), tuple(degenerate)),
+        EquivalenceAudit(d, cells, *columns(AUDIT_FIELDS), tuple(degenerate)),
     )
 
 
@@ -134,37 +152,42 @@ def assert_close(new, ref, well_shaped, what, margin=False):
 
 
 def only_cells(quality, kept=None):
-    """``quality`` without its degenerate cells, restricted to ``kept`` if given."""
-    cells = tuple(c for c in quality.cells if kept is None or c.cell_index in kept)
-    return MeshQuality(quality.ambient_dim, cells, ())
+    """``quality`` without its degenerate cells, restricted to the cells in ``kept`` if given."""
+    keep = slice(None) if kept is None else np.isin(quality.cells, kept)
+    return MeshQuality(
+        quality.ambient_dim,
+        quality.cells[keep],
+        *(getattr(quality, field)[keep] for field in QUALITY_FIELDS),
+    )
+
+
+def assert_columns_close(new, ref, fields, margins=()):
+    """Every column of ``fields`` agrees cell by cell; the well-shapedness comes from ``ref``."""
+    assert new.cells.tolist() == ref.cells.tolist()
+    well_shaped = (ref.min_dihedral_all_sub >= WELL_SHAPED_ANGLE).tolist()
+    for field in fields:
+        for index, got, want, well in zip(
+            ref.cells.tolist(), getattr(new, field).tolist(), getattr(ref, field).tolist(),
+            well_shaped,
+        ):
+            assert_close(got, want, well, f"cell {index} {field}", margin=field in margins)
 
 
 def test_corpus_has_a_sliver_and_a_collapse(corpus):
     mesh, (quality, _) = corpus
     assert quality.degenerate_cells
     assert mesh.cell_count - 1 in quality.degenerate_cells
-    assert quality.cells[0].cell_index == 0
-    assert quality.cells[0].min_dihedral_all_sub < SLIVER_ANGLE
-    assert sum(c.min_dihedral_all_sub >= WELL_SHAPED_ANGLE for c in quality.cells) > (
-        mesh.cell_count // 2
-    )
+    assert quality.cells[0] == 0
+    assert quality.min_dihedral_all_sub[0] < SLIVER_ANGLE
+    assert (quality.min_dihedral_all_sub >= WELL_SHAPED_ANGLE).sum() > mesh.cell_count // 2
 
 
 def test_mesh_quality_matches_reference(corpus):
     mesh, (ref, _) = corpus
     new = mesh_quality(mesh)
     assert new.degenerate_cells == ref.degenerate_cells
-    assert [c.cell_index for c in new.cells] == [c.cell_index for c in ref.cells]
-    for got, want in zip(new.cells, ref.cells):
-        well_shaped = want.min_dihedral_all_sub >= WELL_SHAPED_ANGLE
-        assert got.subsimplex_count == want.subsimplex_count
-        for field in ("min_dihedral_all_sub", "max_dihedral_all_sub", "min_vertex_dsine",
-                      "ball_ratio", "dihedral_sum_top"):
-            assert_close(getattr(got, field), getattr(want, field), well_shaped,
-                         f"cell {want.cell_index} {field}")
-    well_shaped = [
-        c.cell_index for c in ref.cells if c.min_dihedral_all_sub >= WELL_SHAPED_ANGLE
-    ]
+    assert_columns_close(new, ref, QUALITY_FIELDS)
+    well_shaped = ref.cells[ref.min_dihedral_all_sub >= WELL_SHAPED_ANGLE]
     for verdict, thresholds in ((verdict_min_dihedral, (1e-4, 0.3)),
                                 (verdict_min_dsine, (1e-9, 0.1))):
         for threshold in thresholds:
@@ -181,36 +204,28 @@ def test_equivalence_audit_matches_reference(corpus):
     assert new.tolerance == AUDIT_TOLERANCE
     assert new.degenerate_cells == ref.degenerate_cells
     assert new.satisfied() == ref.satisfied()
-    assert [c.cell_index for c in new.cells] == [c.cell_index for c in ref.cells]
-    for got, want in zip(new.cells, ref.cells):
-        well_shaped = want.min_dihedral_all_sub >= WELL_SHAPED_ANGLE
-        for field in ("min_vertex_dsine", "min_dihedral_all_sub", "max_dihedral_all_sub",
-                      "certified_bound"):
-            assert_close(getattr(got, field), getattr(want, field), well_shaped,
-                         f"cell {want.cell_index} {field}")
-        # A triangle's dihedral angles are its planar angles and its 2-sines
-        # their sines, so every forward margin is 0 up to rounding.
-        for field in ("forward_margin", "backward_margin"):
-            assert_close(getattr(got, field), getattr(want, field), well_shaped,
-                         f"cell {want.cell_index} {field}", margin=True)
-    assert EquivalenceAudit(new.ambient_dim, new.cells, ()).satisfied() == EquivalenceAudit(
-        ref.ambient_dim, ref.cells, ()
+    # A triangle's dihedral angles are its planar angles and its 2-sines
+    # their sines, so every forward margin is 0 up to rounding.
+    assert_columns_close(new, ref, AUDIT_FIELDS, margins=("forward_margin", "backward_margin"))
+    assert dataclasses.replace(new, degenerate_cells=()).satisfied() == dataclasses.replace(
+        ref, degenerate_cells=()
     ).satisfied()
 
 
 def old_info_table(mesh, quality):
     """The ``info`` table as the per-row f-string loop wrote it."""
     lines = []
-    rows = {c.cell_index: c for c in quality.cells}
+    rows = dict(
+        zip(quality.cells.tolist(), zip(*(getattr(quality, f).tolist() for f in QUALITY_FIELDS)))
+    )
     for index in range(mesh.cell_count):
         cell = rows.get(index)
         if cell is None:
             lines.append(f"{index:>5} {'degenerate':>17}\n")
             continue
+        low, high, dsine, ball, total = cell
         lines.append(
-            f"{index:>5} {cell.min_dihedral_all_sub:>17.7f} "
-            f"{cell.max_dihedral_all_sub:>17.7f} {cell.min_vertex_dsine:>10.7f} "
-            f"{cell.ball_ratio:>10.7f} {cell.dihedral_sum_top:>17.7f}\n"
+            f"{index:>5} {low:>17.7f} {high:>17.7f} {dsine:>10.7f} {ball:>10.7f} {total:>17.7f}\n"
         )
     return "".join(lines)
 

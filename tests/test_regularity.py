@@ -151,7 +151,7 @@ class TestConditionChecks:
         assert verdict.satisfied
         assert verdict.worst_cell == 0
         assert verdict.worst_value == pytest.approx(math.pi / 3, abs=1e-12)
-        assert quality.cells[0].subsimplex_count == 5
+        assert quality.cells.tolist() == [0]
 
     def test_minimum_angle_violated(self):
         verdict, _ = check_minimum_angle_condition(
@@ -242,28 +242,26 @@ class TestEquivalenceAudit:
     def test_regular_tetrahedron_margins(self):
         audit = equivalence_audit(single_cell_mesh(regular_simplex(3)))
         assert audit.satisfied()
-        cell = audit.cells[0]
         # equilateral faces make the forward margin exactly zero up to rounding
-        assert abs(cell.forward_margin) < 1e-9
-        assert cell.certified_bound == pytest.approx(
+        assert abs(audit.forward_margin[0]) < 1e-9
+        assert audit.certified_bound[0] == pytest.approx(
             math.sin(math.pi / 3) ** 3, abs=1e-12
         )
-        assert cell.backward_margin == pytest.approx(
+        assert audit.backward_margin[0] == pytest.approx(
             REGULAR_TETRA_DSINE - math.sin(math.pi / 3) ** 3, abs=1e-9
         )
 
     def test_corner_simplex_margins(self):
         audit = equivalence_audit(single_cell_mesh(corner(3)))
         assert audit.satisfied()
-        cell = audit.cells[0]
-        assert cell.certified_bound == pytest.approx(
+        assert audit.certified_bound[0] == pytest.approx(
             math.sin(math.pi / 4) ** 3, abs=1e-12
         )
-        assert cell.min_vertex_dsine == pytest.approx(
+        assert audit.min_vertex_dsine[0] == pytest.approx(
             CORNER3_OFF_CORNER_DSINE, abs=1e-12
         )
-        assert cell.backward_margin > 0.0
-        assert cell.forward_margin >= -1e-9
+        assert audit.backward_margin[0] > 0.0
+        assert audit.forward_margin[0] >= -1e-9
 
     def test_many_random_tetrahedra(self):
         simplices = [
@@ -277,6 +275,21 @@ class TestEquivalenceAudit:
         assert audit.min_forward_margin() >= -1e-9
         assert audit.min_backward_margin() >= -1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bound_column_equals_the_scalar_formula_bit_for_bit(self, d):
+        simplices = [random_simplex(d, seed, min_quality=1e-2) for seed in range(60)]
+        cells = [list(range(k * (d + 1), (k + 1) * (d + 1))) for k in range(len(simplices))]
+        audit = equivalence_audit(Mesh(np.vstack([s.vertices for s in simplices]), cells))
+        windows = list(
+            zip(audit.min_dihedral_all_sub.tolist(), audit.max_dihedral_all_sub.tolist())
+        )
+        assert audit.certified_bound.tolist() == [
+            min(math.sin(lo), math.sin(hi)) ** (d * (d - 1) // 2) for lo, hi in windows
+        ]
+        assert audit.certified_bound.tolist() == [
+            certified_dsine_bound(lo, hi, d) for lo, hi in windows
+        ]
+
     def test_degenerate_cell_is_flagged_and_audit_continues(self):
         tet = regular_simplex(3)
         flat = np.array(
@@ -286,7 +299,7 @@ class TestEquivalenceAudit:
         audit = equivalence_audit(mesh)
         assert audit.degenerate_cells == (1,)
         assert len(audit.cells) == 1
-        assert audit.cells[0].cell_index == 0
+        assert audit.cells[0] == 0
         assert not audit.satisfied()
 
 
@@ -311,7 +324,7 @@ class TestTwoDimensionalEquivalence:
     def test_argmin_agreement_for_acute_meshes(self):
         mesh = self.build_mesh()
         quality = mesh_quality(mesh)
-        assert all(c.max_dihedral_all_sub <= math.pi / 2 + 1e-12 for c in quality.cells)
+        assert (quality.max_dihedral_all_sub <= math.pi / 2 + 1e-12).all()
         angle_verdict, _ = check_minimum_angle_condition(mesh, alpha0=1.0)
         sine_verdict, _ = check_generalized_condition(mesh, dsine_min=0.9)
         assert angle_verdict.worst_cell == sine_verdict.worst_cell == 2
