@@ -4,70 +4,93 @@ minangle measures the dihedral angles and vertex d-sines of d-simplices,
 checks the two classical mesh regularity conditions built on them (a
 lower bound on all subsimplex dihedral angles, and a lower bound on all
 vertex d-sines), and numerically audits the equivalence of the two.
+
+The public names below are loaded from their submodules on first access,
+so ``import minangle`` imports neither numpy nor any submodule.
 """
 
-from .angles import (
-    DihedralAngleSet,
-    ProductDecomposition,
-    VertexSineSet,
-    all_dihedral_angles,
-    ball_ratio,
-    d_sine,
-    dihedral_angle,
-    dihedral_sum,
-    inradius,
-    product_decomposition,
-    vertex_sines,
-)
-from .errors import DegeneracyError, GenerationError, InvalidInputError, MinAngleError
-from .generators import (
-    GeneratorSpec,
-    corner_simplex,
-    flatten_family,
-    generate,
-    needle_family,
-    random_simplex,
-    regular_simplex,
-)
-from .geometry import (
-    DEFAULT_TOLERANCES,
-    Simplex,
-    ToleranceConfig,
-    facet,
-    is_degenerate,
-    outward_unit_normal,
-    outward_unit_normals,
-    simplex_measure,
-)
-from .meshio import (
-    ConformityReport,
-    Mesh,
-    ValidationReport,
-    conformity_check,
-    dump_mesh,
-    load_mesh,
-    parse_family_manifest,
-    parse_mesh,
-    report_to_dict,
-    validate_mesh,
-    write_report,
-)
-from .regularity import (
-    AUDIT_TOLERANCE,
-    ConditionVerdict,
-    EquivalenceAudit,
-    MeshQuality,
-    SimplexQuality,
-    cell_quality,
-    certified_dsine_bound,
-    check_generalized_condition,
-    check_minimum_angle_condition,
-    equivalence_audit,
-    mesh_quality,
-    min_dihedral_over_subsimplices,
-    min_vertex_dsine,
-    subsimplex_count,
-    subsimplices,
-)
+import importlib
 
+# Submodule -> the public names it defines.
+_PUBLIC = {
+    "angles": (
+        "DihedralAngleSet",
+        "ProductDecomposition",
+        "VertexSineSet",
+        "all_dihedral_angles",
+        "ball_ratio",
+        "d_sine",
+        "dihedral_angle",
+        "dihedral_sum",
+        "inradius",
+        "product_decomposition",
+        "vertex_sines",
+    ),
+    "errors": ("DegeneracyError", "GenerationError", "InvalidInputError", "MinAngleError"),
+    "generators": (
+        "GeneratorSpec",
+        "corner_simplex",
+        "flatten_family",
+        "generate",
+        "needle_family",
+        "random_simplex",
+        "regular_simplex",
+    ),
+    "geometry": (
+        "DEFAULT_TOLERANCES",
+        "Simplex",
+        "ToleranceConfig",
+        "facet",
+        "is_degenerate",
+        "outward_unit_normal",
+        "outward_unit_normals",
+        "simplex_measure",
+    ),
+    "meshio": (
+        "ConformityReport",
+        "Mesh",
+        "ValidationReport",
+        "conformity_check",
+        "dump_mesh",
+        "load_mesh",
+        "parse_family_manifest",
+        "parse_mesh",
+        "report_to_dict",
+        "validate_mesh",
+        "write_report",
+    ),
+    "regularity": (
+        "AUDIT_TOLERANCE",
+        "ConditionVerdict",
+        "EquivalenceAudit",
+        "MeshQuality",
+        "SimplexQuality",
+        "cell_quality",
+        "certified_dsine_bound",
+        "check_generalized_condition",
+        "check_minimum_angle_condition",
+        "equivalence_audit",
+        "mesh_quality",
+        "min_dihedral_over_subsimplices",
+        "min_vertex_dsine",
+        "subsimplex_count",
+        "subsimplices",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

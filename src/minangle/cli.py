@@ -24,15 +24,22 @@ Identical inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+# minangle gives BLAS no work: its linear algebra is one small (k <= 12) LAPACK
+# factorization per matrix.  Yet OpenBLAS starts a thread pool when numpy loads,
+# which cost 70-85 ms of every command on a 2-vCPU machine.  The variable only
+# takes effect before numpy's first import, and a value the user set is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .generators import KINDS, GeneratorSpec, generate
-from .geometry import ToleranceConfig
+from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
     _dumps,
@@ -273,6 +280,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .generators import GeneratorSpec, generate  # only this command builds simplices
+
     spec = GeneratorSpec(
         kind=args.kind, dim=args.dim, param=args.param, seed=args.seed, scale=args.scale
     )
@@ -350,6 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _error(str(exc), EXIT_INPUT_ERROR)
     except DegeneracyError as exc:
         return _error(f"degenerate geometry: {exc}", EXIT_DEGENERATE)
+    except MemoryError as exc:  # an input too large to hold, such as generate --dim 10**8
+        return _error(f"out of memory: {str(exc) or 'allocation failed'}", EXIT_INPUT_ERROR)
 
 
 def run() -> None:

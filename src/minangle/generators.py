@@ -23,7 +23,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import GenerationError, InvalidInputError
-from .geometry import Simplex, is_degenerate
+from .geometry import KINDS, Simplex, is_degenerate
 
 __all__ = [
     "GeneratorSpec",
@@ -35,8 +35,6 @@ __all__ = [
     "random_simplex",
     "regular_simplex",
 ]
-
-KINDS = ("regular", "corner", "flatten", "needle", "random")
 
 _REJECTION_BUDGET = 10_000
 

@@ -74,6 +74,10 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
+# The simplex shapes :mod:`minangle.generators` builds, by name.  They live here
+# so that the CLI can list them without loading the generators.
+KINDS = ("regular", "corner", "flatten", "needle", "random")
+
 
 class Simplex:
     """An ordered k-simplex embedded in R^d, k <= d.

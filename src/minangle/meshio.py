@@ -348,6 +348,26 @@ def _read_json(source: str | bytes | IO, what: str) -> Any:
         ) from exc
 
 
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal rows of an (n, m) integer array, m >= 1.
+
+    Returns each group's first row index and row count, with the groups in
+    lexicographic order of their rows, and each row's group: what
+    ``np.unique(rows, axis=0, return_index=True, return_counts=True,
+    return_inverse=True)`` returns, from one lexsort and no structured view.
+    """
+    order = np.lexsort(rows.T[::-1])  # the last key is the primary one
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # lexsort is stable, so each group starts at its earliest row.
+    first = order[starts]
+    counts = np.diff(np.append(np.flatnonzero(starts), len(rows)))
+    groups = np.empty(len(rows), dtype=np.intp)
+    groups[order] = np.cumsum(starts) - 1
+    return first, counts, groups
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Geometric and referential problems found in a parsed mesh."""
@@ -374,10 +394,8 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
     used[mesh.cells.ravel()] = True
     unused = np.flatnonzero(~used).tolist()
     # A cell is a duplicate when an earlier cell has the same vertex set.
-    _, first, owner = np.unique(
-        np.sort(mesh.cells, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    duplicates = np.flatnonzero(first[owner.reshape(-1)] != np.arange(mesh.cell_count)).tolist()
+    first, _, owner = _row_groups(np.sort(mesh.cells, axis=1))
+    duplicates = np.flatnonzero(first[owner] != np.arange(mesh.cell_count)).tolist()
     return ValidationReport(
         degenerate_cells=tuple(degenerate),
         unused_vertices=tuple(unused),
@@ -410,15 +428,15 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     m = cells.shape[1]
     # Dropping one entry of a sorted row leaves the facet's sorted key.
     facets = cells[:, _others(m)].reshape(-1, m - 1)
-    keys, counts = np.unique(facets, axis=0, return_counts=True)
+    first, counts, _ = _row_groups(facets)
     overshared = tuple(
         (tuple(key), count)
-        for key, count in zip(keys[counts > 2].tolist(), counts[counts > 2].tolist())
+        for key, count in zip(facets[first[counts > 2]].tolist(), counts[counts > 2].tolist())
     )
     boundary = int((counts == 1).sum())
     interior = int((counts == 2).sum())
     return ConformityReport(
-        facet_count=len(keys),
+        facet_count=len(counts),
         boundary_facets=boundary,
         interior_facets=interior,
         overshared_facets=overshared,

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .angles import vertex_sines
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
     DEFAULT_TOLERANCES,
@@ -338,6 +337,8 @@ def min_dihedral_over_subsimplices(
 
 def min_vertex_dsine(s: Simplex) -> float:
     """Smallest vertex d-sine of a full-dimensional simplex."""
+    from .angles import vertex_sines  # imported here so that no mesh command loads angles
+
     return vertex_sines(s).min_sine()
 
 

@@ -1,79 +1,101 @@
 """The public names of the package: adding or removing one must show up here."""
 
+import importlib
 import types
 
 import minangle
 
-PUBLIC_NAMES = {
-    # angles
-    "DihedralAngleSet",
-    "ProductDecomposition",
-    "VertexSineSet",
-    "all_dihedral_angles",
-    "ball_ratio",
-    "d_sine",
-    "dihedral_angle",
-    "dihedral_sum",
-    "inradius",
-    "product_decomposition",
-    "vertex_sines",
-    # errors
-    "DegeneracyError",
-    "GenerationError",
-    "InvalidInputError",
-    "MinAngleError",
-    # generators
-    "GeneratorSpec",
-    "corner_simplex",
-    "flatten_family",
-    "generate",
-    "needle_family",
-    "random_simplex",
-    "regular_simplex",
-    # geometry
-    "DEFAULT_TOLERANCES",
-    "Simplex",
-    "ToleranceConfig",
-    "facet",
-    "is_degenerate",
-    "outward_unit_normal",
-    "outward_unit_normals",
-    "simplex_measure",
-    # meshio
-    "ConformityReport",
-    "Mesh",
-    "ValidationReport",
-    "conformity_check",
-    "dump_mesh",
-    "load_mesh",
-    "parse_family_manifest",
-    "parse_mesh",
-    "report_to_dict",
-    "validate_mesh",
-    "write_report",
-    # regularity
-    "AUDIT_TOLERANCE",
-    "ConditionVerdict",
-    "EquivalenceAudit",
-    "MeshQuality",
-    "SimplexQuality",
-    "cell_quality",
-    "certified_dsine_bound",
-    "check_generalized_condition",
-    "check_minimum_angle_condition",
-    "equivalence_audit",
-    "mesh_quality",
-    "min_dihedral_over_subsimplices",
-    "min_vertex_dsine",
-    "subsimplex_count",
-    "subsimplices",
+# Defining submodule -> the public names it contributes.
+DEFINING_MODULE_NAMES = {
+    "angles": {
+        "DihedralAngleSet",
+        "ProductDecomposition",
+        "VertexSineSet",
+        "all_dihedral_angles",
+        "ball_ratio",
+        "d_sine",
+        "dihedral_angle",
+        "dihedral_sum",
+        "inradius",
+        "product_decomposition",
+        "vertex_sines",
+    },
+    "errors": {
+        "DegeneracyError",
+        "GenerationError",
+        "InvalidInputError",
+        "MinAngleError",
+    },
+    "generators": {
+        "GeneratorSpec",
+        "corner_simplex",
+        "flatten_family",
+        "generate",
+        "needle_family",
+        "random_simplex",
+        "regular_simplex",
+    },
+    "geometry": {
+        "DEFAULT_TOLERANCES",
+        "Simplex",
+        "ToleranceConfig",
+        "facet",
+        "is_degenerate",
+        "outward_unit_normal",
+        "outward_unit_normals",
+        "simplex_measure",
+    },
+    "meshio": {
+        "ConformityReport",
+        "Mesh",
+        "ValidationReport",
+        "conformity_check",
+        "dump_mesh",
+        "load_mesh",
+        "parse_family_manifest",
+        "parse_mesh",
+        "report_to_dict",
+        "validate_mesh",
+        "write_report",
+    },
+    "regularity": {
+        "AUDIT_TOLERANCE",
+        "ConditionVerdict",
+        "EquivalenceAudit",
+        "MeshQuality",
+        "SimplexQuality",
+        "cell_quality",
+        "certified_dsine_bound",
+        "check_generalized_condition",
+        "check_minimum_angle_condition",
+        "equivalence_audit",
+        "mesh_quality",
+        "min_dihedral_over_subsimplices",
+        "min_vertex_dsine",
+        "subsimplex_count",
+        "subsimplices",
+    },
 }
+PUBLIC_NAMES = set().union(*DEFINING_MODULE_NAMES.values())
 
 
 def test_public_names_are_the_listed_ones():
+    assert set(minangle.__all__) == PUBLIC_NAMES
+    assert len(minangle.__all__) == len(PUBLIC_NAMES)
     public = {
         name
-        for name, value in vars(minangle).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(minangle)
+        if not name.startswith("_") and not isinstance(getattr(minangle, name), types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+def test_each_name_is_the_object_its_module_defines():
+    for module_name, names in DEFINING_MODULE_NAMES.items():
+        module = importlib.import_module(f"minangle.{module_name}")
+        for name in names:
+            assert getattr(minangle, name) is vars(module)[name], name
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(minangle, "no_such_name")

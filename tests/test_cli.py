@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minangle
 from minangle import (
     Mesh,
     Simplex,
@@ -341,6 +345,15 @@ class TestGenerateCommand:
         assert captured.out == ""
         assert captured.err == f"error: scale must be positive and finite, got {float(scale)}\n"
 
+    def test_huge_dimension_is_one_error_line(self, capsys):
+        # Its (d+1, d) vertex array would take 71 PiB, so the allocation fails at once.
+        argv = ["generate", "--kind", "regular", "--dim", "100000000"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "--kind", "spiky", "--dim", "3"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
@@ -554,6 +567,49 @@ class TestUsage:
 
 
 SCALES = [1e-300, 1e-100, 1e-60, 1e60, 1e100, 1e300]
+
+
+class TestProcessStartup:
+    """What a fresh process imports, and the BLAS thread setting it leaves."""
+
+    @staticmethod
+    def child(code, **env):
+        """Run ``code`` in a new interpreter without OPENBLAS_NUM_THREADS, plus ``env``."""
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(minangle.__file__).resolve().parent.parent)
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+        environ.update(env)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    def test_import_minangle_loads_no_numpy_and_sets_nothing(self):
+        code = (
+            "import os, sys, minangle\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert self.child(code) == ["False", "None"]
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_cli_runs_blas_single_threaded_unless_set(self, preset, expected):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        code = "import os, minangle.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.child(code, **env) == [expected]
+
+    def test_cli_imported_after_numpy_sets_nothing(self):
+        code = "import os, numpy, minangle.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self.child(code) == ["None"]
+
+    def test_info_loads_neither_generators_nor_angles(self, tetra_path):
+        code = (
+            "import sys\n"
+            "from minangle.cli import main\n"
+            f"code = main(['info', {str(tetra_path)!r}])\n"
+            "print(code, *(f'minangle.{m}' in sys.modules for m in ('generators', 'angles')))"
+        )
+        assert self.child(code)[-3:] == ["0", "False", "False"]
 
 
 class TestExtremeScale:
