@@ -11,24 +11,19 @@ so ``import minangle`` imports neither numpy nor any submodule.
 
 import importlib
 
-# Submodule -> the public names it defines.
+# Submodule -> the public names it defines: the one list of them, as no submodule has __all__.
 _PUBLIC = {
     "angles": (
         "DihedralAngleSet",
         "ProductDecomposition",
-        "VertexSineSet",
         "all_dihedral_angles",
         "ball_ratio",
-        "d_sine",
-        "dihedral_angle",
         "dihedral_sum",
-        "inradius",
         "product_decomposition",
         "vertex_sines",
     ),
     "errors": ("DegeneracyError", "GenerationError", "InvalidInputError", "MinAngleError"),
     "generators": (
-        "GeneratorSpec",
         "corner_simplex",
         "flatten_family",
         "generate",
@@ -42,7 +37,6 @@ _PUBLIC = {
         "ToleranceConfig",
         "facet",
         "is_degenerate",
-        "outward_unit_normal",
         "outward_unit_normals",
         "simplex_measure",
     ),
@@ -67,14 +61,12 @@ _PUBLIC = {
         "SimplexQuality",
         "cell_quality",
         "certified_dsine_bound",
-        "check_generalized_condition",
-        "check_minimum_angle_condition",
         "equivalence_audit",
         "mesh_quality",
         "min_dihedral_over_subsimplices",
-        "min_vertex_dsine",
         "subsimplex_count",
-        "subsimplices",
+        "verdict_min_dihedral",
+        "verdict_min_dsine",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -30,20 +30,6 @@ from dataclasses import dataclass
 from .errors import InvalidInputError
 from .geometry import Simplex, ToleranceConfig, _simplex_forms, facet
 
-__all__ = [
-    "DihedralAngleSet",
-    "ProductDecomposition",
-    "VertexSineSet",
-    "all_dihedral_angles",
-    "ball_ratio",
-    "d_sine",
-    "dihedral_angle",
-    "dihedral_sum",
-    "inradius",
-    "product_decomposition",
-    "vertex_sines",
-]
-
 
 @dataclass(frozen=True)
 class DihedralAngleSet:
@@ -60,6 +46,7 @@ class DihedralAngleSet:
     normals: np.ndarray
 
     def angle(self, i: int, j: int) -> float:
+        """The angle between facets F_i and F_j, symmetric in (i, j), in [0, pi]."""
         if i == j:
             raise InvalidInputError("dihedral angle needs two distinct facets")
         key = (i, j) if i < j else (j, i)
@@ -78,16 +65,6 @@ class DihedralAngleSet:
 
     def max_angle(self) -> float:
         return max(self.angles.values())
-
-
-@dataclass(frozen=True)
-class VertexSineSet:
-    """The d+1 vertex d-sines of a full-dimensional simplex."""
-
-    sines: tuple[float, ...]
-
-    def min_sine(self) -> float:
-        return min(self.sines)
 
 
 @dataclass(frozen=True)
@@ -127,20 +104,6 @@ def all_dihedral_angles(s: Simplex, cfg: ToleranceConfig | None = None) -> Dihed
     return DihedralAngleSet(simplex_dim=k, angles=angles, normals=-units)
 
 
-def dihedral_angle(s: Simplex, i: int, j: int, cfg: ToleranceConfig | None = None) -> float:
-    """Dihedral angle in radians between facets F_i and F_j of ``s``.
-
-    Symmetric in (i, j); the value lies in [0, pi] and strictly inside for
-    nondegenerate simplices.
-    """
-    k = s.intrinsic_dim
-    if not (0 <= i <= k and 0 <= j <= k):
-        raise InvalidInputError(f"facet indices ({i}, {j}) out of range 0..{k}")
-    if i == j:
-        raise InvalidInputError("dihedral angle needs two distinct facets")
-    return all_dihedral_angles(s, cfg).angle(i, j)
-
-
 def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     d = s.ambient_dim
     if s.intrinsic_dim != d:
@@ -150,28 +113,19 @@ def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     return d
 
 
-def d_sine(s: Simplex, i: int) -> float:
-    """The d-sine of the solid angle at vertex ``i`` of a d-simplex.
+def vertex_sines(s: Simplex) -> tuple[float, ...]:
+    """The d+1 vertex d-sines of a full-dimensional simplex, d >= 2, in vertex order.
 
-    Requires a full-dimensional simplex with d >= 2.  The value lies in
-    (0, 1] for nondegenerate input; 1 is attained exactly at the corner of
-    a right-angle (orthogonal-edge) simplex.
+    The d-sine at a vertex lies in (0, 1] for nondegenerate input; 1 is
+    attained exactly at the corner of a right-angle (orthogonal-edge)
+    simplex.
 
     Raises:
-        InvalidInputError: if ``s`` is not full-dimensional, d < 2, or
-            ``i`` is out of range.
+        InvalidInputError: if ``s`` is not full-dimensional or d < 2.
         DegeneracyError: if ``s`` is degenerate.
     """
-    d = _require_full_dim(s, "d-sine", 2)
-    if not 0 <= i <= d:
-        raise InvalidInputError(f"vertex index {i} out of range 0..{d}")
-    return vertex_sines(s).sines[i]
-
-
-def vertex_sines(s: Simplex) -> VertexSineSet:
-    """All d+1 vertex d-sines of a full-dimensional simplex, d >= 2."""
     _require_full_dim(s, "d-sine", 2)
-    return VertexSineSet(sines=tuple(_simplex_forms(s, None, "d-sine")[3].tolist()))
+    return tuple(_simplex_forms(s, None, "d-sine")[3].tolist())
 
 
 def product_decomposition(
@@ -216,13 +170,12 @@ def dihedral_sum(s: Simplex, cfg: ToleranceConfig | None = None) -> float:
     return math.fsum(all_dihedral_angles(s, cfg).values())
 
 
-def inradius(s: Simplex) -> float:
-    """Radius of the inscribed ball: 1 / sum_j |g_j| over the barycentric gradients."""
-    return ball_ratio(s) * s.diameter()
-
-
 def ball_ratio(s: Simplex) -> float:
-    """Inradius divided by the diameter; scale-invariant, in (0, 1)."""
+    """Inradius divided by the diameter; scale-invariant, in (0, 1).
+
+    The inradius is 1 / sum_j |g_j| over the barycentric gradients, so
+    ``ball_ratio(s) * s.diameter()`` is the radius of the inscribed ball.
+    """
     _require_full_dim(s, "ball ratio")
     _, lengths, _, _ = _simplex_forms(s, None, "ball ratio")
     return float(1.0 / lengths.sum())

@@ -280,12 +280,9 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .generators import GeneratorSpec, generate  # only this command builds simplices
+    from .generators import generate  # only this command builds simplices
 
-    spec = GeneratorSpec(
-        kind=args.kind, dim=args.dim, param=args.param, seed=args.seed, scale=args.scale
-    )
-    simplex = generate(spec)
+    simplex = generate(args.kind, args.dim, args.param, args.seed, args.scale)
     mesh = Mesh(simplex.vertices, [list(range(simplex.vertex_count))])
     _emit(dump_mesh(mesh), args.output)
     return EXIT_OK

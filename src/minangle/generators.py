@@ -17,24 +17,12 @@ quality floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import vertex_sines
 from .errors import GenerationError, InvalidInputError
 from .geometry import KINDS, Simplex, is_degenerate
-
-__all__ = [
-    "GeneratorSpec",
-    "KINDS",
-    "corner_simplex",
-    "flatten_family",
-    "generate",
-    "needle_family",
-    "random_simplex",
-    "regular_simplex",
-]
 
 _REJECTION_BUDGET = 10_000
 
@@ -159,9 +147,9 @@ def random_simplex(
     """
     _require_dim(d, 2)
     _require_scale(scale)
-    if not 0.0 <= min_quality < 1.0:
-        raise InvalidInputError(f"min_quality must lie in [0, 1), got {min_quality}")
     stream = SplitMix64(seed)
+    if not 0.0 <= min_quality < 1.0:
+        raise InvalidInputError(f"quality floor must lie in [0, 1), got {min_quality}")
     for _ in range(_REJECTION_BUDGET):
         coords = np.array(
             [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]
@@ -169,7 +157,7 @@ def random_simplex(
         candidate = Simplex(coords)
         if is_degenerate(candidate):
             continue
-        if vertex_sines(candidate).min_sine() > min_quality:
+        if min(vertex_sines(candidate)) > min_quality:
             return candidate
     raise GenerationError(
         f"no simplex with min d-sine > {min_quality} in {_REJECTION_BUDGET} draws "
@@ -177,44 +165,24 @@ def random_simplex(
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters of one generator invocation, as accepted by the CLI.
+def generate(
+    kind: str, dim: int, param: float | None = None, seed: int = 0, scale: float = 1.0
+) -> Simplex:
+    """Run the generator named ``kind``, one of :data:`KINDS`.
 
-    ``param`` means the family parameter t for flatten/needle and the
-    quality floor for random; regular and corner ignore it.
+    ``param`` means the family parameter t for flatten/needle (default 1)
+    and the quality floor for random (default 0); regular and corner ignore
+    it, and only random uses ``seed``.  Each generator checks its own
+    arguments.
     """
-
-    kind: str
-    dim: int
-    param: float | None = None
-    seed: int = 0
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
-        _require_dim(self.dim, 3 if self.kind == "flatten" else 2)
-        _require_scale(self.scale)
-        if self.kind in ("flatten", "needle") and self.param is not None:
-            _require_param(self.param)
-        if self.kind == "random":
-            if self.seed < 0:
-                raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-            if self.param is not None and not 0.0 <= self.param < 1.0:
-                raise InvalidInputError(f"quality floor must lie in [0, 1), got {self.param}")
-
-
-def generate(spec: GeneratorSpec) -> Simplex:
-    """Run the generator described by ``spec``."""
-    if spec.kind == "regular":
-        return regular_simplex(spec.dim, spec.scale)
-    if spec.kind == "corner":
-        return corner_simplex(spec.dim, spec.scale)
-    if spec.kind == "flatten":
-        return flatten_family(spec.dim, 1.0 if spec.param is None else spec.param, spec.scale)
-    if spec.kind == "needle":
-        return needle_family(spec.dim, 1.0 if spec.param is None else spec.param, spec.scale)
-    return random_simplex(
-        spec.dim, spec.seed, spec.scale, 0.0 if spec.param is None else spec.param
-    )
+    if kind == "regular":
+        return regular_simplex(dim, scale)
+    if kind == "corner":
+        return corner_simplex(dim, scale)
+    if kind == "flatten":
+        return flatten_family(dim, 1.0 if param is None else param, scale)
+    if kind == "needle":
+        return needle_family(dim, 1.0 if param is None else param, scale)
+    if kind == "random":
+        return random_simplex(dim, seed, scale, 0.0 if param is None else param)
+    raise InvalidInputError(f"unknown generator kind {kind!r}; expected one of {KINDS}")

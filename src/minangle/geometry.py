@@ -41,34 +41,25 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 
-__all__ = [
-    "DEFAULT_TOLERANCES",
-    "Simplex",
-    "ToleranceConfig",
-    "facet",
-    "is_degenerate",
-    "outward_unit_normal",
-    "outward_unit_normals",
-    "simplex_measure",
-]
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy shared by the geometric and angular operations.
 
     Attributes:
-        degeneracy_rel_tol: relative degeneracy threshold.  A k-simplex is
-            treated as degenerate when sqrt(det G) <= tol * (max edge)^k,
-            which makes the test invariant under uniform scaling.
+        degeneracy_rel_tol: relative degeneracy threshold in (0, 1).  A
+            k-simplex is treated as degenerate when sqrt(det G) <= tol *
+            (max edge)^k, which makes the test invariant under uniform
+            scaling.  By Hadamard's inequality sqrt(det G) <= (max edge)^k,
+            so a tolerance of 1 or more would mark every cell degenerate.
     """
 
     degeneracy_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.degeneracy_rel_tol > 0.0:
+        if not 0.0 < self.degeneracy_rel_tol < 1.0:
             raise InvalidInputError(
-                f"degeneracy_rel_tol must be positive, got {self.degeneracy_rel_tol}"
+                f"degeneracy_rel_tol must lie in (0, 1), got {self.degeneracy_rel_tol}"
             )
 
 
@@ -126,24 +117,10 @@ class Simplex:
     def vertex_count(self) -> int:
         return self._vertices.shape[0]
 
-    def vertex(self, i: int) -> np.ndarray:
-        return self._vertices[i]
-
-    def edge_vectors(self) -> np.ndarray:
-        """Edge vectors A_i - A_0 for i = 1..k, as rows of a (k, d) array."""
-        return self._vertices[1:] - self._vertices[0]
-
     def diameter(self) -> float:
         """Largest pairwise vertex distance; hypot scales, so no square overflows."""
         diff = self._vertices[:, None, :] - self._vertices[None, :, :]
         return float(np.hypot.reduce(np.abs(diff), axis=-1).max())
-
-    def permuted(self, order) -> "Simplex":
-        """Simplex with vertices reordered by the given index sequence."""
-        idx = list(order)
-        if sorted(idx) != list(range(self.vertex_count)):
-            raise InvalidInputError(f"{idx} is not a permutation of the vertex indices")
-        return Simplex(self._vertices[idx])
 
     def __repr__(self) -> str:
         return f"Simplex(k={self.intrinsic_dim}, d={self.ambient_dim})"
@@ -315,9 +292,3 @@ def outward_unit_normals(s: Simplex, cfg: ToleranceConfig | None = None) -> np.n
         raise InvalidInputError(f"normals need a full-dimensional simplex, got {s!r}")
     return -_simplex_forms(s, cfg, "normals", ambient=True)[0]
 
-
-def outward_unit_normal(s: Simplex, i: int, cfg: ToleranceConfig | None = None) -> np.ndarray:
-    """Outward unit normal of the facet of ``s`` opposite vertex ``i``."""
-    if not 0 <= i <= s.intrinsic_dim:
-        raise InvalidInputError(f"vertex index {i} out of range 0..{s.intrinsic_dim}")
-    return outward_unit_normals(s, cfg)[i]

@@ -38,21 +38,6 @@ from .regularity import (
     _degenerate_cells,
 )
 
-__all__ = [
-    "ConformityReport",
-    "Mesh",
-    "ValidationReport",
-    "audit_to_dict",
-    "conformity_check",
-    "dump_mesh",
-    "load_mesh",
-    "parse_family_manifest",
-    "parse_mesh",
-    "report_to_dict",
-    "validate_mesh",
-    "write_report",
-]
-
 _DEG_PER_RAD = 180.0 / math.pi
 
 # The C one-shot encoder: the same float repr, NaN/Infinity and ASCII

@@ -51,32 +51,13 @@ from .geometry import (
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
     from .meshio import Mesh
 
-__all__ = [
-    "AUDIT_TOLERANCE",
-    "ConditionVerdict",
-    "DIMENSION_CAP",
-    "EquivalenceAudit",
-    "MeshQuality",
-    "SimplexQuality",
-    "cell_quality",
-    "certified_dsine_bound",
-    "check_generalized_condition",
-    "check_minimum_angle_condition",
-    "equivalence_audit",
-    "mesh_quality",
-    "min_dihedral_over_subsimplices",
-    "min_vertex_dsine",
-    "subsimplex_count",
-    "subsimplices",
-]
-
 # Margins on sine-scale quantities are asserted down to this absolute
 # tolerance; on well-conditioned cells the kernel's values carry well under
 # 1e-12 relative error, so 1e-9 leaves headroom.
 AUDIT_TOLERANCE = 1e-9
 
-# Subsimplex enumeration is exhaustive (2^(d+1) subsets), so high
-# dimensions are refused unless explicitly overridden.
+# Subsimplex enumeration is exhaustive (2^(d+1) subsets per cell), so the
+# scan refuses dimensions above this limit.
 DIMENSION_CAP = 12
 
 # The scan works on chunks of cells; this bounds the float64 values held by
@@ -92,7 +73,6 @@ CONDITION_MIN_DSINE = "min_dsine"
 class SimplexQuality:
     """The quality metrics of one cell, as :func:`cell_quality` returns them."""
 
-    cell_index: int
     min_dihedral_all_sub: float
     max_dihedral_all_sub: float
     min_vertex_dsine: float
@@ -177,51 +157,30 @@ class EquivalenceAudit:
         )
 
 
-def _check_dimension_cap(k: int, allow_high_dim: bool) -> None:
-    if k > DIMENSION_CAP and not allow_high_dim:
-        raise InvalidInputError(
-            f"subsimplex enumeration over dimension {k} visits 2^{k + 1} subsets; "
-            f"pass allow_high_dim=True to run it anyway"
-        )
+def _index_subsets(k: int) -> Iterator[tuple[int, ...]]:
+    """The vertex subsets of a k-simplex's subsimplices of dimension >= 2, the simplex last.
 
-
-def _index_subsets(k: int, min_dim: int) -> Iterator[tuple[int, ...]]:
-    for size in range(min_dim + 1, k + 2):
+    Subsets come in ascending size and in lexicographic order within a size.
+    """
+    for size in range(3, k + 2):
         yield from itertools.combinations(range(k + 1), size)
 
 
-def subsimplices(
-    s: Simplex, min_dim: int = 2, *, allow_high_dim: bool = False
-) -> list[Simplex]:
-    """All subsimplices of ``s`` with dimension >= ``min_dim``, including ``s``.
-
-    Enumeration is by vertex-index subsets in ascending size and
-    lexicographic order within each size, so the output is deterministic.
-    """
-    if min_dim < 2:
-        raise InvalidInputError("dihedral angles are undefined below dimension 2")
-    _check_dimension_cap(s.intrinsic_dim, allow_high_dim)
-    return [
-        Simplex(s.vertices[list(subset)])
-        for subset in _index_subsets(s.intrinsic_dim, min_dim)
-    ]
-
-
-def subsimplex_count(dim: int, min_dim: int = 2) -> int:
-    """Number of subsimplices of dimension >= min_dim of a dim-simplex."""
-    return sum(math.comb(dim + 1, size) for size in range(min_dim + 1, dim + 2))
+def subsimplex_count(dim: int) -> int:
+    """Number of subsimplices of dimension >= 2 of a dim-simplex, itself included."""
+    return sum(math.comb(dim + 1, size) for size in range(3, dim + 2))
 
 
 def _subset_at(k: int, position: int) -> tuple[int, ...]:
-    """The vertex subset at ``position`` in the enumeration order of :func:`subsimplices`."""
-    return next(itertools.islice(_index_subsets(k, 2), position, None))
+    """The vertex subset at ``position`` in the order of :func:`_index_subsets`."""
+    return next(itertools.islice(_index_subsets(k), position, None))
 
 
 @dataclass(frozen=True)
 class _Scan:
     """Per-cell results of the subsimplex scan, one array entry per cell.
 
-    ``first_degenerate`` is the position, in :func:`subsimplices` order, of
+    ``first_degenerate`` is the position, in :func:`_index_subsets` order, of
     the first subsimplex (the cell included) that fails the degeneracy
     rule, or -1.  The metric entries of a degenerate cell are meaningless.
     """
@@ -296,15 +255,19 @@ def _scan(points: np.ndarray, tol: float) -> _Scan:
     return _Scan(*(np.concatenate(field) for field in zip(*parts)))
 
 
-def _check_scan_dim(k: int, what: object, allow_high_dim: bool) -> None:
+def _check_scan_dim(k: int, what: object) -> None:
     if k < 2:
         raise InvalidInputError(f"dihedral angles need dimension >= 2, got {what!r}")
-    _check_dimension_cap(k, allow_high_dim)
+    if k > DIMENSION_CAP:
+        raise InvalidInputError(
+            f"dimension {k} is above the limit d <= {DIMENSION_CAP}: the subsimplex "
+            f"scan visits all 2^{k + 1} vertex subsets of each cell"
+        )
 
 
-def _scan_simplex(s: Simplex, cfg: ToleranceConfig, allow_high_dim: bool) -> _Scan:
+def _scan_simplex(s: Simplex, cfg: ToleranceConfig) -> _Scan:
     """The scan of one simplex; raises DegeneracyError naming the first degenerate subset."""
-    _check_scan_dim(s.intrinsic_dim, s, allow_high_dim)
+    _check_scan_dim(s.intrinsic_dim, s)
     scan = _scan(s.vertices[None], cfg.degeneracy_rel_tol)
     if scan.degenerate[0]:
         subset = _subset_at(s.intrinsic_dim, int(scan.first_degenerate[0]))
@@ -312,13 +275,13 @@ def _scan_simplex(s: Simplex, cfg: ToleranceConfig, allow_high_dim: bool) -> _Sc
     return scan
 
 
-def _scan_mesh(mesh: "Mesh", cfg: ToleranceConfig, allow_high_dim: bool) -> _Scan:
-    _check_scan_dim(mesh.ambient_dim, mesh, allow_high_dim)
+def _scan_mesh(mesh: "Mesh", cfg: ToleranceConfig) -> _Scan:
+    _check_scan_dim(mesh.ambient_dim, mesh)
     return _scan(mesh.vertices[mesh.cells], cfg.degeneracy_rel_tol)
 
 
 def min_dihedral_over_subsimplices(
-    s: Simplex, cfg: ToleranceConfig | None = None, *, allow_high_dim: bool = False
+    s: Simplex, cfg: ToleranceConfig | None = None
 ) -> tuple[float, float]:
     """(min, max) over all dihedral angles of all subsimplices of ``s``.
 
@@ -329,32 +292,18 @@ def min_dihedral_over_subsimplices(
 
     Raises:
         DegeneracyError: naming the first degenerate vertex subset, in the
-            enumeration order of :func:`subsimplices`.
+            order of ascending size, lexicographic within a size.
     """
-    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
     return float(scan.min_dihedral[0]), float(scan.max_dihedral[0])
 
 
-def min_vertex_dsine(s: Simplex) -> float:
-    """Smallest vertex d-sine of a full-dimensional simplex."""
-    from .angles import vertex_sines  # imported here so that no mesh command loads angles
-
-    return vertex_sines(s).min_sine()
-
-
-def cell_quality(
-    s: Simplex,
-    cell_index: int = 0,
-    cfg: ToleranceConfig | None = None,
-    *,
-    allow_high_dim: bool = False,
-) -> SimplexQuality:
+def cell_quality(s: Simplex, cfg: ToleranceConfig | None = None) -> SimplexQuality:
     """All quality metrics of one cell; raises DegeneracyError on bad cells."""
     if s.intrinsic_dim != s.ambient_dim:
         raise InvalidInputError(f"cell quality needs a full-dimensional simplex, got {s!r}")
-    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
     return SimplexQuality(
-        cell_index=cell_index,
         min_dihedral_all_sub=float(scan.min_dihedral[0]),
         max_dihedral_all_sub=float(scan.max_dihedral[0]),
         min_vertex_dsine=float(scan.min_dsine[0]),
@@ -364,19 +313,14 @@ def cell_quality(
     )
 
 
-def mesh_quality(
-    mesh: "Mesh",
-    cfg: ToleranceConfig | None = None,
-    *,
-    allow_high_dim: bool = False,
-) -> MeshQuality:
+def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQuality:
     """Per-cell quality for a whole mesh, as columns over the nondegenerate cells.
 
     Degenerate cells are collected rather than raised, so a single bad
     cell cannot abort the scan.  Cells are in index order and the result
     is deterministic.
     """
-    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES)
     good = np.flatnonzero(~scan.degenerate)
     return MeshQuality(
         ambient_dim=mesh.ambient_dim,
@@ -419,7 +363,11 @@ def _verdict(
 
 
 def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdict:
-    """Verdict of the minimum angle condition for precomputed quality."""
+    """Whether every subsimplex dihedral angle of every cell of ``quality`` is >= alpha0.
+
+    Equality counts as satisfied.  Degenerate cells yield a violated
+    verdict annotated with their indices instead of an exception.
+    """
     return _verdict(
         CONDITION_MIN_DIHEDRAL, alpha0, 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
         quality, quality.min_dihedral_all_sub,
@@ -427,39 +375,11 @@ def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdic
 
 
 def verdict_min_dsine(quality: MeshQuality, dsine_min: float) -> ConditionVerdict:
-    """Verdict of the generalized (d-sine) condition for precomputed quality."""
+    """Whether every vertex d-sine of every cell of ``quality`` is >= dsine_min."""
     return _verdict(
         CONDITION_MIN_DSINE, dsine_min, 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
         quality, quality.min_vertex_dsine,
     )
-
-
-def check_minimum_angle_condition(
-    mesh: "Mesh",
-    alpha0: float,
-    cfg: ToleranceConfig | None = None,
-    *,
-    allow_high_dim: bool = False,
-) -> tuple[ConditionVerdict, MeshQuality]:
-    """Check that every subsimplex dihedral angle of every cell is >= alpha0.
-
-    Equality counts as satisfied.  Degenerate cells yield a violated
-    verdict annotated with their indices instead of an exception.
-    """
-    quality = mesh_quality(mesh, cfg, allow_high_dim=allow_high_dim)
-    return verdict_min_dihedral(quality, alpha0), quality
-
-
-def check_generalized_condition(
-    mesh: "Mesh",
-    dsine_min: float,
-    cfg: ToleranceConfig | None = None,
-    *,
-    allow_high_dim: bool = False,
-) -> tuple[ConditionVerdict, MeshQuality]:
-    """Check that every vertex d-sine of every cell is >= dsine_min."""
-    quality = mesh_quality(mesh, cfg, allow_high_dim=allow_high_dim)
-    return verdict_min_dsine(quality, dsine_min), quality
 
 
 def _certified_bound(alpha0, gamma0, d: int):
@@ -487,12 +407,7 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     return float(_certified_bound(alpha0, gamma0, d))
 
 
-def equivalence_audit(
-    mesh: "Mesh",
-    cfg: ToleranceConfig | None = None,
-    *,
-    allow_high_dim: bool = False,
-) -> EquivalenceAudit:
+def equivalence_audit(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> EquivalenceAudit:
     """Audit both directions of the condition equivalence on every cell.
 
     Forward: for every subsimplex, the sine of each of its dihedral angles
@@ -503,7 +418,7 @@ def equivalence_audit(
     audit continues.  The bound skips :func:`certified_dsine_bound`'s window
     check: a measured angle that rounds to pi still has a sine of 1.2e-16.
     """
-    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES, allow_high_dim)
+    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES)
     good = np.flatnonzero(~scan.degenerate)
     lo, hi, dsine = scan.min_dihedral[good], scan.max_dihedral[good], scan.min_dsine[good]
     bound = _certified_bound(lo, hi, mesh.ambient_dim)

@@ -22,14 +22,12 @@ from minangle import (
     Simplex,
     all_dihedral_angles,
     certified_dsine_bound,
+    ball_ratio,
     corner_simplex,
-    d_sine,
     dihedral_sum,
     dump_mesh,
     flatten_family,
-    inradius,
     min_dihedral_over_subsimplices,
-    min_vertex_dsine,
     product_decomposition,
     random_simplex,
     regular_simplex,
@@ -83,7 +81,7 @@ def test_criterion_1_classical_sine_reduction():
     for k in range(1000):
         tri = random_simplex(2, seed=200_000 + k, min_quality=1e-2)
         for i in range(3):
-            gap = abs(d_sine(tri, i) - math.sin(planar_angle(tri.vertices, i)))
+            gap = abs(vertex_sines(tri)[i] - math.sin(planar_angle(tri.vertices, i)))
             worst = max(worst, gap)
     assert worst < 1e-12, f"worst |sin_2 - classical sine| = {worst:.3e}"
 
@@ -106,12 +104,13 @@ def test_criterion_3_closed_forms():
     for d in range(2, 9):
         for value in all_dihedral_angles(regular_simplex(d)).values():
             assert value == pytest.approx(math.acos(1.0 / d), abs=1e-10)
-    assert min_vertex_dsine(regular_simplex(3)) == pytest.approx(
+    assert min(vertex_sines(regular_simplex(3))) == pytest.approx(
         4.0 / (3.0 * math.sqrt(3.0)), abs=1e-10
     )
     for d in range(2, 9):
-        assert d_sine(corner_simplex(d), 0) == pytest.approx(1.0, abs=1e-12)
-    assert inradius(regular_simplex(3)) == pytest.approx(
+        assert vertex_sines(corner_simplex(d))[0] == pytest.approx(1.0, abs=1e-12)
+    tet = regular_simplex(3)
+    assert ball_ratio(tet) * tet.diameter() == pytest.approx(  # the inradius
         1.0 / (2.0 * math.sqrt(6.0)), abs=1e-10
     )
 
@@ -121,7 +120,7 @@ def test_criterion_4_forward_inequality(sample_pool):
     worst = math.inf
     for d in POOL_DIMS:
         for s in sample_pool[d]:
-            floor = min_vertex_dsine(s)
+            floor = min(vertex_sines(s))
             for beta in all_dihedral_angles(s).values():
                 worst = min(worst, math.sin(beta) - floor)
     assert worst >= -1e-9, f"worst forward margin = {worst:.3e}"
@@ -137,13 +136,13 @@ def test_criterion_5_backward_bound(sample_pool):
             smallest_sine = min(math.sin(lo), math.sin(hi))
             bound = smallest_sine**exponent
             assert bound == certified_dsine_bound(lo, hi, d)
-            worst = min(worst, min_vertex_dsine(s) - bound)
+            worst = min(worst, min(vertex_sines(s)) - bound)
     assert worst >= -1e-9, f"worst backward margin = {worst:.3e}"
 
 
 @criterion(6, "flattening family degenerates monotonically")
 def test_criterion_6_degeneration_trend(flatten_sequence):
-    dsines = [min_vertex_dsine(s) for s in flatten_sequence]
+    dsines = [min(vertex_sines(s)) for s in flatten_sequence]
     extremes = [min_dihedral_over_subsimplices(s) for s in flatten_sequence]
     min_dihedrals = [lo for lo, _ in extremes]
     max_dihedrals = [hi for _, hi in extremes]
@@ -170,9 +169,7 @@ def test_criterion_8_invariance_suite():
             s = random_simplex(d, seed=300_000 * d + k, min_quality=1e-2)
             lam = float(rng.uniform(0.1, 10.0))
             moved = Simplex(rigid_motion(s.vertices * lam, rng))
-            np.testing.assert_allclose(
-                vertex_sines(moved).sines, vertex_sines(s).sines, rtol=1e-9
-            )
+            np.testing.assert_allclose(vertex_sines(moved), vertex_sines(s), rtol=1e-9)
             base = all_dihedral_angles(s)
             transformed = all_dihedral_angles(moved)
             for key, value in base.angles.items():

@@ -14,11 +14,8 @@ from minangle import (
     all_dihedral_angles,
     ball_ratio,
     cell_quality,
-    d_sine,
-    dihedral_angle,
     dihedral_sum,
     flatten_family,
-    inradius,
     is_degenerate,
     product_decomposition,
     random_simplex,
@@ -47,11 +44,13 @@ class TestDihedralAngle:
         tri = regular_simplex(2)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert dihedral_angle(tri, i, j) == pytest.approx(math.pi / 3, abs=1e-12)
+                assert all_dihedral_angles(tri).angle(i, j) == pytest.approx(
+                    math.pi / 3, abs=1e-12
+                )
 
     def test_regular_tetrahedron_closed_form(self):
         tet = regular_simplex(3)
-        assert dihedral_angle(tet, 0, 1) == pytest.approx(
+        assert all_dihedral_angles(tet).angle(0, 1) == pytest.approx(
             REGULAR_TETRA_DIHEDRAL, abs=1e-12
         )
 
@@ -60,7 +59,7 @@ class TestDihedralAngle:
             tet = random_simplex(3, seed=1234 + seed, min_quality=1e-2)
             for i in range(4):
                 for j in range(i + 1, 4):
-                    assert dihedral_angle(tet, i, j) == pytest.approx(
+                    assert all_dihedral_angles(tet).angle(i, j) == pytest.approx(
                         tetra_dihedral_by_cross(tet.vertices, i, j), abs=1e-10
                     )
 
@@ -71,34 +70,39 @@ class TestDihedralAngle:
         sliver = flatten_family(3, t)
         exact = math.atan(2.0 * math.sqrt(3.0) * t)
         assert not is_degenerate(sliver)
+        angles = all_dihedral_angles(sliver)
         for i in range(3):
-            assert dihedral_angle(sliver, i, 3) == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert angles.angle(i, 3) == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert cell_quality(sliver).min_dihedral_all_sub == pytest.approx(
             exact, rel=1e-12, abs=0.0
         )
 
     def test_corner_coordinate_plane_pair(self):
-        assert dihedral_angle(corner(3), 1, 2) == pytest.approx(math.pi / 2, abs=1e-12)
+        angle = all_dihedral_angles(corner(3)).angle(1, 2)
+        assert angle == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_symmetry(self):
         tet = random_simplex(3, seed=5, min_quality=1e-2)
-        assert dihedral_angle(tet, 0, 2) == dihedral_angle(tet, 2, 0)
+        angles = all_dihedral_angles(tet)
+        assert angles.angle(0, 2) == angles.angle(2, 0)
 
     def test_same_facet_rejected(self):
+        angles = all_dihedral_angles(corner(3))
         with pytest.raises(InvalidInputError):
-            dihedral_angle(corner(3), 1, 1)
+            angles.angle(1, 1)
 
     def test_out_of_range_rejected(self):
+        angles = all_dihedral_angles(corner(3))
         with pytest.raises(InvalidInputError):
-            dihedral_angle(corner(3), 0, 4)
+            angles.angle(0, 4)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneracyError):
-            dihedral_angle(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 0, 1)
+            all_dihedral_angles(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
-            dihedral_angle(Simplex([[0.0], [1.0]]), 0, 1)
+            all_dihedral_angles(Simplex([[0.0], [1.0]]))
 
 
 class TestAllDihedralAngles:
@@ -118,7 +122,7 @@ class TestAllDihedralAngles:
         tet = random_simplex(3, seed=77, min_quality=1e-2)
         angle_set = all_dihedral_angles(tet)
         for (i, j), value in angle_set.angles.items():
-            assert value == dihedral_angle(tet, i, j)
+            assert value == angle_set.angle(i, j) == angle_set.angle(j, i)
 
     def test_embedded_subsimplex_is_projected(self):
         # an equilateral triangle floating in R^4 still has angles pi/3
@@ -137,68 +141,63 @@ class TestAllDihedralAngles:
 
 class TestDSine:
     def test_right_angle_corner_is_one(self):
-        assert d_sine(right_triangle(), 0) == pytest.approx(1.0, abs=1e-12)
+        assert vertex_sines(right_triangle())[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_corner_simplex_is_one_for_all_d(self, d):
-        assert d_sine(corner(d), 0) == pytest.approx(1.0, abs=1e-12)
+        assert vertex_sines(corner(d))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_regular_tetrahedron_closed_form(self):
         tet = regular_simplex(3)
-        for i in range(4):
-            assert d_sine(tet, i) == pytest.approx(REGULAR_TETRA_DSINE, abs=1e-12)
+        for value in vertex_sines(tet):
+            assert value == pytest.approx(REGULAR_TETRA_DSINE, abs=1e-12)
 
     def test_reduces_to_classical_sine_in_2d(self):
         for seed in range(300):
             tri = random_simplex(2, seed=40_000 + seed, min_quality=1e-3)
             for i in range(3):
                 assert abs(
-                    d_sine(tri, i) - math.sin(planar_angle(tri.vertices, i))
+                    vertex_sines(tri)[i] - math.sin(planar_angle(tri.vertices, i))
                 ) < 1e-12
 
     def test_values_in_unit_interval(self):
         for d in (2, 3, 4, 5):
             for seed in range(15):
                 s = random_simplex(d, seed=600 + seed, min_quality=1e-3)
-                for i in range(d + 1):
-                    value = d_sine(s, i)
+                for value in vertex_sines(s):
                     assert 0.0 < value <= 1.0 + 1e-12
 
     def test_embedded_simplex_rejected(self):
         tri3d = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            d_sine(tri3d, 0)
+            vertex_sines(tri3d)
 
     def test_segment_rejected(self):
         with pytest.raises(InvalidInputError):
-            d_sine(Simplex([[0.0], [1.0]]), 0)
+            vertex_sines(Simplex([[0.0], [1.0]]))
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneracyError):
-            d_sine(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]]), 0)
-
-    def test_vertex_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            d_sine(right_triangle(), 3)
+            vertex_sines(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]]))
 
 
 class TestVertexSines:
     def test_regular_simplex_all_equal(self):
         for d in (2, 3, 4):
-            sines = vertex_sines(regular_simplex(d)).sines
+            sines = vertex_sines(regular_simplex(d))
             assert max(sines) - min(sines) < 1e-12
 
     def test_right_isosceles_triangle(self):
-        sines = vertex_sines(right_triangle()).sines
+        sines = vertex_sines(right_triangle())
         np.testing.assert_allclose(
             sines, [1.0, math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12
         )
 
     def test_matches_per_vertex_calls_exactly(self):
         tet = random_simplex(3, seed=303, min_quality=1e-2)
-        batched = vertex_sines(tet).sines
-        for i in range(4):
-            assert batched[i] == d_sine(tet, i)
+        batched = vertex_sines(tet)
+        for i in range(3):
+            assert batched[i] == product_decomposition(tet, i).d_sine
 
 
 class TestProductDecomposition:
@@ -259,12 +258,14 @@ class TestDihedralSum:
 
 class TestInradiusAndBallRatio:
     def test_regular_tetrahedron_inradius(self):
-        assert inradius(regular_simplex(3)) == pytest.approx(
+        tet = regular_simplex(3)
+        assert ball_ratio(tet) * tet.diameter() == pytest.approx(
             REGULAR_TETRA_INRADIUS, abs=1e-12
         )
 
     def test_equilateral_triangle_inradius(self):
-        assert inradius(regular_simplex(2)) == pytest.approx(
+        tri = regular_simplex(2)
+        assert ball_ratio(tri) * tri.diameter() == pytest.approx(
             EQUILATERAL_INRADIUS, abs=1e-12
         )
 
@@ -276,7 +277,8 @@ class TestInradiusAndBallRatio:
     def test_scaling_behaviour(self, lam, seed):
         s = random_simplex(3, seed=seed, min_quality=1e-2)
         scaled = Simplex(s.vertices * lam)
-        assert inradius(scaled) == pytest.approx(lam * inradius(s), rel=1e-10)
+        inradius = ball_ratio(s) * s.diameter()
+        assert ball_ratio(scaled) * scaled.diameter() == pytest.approx(lam * inradius, rel=1e-10)
         assert ball_ratio(scaled) == pytest.approx(ball_ratio(s), rel=1e-10)
 
     def test_ball_ratio_bounded(self):
@@ -294,8 +296,8 @@ class TestInvarianceOfAngleMetrics:
             s = random_simplex(d, seed=880 + seed, min_quality=1e-2)
             lam = float(rng.uniform(0.2, 5.0))
             moved = Simplex(rigid_motion(s.vertices * lam, rng))
-            base_sines = vertex_sines(s).sines
-            moved_sines = vertex_sines(moved).sines
+            base_sines = vertex_sines(s)
+            moved_sines = vertex_sines(moved)
             np.testing.assert_allclose(moved_sines, base_sines, rtol=1e-9)
             base_angles = all_dihedral_angles(s)
             moved_angles = all_dihedral_angles(moved)
@@ -307,10 +309,11 @@ class TestInvarianceOfAngleMetrics:
         rng = np.random.default_rng(17 + d)
         for seed in range(8):
             s = random_simplex(d, seed=660 + seed, min_quality=1e-2)
-            reference = d_sine(s, 0)
+            reference = vertex_sines(s)[0]
             others = 1 + rng.permutation(d)
             order = [0, *map(int, others)]
-            assert d_sine(s.permuted(order), 0) == pytest.approx(reference, rel=1e-9)
+            permuted = Simplex(s.vertices[order])
+            assert vertex_sines(permuted)[0] == pytest.approx(reference, rel=1e-9)
 
 
 class TestForwardInequality:
@@ -320,7 +323,7 @@ class TestForwardInequality:
     def test_dihedral_sines_dominate_off_pair_vertex_sines(self, d):
         for seed in range(15):
             s = random_simplex(d, seed=2500 + seed, min_quality=1e-3)
-            sines = vertex_sines(s).sines
+            sines = vertex_sines(s)
             angle_set = all_dihedral_angles(s)
             for (i, j), beta in angle_set.angles.items():
                 off_pair = max(sines[v] for v in range(d + 1) if v not in (i, j))

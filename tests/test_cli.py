@@ -21,12 +21,9 @@ from minangle import (
     all_dihedral_angles,
     ball_ratio,
     cell_quality,
-    d_sine,
     dump_mesh,
-    inradius,
     is_degenerate,
     mesh_quality,
-    min_vertex_dsine,
     product_decomposition,
     random_simplex,
     regular_simplex,
@@ -173,6 +170,20 @@ class TestCheckCommand:
                   "-o", "/dev/null"])
             == EXIT_DEGENERATE
         )
+
+    @pytest.mark.parametrize("tol", ["inf", "1.0", "1e300"])
+    @pytest.mark.parametrize(
+        "command", [["check", "--alpha0", "0.5"], ["audit"], ["info"]], ids=["check", "audit", "info"]
+    )
+    def test_degeneracy_tol_of_one_or_more_is_an_input_error(
+        self, tetra_path, capsys, command, tol
+    ):
+        # sqrt(det G) <= (max edge)^k, so such a tolerance would flag every cell (exit 3).
+        argv = [command[0], str(tetra_path), *command[1:], "--degeneracy-tol", tol]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degeneracy_rel_tol must lie in (0, 1), got {float(tol)}\n"
 
 
 class TestAuditCommand:
@@ -362,6 +373,21 @@ class TestGenerateCommand:
         assert main(["generate", "--kind", "corner", "--dim", "2", "-o", "-"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertices"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+class TestDimensionLimit:
+    def test_dimension_above_twelve_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "d13.json"
+        assert main(["generate", "--kind", "regular", "--dim", "13", "-o", str(path)]) == EXIT_OK
+        for argv in (["check", str(path), "--alpha0", "0.5"], ["audit", str(path)],
+                     ["info", str(path)]):
+            assert main(argv) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: dimension 13 is above the limit d <= 12: "
+                "the subsimplex scan visits all 2^14 vertex subsets of each cell\n"
+            )
 
 
 class TestInfoCommand:
@@ -648,16 +674,19 @@ class TestExtremeScale:
         scaled = Simplex(unit.vertices * scale)
         assert not is_degenerate(scaled)
         for s in (unit, scaled):
-            assert min_vertex_dsine(s) == cell_quality(s).min_vertex_dsine
+            assert min(vertex_sines(s)) == cell_quality(s).min_vertex_dsine
         for metric in (
-            lambda s: vertex_sines(s).sines,
-            lambda s: d_sine(s, 2),
-            min_vertex_dsine,
+            vertex_sines,
+            lambda s: vertex_sines(s)[2],
+            lambda s: min(vertex_sines(s)),
             ball_ratio,
             lambda s: all_dihedral_angles(s).values(),
         ):
             np.testing.assert_allclose(metric(scaled), metric(unit), rtol=1e-12, atol=0.0)
-        assert inradius(scaled) == pytest.approx(scale * inradius(unit), rel=1e-12, abs=0.0)
+        # The inradius is ball_ratio(s) * s.diameter().
+        assert ball_ratio(scaled) * scaled.diameter() == pytest.approx(
+            scale * ball_ratio(unit) * unit.diameter(), rel=1e-12, abs=0.0
+        )
         # The residual of a regular simplex is 0 up to rounding.
         assert product_decomposition(scaled, 1).residual == pytest.approx(
             product_decomposition(unit, 1).residual, rel=1e-12, abs=1e-15

@@ -7,18 +7,16 @@ import pytest
 
 from minangle import (
     GenerationError,
-    GeneratorSpec,
     InvalidInputError,
     all_dihedral_angles,
     corner_simplex,
-    d_sine,
     flatten_family,
     generate,
-    min_vertex_dsine,
     needle_family,
     random_simplex,
     regular_simplex,
     simplex_measure,
+    vertex_sines,
 )
 from oracles import planar_angle
 
@@ -62,7 +60,7 @@ class TestCornerSimplex:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_corner_dsine_is_one(self, d):
-        assert d_sine(corner_simplex(d), 0) == pytest.approx(1.0, abs=1e-12)
+        assert vertex_sines(corner_simplex(d))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFlattenFamily:
@@ -88,9 +86,9 @@ class TestFlattenFamily:
             flatten_family(2, 0.5)  # needs d >= 3
 
     def test_quality_decays_smoothly_under_halving(self):
-        previous = min_vertex_dsine(flatten_family(3, 0.5))
+        previous = min(vertex_sines(flatten_family(3, 0.5)))
         for exponent in range(2, 11):
-            current = min_vertex_dsine(flatten_family(3, 2.0**-exponent))
+            current = min(vertex_sines(flatten_family(3, 2.0**-exponent)))
             assert current < previous
             assert current > previous / 10.0  # no more than 10x drop per halving
             previous = current
@@ -117,14 +115,14 @@ class TestNeedleFamily:
         assert angles[-1] < 0.01
 
     def test_min_dsine_vanishes_in_3d(self):
-        sines = [min_vertex_dsine(needle_family(3, 2.0**-e)) for e in range(1, 9)]
+        sines = [min(vertex_sines(needle_family(3, 2.0**-e))) for e in range(1, 9)]
         assert all(b < a for a, b in zip(sines, sines[1:]))
         assert sines[-1] < 0.01
 
     def test_quality_decays_smoothly_under_halving(self):
-        previous = min_vertex_dsine(needle_family(3, 0.5))
+        previous = min(vertex_sines(needle_family(3, 0.5)))
         for exponent in range(2, 9):
-            current = min_vertex_dsine(needle_family(3, 2.0**-exponent))
+            current = min(vertex_sines(needle_family(3, 2.0**-exponent)))
             assert previous / 10.0 < current < previous
             previous = current
 
@@ -143,7 +141,7 @@ class TestRandomSimplex:
     def test_quality_floor_is_respected(self):
         for seed in range(100):
             s = random_simplex(3, seed=seed, min_quality=0.2)
-            assert min_vertex_dsine(s) > 0.2
+            assert min(vertex_sines(s)) > 0.2
 
     def test_scale_bounds_coordinates(self):
         s = random_simplex(4, seed=9, scale=0.5)
@@ -153,7 +151,7 @@ class TestRandomSimplex:
     def test_triangle_sines_match_classical(self):
         tri = random_simplex(2, seed=77)
         for i in range(3):
-            assert d_sine(tri, i) == pytest.approx(
+            assert vertex_sines(tri)[i] == pytest.approx(
                 math.sin(planar_angle(tri.vertices, i)), abs=1e-12
             )
 
@@ -180,7 +178,7 @@ class TestScale:
             lambda: flatten_family(3, 0.5, scale),
             lambda: needle_family(3, 0.5, scale),
             lambda: random_simplex(3, seed=1, scale=scale),
-            lambda: GeneratorSpec(kind="regular", dim=3, scale=scale),
+            lambda: generate("regular", 3, scale=scale),
         ]
         for make in makers:
             with pytest.raises(InvalidInputError, match="scale must be positive and finite, got"):
@@ -188,30 +186,33 @@ class TestScale:
 
 
 class TestGeneratorSpec:
+    """``generate(kind, dim, param, seed, scale)``, the dispatch the CLI runs."""
+
     def test_dispatch_matches_direct_calls(self):
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="regular", dim=4)).vertices,
-            regular_simplex(4).vertices,
+            generate("regular", 4).vertices, regular_simplex(4).vertices
         )
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="flatten", dim=3, param=0.25)).vertices,
-            flatten_family(3, 0.25).vertices,
+            generate("flatten", 3, param=0.25).vertices, flatten_family(3, 0.25).vertices
         )
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="random", dim=3, seed=5)).vertices,
-            random_simplex(3, seed=5).vertices,
+            generate("random", 3, seed=5).vertices, random_simplex(3, seed=5).vertices
         )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GeneratorSpec(kind="spiky", dim=3)
+        with pytest.raises(InvalidInputError, match="unknown generator kind 'spiky'"):
+            generate("spiky", 3)
 
     def test_flatten_needs_three_dimensions(self):
         with pytest.raises(InvalidInputError):
-            GeneratorSpec(kind="flatten", dim=2)
+            generate("flatten", 2)
 
     def test_random_param_is_quality_floor(self):
-        with pytest.raises(InvalidInputError):
-            GeneratorSpec(kind="random", dim=3, param=1.0)
-        s = generate(GeneratorSpec(kind="random", dim=3, param=0.3, seed=11))
-        assert min_vertex_dsine(s) > 0.3
+        floor = r"quality floor must lie in \[0, 1\), got 1\.0"
+        with pytest.raises(InvalidInputError, match=floor):
+            generate("random", 3, param=1.0)
+        # The seed is checked before the floor.
+        with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
+            generate("random", 3, param=1.0, seed=-1)
+        s = generate("random", 3, param=0.3, seed=11)
+        assert min(vertex_sines(s)) > 0.3

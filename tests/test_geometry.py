@@ -16,7 +16,6 @@ from minangle import (
     facet,
     flatten_family,
     is_degenerate,
-    outward_unit_normal,
     outward_unit_normals,
     random_simplex,
     regular_simplex,
@@ -89,7 +88,7 @@ class TestSimplexMeasure:
             s = random_simplex(d, seed=7000 + seed, min_quality=1e-3)
             reference = simplex_measure(s)
             order = rng.permutation(d + 1)
-            assert simplex_measure(s.permuted(order)) == pytest.approx(
+            assert simplex_measure(Simplex(s.vertices[order])) == pytest.approx(
                 reference, rel=1e-10
             )
 
@@ -158,7 +157,7 @@ class TestOrthonormalFrame:
         # Q^T Q = I exactly when R^T R reproduces the edge Gram matrix E E^T.
         s = corner(d)
         coords, _ = kernel_hull_coordinates(s)
-        edges = s.edge_vectors() / s.diameter()
+        edges = (s.vertices[1:] - s.vertices[0]) / s.diameter()
         np.testing.assert_allclose(coords[1:] @ coords[1:].T, edges @ edges.T, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -221,11 +220,11 @@ class TestProjectIntrinsic:
 
 class TestOutwardNormals:
     def test_corner_triangle_hypotenuse(self):
-        n = outward_unit_normal(corner(2), 0)
+        n = outward_unit_normals(corner(2))[0]
         np.testing.assert_allclose(n, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-12)
 
     def test_corner_triangle_leg(self):
-        n = outward_unit_normal(corner(2), 1)
+        n = outward_unit_normals(corner(2))[1]
         np.testing.assert_allclose(n, [-1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -243,7 +242,7 @@ class TestOutwardNormals:
                 # outward: points away from the omitted vertex
                 for j in range(d + 1):
                     if j != i:
-                        assert np.dot(normals[i], s.vertex(j) - s.vertex(i)) > 0.0
+                        assert np.dot(normals[i], s.vertices[j] - s.vertices[i]) > 0.0
 
     def test_embedded_simplex_rejected(self):
         tri3d = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -284,6 +283,12 @@ class TestToleranceConfig:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(InvalidInputError):
             ToleranceConfig(degeneracy_rel_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, 1.0, 1e300])
+    def test_rejects_tolerance_of_one_or_more(self, tol):
+        # sqrt(det G) <= (max edge)^k always, so such a tolerance flags every cell.
+        with pytest.raises(InvalidInputError, match=r"must lie in \(0, 1\), got"):
+            ToleranceConfig(degeneracy_rel_tol=tol)
 
 
 def kernel_hull_coordinates(s):

@@ -28,10 +28,11 @@ from minangle import (
     certified_dsine_bound,
     equivalence_audit,
     mesh_quality,
+    verdict_min_dihedral,
+    verdict_min_dsine,
 )
 from minangle.cli import main
 from minangle.meshio import audit_to_dict, dump_mesh, report_to_dict
-from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
 from oracles import ball_ratio_cm, hull_coordinates, simplex_dihedral_angles, vertex_sines_cm
 
 # (dimension, subdivisions per axis)

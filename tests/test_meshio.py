@@ -23,10 +23,11 @@ from minangle import (
     regular_simplex,
     report_to_dict,
     validate_mesh,
+    verdict_min_dihedral,
+    verdict_min_dsine,
     write_report,
 )
 from minangle.meshio import _dumps
-from minangle.regularity import verdict_min_dihedral, verdict_min_dsine
 
 TETRA_DOC = {
     "ambient_dimension": 3,

@@ -12,19 +12,17 @@ from minangle import (
     Simplex,
     cell_quality,
     certified_dsine_bound,
-    check_generalized_condition,
-    check_minimum_angle_condition,
     equivalence_audit,
     flatten_family,
     mesh_quality,
     min_dihedral_over_subsimplices,
-    min_vertex_dsine,
     random_simplex,
     regular_simplex,
     subsimplex_count,
-    subsimplices,
+    verdict_min_dihedral,
+    verdict_min_dsine,
+    vertex_sines,
 )
-from minangle.regularity import verdict_min_dihedral
 from oracles import planar_angle
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
@@ -53,41 +51,38 @@ def triangle_with_angles(alpha, beta, origin=(0.0, 0.0)):
 
 class TestSubsimplices:
     def test_tetrahedron_count(self):
-        subs = subsimplices(regular_simplex(3))
-        assert len(subs) == 5
-        assert sorted(s.intrinsic_dim for s in subs) == [2, 2, 2, 2, 3]
+        # four triangles and the cell
+        assert subsimplex_count(3) == 5
+        assert cell_quality(regular_simplex(3)).subsimplex_count == 5
 
     def test_four_simplex_count(self):
-        assert len(subsimplices(regular_simplex(4))) == 16
+        assert subsimplex_count(4) == 16
 
     def test_triangle_is_its_only_subsimplex(self):
-        subs = subsimplices(regular_simplex(2))
-        assert len(subs) == 1
-        assert subs[0].intrinsic_dim == 2
+        assert subsimplex_count(2) == 1
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_count_matches_binomial_closed_form(self, d):
         expected = sum(math.comb(d + 1, m) for m in range(3, d + 2))
-        assert len(subsimplices(regular_simplex(d))) == expected
         assert subsimplex_count(d) == expected
+        assert cell_quality(regular_simplex(d)).subsimplex_count == expected
 
     def test_deterministic_order(self):
-        s = regular_simplex(3)
-        first = [tuple(map(tuple, sub.vertices)) for sub in subsimplices(s)]
-        second = [tuple(map(tuple, sub.vertices)) for sub in subsimplices(s)]
-        assert first == second
-        # triangles (size-3 subsets) come before the full cell
-        assert [sub.intrinsic_dim for sub in subsimplices(s)] == [2, 2, 2, 2, 3]
-
-    def test_min_dim_below_two_rejected(self):
-        with pytest.raises(InvalidInputError):
-            subsimplices(regular_simplex(3), min_dim=1)
+        # Subsets come in ascending size, lexicographic within a size.  Here the
+        # triangles (0, 3, 4) and (1, 2, 3) are collinear and every larger subset
+        # is flat; (0, 3, 4) comes first (in colexicographic order it would not).
+        e1, e2 = np.eye(4)[:2]
+        s = Simplex([e1, e2, 2.0 * e2, np.zeros(4), 2.0 * e1])
+        for _ in range(2):
+            with pytest.raises(DegeneracyError, match=r"subset \(0, 3, 4\)$"):
+                min_dihedral_over_subsimplices(s)
 
     def test_dimension_cap(self):
         s = regular_simplex(13)
-        with pytest.raises(InvalidInputError):
-            subsimplices(s)
-        assert len(subsimplices(s, allow_high_dim=True)) == subsimplex_count(13)
+        with pytest.raises(InvalidInputError, match=r"above the limit d <= 12.*2\^14"):
+            cell_quality(s)
+        with pytest.raises(InvalidInputError, match="d <= 12"):
+            mesh_quality(single_cell_mesh(s))
 
 
 class TestMinDihedralOverSubsimplices:
@@ -115,7 +110,8 @@ class TestMinDihedralOverSubsimplices:
             assert hi == pytest.approx(max(angles), abs=1e-10)
 
     def test_degenerate_subsimplex_names_the_subset(self):
-        # vertices 0,1,3 are collinear while the tetrahedron itself is not flat
+        # Vertices 0, 1, 3 are collinear, so the tetrahedron is flat too; the
+        # triangle is named because triangles come before the cell.
         bad = Simplex(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
         )
@@ -125,67 +121,61 @@ class TestMinDihedralOverSubsimplices:
 
 class TestMinVertexDsine:
     def test_regular_tetrahedron(self):
-        assert min_vertex_dsine(regular_simplex(3)) == pytest.approx(
+        assert min(vertex_sines(regular_simplex(3))) == pytest.approx(
             REGULAR_TETRA_DSINE, abs=1e-12
         )
 
     def test_corner_minimum_away_from_the_right_angle(self):
-        from minangle import vertex_sines
-
-        sines = vertex_sines(corner(3)).sines
+        sines = vertex_sines(corner(3))
         assert min(sines) == pytest.approx(CORNER3_OFF_CORNER_DSINE, abs=1e-12)
         assert sines.index(min(sines)) != 0
-        assert min_vertex_dsine(corner(3)) == min(sines)
+        assert cell_quality(corner(3)).min_vertex_dsine == min(sines)
 
     def test_right_triangle(self):
-        assert min_vertex_dsine(corner(2)) == pytest.approx(
+        assert min(vertex_sines(corner(2))) == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
 
 
 class TestConditionChecks:
     def test_minimum_angle_satisfied(self):
-        verdict, quality = check_minimum_angle_condition(
-            single_cell_mesh(regular_simplex(3)), alpha0=1.0
-        )
+        quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        verdict = verdict_min_dihedral(quality, alpha0=1.0)
         assert verdict.satisfied
         assert verdict.worst_cell == 0
         assert verdict.worst_value == pytest.approx(math.pi / 3, abs=1e-12)
         assert quality.cells.tolist() == [0]
 
     def test_minimum_angle_violated(self):
-        verdict, _ = check_minimum_angle_condition(
-            single_cell_mesh(regular_simplex(3)), alpha0=1.1
-        )
+        verdict = verdict_min_dihedral(mesh_quality(single_cell_mesh(regular_simplex(3))), 1.1)
         assert not verdict.satisfied
         assert verdict.worst_cell == 0
         assert verdict.worst_value == pytest.approx(1.0471975511965976, abs=1e-10)
 
     def test_zero_threshold_rejected(self):
-        with pytest.raises(InvalidInputError):
-            check_minimum_angle_condition(single_cell_mesh(regular_simplex(3)), alpha0=0.0)
         quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        with pytest.raises(InvalidInputError):
+            verdict_min_dihedral(quality, alpha0=0.0)
         with pytest.raises(InvalidInputError, match=r"alpha0 must lie in \(0, pi\), got 3\.14159"):
             verdict_min_dihedral(quality, math.pi)
 
     def test_generalized_condition_both_ways(self):
-        mesh = single_cell_mesh(regular_simplex(3))
-        ok, _ = check_generalized_condition(mesh, dsine_min=0.7)
-        bad, _ = check_generalized_condition(mesh, dsine_min=0.8)
+        quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        ok = verdict_min_dsine(quality, dsine_min=0.7)
+        bad = verdict_min_dsine(quality, dsine_min=0.8)
         assert ok.satisfied
         assert not bad.satisfied
 
     def test_generalized_condition_on_sliver(self):
-        verdict, _ = check_generalized_condition(
-            single_cell_mesh(flatten_family(3, 0.01)), dsine_min=0.5
-        )
+        quality = mesh_quality(single_cell_mesh(flatten_family(3, 0.01)))
+        verdict = verdict_min_dsine(quality, dsine_min=0.5)
         assert not verdict.satisfied
         assert verdict.worst_value < 0.5
 
     def test_verdict_invariant(self):
-        mesh = single_cell_mesh(regular_simplex(3))
+        quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
         for alpha0 in (0.5, 1.0, 1.0471975511965976, 1.2):
-            verdict, _ = check_minimum_angle_condition(mesh, alpha0)
+            verdict = verdict_min_dihedral(quality, alpha0)
             assert verdict.satisfied == (verdict.worst_value >= verdict.threshold_used)
 
     def test_ties_break_to_lowest_cell_index(self):
@@ -195,14 +185,15 @@ class TestConditionChecks:
             np.vstack([tet.vertices, shifted]),
             [[0, 1, 2, 3], [4, 5, 6, 7]],
         )
-        verdict, _ = check_minimum_angle_condition(mesh, alpha0=2.0)
+        verdict = verdict_min_dihedral(mesh_quality(mesh), alpha0=2.0)
         assert verdict.worst_cell == 0
 
     def test_degenerate_cell_yields_annotated_violation(self):
         tri = triangle_with_angles(math.pi / 3, math.pi / 3)
         flat = [[5.0, 0.0], [6.0, 0.0], [7.0, 0.0]]
         mesh = Mesh(np.vstack([tri, flat]), [[0, 1, 2], [3, 4, 5]])
-        verdict, quality = check_minimum_angle_condition(mesh, alpha0=0.5)
+        quality = mesh_quality(mesh)
+        verdict = verdict_min_dihedral(quality, alpha0=0.5)
         assert not verdict.satisfied
         assert verdict.degenerate_cells == (1,)
         assert verdict.worst_cell == 1
@@ -325,15 +316,15 @@ class TestTwoDimensionalEquivalence:
         mesh = self.build_mesh()
         quality = mesh_quality(mesh)
         assert (quality.max_dihedral_all_sub <= math.pi / 2 + 1e-12).all()
-        angle_verdict, _ = check_minimum_angle_condition(mesh, alpha0=1.0)
-        sine_verdict, _ = check_generalized_condition(mesh, dsine_min=0.9)
+        angle_verdict = verdict_min_dihedral(quality, alpha0=1.0)
+        sine_verdict = verdict_min_dsine(quality, dsine_min=0.9)
         assert angle_verdict.worst_cell == sine_verdict.worst_cell == 2
 
     def test_verdict_agreement_with_related_thresholds(self):
-        mesh = self.build_mesh()
+        quality = mesh_quality(self.build_mesh())
         for alpha0 in (0.7, 0.8, 1.0, 1.05):
-            angle_verdict, _ = check_minimum_angle_condition(mesh, alpha0)
-            sine_verdict, _ = check_generalized_condition(mesh, math.sin(alpha0))
+            angle_verdict = verdict_min_dihedral(quality, alpha0)
+            sine_verdict = verdict_min_dsine(quality, math.sin(alpha0))
             assert angle_verdict.satisfied == sine_verdict.satisfied
 
 
@@ -343,7 +334,7 @@ class TestDegeneratingFamily:
         min_dihedrals = []
         for exponent in range(1, 11):
             s = flatten_family(3, 2.0**-exponent)
-            dsines.append(min_vertex_dsine(s))
+            dsines.append(min(vertex_sines(s)))
             min_dihedrals.append(min_dihedral_over_subsimplices(s)[0])
         assert all(b < a for a, b in zip(dsines, dsines[1:]))
         assert all(b < a for a, b in zip(min_dihedrals, min_dihedrals[1:]))
@@ -352,8 +343,7 @@ class TestDegeneratingFamily:
 
 class TestCellQuality:
     def test_regular_tetrahedron_record(self):
-        record = cell_quality(regular_simplex(3), cell_index=4)
-        assert record.cell_index == 4
+        record = cell_quality(regular_simplex(3))
         assert record.subsimplex_count == 5
         assert record.min_dihedral_all_sub <= record.max_dihedral_all_sub
         assert 0.0 < record.min_vertex_dsine <= 1.0
