@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .geometry import Simplex, ToleranceConfig, _simplex_forms, facet
+from .geometry import Simplex, ToleranceConfig, _Record, _simplex_forms, facet
 
 
-@dataclass(frozen=True)
-class DihedralAngleSet:
+class DihedralAngleSet(_Record):
     """All k(k+1)/2 dihedral angles of one simplex, plus its outward normals.
 
     Angles are keyed by the unordered facet pair (i, j) with i < j and are
@@ -67,8 +65,7 @@ class DihedralAngleSet:
         return max(self.angles.values())
 
 
-@dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(_Record):
     """One vertex d-sine factored through the facet omitting the last vertex.
 
     ``product`` is sub_sine times the product of ``dihedral_sines`` (exact

@@ -24,6 +24,7 @@ Identical inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -138,10 +139,15 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 
 def _emit(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
+    if destination != "-":
         Path(destination).write_text(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left, as `| head` does; on devnull the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_json(doc: dict[str, Any], destination: str) -> None:
@@ -301,36 +307,37 @@ def cmd_info(args: argparse.Namespace) -> int:
     conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, cfg)
 
-    out = sys.stdout
-    out.write(f"mesh: {args.mesh}\n")
-    out.write(f"ambient dimension: {mesh.ambient_dim}\n")
-    out.write(f"vertices: {mesh.vertex_count}\n")
-    out.write(f"cells: {mesh.cell_count}\n")
+    out = []
+    out.append(f"mesh: {args.mesh}\n")
+    out.append(f"ambient dimension: {mesh.ambient_dim}\n")
+    out.append(f"vertices: {mesh.vertex_count}\n")
+    out.append(f"cells: {mesh.cell_count}\n")
     if conformity.is_conforming:
-        out.write(
+        out.append(
             f"conformity: OK ({conformity.interior_facets} interior, "
             f"{conformity.boundary_facets} boundary facets)\n"
         )
     else:
-        out.write("conformity: VIOLATED\n")
+        out.append("conformity: VIOLATED\n")
         for facet_key, count in conformity.overshared_facets:
-            out.write(f"  facet {list(facet_key)} shared by {count} cells\n")
+            out.append(f"  facet {list(facet_key)} shared by {count} cells\n")
     if validation.unused_vertices:
-        out.write(f"warning: unused vertices {list(validation.unused_vertices)}\n")
+        out.append(f"warning: unused vertices {list(validation.unused_vertices)}\n")
     if validation.duplicate_cells:
-        out.write(f"warning: duplicate cells {list(validation.duplicate_cells)}\n")
+        out.append(f"warning: duplicate cells {list(validation.duplicate_cells)}\n")
     if validation.degenerate_cells:
-        out.write(f"warning: degenerate cells {list(validation.degenerate_cells)}\n")
+        out.append(f"warning: degenerate cells {list(validation.degenerate_cells)}\n")
 
     columns = _quality_columns(quality)
-    out.write(_INFO_HEADER % ("cell", *columns))
+    out.append(_INFO_HEADER % ("cell", *columns))
     # One %-template row per cell, filled from the flattened (cell, 6) table in one call.
     templates = np.full(mesh.cell_count, _INFO_DEGENERATE_ROW, dtype=object)
     templates[quality.cells] = _INFO_ROW
     table = np.empty((mesh.cell_count, 6), dtype=object)
     table[:, 0] = np.arange(mesh.cell_count)
     table[quality.cells, 1:] = np.column_stack(list(columns.values()))
-    out.write("".join(templates) % tuple(table.ravel().tolist()))
+    out.append("".join(templates) % tuple(table.ravel().tolist()))
+    _emit("".join(out), "-")
     return EXIT_OK
 
 
@@ -362,6 +369,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     """Console-script entry point."""
+    # The imports live until exit; frozen, no collection walks them again, even at shutdown.
+    gc.freeze()
     sys.exit(main())
 
 

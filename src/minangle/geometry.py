@@ -35,31 +35,75 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class _Record:
+    """An immutable record of the fields its subclass annotates, in annotation order.
+
+    A frozen data class that compiles no code at import: defaults are class
+    attributes, ``__post_init__`` checks the fields, and records compare and
+    hash by fields, or by identity when declared ``eq=False``.
+    """
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        given = dict(zip(cls._fields, args), **kwargs)
+        values = {**cls._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        # Only the fields, in order, ever enter __dict__: the methods below rely on it.
+        self.__dict__.update((f, values[f]) for f in cls._fields)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class ToleranceConfig(_Record):
     """Numerical policy shared by the geometric and angular operations.
 
     Attributes:
-        degeneracy_rel_tol: relative degeneracy threshold in (0, 1).  A
-            k-simplex is treated as degenerate when sqrt(det G) <= tol *
+        degeneracy_rel_tol: relative degeneracy threshold in (0, sqrt(3)/2).
+            A k-simplex is treated as degenerate when sqrt(det G) <= tol *
             (max edge)^k, which makes the test invariant under uniform
-            scaling.  By Hadamard's inequality sqrt(det G) <= (max edge)^k,
-            so a tolerance of 1 or more would mark every cell degenerate.
+            scaling.  Every cell of dimension >= 2 has triangles, whose ratio
+            is at most sqrt(3)/2 (equilateral), so a larger tolerance would
+            mark every cell degenerate.
     """
 
     degeneracy_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.degeneracy_rel_tol < 1.0:
+        if not 0.0 < self.degeneracy_rel_tol < math.sqrt(3.0) / 2.0:
             raise InvalidInputError(
-                f"degeneracy_rel_tol must lie in (0, 1), got {self.degeneracy_rel_tol}"
+                f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {self.degeneracy_rel_tol}"
             )
 
 

@@ -23,14 +23,13 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, _others
+from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, _others, _Record
 from .regularity import (
     ConditionVerdict,
     EquivalenceAudit,
@@ -353,8 +352,7 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, counts, groups
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Geometric and referential problems found in a parsed mesh."""
 
     degenerate_cells: tuple[int, ...] = ()
@@ -388,8 +386,7 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
     )
 
 
-@dataclass(frozen=True)
-class ConformityReport:
+class ConformityReport(_Record):
     """Conformity summary from matching facets.
 
     This is a combinatorial necessary condition only: every (d-1)-facet,

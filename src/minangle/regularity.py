@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -46,6 +45,7 @@ from .geometry import (
     _gradient_forms,
     _intrinsic_r,
     _normalized,
+    _Record,
 )
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
@@ -69,8 +69,7 @@ CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"
 
 
-@dataclass(frozen=True)
-class SimplexQuality:
+class SimplexQuality(_Record):
     """The quality metrics of one cell, as :func:`cell_quality` returns them."""
 
     min_dihedral_all_sub: float
@@ -81,8 +80,7 @@ class SimplexQuality:
     subsimplex_count: int
 
 
-@dataclass(frozen=True, eq=False)
-class MeshQuality:
+class MeshQuality(_Record, eq=False):
     """Quality of a mesh as columns: entry i of each metric array belongs to cell ``cells[i]``.
 
     ``cells`` lists the nondegenerate cells in ascending order, ``degenerate_cells`` the rest.
@@ -110,8 +108,7 @@ class MeshQuality:
         return float(self.ball_ratio.min())
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(_Record):
     """Outcome of one condition check over a mesh.
 
     ``satisfied`` holds exactly when ``worst_value >= threshold_used``;
@@ -127,8 +124,7 @@ class ConditionVerdict:
     degenerate_cells: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceAudit:
+class EquivalenceAudit(_Record, eq=False):
     """Both equivalence margins, >= 0 up to rounding, as columns like :class:`MeshQuality`'s."""
 
     ambient_dim: int
@@ -176,8 +172,7 @@ def _subset_at(k: int, position: int) -> tuple[int, ...]:
     return next(itertools.islice(_index_subsets(k), position, None))
 
 
-@dataclass(frozen=True)
-class _Scan:
+class _Scan(_Record):
     """Per-cell results of the subsimplex scan, one array entry per cell.
 
     ``first_degenerate`` is the position, in :func:`_index_subsets` order, of

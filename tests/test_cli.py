@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -171,6 +172,16 @@ class TestCheckCommand:
             == EXIT_DEGENERATE
         )
 
+    @staticmethod
+    def assert_tolerance_rejected(path, capsys, command, tol):
+        argv = [command[0], str(path), *command[1:], "--degeneracy-tol", tol]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {float(tol)}\n"
+        )
+
     @pytest.mark.parametrize("tol", ["inf", "1.0", "1e300"])
     @pytest.mark.parametrize(
         "command", [["check", "--alpha0", "0.5"], ["audit"], ["info"]], ids=["check", "audit", "info"]
@@ -179,11 +190,27 @@ class TestCheckCommand:
         self, tetra_path, capsys, command, tol
     ):
         # sqrt(det G) <= (max edge)^k, so such a tolerance would flag every cell (exit 3).
-        argv = [command[0], str(tetra_path), *command[1:], "--degeneracy-tol", tol]
-        assert main(argv) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: degeneracy_rel_tol must lie in (0, 1), got {float(tol)}\n"
+        self.assert_tolerance_rejected(tetra_path, capsys, command, tol)
+
+    @pytest.mark.parametrize("tol", ["0.87", "0.99"])
+    @pytest.mark.parametrize(
+        "command", [["check", "--alpha0", "0.5"], ["audit"], ["info"]], ids=["check", "audit", "info"]
+    )
+    def test_degeneracy_tol_above_the_equilateral_ratio_is_an_input_error(
+        self, tmp_path, capsys, command, tol
+    ):
+        # Every cell has triangles, and no triangle's |det R| / diameter^2 exceeds the
+        # equilateral sqrt(3)/2 = 0.866..., so such a tolerance flags every cell (exit 3).
+        path = tmp_path / "triangle.json"
+        assert main(["generate", "--kind", "regular", "--dim", "2", "-o", str(path)]) == EXIT_OK
+        self.assert_tolerance_rejected(path, capsys, command, tol)
+
+    def test_degeneracy_tol_just_below_the_equilateral_ratio_passes(self, tmp_path, capsys):
+        path = tmp_path / "triangle.json"
+        assert main(["generate", "--kind", "regular", "--dim", "2", "-o", str(path)]) == EXIT_OK
+        argv = ["check", str(path), "--alpha0", "0.5", "--degeneracy-tol", "0.86", "-o", "-"]
+        assert main(argv) == EXIT_OK
+        assert "degenerate_cells" not in json.loads(capsys.readouterr().out)
 
 
 class TestAuditCommand:
@@ -636,6 +663,57 @@ class TestProcessStartup:
             "print(code, *(f'minangle.{m}' in sys.modules for m in ('generators', 'angles')))"
         )
         assert self.child(code)[-3:] == ["0", "False", "False"]
+
+    def test_cli_loads_dataclasses_only_if_numpy_does(self):
+        code = "import sys, {}; print('dataclasses' in sys.modules)"
+        numpy_loads = self.child(code.format("numpy"))
+        assert self.child(code.format("minangle.cli")) == numpy_loads
+
+    def test_run_freezes_the_import_time_heap(self):
+        code = (
+            "import gc, minangle.cli as cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "cli.run()"
+        )
+        assert int(self.child(code)[0]) > 0
+
+    def test_main_freezes_nothing(self, tetra_path, capsys):
+        before = gc.get_freeze_count()
+        assert main(["info", str(tetra_path)]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe before the command writes, as `| head` can, changes
+    nothing: the command exits with its own code and prints no error."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["info"], EXIT_OK),
+            (["check", "--alpha0", "0.5", "-o", "-"], EXIT_OK),
+            (["check", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
+            (["audit", "-o", "-"], EXIT_OK),
+        ],
+        ids=["info", "check", "check-violated", "audit"],
+    )
+    def test_exit_code_is_the_commands_own(self, tetra_path, command, expected, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(minangle.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "minangle.cli", command[0], str(tetra_path), *command[1:]],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr.decode()) == (expected, "")
 
 
 class TestExtremeScale:

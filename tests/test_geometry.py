@@ -287,8 +287,26 @@ class TestToleranceConfig:
     @pytest.mark.parametrize("tol", [math.inf, 1.0, 1e300])
     def test_rejects_tolerance_of_one_or_more(self, tol):
         # sqrt(det G) <= (max edge)^k always, so such a tolerance flags every cell.
-        with pytest.raises(InvalidInputError, match=r"must lie in \(0, 1\), got"):
+        with pytest.raises(InvalidInputError, match=r"must lie in \(0, sqrt\(3\)/2\), got"):
             ToleranceConfig(degeneracy_rel_tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.sqrt(3) / 2, 0.87, 0.99])
+    def test_rejects_tolerance_of_the_equilateral_ratio_or_more(self, tol):
+        # The equilateral triangle has the largest |det R| / diameter^2 of any triangle.
+        with pytest.raises(InvalidInputError, match=r"must lie in \(0, sqrt\(3\)/2\), got"):
+            ToleranceConfig(degeneracy_rel_tol=tol)
+
+    def test_equilateral_ratio_is_the_largest_a_triangle_reaches(self):
+        # The rule compares |det R| / diameter^2 with the tolerance.
+        def ratio(s):
+            z, dist = _normalized(s.vertices[None])
+            return float(_intrinsic_r(z, dist, np.arange(3)[None], 1e-12)[1][0, 0])
+
+        assert ratio(regular_simplex(2)) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+        rng = np.random.default_rng(0)
+        for d in (2, 3):
+            assert max(ratio(Simplex(rng.normal(size=(3, d)))) for _ in range(200)) < 0.866
+        assert not is_degenerate(regular_simplex(2), ToleranceConfig(0.866))
 
 
 def kernel_hull_coordinates(s):

@@ -11,7 +11,6 @@ triangulations of the unit cube with one planted sliver and one collapsed
 vertex each.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -162,6 +161,12 @@ def only_cells(quality, kept=None):
     )
 
 
+def without_degenerate(audit):
+    """``audit`` with an empty ``degenerate_cells``; its columns hold only the good cells anyway."""
+    columns = (getattr(audit, field) for field in AUDIT_FIELDS)
+    return EquivalenceAudit(audit.ambient_dim, audit.cells, *columns, tolerance=audit.tolerance)
+
+
 def assert_columns_close(new, ref, fields, margins=()):
     """Every column of ``fields`` agrees cell by cell; the well-shapedness comes from ``ref``."""
     assert new.cells.tolist() == ref.cells.tolist()
@@ -208,9 +213,7 @@ def test_equivalence_audit_matches_reference(corpus):
     # A triangle's dihedral angles are its planar angles and its 2-sines
     # their sines, so every forward margin is 0 up to rounding.
     assert_columns_close(new, ref, AUDIT_FIELDS, margins=("forward_margin", "backward_margin"))
-    assert dataclasses.replace(new, degenerate_cells=()).satisfied() == dataclasses.replace(
-        ref, degenerate_cells=()
-    ).satisfied()
+    assert without_degenerate(new).satisfied() == without_degenerate(ref).satisfied()
 
 
 def old_info_table(mesh, quality):
