@@ -56,12 +56,9 @@ _PUBLIC = {
     "regularity": (
         "AUDIT_TOLERANCE",
         "ConditionVerdict",
-        "EquivalenceAudit",
         "MeshQuality",
-        "SimplexQuality",
         "cell_quality",
         "certified_dsine_bound",
-        "equivalence_audit",
         "mesh_quality",
         "min_dihedral_over_subsimplices",
         "subsimplex_count",

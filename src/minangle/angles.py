@@ -30,13 +30,14 @@ from .errors import InvalidInputError
 from .geometry import Simplex, ToleranceConfig, _Record, _simplex_forms, facet
 
 
-class DihedralAngleSet(_Record):
+class DihedralAngleSet(_Record, eq=False):
     """All k(k+1)/2 dihedral angles of one simplex, plus its outward normals.
 
     Angles are keyed by the unordered facet pair (i, j) with i < j and are
     given in radians; ``normals`` are the outward unit normals, one row per
     facet: in the simplex's coordinates when it is full-dimensional (k = d),
     and in the orthonormal hull coordinates of its R factor when k < d.
+    Sets compare and hash by identity, as their fields hold a dict and an array.
     """
 
     simplex_dim: int

@@ -53,12 +53,7 @@ from .meshio import (
     report_to_dict,
     validate_mesh,
 )
-from .regularity import (
-    equivalence_audit,
-    mesh_quality,
-    verdict_min_dihedral,
-    verdict_min_dsine,
-)
+from .regularity import mesh_quality, verdict_min_dihedral, verdict_min_dsine
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -189,12 +184,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
-    mesh = load_mesh(args.mesh)
-    audit = equivalence_audit(mesh, cfg)
-    _emit_json(audit_to_dict(audit, degrees=args.degrees), args.report)
-    if audit.degenerate_cells:
+    quality = mesh_quality(load_mesh(args.mesh), cfg)
+    _emit_json(audit_to_dict(quality, degrees=args.degrees), args.report)
+    if quality.degenerate_cells:
         return EXIT_DEGENERATE
-    if not audit.satisfied():
+    if not quality.audit_satisfied():
         return EXIT_VIOLATED
     return EXIT_OK
 

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .angles import vertex_sines
-from .errors import GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex, is_degenerate
+from .errors import DegeneracyError, GenerationError, InvalidInputError
+from .geometry import KINDS, Simplex
 
 _REJECTION_BUDGET = 10_000
 
@@ -155,9 +155,11 @@ def random_simplex(
             [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]
         )
         candidate = Simplex(coords)
-        if is_degenerate(candidate):
+        try:
+            sines = vertex_sines(candidate)
+        except DegeneracyError:  # is_degenerate's rule, at the same default tolerance
             continue
-        if min(vertex_sines(candidate)) > min_quality:
+        if min(sines) > min_quality:
             return candidate
     raise GenerationError(
         f"no simplex with min d-sine > {min_quality} in {_REJECTION_BUDGET} draws "

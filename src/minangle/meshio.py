@@ -30,12 +30,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, _others, _Record
-from .regularity import (
-    ConditionVerdict,
-    EquivalenceAudit,
-    MeshQuality,
-    _degenerate_cells,
-)
+from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality, _degenerate_cells
 
 _DEG_PER_RAD = 180.0 / math.pi
 
@@ -528,33 +523,33 @@ def write_report(
     sink.write(_dumps(report_to_dict(quality, verdicts, degrees)) + "\n")
 
 
-def audit_to_dict(audit: EquivalenceAudit, degrees: bool = False) -> dict[str, Any]:
+def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
     """Equivalence-audit report as a JSON-ready dict."""
     columns = {
-        "min_dsine": audit.min_vertex_dsine,
-        "min_dihedral_rad": audit.min_dihedral_all_sub,
-        "max_dihedral_rad": audit.max_dihedral_all_sub,
-        "certified_bound": audit.certified_bound,
-        "forward_margin": audit.forward_margin,
-        "backward_margin": audit.backward_margin,
+        "min_dsine": quality.min_vertex_dsine,
+        "min_dihedral_rad": quality.min_dihedral_all_sub,
+        "max_dihedral_rad": quality.max_dihedral_all_sub,
+        "certified_bound": quality.certified_bound,
+        "forward_margin": quality.forward_margin,
+        "backward_margin": quality.backward_margin,
     }
     if degrees:
-        columns["min_dihedral_deg"] = audit.min_dihedral_all_sub * _DEG_PER_RAD
-        columns["max_dihedral_deg"] = audit.max_dihedral_all_sub * _DEG_PER_RAD
-    has_cells = bool(len(audit.cells))
+        columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
+        columns["max_dihedral_deg"] = quality.max_dihedral_all_sub * _DEG_PER_RAD
+    has_cells = bool(len(quality.cells))
     doc: dict[str, Any] = {
-        "ambient_dimension": audit.ambient_dim,
-        "cell_count": len(audit.cells) + len(audit.degenerate_cells),
-        "audit_tolerance": audit.tolerance,
+        "ambient_dimension": quality.ambient_dim,
+        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
+        "audit_tolerance": AUDIT_TOLERANCE,
         "aggregates": {
-            "min_forward_margin": audit.min_forward_margin() if has_cells else None,
-            "min_backward_margin": audit.min_backward_margin() if has_cells else None,
+            "min_forward_margin": quality.min_forward_margin() if has_cells else None,
+            "min_backward_margin": quality.min_backward_margin() if has_cells else None,
         },
         "cells": _indexed_rows(
-            audit.cells, columns, audit.degenerate_cells, _DEGENERATE_AUDIT_ROW
+            quality.cells, columns, quality.degenerate_cells, _DEGENERATE_AUDIT_ROW
         ),
-        "satisfied": audit.satisfied(),
+        "satisfied": quality.audit_satisfied(),
     }
-    if audit.degenerate_cells:
-        doc["degenerate_cells"] = list(audit.degenerate_cells)
+    if quality.degenerate_cells:
+        doc["degenerate_cells"] = list(quality.degenerate_cells)
     return doc

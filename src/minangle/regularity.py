@@ -7,15 +7,16 @@ Two per-family conditions are checked cell by cell:
 * generalized minimum angle condition: every vertex d-sine of every cell
   stays above a threshold C.
 
-The two are equivalent, and :func:`equivalence_audit` verifies the
-inequalities behind that equivalence numerically.  In the forward
-direction every dihedral sine of a simplex dominates the simplex's
-smallest vertex d-sine.  In the backward direction the smallest vertex
-d-sine is bounded below by s^(d(d-1)/2) where s is the smallest sine of
-any subsimplex dihedral angle: unrolling the product decomposition, each
-dimension level d' contributes d'-1 sine factors and the planar base case
-one more, and the concavity of sin on (0, pi) lets min(sin a, sin g) over
-the extreme angles a, g stand in for the minimum over all of them.
+The two are equivalent, and :func:`mesh_quality` carries the margins of
+the inequalities behind that equivalence, which the ``audit`` command
+checks numerically.  In the forward direction every dihedral sine of a
+simplex dominates the simplex's smallest vertex d-sine.  In the backward
+direction the smallest vertex d-sine is bounded below by s^(d(d-1)/2)
+where s is the smallest sine of any subsimplex dihedral angle: unrolling
+the product decomposition, each dimension level d' contributes d'-1 sine
+factors and the planar base case one more, and the concavity of sin on
+(0, pi) lets min(sin a, sin g) over the extreme angles a, g stand in for
+the minimum over all of them.
 
 Subsimplices run from dimension 2 (triangles, where dihedral angles are
 the ordinary planar angles) up to the cell itself; edges and vertices
@@ -69,21 +70,14 @@ CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"
 
 
-class SimplexQuality(_Record):
-    """The quality metrics of one cell, as :func:`cell_quality` returns them."""
-
-    min_dihedral_all_sub: float
-    max_dihedral_all_sub: float
-    min_vertex_dsine: float
-    ball_ratio: float
-    dihedral_sum_top: float
-    subsimplex_count: int
-
-
 class MeshQuality(_Record, eq=False):
     """Quality of a mesh as columns: entry i of each metric array belongs to cell ``cells[i]``.
 
     ``cells`` lists the nondegenerate cells in ascending order, ``degenerate_cells`` the rest.
+    ``forward_margin`` and ``backward_margin`` are the two equivalence margins, >= 0 up to
+    rounding: for every subsimplex, the sine of each of its dihedral angles must be at least
+    that subsimplex's smallest vertex sine; and the cell's smallest vertex d-sine must be at
+    least the ``certified_bound`` of its extreme subsimplex dihedral angles.
     """
 
     ambient_dim: int
@@ -93,7 +87,22 @@ class MeshQuality(_Record, eq=False):
     min_vertex_dsine: np.ndarray
     ball_ratio: np.ndarray
     dihedral_sum_top: np.ndarray
+    forward_margin: np.ndarray
     degenerate_cells: tuple[int, ...] = ()
+
+    @property
+    def certified_bound(self) -> np.ndarray:
+        """:func:`certified_dsine_bound` per cell, without its window check.
+
+        A measured angle that rounds to pi still has a sine of 1.2e-16.  The
+        cells are full-dimensional, so ``ambient_dim`` is their own dimension.
+        """
+        lo, hi = self.min_dihedral_all_sub, self.max_dihedral_all_sub
+        return _certified_bound(lo, hi, self.ambient_dim)
+
+    @property
+    def backward_margin(self) -> np.ndarray:
+        return self.min_vertex_dsine - self.certified_bound
 
     def min_dihedral(self) -> float:
         return float(self.min_dihedral_all_sub.min())
@@ -106,6 +115,21 @@ class MeshQuality(_Record, eq=False):
 
     def min_ball_ratio(self) -> float:
         return float(self.ball_ratio.min())
+
+    def min_forward_margin(self) -> float:
+        return float(self.forward_margin.min())
+
+    def min_backward_margin(self) -> float:
+        return float(self.backward_margin.min())
+
+    def audit_satisfied(self) -> bool:
+        """Whether there are cells, none degenerate, and both margins are >= -AUDIT_TOLERANCE."""
+        if self.degenerate_cells or not len(self.cells):
+            return False
+        return (
+            self.min_forward_margin() >= -AUDIT_TOLERANCE
+            and self.min_backward_margin() >= -AUDIT_TOLERANCE
+        )
 
 
 class ConditionVerdict(_Record):
@@ -122,35 +146,6 @@ class ConditionVerdict(_Record):
     worst_cell: int
     worst_value: float
     degenerate_cells: tuple[int, ...] = ()
-
-
-class EquivalenceAudit(_Record, eq=False):
-    """Both equivalence margins, >= 0 up to rounding, as columns like :class:`MeshQuality`'s."""
-
-    ambient_dim: int
-    cells: np.ndarray
-    min_vertex_dsine: np.ndarray
-    min_dihedral_all_sub: np.ndarray
-    max_dihedral_all_sub: np.ndarray
-    certified_bound: np.ndarray
-    forward_margin: np.ndarray
-    backward_margin: np.ndarray
-    degenerate_cells: tuple[int, ...] = ()
-    tolerance: float = AUDIT_TOLERANCE
-
-    def min_forward_margin(self) -> float:
-        return float(self.forward_margin.min())
-
-    def min_backward_margin(self) -> float:
-        return float(self.backward_margin.min())
-
-    def satisfied(self) -> bool:
-        if self.degenerate_cells or not len(self.cells):
-            return False
-        return (
-            self.min_forward_margin() >= -self.tolerance
-            and self.min_backward_margin() >= -self.tolerance
-        )
 
 
 def _index_subsets(k: int) -> Iterator[tuple[int, ...]]:
@@ -172,27 +167,6 @@ def _subset_at(k: int, position: int) -> tuple[int, ...]:
     return next(itertools.islice(_index_subsets(k), position, None))
 
 
-class _Scan(_Record):
-    """Per-cell results of the subsimplex scan, one array entry per cell.
-
-    ``first_degenerate`` is the position, in :func:`_index_subsets` order, of
-    the first subsimplex (the cell included) that fails the degeneracy
-    rule, or -1.  The metric entries of a degenerate cell are meaningless.
-    """
-
-    first_degenerate: np.ndarray
-    min_dihedral: np.ndarray
-    max_dihedral: np.ndarray
-    min_dsine: np.ndarray
-    ball_ratio: np.ndarray
-    dihedral_sum: np.ndarray
-    forward_margin: np.ndarray
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.first_degenerate >= 0
-
-
 def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
     """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
     step = max(1, _CHUNK_FLOATS // floats_per_cell)
@@ -211,6 +185,11 @@ def _degenerate_cells(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
+
+    The position is in :func:`_index_subsets` order, the cell included; the
+    metric entries of a degenerate cell are meaningless.
+    """
     n, m, _ = points.shape
     z, dist = _normalized(points)
     first = np.full(n, -1)
@@ -242,12 +221,22 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=-1), forward
 
 
-def _scan(points: np.ndarray, tol: float) -> _Scan:
-    """Scan every subsimplex of dimension >= 2 of each cell (N, m, d), m >= 3."""
+def _scan(points: np.ndarray, tol: float) -> MeshQuality:
+    """The quality of each cell (N, m, d), m >= 3, from every subsimplex of dimension >= 2.
+
+    A cell is degenerate when one of its subsimplices, itself included, fails the degeneracy rule.
+    """
     _, m, d = points.shape
     floats_per_cell = max(math.comb(m, size) * size * size * d for size in range(3, m + 1))
     parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
-    return _Scan(*(np.concatenate(field) for field in zip(*parts)))
+    first, *columns = map(np.concatenate, zip(*parts))
+    good = first < 0
+    return MeshQuality(
+        d,
+        np.flatnonzero(good),
+        *(column[good] for column in columns),
+        tuple(np.flatnonzero(~good).tolist()),
+    )
 
 
 def _check_scan_dim(k: int, what: object) -> None:
@@ -260,19 +249,14 @@ def _check_scan_dim(k: int, what: object) -> None:
         )
 
 
-def _scan_simplex(s: Simplex, cfg: ToleranceConfig) -> _Scan:
-    """The scan of one simplex; raises DegeneracyError naming the first degenerate subset."""
+def _scan_simplex(s: Simplex, cfg: ToleranceConfig) -> MeshQuality:
+    """The one-cell quality of ``s``; raises DegeneracyError naming the first degenerate subset."""
     _check_scan_dim(s.intrinsic_dim, s)
-    scan = _scan(s.vertices[None], cfg.degeneracy_rel_tol)
-    if scan.degenerate[0]:
-        subset = _subset_at(s.intrinsic_dim, int(scan.first_degenerate[0]))
+    first, *columns = _scan_chunk(s.vertices[None], cfg.degeneracy_rel_tol)
+    if first[0] >= 0:
+        subset = _subset_at(s.intrinsic_dim, int(first[0]))
         raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
-    return scan
-
-
-def _scan_mesh(mesh: "Mesh", cfg: ToleranceConfig) -> _Scan:
-    _check_scan_dim(mesh.ambient_dim, mesh)
-    return _scan(mesh.vertices[mesh.cells], cfg.degeneracy_rel_tol)
+    return MeshQuality(s.ambient_dim, np.zeros(1, dtype=np.intp), *columns)
 
 
 def min_dihedral_over_subsimplices(
@@ -289,44 +273,29 @@ def min_dihedral_over_subsimplices(
         DegeneracyError: naming the first degenerate vertex subset, in the
             order of ascending size, lexicographic within a size.
     """
-    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
-    return float(scan.min_dihedral[0]), float(scan.max_dihedral[0])
+    quality = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
+    return quality.min_dihedral(), quality.max_dihedral()
 
 
-def cell_quality(s: Simplex, cfg: ToleranceConfig | None = None) -> SimplexQuality:
-    """All quality metrics of one cell; raises DegeneracyError on bad cells."""
+def cell_quality(s: Simplex, cfg: ToleranceConfig | None = None) -> MeshQuality:
+    """The quality of one cell, as :func:`mesh_quality` of a one-cell mesh.
+
+    Raises DegeneracyError on bad cells.
+    """
     if s.intrinsic_dim != s.ambient_dim:
         raise InvalidInputError(f"cell quality needs a full-dimensional simplex, got {s!r}")
-    scan = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
-    return SimplexQuality(
-        min_dihedral_all_sub=float(scan.min_dihedral[0]),
-        max_dihedral_all_sub=float(scan.max_dihedral[0]),
-        min_vertex_dsine=float(scan.min_dsine[0]),
-        ball_ratio=float(scan.ball_ratio[0]),
-        dihedral_sum_top=float(scan.dihedral_sum[0]),
-        subsimplex_count=subsimplex_count(s.intrinsic_dim),
-    )
+    return _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
 
 
 def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQuality:
-    """Per-cell quality for a whole mesh, as columns over the nondegenerate cells.
+    """Per-cell quality and equivalence margins of a mesh, as columns over its good cells.
 
     Degenerate cells are collected rather than raised, so a single bad
     cell cannot abort the scan.  Cells are in index order and the result
     is deterministic.
     """
-    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES)
-    good = np.flatnonzero(~scan.degenerate)
-    return MeshQuality(
-        ambient_dim=mesh.ambient_dim,
-        cells=good,
-        min_dihedral_all_sub=scan.min_dihedral[good],
-        max_dihedral_all_sub=scan.max_dihedral[good],
-        min_vertex_dsine=scan.min_dsine[good],
-        ball_ratio=scan.ball_ratio[good],
-        dihedral_sum_top=scan.dihedral_sum[good],
-        degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
-    )
+    _check_scan_dim(mesh.ambient_dim, mesh)
+    return _scan(mesh.vertices[mesh.cells], (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol)
 
 
 def _verdict(
@@ -400,31 +369,3 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
             f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
         )
     return float(_certified_bound(alpha0, gamma0, d))
-
-
-def equivalence_audit(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> EquivalenceAudit:
-    """Audit both directions of the condition equivalence on every cell.
-
-    Forward: for every subsimplex, the sine of each of its dihedral angles
-    must be at least that subsimplex's smallest vertex sine.  Backward:
-    the cell's smallest vertex d-sine must be at least the certified bound
-    computed from the cell's extreme subsimplex dihedral angles.  Both
-    margins are reported per cell; degenerate cells are flagged and the
-    audit continues.  The bound skips :func:`certified_dsine_bound`'s window
-    check: a measured angle that rounds to pi still has a sine of 1.2e-16.
-    """
-    scan = _scan_mesh(mesh, cfg or DEFAULT_TOLERANCES)
-    good = np.flatnonzero(~scan.degenerate)
-    lo, hi, dsine = scan.min_dihedral[good], scan.max_dihedral[good], scan.min_dsine[good]
-    bound = _certified_bound(lo, hi, mesh.ambient_dim)
-    return EquivalenceAudit(
-        ambient_dim=mesh.ambient_dim,
-        cells=good,
-        min_vertex_dsine=dsine,
-        min_dihedral_all_sub=lo,
-        max_dihedral_all_sub=hi,
-        certified_bound=bound,
-        forward_margin=scan.forward_margin[good],
-        backward_margin=dsine - bound,
-        degenerate_cells=tuple(np.flatnonzero(scan.degenerate).tolist()),
-    )

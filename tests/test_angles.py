@@ -73,7 +73,7 @@ class TestDihedralAngle:
         angles = all_dihedral_angles(sliver)
         for i in range(3):
             assert angles.angle(i, 3) == pytest.approx(exact, rel=1e-12, abs=0.0)
-        assert cell_quality(sliver).min_dihedral_all_sub == pytest.approx(
+        assert cell_quality(sliver).min_dihedral() == pytest.approx(
             exact, rel=1e-12, abs=0.0
         )
 

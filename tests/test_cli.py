@@ -262,6 +262,67 @@ class TestAuditCommand:
         assert math.isfinite(cell["backward_margin"])
 
 
+class TestReportLayout:
+    """The key order at every level of the ``check`` and ``audit`` reports, as literals."""
+
+    CHECK_TOP = ["ambient_dimension", "cell_count", "aggregates", "cells", "verdicts"]
+    CHECK_AGGREGATES = ["min_dihedral_rad", "max_dihedral_rad", "min_dsine", "min_ball_ratio"]
+    CHECK_AGGREGATES_DEG = ["min_dihedral_deg", "max_dihedral_deg"]
+    CHECK_ROW = ["index", "min_dihedral_rad", "max_dihedral_rad", "min_dsine", "ball_ratio",
+                 "dihedral_sum_rad"]
+    CHECK_ROW_DEG = ["min_dihedral_deg", "max_dihedral_deg", "dihedral_sum_deg"]
+    CHECK_DEGENERATE_ROW = [*CHECK_ROW, "degenerate"]
+    VERDICT = ["condition", "threshold", "satisfied", "worst_cell", "worst_value"]
+    AUDIT_TOP = ["ambient_dimension", "cell_count", "audit_tolerance", "aggregates", "cells",
+                 "satisfied"]
+    AUDIT_AGGREGATES = ["min_forward_margin", "min_backward_margin"]
+    AUDIT_ROW = ["index", "min_dsine", "min_dihedral_rad", "max_dihedral_rad",
+                 "certified_bound", "forward_margin", "backward_margin"]
+    AUDIT_ROW_DEG = ["min_dihedral_deg", "max_dihedral_deg"]
+    AUDIT_DEGENERATE_ROW = ["index", "degenerate"]
+
+    @staticmethod
+    def mesh_file(tmp_path, with_degenerate):
+        """A regular tetrahedron, then a flat cell if ``with_degenerate``."""
+        flat = [[9.0, 0.0, 0.0], [10.0, 0.0, 0.0], [11.0, 0.0, 0.0], [12.0, 0.0, 0.0]]
+        vertices = np.vstack([regular_simplex(3).vertices, flat])
+        cells = [[0, 1, 2, 3], [4, 5, 6, 7]] if with_degenerate else [[0, 1, 2, 3]]
+        return write_mesh_file(tmp_path / "layout.json", vertices[: 4 * len(cells)], cells)
+
+    @staticmethod
+    def report(tmp_path, argv):
+        out = tmp_path / "report.json"
+        main([*argv, "-o", str(out)])
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    @pytest.mark.parametrize("with_degenerate", [False, True])
+    def test_check_report(self, tmp_path, degrees, with_degenerate):
+        path = self.mesh_file(tmp_path, with_degenerate)
+        flags = ["--alpha0", "0.5", "--dsine-min", "0.1"] + (["--degrees"] if degrees else [])
+        doc = self.report(tmp_path, ["check", str(path), *flags])
+        tail = ["degenerate_cells"] if with_degenerate else []
+        assert list(doc) == self.CHECK_TOP + tail
+        assert list(doc["aggregates"]) == self.CHECK_AGGREGATES + (
+            self.CHECK_AGGREGATES_DEG if degrees else []
+        )
+        assert list(doc["cells"][0]) == self.CHECK_ROW + (self.CHECK_ROW_DEG if degrees else [])
+        if with_degenerate:
+            assert list(doc["cells"][1]) == self.CHECK_DEGENERATE_ROW
+        assert [list(verdict) for verdict in doc["verdicts"]] == [self.VERDICT + tail] * 2
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    @pytest.mark.parametrize("with_degenerate", [False, True])
+    def test_audit_report(self, tmp_path, degrees, with_degenerate):
+        path = self.mesh_file(tmp_path, with_degenerate)
+        doc = self.report(tmp_path, ["audit", str(path), *(["--degrees"] if degrees else [])])
+        assert list(doc) == self.AUDIT_TOP + (["degenerate_cells"] if with_degenerate else [])
+        assert list(doc["aggregates"]) == self.AUDIT_AGGREGATES
+        assert list(doc["cells"][0]) == self.AUDIT_ROW + (self.AUDIT_ROW_DEG if degrees else [])
+        if with_degenerate:
+            assert list(doc["cells"][1]) == self.AUDIT_DEGENERATE_ROW
+
+
 class TestFamilyCommand:
     def make_family(self, tmp_path, params):
         paths = []
@@ -752,7 +813,7 @@ class TestExtremeScale:
         scaled = Simplex(unit.vertices * scale)
         assert not is_degenerate(scaled)
         for s in (unit, scaled):
-            assert min(vertex_sines(s)) == cell_quality(s).min_vertex_dsine
+            assert min(vertex_sines(s)) == cell_quality(s).min_dsine()
         for metric in (
             vertex_sines,
             lambda s: vertex_sines(s)[2],

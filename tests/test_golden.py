@@ -19,13 +19,10 @@ import numpy as np
 import pytest
 
 from minangle import (
-    AUDIT_TOLERANCE,
     DEFAULT_TOLERANCES,
-    EquivalenceAudit,
     Mesh,
     MeshQuality,
     certified_dsine_bound,
-    equivalence_audit,
     mesh_quality,
     verdict_min_dihedral,
     verdict_min_dsine,
@@ -45,11 +42,14 @@ SLIVER_ANGLE = 1e-3
 # at beta = 1.7e-3, and Cayley-Menger determinants of a sliver lose digits
 # to cancellation), so those values are compared to 1e-9 absolute.
 WELL_SHAPED_ANGLE = 0.1
-# The metric columns of MeshQuality and EquivalenceAudit, in field order.
+# The metric columns of a quality report, in MeshQuality's field order.
 QUALITY_FIELDS = (
     "min_dihedral_all_sub", "max_dihedral_all_sub", "min_vertex_dsine", "ball_ratio",
     "dihedral_sum_top",
 )
+# All of MeshQuality's metric columns, in field order.
+MESH_QUALITY_FIELDS = (*QUALITY_FIELDS, "forward_margin")
+# MeshQuality's columns in an audit report, its two properties included.
 AUDIT_FIELDS = (
     "min_vertex_dsine", "min_dihedral_all_sub", "max_dihedral_all_sub", "certified_bound",
     "forward_margin", "backward_margin",
@@ -113,7 +113,7 @@ def reference_cell(vertices, d):
 
 
 def reference(mesh):
-    """The oracles' (MeshQuality, EquivalenceAudit) of ``mesh``, built cell by cell."""
+    """The oracles' MeshQuality of ``mesh``, built cell by cell."""
     d = mesh.ambient_dim
     good, rows, degenerate = [], [], []
     for index in range(mesh.cell_count):
@@ -124,14 +124,12 @@ def reference(mesh):
             good.append(index)
             rows.append(row)
     cells = np.array(good, dtype=np.int64)
-
-    def columns(fields):
-        return (np.array([row[field] for row in rows]) for field in fields)
-
-    return (
-        MeshQuality(d, cells, *columns(QUALITY_FIELDS), tuple(degenerate)),
-        EquivalenceAudit(d, cells, *columns(AUDIT_FIELDS), tuple(degenerate)),
-    )
+    columns = (np.array([row[field] for row in rows]) for field in MESH_QUALITY_FIELDS)
+    quality = MeshQuality(d, cells, *columns, tuple(degenerate))
+    # Its two audit properties are certified_dsine_bound's values, bit for bit.
+    for field in ("certified_bound", "backward_margin"):
+        assert getattr(quality, field).tolist() == [row[field] for row in rows], field
+    return quality
 
 
 @pytest.fixture(scope="module", params=CORPUS, ids=lambda p: f"d{p[0]}n{p[1]}")
@@ -157,14 +155,8 @@ def only_cells(quality, kept=None):
     return MeshQuality(
         quality.ambient_dim,
         quality.cells[keep],
-        *(getattr(quality, field)[keep] for field in QUALITY_FIELDS),
+        *(getattr(quality, field)[keep] for field in MESH_QUALITY_FIELDS),
     )
-
-
-def without_degenerate(audit):
-    """``audit`` with an empty ``degenerate_cells``; its columns hold only the good cells anyway."""
-    columns = (getattr(audit, field) for field in AUDIT_FIELDS)
-    return EquivalenceAudit(audit.ambient_dim, audit.cells, *columns, tolerance=audit.tolerance)
 
 
 def assert_columns_close(new, ref, fields, margins=()):
@@ -180,7 +172,7 @@ def assert_columns_close(new, ref, fields, margins=()):
 
 
 def test_corpus_has_a_sliver_and_a_collapse(corpus):
-    mesh, (quality, _) = corpus
+    mesh, quality = corpus
     assert quality.degenerate_cells
     assert mesh.cell_count - 1 in quality.degenerate_cells
     assert quality.cells[0] == 0
@@ -189,7 +181,7 @@ def test_corpus_has_a_sliver_and_a_collapse(corpus):
 
 
 def test_mesh_quality_matches_reference(corpus):
-    mesh, (ref, _) = corpus
+    mesh, ref = corpus
     new = mesh_quality(mesh)
     assert new.degenerate_cells == ref.degenerate_cells
     assert_columns_close(new, ref, QUALITY_FIELDS)
@@ -205,15 +197,14 @@ def test_mesh_quality_matches_reference(corpus):
 
 
 def test_equivalence_audit_matches_reference(corpus):
-    mesh, (_, ref) = corpus
-    new = equivalence_audit(mesh)
-    assert new.tolerance == AUDIT_TOLERANCE
+    mesh, ref = corpus
+    new = mesh_quality(mesh)
     assert new.degenerate_cells == ref.degenerate_cells
-    assert new.satisfied() == ref.satisfied()
+    assert new.audit_satisfied() == ref.audit_satisfied()
     # A triangle's dihedral angles are its planar angles and its 2-sines
     # their sines, so every forward margin is 0 up to rounding.
     assert_columns_close(new, ref, AUDIT_FIELDS, margins=("forward_margin", "backward_margin"))
-    assert without_degenerate(new).satisfied() == without_degenerate(ref).satisfied()
+    assert only_cells(new).audit_satisfied() == only_cells(ref).audit_satisfied()
 
 
 def old_info_table(mesh, quality):
@@ -250,14 +241,13 @@ def test_cli_output_matches_json_dumps(corpus, tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"meshes": [coarse.name, path.name]}))
     quality = mesh_quality(mesh)
-    audit = equivalence_audit(mesh)
     flags = ["--alpha0", "0.01", "--dsine-min", "0.01"]
     verdicts = [verdict_min_dihedral(quality, 0.01), verdict_min_dsine(quality, 0.01)]
     report = tmp_path / "report.json"
     for degrees in ([], ["--degrees"]):
         expected = {
             "check": report_to_dict(quality, verdicts, bool(degrees)),
-            "audit": audit_to_dict(audit, bool(degrees)),
+            "audit": audit_to_dict(quality, bool(degrees)),
         }
         for command, doc in expected.items():
             argv = [command, str(path), *(flags if command == "check" else []), *degrees]

@@ -243,7 +243,7 @@ class TestQualityReport:
 
     def test_empty_quality_rejected(self):
         with pytest.raises(InvalidInputError, match="empty mesh"):
-            report_to_dict(MeshQuality(3, *[np.empty(0)] * 6), ())
+            report_to_dict(MeshQuality(3, *[np.empty(0)] * 7), ())
 
 
 class TestFamilyManifest:

@@ -3,48 +3,31 @@
 import pytest
 
 from minangle import (
-    AUDIT_TOLERANCE,
     ConditionVerdict,
     ConformityReport,
     DihedralAngleSet,
-    EquivalenceAudit,
     InvalidInputError,
     MeshQuality,
     ProductDecomposition,
-    SimplexQuality,
     ToleranceConfig,
     ValidationReport,
+    all_dihedral_angles,
+    regular_simplex,
 )
-from minangle.regularity import _Scan
 
 # Record type -> its fields in order, and the defaults of the trailing ones.
 RECORDS = {
     ToleranceConfig: (("degeneracy_rel_tol",), {"degeneracy_rel_tol": 1e-12}),
-    SimplexQuality: (
-        ("min_dihedral_all_sub", "max_dihedral_all_sub", "min_vertex_dsine", "ball_ratio",
-         "dihedral_sum_top", "subsimplex_count"),
-        {},
-    ),
     MeshQuality: (
         ("ambient_dim", "cells", "min_dihedral_all_sub", "max_dihedral_all_sub",
-         "min_vertex_dsine", "ball_ratio", "dihedral_sum_top", "degenerate_cells"),
+         "min_vertex_dsine", "ball_ratio", "dihedral_sum_top", "forward_margin",
+         "degenerate_cells"),
         {"degenerate_cells": ()},
     ),
     ConditionVerdict: (
         ("condition", "threshold_used", "satisfied", "worst_cell", "worst_value",
          "degenerate_cells"),
         {"degenerate_cells": ()},
-    ),
-    EquivalenceAudit: (
-        ("ambient_dim", "cells", "min_vertex_dsine", "min_dihedral_all_sub",
-         "max_dihedral_all_sub", "certified_bound", "forward_margin", "backward_margin",
-         "degenerate_cells", "tolerance"),
-        {"degenerate_cells": (), "tolerance": AUDIT_TOLERANCE},
-    ),
-    _Scan: (
-        ("first_degenerate", "min_dihedral", "max_dihedral", "min_dsine", "ball_ratio",
-         "dihedral_sum", "forward_margin"),
-        {},
     ),
     ValidationReport: (
         ("degenerate_cells", "unused_vertices", "duplicate_cells"),
@@ -60,7 +43,7 @@ RECORDS = {
         {},
     ),
 }
-IDENTITY_EQUALITY = (MeshQuality, EquivalenceAudit)
+IDENTITY_EQUALITY = (MeshQuality, DihedralAngleSet)
 
 records = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
@@ -144,3 +127,11 @@ def test_tolerance_config_checks_its_field():
         ToleranceConfig(0.9)
     with pytest.raises(InvalidInputError, match=r"got -1\.0"):
         ToleranceConfig(degeneracy_rel_tol=-1.0)
+
+
+def test_dihedral_angle_sets_compare_by_identity():
+    # Their fields hold a dict and an array: == by fields raised ValueError, hash TypeError.
+    first, second = (all_dihedral_angles(regular_simplex(3)) for _ in range(2))
+    assert (first == first) is True and (first == second) is False
+    assert (first != second) is True
+    assert len({first, second, first}) == 2

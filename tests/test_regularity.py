@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from minangle import (
+    AUDIT_TOLERANCE,
     DegeneracyError,
     InvalidInputError,
     Mesh,
+    MeshQuality,
     Simplex,
     cell_quality,
     certified_dsine_bound,
-    equivalence_audit,
     flatten_family,
     mesh_quality,
     min_dihedral_over_subsimplices,
@@ -53,7 +54,6 @@ class TestSubsimplices:
     def test_tetrahedron_count(self):
         # four triangles and the cell
         assert subsimplex_count(3) == 5
-        assert cell_quality(regular_simplex(3)).subsimplex_count == 5
 
     def test_four_simplex_count(self):
         assert subsimplex_count(4) == 16
@@ -65,7 +65,6 @@ class TestSubsimplices:
     def test_count_matches_binomial_closed_form(self, d):
         expected = sum(math.comb(d + 1, m) for m in range(3, d + 2))
         assert subsimplex_count(d) == expected
-        assert cell_quality(regular_simplex(d)).subsimplex_count == expected
 
     def test_deterministic_order(self):
         # Subsets come in ascending size, lexicographic within a size.  Here the
@@ -129,7 +128,7 @@ class TestMinVertexDsine:
         sines = vertex_sines(corner(3))
         assert min(sines) == pytest.approx(CORNER3_OFF_CORNER_DSINE, abs=1e-12)
         assert sines.index(min(sines)) != 0
-        assert cell_quality(corner(3)).min_vertex_dsine == min(sines)
+        assert cell_quality(corner(3)).min_dsine() == min(sines)
 
     def test_right_triangle(self):
         assert min(vertex_sines(corner(2))) == pytest.approx(
@@ -231,8 +230,8 @@ class TestCertifiedBound:
 
 class TestEquivalenceAudit:
     def test_regular_tetrahedron_margins(self):
-        audit = equivalence_audit(single_cell_mesh(regular_simplex(3)))
-        assert audit.satisfied()
+        audit = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        assert audit.audit_satisfied()
         # equilateral faces make the forward margin exactly zero up to rounding
         assert abs(audit.forward_margin[0]) < 1e-9
         assert audit.certified_bound[0] == pytest.approx(
@@ -243,8 +242,8 @@ class TestEquivalenceAudit:
         )
 
     def test_corner_simplex_margins(self):
-        audit = equivalence_audit(single_cell_mesh(corner(3)))
-        assert audit.satisfied()
+        audit = mesh_quality(single_cell_mesh(corner(3)))
+        assert audit.audit_satisfied()
         assert audit.certified_bound[0] == pytest.approx(
             math.sin(math.pi / 4) ** 3, abs=1e-12
         )
@@ -261,8 +260,8 @@ class TestEquivalenceAudit:
         ]
         vertices = np.vstack([s.vertices for s in simplices])
         cells = [[4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3] for i in range(len(simplices))]
-        audit = equivalence_audit(Mesh(vertices, cells))
-        assert audit.satisfied()
+        audit = mesh_quality(Mesh(vertices, cells))
+        assert audit.audit_satisfied()
         assert audit.min_forward_margin() >= -1e-9
         assert audit.min_backward_margin() >= -1e-9
 
@@ -270,7 +269,7 @@ class TestEquivalenceAudit:
     def test_bound_column_equals_the_scalar_formula_bit_for_bit(self, d):
         simplices = [random_simplex(d, seed, min_quality=1e-2) for seed in range(60)]
         cells = [list(range(k * (d + 1), (k + 1) * (d + 1))) for k in range(len(simplices))]
-        audit = equivalence_audit(Mesh(np.vstack([s.vertices for s in simplices]), cells))
+        audit = mesh_quality(Mesh(np.vstack([s.vertices for s in simplices]), cells))
         windows = list(
             zip(audit.min_dihedral_all_sub.tolist(), audit.max_dihedral_all_sub.tolist())
         )
@@ -287,11 +286,41 @@ class TestEquivalenceAudit:
             [[9.0, 0.0, 0.0], [10.0, 0.0, 0.0], [11.0, 0.0, 0.0], [12.0, 0.0, 0.0]]
         )
         mesh = Mesh(np.vstack([tet.vertices, flat]), [[0, 1, 2, 3], [4, 5, 6, 7]])
-        audit = equivalence_audit(mesh)
+        audit = mesh_quality(mesh)
         assert audit.degenerate_cells == (1,)
         assert len(audit.cells) == 1
         assert audit.cells[0] == 0
-        assert not audit.satisfied()
+        assert not audit.audit_satisfied()
+
+    @staticmethod
+    def record(forward=0.0, backward=0.1, cells=(0,), degenerate=()):
+        """Cells of a regular tetrahedron's angles with the given margins."""
+        n = len(cells)
+        angles = np.full(n, math.pi / 3)
+        dsine = np.full(n, math.sin(math.pi / 3) ** 3 + backward)
+        return MeshQuality(
+            3, np.array(cells, dtype=np.intp), angles, angles, dsine, np.full(n, 0.2),
+            np.full(n, 7.0), np.full(n, forward), degenerate,
+        )
+
+    @pytest.mark.parametrize(
+        "changes, satisfied",
+        [
+            ({}, True),
+            ({"forward": -AUDIT_TOLERANCE}, True),
+            ({"forward": -2 * AUDIT_TOLERANCE}, False),
+            ({"backward": -2 * AUDIT_TOLERANCE}, False),
+            ({"degenerate": (1,)}, False),
+            ({"cells": ()}, False),
+        ],
+        ids=["margins", "forward-at-tolerance", "forward-below", "backward-below",
+             "degenerate", "no-cells"],
+    )
+    def test_audit_satisfied(self, changes, satisfied):
+        record = self.record(**changes)
+        assert record.audit_satisfied() is satisfied
+        if len(record.cells):
+            assert record.backward_margin[0] == pytest.approx(changes.get("backward", 0.1))
 
 
 class TestTwoDimensionalEquivalence:
@@ -344,12 +373,27 @@ class TestDegeneratingFamily:
 class TestCellQuality:
     def test_regular_tetrahedron_record(self):
         record = cell_quality(regular_simplex(3))
-        assert record.subsimplex_count == 5
-        assert record.min_dihedral_all_sub <= record.max_dihedral_all_sub
-        assert 0.0 < record.min_vertex_dsine <= 1.0
-        assert record.dihedral_sum_top == pytest.approx(
+        assert record.ambient_dim == 3
+        assert record.cells.tolist() == [0] and record.degenerate_cells == ()
+        assert record.min_dihedral() <= record.max_dihedral()
+        assert 0.0 < record.min_dsine() <= 1.0
+        assert record.dihedral_sum_top[0] == pytest.approx(
             6.0 * math.acos(1.0 / 3.0), abs=1e-12
         )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_the_one_cell_mesh_quality_bit_for_bit(self, d):
+        for seed in range(20):
+            s = random_simplex(d, seed)
+            record, quality = cell_quality(s), mesh_quality(single_cell_mesh(s))
+            assert (record.ambient_dim, record.degenerate_cells) == (d, ())
+            for field in (
+                "cells", "min_dihedral_all_sub", "max_dihedral_all_sub", "min_vertex_dsine",
+                "ball_ratio", "dihedral_sum_top", "forward_margin", "certified_bound",
+                "backward_margin",
+            ):
+                got, want = getattr(record, field), getattr(quality, field)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), field
 
     def test_degenerate_cell_raises(self):
         with pytest.raises(DegeneracyError):
