@@ -49,7 +49,6 @@ _PUBLIC = {
         "load_mesh",
         "parse_family_manifest",
         "parse_mesh",
-        "report_to_dict",
         "validate_mesh",
         "write_report",
     ),

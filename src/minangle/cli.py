@@ -43,6 +43,7 @@ from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
+    _cell_lines,
     _dumps,
     _quality_columns,
     audit_to_dict,
@@ -184,13 +185,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
-    quality = mesh_quality(load_mesh(args.mesh), cfg)
-    _emit_json(audit_to_dict(quality, degrees=args.degrees), args.report)
-    if quality.degenerate_cells:
+    doc = audit_to_dict(mesh_quality(load_mesh(args.mesh), cfg), degrees=args.degrees)
+    _emit_json(doc, args.report)
+    if "degenerate_cells" in doc:
         return EXIT_DEGENERATE
-    if not quality.audit_satisfied():
-        return EXIT_VIOLATED
-    return EXIT_OK
+    return EXIT_OK if doc["satisfied"] else EXIT_VIOLATED
 
 
 # Family aggregate -> how the members' values of the same report key combine.
@@ -324,13 +323,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
     columns = _quality_columns(quality)
     out.append(_INFO_HEADER % ("cell", *columns))
-    # One %-template row per cell, filled from the flattened (cell, 6) table in one call.
-    templates = np.full(mesh.cell_count, _INFO_DEGENERATE_ROW, dtype=object)
-    templates[quality.cells] = _INFO_ROW
-    table = np.empty((mesh.cell_count, 6), dtype=object)
-    table[:, 0] = np.arange(mesh.cell_count)
-    table[quality.cells, 1:] = np.column_stack(list(columns.values()))
-    out.append("".join(templates) % tuple(table.ravel().tolist()))
+    values = np.column_stack(list(columns.values()))
+    out.append(_cell_lines(quality, _INFO_ROW, _INFO_DEGENERATE_ROW, values))
     _emit("".join(out), "-")
     return EXIT_OK
 

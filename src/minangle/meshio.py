@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from pathlib import Path
 from typing import IO, Any, Sequence
 
@@ -44,15 +43,16 @@ _INDENT = "  "
 def _dumps(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte; every JSON document written goes here.
 
-    A list of flat dicts of scalars is rendered from one %-template per key
-    tuple, filled from one C-encoder call over all of its values; a flat
-    list of scalars is one encoder call.  Anything else recurses, and a dict
+    A report's :class:`_Rows` table is rendered from its columns and a flat
+    list of scalars is one C-encoder call.  Anything else recurses, and a dict
     with a non-str key falls back to json.dumps.
     """
     return _encode(value, 0)
 
 
 def _encode(value: Any, level: int) -> str:
+    if isinstance(value, _Rows):
+        return value.text(level)
     if not isinstance(value, (dict, list, tuple)):
         return _ENCODE(value)
     if not value:
@@ -69,34 +69,58 @@ def _encode(value: Any, level: int) -> str:
         # A scalar never encodes to text holding ", ".
         body = _ENCODE(value)[1:-1].replace(", ", "," + inner)
     else:
-        body = _records(value, level + 1)
-        if body is None:
-            body = ("," + inner).join(_encode(item, level + 1) for item in value)
+        body = ("," + inner).join(_encode(item, level + 1) for item in value)
     return "[" + inner + body + "\n" + _INDENT * level + "]"
 
 
-def _records(rows: list | tuple, level: int) -> str | None:
-    """Flat dicts of scalars rendered at ``level`` and joined; None if ``rows`` is not that."""
-    if set(map(type, rows)) != {dict}:
-        return None
-    layout = list(map(tuple, rows))
-    templates = {keys: _record_template(keys, level) for keys in set(layout)}
-    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
-    if None in templates.values() or not _SCALARS.issuperset(map(type, values)):
-        return None
-    pieces = _ENCODE(values)[1:-1].split(", ") if values else []
-    return (",\n" + _INDENT * level).join(map(templates.__getitem__, layout)) % tuple(pieces)
-
-
-def _record_template(keys: tuple, level: int) -> str | None:
-    """The %-template of a flat dict with these keys, or None for a non-str key."""
-    if not keys:
-        return "{}"
-    if not all(type(key) is str for key in keys):
-        return None
+def _record_template(fields: dict[str, str], level: int) -> str:
+    """The %-template of a flat JSON object at ``level``; each key's value is the given text."""
     inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(_ENCODE(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + inner + fields + "\n" + _INDENT * level + "}"
+    body = ("," + inner).join(
+        _ENCODE(key).replace("%", "%%") + ": " + text for key, text in fields.items()
+    )
+    return "{" + inner + body + "\n" + _INDENT * level + "}"
+
+
+def _cell_lines(quality: MeshQuality, good: str, degenerate: str, values: np.ndarray) -> str:
+    """Each cell's template by index, filled with the index and its ``values`` row or Nones."""
+    count = len(quality.cells) + len(quality.degenerate_cells)
+    templates = np.full(count, degenerate, dtype=object)
+    templates[quality.cells] = good
+    table = np.empty((count, 1 + values.shape[1]), dtype=object)
+    table[:, 0] = np.arange(count)
+    table[quality.cells, 1:] = values
+    return "".join(templates) % tuple(table.ravel().tolist())
+
+
+class _Rows(_Record, eq=False):
+    """A report's ``cells`` array: one row per cell by index, rendered by :func:`_dumps`.
+
+    A good cell's row is its index and its entries of ``columns``; a
+    degenerate cell's is its index and the literal ``degenerate`` fields.
+    """
+
+    quality: MeshQuality
+    columns: dict[str, np.ndarray]
+    degenerate: dict[str, Any]
+
+    def text(self, level: int) -> str:
+        """The array as ``json.dumps(indent=2)`` writes it at nesting ``level``."""
+        if not len(self.quality.cells) and not self.quality.degenerate_cells:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        good = _record_template(dict.fromkeys(("index", *self.columns), "%s"), level + 1)
+        literals = {k: _ENCODE(v).replace("%", "%%") for k, v in self.degenerate.items()}
+        # The degenerate template swallows the Nones of its row's value slots.
+        degenerate = _record_template({"index": "%s", **literals}, level + 1)
+        degenerate += "%.0s" * len(self.columns)
+        stacked = np.column_stack(list(self.columns.values())).ravel().tolist()
+        # One C-encoder call over every value; a float never encodes to text holding ", ".
+        pieces = _ENCODE(stacked)[1:-1].split(", ") if stacked else []
+        values = np.array(pieces, dtype=object).reshape(len(self.quality.cells), len(self.columns))
+        separator = "," + inner
+        body = _cell_lines(self.quality, good + separator, degenerate + separator, values)
+        return "[" + inner + body[: -len(separator)] + "\n" + _INDENT * level + "]"
 
 
 class Mesh:
@@ -420,35 +444,6 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     )
 
 
-# The fields after "index" of a degenerate cell's row in each report.
-_DEGENERATE_QUALITY_ROW = {
-    "min_dihedral_rad": None,
-    "max_dihedral_rad": None,
-    "min_dsine": None,
-    "ball_ratio": None,
-    "dihedral_sum_rad": None,
-    "degenerate": True,
-}
-_DEGENERATE_AUDIT_ROW = {"degenerate": True}
-
-
-def _indexed_rows(
-    cells: np.ndarray,
-    columns: dict[str, np.ndarray],
-    degenerate_cells: tuple[int, ...],
-    degenerate_row: dict[str, Any],
-) -> list[dict[str, Any]]:
-    """One row per cell by index: ``columns`` for the good ``cells``, ``degenerate_row`` else."""
-    keys = ("index", *columns)
-    rows = [
-        dict(zip(keys, values))
-        for values in zip(cells.tolist(), *(column.tolist() for column in columns.values()))
-    ]
-    rows.extend({"index": index, **degenerate_row} for index in degenerate_cells)
-    rows.sort(key=operator.itemgetter("index"))
-    return rows
-
-
 def _verdict_dict(verdict: ConditionVerdict) -> dict[str, Any]:
     row: dict[str, Any] = {
         "condition": verdict.condition,
@@ -476,22 +471,23 @@ def _quality_columns(quality: MeshQuality) -> dict[str, np.ndarray]:
 def report_to_dict(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
 ) -> dict[str, Any]:
-    """Quality report as a JSON-ready dict with deterministic key order.
+    """The quality report as a document for :func:`_dumps`, with deterministic key order.
 
-    The aggregates are the extrema over the nondegenerate cells, or null
+    Its ``cells`` is a :class:`_Rows` table, not a list of dicts;
+    ``json.loads`` of :func:`write_report`'s output gives the report as a
+    dict.  The aggregates are the extrema over the nondegenerate cells, or null
     when there are none.  Angles are emitted in radians; ``degrees=True``
     adds parallel ``*_deg`` annotation fields and changes nothing else.
     """
     if not len(quality.cells) and not quality.degenerate_cells:
         raise InvalidInputError("refusing to build a report for an empty mesh")
     columns = _quality_columns(quality)
+    # A degenerate cell's row: null in each radian column, then the flag.
+    degenerate = {**dict.fromkeys(columns), "degenerate": True}
     if degrees:
         columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
         columns["max_dihedral_deg"] = quality.max_dihedral_all_sub * _DEG_PER_RAD
         columns["dihedral_sum_deg"] = quality.dihedral_sum_top * _DEG_PER_RAD
-    rows = _indexed_rows(
-        quality.cells, columns, quality.degenerate_cells, _DEGENERATE_QUALITY_ROW
-    )
     has_cells = bool(len(quality.cells))
     low = quality.min_dihedral() if has_cells else None
     high = quality.max_dihedral() if has_cells else None
@@ -508,7 +504,7 @@ def report_to_dict(
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
         "aggregates": aggregates,
-        "cells": rows,
+        "cells": _Rows(quality, columns, degenerate),
         "verdicts": [_verdict_dict(v) for v in verdicts],
     }
     if quality.degenerate_cells:
@@ -524,14 +520,16 @@ def write_report(
 
 
 def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
-    """Equivalence-audit report as a JSON-ready dict."""
+    """The equivalence-audit report as a document for :func:`_dumps`; ``cells`` is a table."""
+    bound = quality.certified_bound  # a property: computed on each read, so read once
+    backward = quality.min_vertex_dsine - bound
     columns = {
         "min_dsine": quality.min_vertex_dsine,
         "min_dihedral_rad": quality.min_dihedral_all_sub,
         "max_dihedral_rad": quality.max_dihedral_all_sub,
-        "certified_bound": quality.certified_bound,
+        "certified_bound": bound,
         "forward_margin": quality.forward_margin,
-        "backward_margin": quality.backward_margin,
+        "backward_margin": backward,
     }
     if degrees:
         columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
@@ -543,11 +541,9 @@ def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]
         "audit_tolerance": AUDIT_TOLERANCE,
         "aggregates": {
             "min_forward_margin": quality.min_forward_margin() if has_cells else None,
-            "min_backward_margin": quality.min_backward_margin() if has_cells else None,
+            "min_backward_margin": float(backward.min()) if has_cells else None,
         },
-        "cells": _indexed_rows(
-            quality.cells, columns, quality.degenerate_cells, _DEGENERATE_AUDIT_ROW
-        ),
+        "cells": _Rows(quality, columns, {"degenerate": True}),
         "satisfied": quality.audit_satisfied(),
     }
     if quality.degenerate_cells:

@@ -204,10 +204,11 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
         hit = degenerate.any(axis=1) & (first < 0)
         first[hit] = position + degenerate[hit].argmax(axis=1)
         position += len(subsets)
-        # Degenerate subsimplices get a unit stand-in so inv() stays defined;
-        # their cells are discarded.
-        r[degenerate] = np.eye(k)
-        volume[degenerate] = 1.0
+        # Every subsimplex of a flagged cell gets a unit stand-in, so inv() stays
+        # defined and a subsimplex that passed its own rule at a subnormal
+        # threshold cannot overflow; these cells are discarded.
+        r[first >= 0] = np.eye(k)
+        volume[first >= 0] = 1.0
         _, lengths, angles, dsines = _gradient_forms(r, volume)
         lo = np.minimum(lo, angles.min(axis=(1, 2)))
         hi = np.maximum(hi, angles.max(axis=(1, 2)))

@@ -10,7 +10,9 @@ angles (by atan2) and d-sines from barycentric gradients:
 * a simplex is put into coordinates of its affine hull by the SVD of its
   edges, its normals come from the inverse of that projected edge matrix,
   and its dihedral angles from arccos(-n_i . n_j);
-* d-sines and the inradius come from Cayley-Menger facet measures.
+* d-sines and the inradius come from Cayley-Menger facet measures;
+* a report document is the layout of one dict per cell, built by a plain
+  loop over the cell indices from the record's columns.
 """
 
 from __future__ import annotations
@@ -135,3 +137,106 @@ def rigid_motion(vertices, rng: np.random.Generator) -> np.ndarray:
     rot = random_rotation(v.shape[1], rng)
     shift = rng.uniform(-5.0, 5.0, size=v.shape[1])
     return v @ rot.T + shift
+
+
+DEG_PER_RAD = 180.0 / math.pi
+# (report key, MeshQuality column) of a good cell's row, in report order.
+QUALITY_ROW = (
+    ("min_dihedral_rad", "min_dihedral_all_sub"),
+    ("max_dihedral_rad", "max_dihedral_all_sub"),
+    ("min_dsine", "min_vertex_dsine"),
+    ("ball_ratio", "ball_ratio"),
+    ("dihedral_sum_rad", "dihedral_sum_top"),
+)
+QUALITY_ROW_DEG = (
+    ("min_dihedral_deg", "min_dihedral_all_sub"),
+    ("max_dihedral_deg", "max_dihedral_all_sub"),
+    ("dihedral_sum_deg", "dihedral_sum_top"),
+)
+AUDIT_ROW = (
+    ("min_dsine", "min_vertex_dsine"),
+    ("min_dihedral_rad", "min_dihedral_all_sub"),
+    ("max_dihedral_rad", "max_dihedral_all_sub"),
+    ("certified_bound", "certified_bound"),
+    ("forward_margin", "forward_margin"),
+    ("backward_margin", "backward_margin"),
+)
+AUDIT_ROW_DEG = QUALITY_ROW_DEG[:2]
+
+
+def _cell_rows(quality, row, row_deg, degenerate: dict) -> list[dict]:
+    """One dict per cell, by index: a good cell's values of ``row`` (and ``row_deg`` in degrees)."""
+    columns = {key: getattr(quality, name).tolist() for key, name in row}
+    for key, name in row_deg:
+        columns[key] = [value * DEG_PER_RAD for value in getattr(quality, name).tolist()]
+    position = {cell: i for i, cell in enumerate(quality.cells.tolist())}
+    rows = []
+    for index in range(len(quality.cells) + len(quality.degenerate_cells)):
+        if index in position:
+            i = position[index]
+            rows.append({"index": index, **{key: values[i] for key, values in columns.items()}})
+        else:
+            rows.append({"index": index, **degenerate})
+    return rows
+
+
+def _verdict_doc(verdict) -> dict:
+    doc = {
+        "condition": verdict.condition,
+        "threshold": verdict.threshold_used,
+        "satisfied": verdict.satisfied,
+        "worst_cell": verdict.worst_cell,
+        "worst_value": verdict.worst_value,
+    }
+    if verdict.degenerate_cells:
+        doc["degenerate_cells"] = list(verdict.degenerate_cells)
+    return doc
+
+
+def report_doc(quality, verdicts, degrees: bool) -> dict:
+    """The ``check`` report of a MeshQuality as a dict; aggregates from the record's reducers."""
+    has_cells = len(quality.cells) > 0
+    low = quality.min_dihedral() if has_cells else None
+    high = quality.max_dihedral() if has_cells else None
+    aggregates = {
+        "min_dihedral_rad": low,
+        "max_dihedral_rad": high,
+        "min_dsine": quality.min_dsine() if has_cells else None,
+        "min_ball_ratio": quality.min_ball_ratio() if has_cells else None,
+    }
+    if degrees:
+        aggregates["min_dihedral_deg"] = low * DEG_PER_RAD if has_cells else None
+        aggregates["max_dihedral_deg"] = high * DEG_PER_RAD if has_cells else None
+    degenerate = {key: None for key, _ in QUALITY_ROW}
+    degenerate["degenerate"] = True
+    doc = {
+        "ambient_dimension": quality.ambient_dim,
+        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
+        "aggregates": aggregates,
+        "cells": _cell_rows(quality, QUALITY_ROW, QUALITY_ROW_DEG if degrees else (), degenerate),
+        "verdicts": [_verdict_doc(verdict) for verdict in verdicts],
+    }
+    if quality.degenerate_cells:
+        doc["degenerate_cells"] = list(quality.degenerate_cells)
+    return doc
+
+
+def audit_doc(quality, degrees: bool) -> dict:
+    """The ``audit`` report of a MeshQuality as a dict; aggregates from the record's reducers."""
+    has_cells = len(quality.cells) > 0
+    doc = {
+        "ambient_dimension": quality.ambient_dim,
+        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
+        "audit_tolerance": 1e-9,
+        "aggregates": {
+            "min_forward_margin": quality.min_forward_margin() if has_cells else None,
+            "min_backward_margin": quality.min_backward_margin() if has_cells else None,
+        },
+        "cells": _cell_rows(
+            quality, AUDIT_ROW, AUDIT_ROW_DEG if degrees else (), {"degenerate": True}
+        ),
+        "satisfied": quality.audit_satisfied(),
+    }
+    if quality.degenerate_cells:
+        doc["degenerate_cells"] = list(quality.degenerate_cells)
+    return doc

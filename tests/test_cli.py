@@ -117,6 +117,19 @@ class TestCheckCommand:
         assert doc["degenerate_cells"] == [0]
         assert doc["verdicts"][0]["satisfied"] is False
 
+    def test_clustered_vertices_exit_degenerate_and_warn_nothing(self, tmp_path, capsys):
+        # Three vertices 1e-155 apart: a triangle that passes its own rule at a
+        # subnormal threshold, in a cell that another triangle flags.
+        mesh = write_mesh_file(
+            tmp_path / "clustered.json",
+            [[0.0, 0.0, 0.0], [1e-155, 0.0, 0.0], [0.0, 1e-155, 0.0], [0.3, 0.4, 1.0]],
+            [[0, 1, 2, 3]],
+        )
+        argv = ["check", str(mesh), "--alpha0", "0.5", "-o", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_DEGENERATE
+        assert main(["info", str(mesh)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_both_thresholds_in_one_report(self, tetra_path, tmp_path):
         report = tmp_path / "r.json"
         code = main(

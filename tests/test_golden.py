@@ -28,8 +28,15 @@ from minangle import (
     verdict_min_dsine,
 )
 from minangle.cli import main
-from minangle.meshio import audit_to_dict, dump_mesh, report_to_dict
-from oracles import ball_ratio_cm, hull_coordinates, simplex_dihedral_angles, vertex_sines_cm
+from minangle.meshio import dump_mesh
+from oracles import (
+    audit_doc,
+    ball_ratio_cm,
+    hull_coordinates,
+    report_doc,
+    simplex_dihedral_angles,
+    vertex_sines_cm,
+)
 
 # (dimension, subdivisions per axis)
 CORPUS = [(2, 6), (3, 3), (4, 2), (5, 1)]
@@ -246,8 +253,8 @@ def test_cli_output_matches_json_dumps(corpus, tmp_path, capsys):
     report = tmp_path / "report.json"
     for degrees in ([], ["--degrees"]):
         expected = {
-            "check": report_to_dict(quality, verdicts, bool(degrees)),
-            "audit": audit_to_dict(quality, bool(degrees)),
+            "check": report_doc(quality, verdicts, bool(degrees)),
+            "audit": audit_doc(quality, bool(degrees)),
         }
         for command, doc in expected.items():
             argv = [command, str(path), *(flags if command == "check" else []), *degrees]

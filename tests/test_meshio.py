@@ -21,13 +21,13 @@ from minangle import (
     parse_family_manifest,
     parse_mesh,
     regular_simplex,
-    report_to_dict,
     validate_mesh,
     verdict_min_dihedral,
     verdict_min_dsine,
     write_report,
 )
-from minangle.meshio import _dumps
+from minangle.meshio import _dumps, audit_to_dict, report_to_dict
+from oracles import audit_doc, report_doc
 
 TETRA_DOC = {
     "ambient_dimension": 3,
@@ -190,6 +190,13 @@ class TestQualityReport:
             verdicts.append(verdict_min_dsine(quality, dsine_min))
         return quality, verdicts
 
+    @staticmethod
+    def written(quality, verdicts, degrees=False):
+        """The report ``write_report`` writes, decoded."""
+        sink = io.StringIO()
+        write_report(quality, verdicts, sink, degrees)
+        return json.loads(sink.getvalue())
+
     def test_regular_tetrahedron_report_values(self):
         quality, verdicts = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
         sink = io.StringIO()
@@ -208,7 +215,7 @@ class TestQualityReport:
         }
 
     def test_aggregates_equal_extrema_of_cells(self):
-        doc = report_to_dict(*self.build(glued_pair_mesh(), alpha0=0.5, dsine_min=0.1))
+        doc = self.written(*self.build(glued_pair_mesh(), alpha0=0.5, dsine_min=0.1))
         cells = doc["cells"]
         assert doc["aggregates"]["min_dihedral_rad"] == min(
             c["min_dihedral_rad"] for c in cells
@@ -227,7 +234,7 @@ class TestQualityReport:
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 0.0], [6.0, 0.0], [7.0, 0.0]],
             [[0, 1, 2], [3, 4, 5]],
         )
-        doc = report_to_dict(*self.build(mesh, alpha0=0.5))
+        doc = self.written(*self.build(mesh, alpha0=0.5))
         assert doc["degenerate_cells"] == [1]
         degenerate_row = doc["cells"][1]
         assert degenerate_row["degenerate"] is True
@@ -235,8 +242,8 @@ class TestQualityReport:
 
     def test_degree_annotations_are_additive(self):
         quality, verdicts = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
-        plain = report_to_dict(quality, verdicts)
-        annotated = report_to_dict(quality, verdicts, degrees=True)
+        plain = self.written(quality, verdicts)
+        annotated = self.written(quality, verdicts, degrees=True)
         assert annotated["verdicts"] == plain["verdicts"]
         assert annotated["cells"][0]["min_dihedral_deg"] == pytest.approx(60.0, abs=1e-9)
         assert "min_dihedral_deg" not in plain["cells"][0]
@@ -491,7 +498,7 @@ class TestJsonWriter:
         quality = mesh_quality(mesh)
         verdicts = [verdict_min_dihedral(quality, 1.0)]
         for degrees in (False, True):
-            doc = report_to_dict(quality, verdicts, degrees)
+            doc = report_doc(quality, verdicts, degrees)
             sink = io.StringIO()
             write_report(quality, verdicts, sink, degrees)
             assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
@@ -501,3 +508,47 @@ class TestJsonWriter:
             "cells": mesh.cells.tolist(),
         }
         assert dump_mesh(mesh) == json.dumps(doc, indent=2) + "\n"
+
+
+ROW_VALUES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, 1e-300, -1e-300]
+)
+
+
+@st.composite
+def qualities(draw, good=None):
+    """A MeshQuality of random columns over a random split of 1-8 cells into good and degenerate."""
+    if good is None:
+        good = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    good = np.array(good)
+    size = int(good.sum())
+    columns = [
+        np.array(draw(st.lists(ROW_VALUES, min_size=size, max_size=size)), dtype=float)
+        for _ in range(6)
+    ]
+    degenerate = tuple(np.flatnonzero(~good).tolist())
+    return MeshQuality(draw(st.integers(2, 5)), np.flatnonzero(good), *columns, degenerate)
+
+
+class TestRowRenderer:
+    """A report's rows, rendered from the columns, against the oracle's dict per cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(qualities(), qualities(good=[False] * 3), qualities(good=[True] * 4)),
+        st.booleans(),
+    )
+    def test_reports_match_json_dumps_of_the_oracle(self, quality, degrees):
+        # Random angles are not angles: their sines and margins may be NaN.
+        with np.errstate(all="ignore"):
+            verdicts = [verdict_min_dihedral(quality, 0.5), verdict_min_dsine(quality, 0.5)]
+            check = report_to_dict(quality, verdicts, degrees)
+            pairs = [
+                (check, report_doc(quality, verdicts, degrees)),
+                (audit_to_dict(quality, degrees), audit_doc(quality, degrees)),
+            ]
+        for doc, expected in pairs:
+            assert _dumps(doc) == json.dumps(expected, indent=2)
+            member = {"meshes": [{"index": 0, "path": "m.json", **doc}]}
+            expected = {"meshes": [{"index": 0, "path": "m.json", **expected}]}
+            assert _dumps(member) == json.dumps(expected, indent=2)

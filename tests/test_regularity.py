@@ -1,6 +1,7 @@
 """Tests for subsimplex enumeration, the two conditions, and the equivalence audit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from minangle import (
 from oracles import planar_angle
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
+# Vertices 0, 1, 2 lie 1e-155 apart: the tolerance times that triangle's
+# diameter squared is 0, so it passes its own rule, but (0, 1, 3) fails it.
+CLUSTERED_TETRA = [[0.0, 0.0, 0.0], [1e-155, 0.0, 0.0], [0.0, 1e-155, 0.0], [0.3, 0.4, 1.0]]
 CORNER3_OFF_CORNER_DSINE = 1.0 / math.sqrt(3.0)
 
 
@@ -116,6 +120,13 @@ class TestMinDihedralOverSubsimplices:
         )
         with pytest.raises(DegeneracyError, match=r"\(0, 1, 3\)"):
             min_dihedral_over_subsimplices(bad)
+
+    def test_clustered_vertices_raise_degeneracy_without_overflow(self):
+        # The clustered triangle is not measured: its barycentric gradients overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegeneracyError, match=r"\(0, 1, 3\)"):
+                cell_quality(Simplex(CLUSTERED_TETRA))
 
 
 class TestMinVertexDsine:
