@@ -27,7 +27,7 @@ import itertools
 import math
 
 from .errors import InvalidInputError
-from .geometry import Simplex, ToleranceConfig, _Record, _simplex_forms, facet
+from .geometry import Simplex, _Record, _simplex_forms, facet
 
 
 class DihedralAngleSet(_Record, eq=False):
@@ -84,7 +84,7 @@ class ProductDecomposition(_Record):
     residual: float
 
 
-def all_dihedral_angles(s: Simplex, cfg: ToleranceConfig | None = None) -> DihedralAngleSet:
+def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     """Every dihedral angle of ``s``, computed from one set of normals.
 
     Embedded simplices (k < d) are measured in coordinates of their own
@@ -94,9 +94,7 @@ def all_dihedral_angles(s: Simplex, cfg: ToleranceConfig | None = None) -> Dihed
     k = s.intrinsic_dim
     if k < 2:
         raise InvalidInputError(f"dihedral angles need dimension >= 2, got {s!r}")
-    units, _, values, _ = _simplex_forms(
-        s, cfg, "dihedral angles", ambient=k == s.ambient_dim
-    )
+    units, _, values, _ = _simplex_forms(s, "dihedral angles", ambient=k == s.ambient_dim)
     pairs = itertools.combinations(range(k + 1), 2)  # the np.triu_indices order
     angles = dict(zip(pairs, values.tolist()))
     return DihedralAngleSet(simplex_dim=k, angles=angles, normals=-units)
@@ -123,12 +121,10 @@ def vertex_sines(s: Simplex) -> tuple[float, ...]:
         DegeneracyError: if ``s`` is degenerate.
     """
     _require_full_dim(s, "d-sine", 2)
-    return tuple(_simplex_forms(s, None, "d-sine")[3].tolist())
+    return tuple(_simplex_forms(s, "d-sine")[3].tolist())
 
 
-def product_decomposition(
-    s: Simplex, i: int, cfg: ToleranceConfig | None = None
-) -> ProductDecomposition:
+def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
     """Factor the d-sine at vertex ``i`` through the facet omitting the last vertex.
 
     The sub-sine is the (d-1)-sine of vertex ``i`` inside the facet
@@ -143,10 +139,10 @@ def product_decomposition(
             f"vertex index {i} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
-    _, _, angles, sines = _simplex_forms(s, cfg, "product decomposition")
+    _, _, angles, sines = _simplex_forms(s, "product decomposition")
     position = {pair: n for n, pair in enumerate(itertools.combinations(range(d + 1), 2))}
     dihedral_sines = tuple(math.sin(angles[position[j, d]]) for j in range(d) if j != i)
-    sub_sine = float(_simplex_forms(facet(s, d), cfg, "d-sine")[3][i])
+    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[3][i])
     product = sub_sine * math.prod(dihedral_sines)
     direct = float(sines[i])
     return ProductDecomposition(
@@ -159,13 +155,13 @@ def product_decomposition(
     )
 
 
-def dihedral_sum(s: Simplex, cfg: ToleranceConfig | None = None) -> float:
+def dihedral_sum(s: Simplex) -> float:
     """Sum of all k(k+1)/2 dihedral angles, in radians.
 
     For any triangle this is pi; for a nondegenerate tetrahedron the sum
     lies strictly between 2*pi and 3*pi.
     """
-    return math.fsum(all_dihedral_angles(s, cfg).values())
+    return math.fsum(all_dihedral_angles(s).values())
 
 
 def ball_ratio(s: Simplex) -> float:
@@ -175,5 +171,5 @@ def ball_ratio(s: Simplex) -> float:
     ``ball_ratio(s) * s.diameter()`` is the radius of the inscribed ball.
     """
     _require_full_dim(s, "ball ratio")
-    _, lengths, _, _ = _simplex_forms(s, None, "ball ratio")
+    _, lengths, _, _ = _simplex_forms(s, "ball ratio")
     return float(1.0 / lengths.sum())

@@ -296,7 +296,7 @@ _INFO_DEGENERATE_ROW = "%5d        degenerate" + "%.0s" * 5 + "\n"
 def cmd_info(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     mesh = load_mesh(args.mesh)
-    validation = validate_mesh(mesh, cfg)
+    validation = validate_mesh(mesh)
     conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, cfg)
 
@@ -318,8 +318,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         out.append(f"warning: unused vertices {list(validation.unused_vertices)}\n")
     if validation.duplicate_cells:
         out.append(f"warning: duplicate cells {list(validation.duplicate_cells)}\n")
-    if validation.degenerate_cells:
-        out.append(f"warning: degenerate cells {list(validation.degenerate_cells)}\n")
+    if quality.degenerate_cells:
+        out.append(f"warning: degenerate cells {list(quality.degenerate_cells)}\n")
 
     columns = _quality_columns(quality)
     out.append(_INFO_HEADER % ("cell", *columns))

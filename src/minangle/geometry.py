@@ -87,7 +87,11 @@ class _Record:
 
 
 class ToleranceConfig(_Record):
-    """Numerical policy shared by the geometric and angular operations.
+    """The degeneracy tolerance, for the two functions that take one.
+
+    :func:`is_degenerate` tests one simplex with it, and
+    :func:`minangle.regularity.mesh_quality` every subsimplex of every cell;
+    every other function uses ``DEFAULT_TOLERANCES``.
 
     Attributes:
         degeneracy_rel_tol: relative degeneracy threshold in (0, sqrt(3)/2).
@@ -261,17 +265,16 @@ def _gradient_forms(
     return units, lengths, angles, dsines
 
 
-def _whole(s: Simplex, cfg: ToleranceConfig | None):
+def _whole(s: Simplex, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """The kernel's first stage on all of ``s`` (N = S = 1): z, R, |det R| and the rule."""
-    tol = (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
     m = s.vertex_count
     z, dist = _normalized(s.vertices[None])
-    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), tol)
+    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), cfg.degeneracy_rel_tol)
     return z, r, volume, bool(degenerate[0, 0])
 
 
 def _simplex_forms(
-    s: Simplex, cfg: ToleranceConfig | None, what: str, *, ambient: bool = False
+    s: Simplex, what: str, *, ambient: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_gradient_forms` of ``s`` itself, normalized to diameter 1.
 
@@ -280,9 +283,9 @@ def _simplex_forms(
     coordinates.
 
     Raises:
-        DegeneracyError: if ``s`` fails the degeneracy rule.
+        DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
     """
-    z, r, volume, degenerate = _whole(s, cfg)
+    z, r, volume, degenerate = _whole(s)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
     columns = np.swapaxes(z[:, None, 1:], -1, -2) if ambient else r
@@ -300,7 +303,7 @@ def simplex_measure(s: Simplex) -> float:
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
-    _, _, volume, _ = _whole(s, None)
+    _, _, volume, _ = _whole(s)
     return float(volume[0, 0]) / math.factorial(k) * s.diameter() ** k
 
 
@@ -322,11 +325,11 @@ def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
     """
     if s.intrinsic_dim == 0:
         return False
-    *_, degenerate = _whole(s, cfg)
+    *_, degenerate = _whole(s, cfg or DEFAULT_TOLERANCES)
     return degenerate
 
 
-def outward_unit_normals(s: Simplex, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def outward_unit_normals(s: Simplex) -> np.ndarray:
     """All k+1 outward unit facet normals of a full-dimensional simplex.
 
     Row i is the unit normal of facet F_i pointing away from vertex A_i, in
@@ -334,5 +337,5 @@ def outward_unit_normals(s: Simplex, cfg: ToleranceConfig | None = None) -> np.n
     """
     if s.intrinsic_dim != s.ambient_dim:
         raise InvalidInputError(f"normals need a full-dimensional simplex, got {s!r}")
-    return -_simplex_forms(s, cfg, "normals", ambient=True)[0]
+    return -_simplex_forms(s, "normals", ambient=True)[0]
 

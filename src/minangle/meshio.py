@@ -28,8 +28,8 @@ from typing import IO, Any, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOLERANCES, Simplex, ToleranceConfig, _others, _Record
-from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality, _degenerate_cells
+from .geometry import Simplex, _others, _Record
+from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
 _DEG_PER_RAD = 180.0 / math.pi
 
@@ -128,7 +128,7 @@ class Mesh:
 
     Construction enforces the structural invariants (index ranges, cell
     arity, distinct indices per cell, finite coordinates); geometric
-    degeneracy is the job of :func:`validate_mesh`.
+    degeneracy is decided by :func:`minangle.regularity.mesh_quality`.
     """
 
     __slots__ = ("_vertices", "_cells")
@@ -372,26 +372,23 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class ValidationReport(_Record):
-    """Geometric and referential problems found in a parsed mesh."""
+    """Referential problems found in a parsed mesh."""
 
-    degenerate_cells: tuple[int, ...] = ()
     unused_vertices: tuple[int, ...] = ()
     duplicate_cells: tuple[int, ...] = ()
 
     @property
     def is_clean(self) -> bool:
-        return not (self.degenerate_cells or self.unused_vertices or self.duplicate_cells)
+        return not (self.unused_vertices or self.duplicate_cells)
 
 
-def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationReport:
-    """Flag degenerate cells, unused vertices, and duplicate cells.
+def validate_mesh(mesh: Mesh) -> ValidationReport:
+    """Flag unused vertices and duplicate cells.
 
-    Report-based: never raises for mesh-content problems.
+    Only references are checked: which cells are degenerate is decided by
+    :func:`minangle.regularity.mesh_quality`.  Report-based: never raises
+    for mesh-content problems.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    degenerate = np.flatnonzero(
-        _degenerate_cells(mesh.vertices[mesh.cells], cfg.degeneracy_rel_tol)
-    ).tolist()
     used = np.zeros(mesh.vertex_count, dtype=bool)
     used[mesh.cells.ravel()] = True
     unused = np.flatnonzero(~used).tolist()
@@ -399,7 +396,6 @@ def validate_mesh(mesh: Mesh, cfg: ToleranceConfig | None = None) -> ValidationR
     first, _, owner = _row_groups(np.sort(mesh.cells, axis=1))
     duplicates = np.flatnonzero(first[owner] != np.arange(mesh.cell_count)).tolist()
     return ValidationReport(
-        degenerate_cells=tuple(degenerate),
         unused_vertices=tuple(unused),
         duplicate_cells=tuple(duplicates),
     )

@@ -173,17 +173,6 @@ def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
     return [func(points[start : start + step]) for start in range(0, len(points), step)]
 
 
-def _degenerate_cells(points: np.ndarray, tol: float) -> np.ndarray:
-    """Which cells (N, m, d) fail the degeneracy rule themselves; subsimplices are not tested."""
-    _, m, d = points.shape
-    whole = _combinations(m, m)
-
-    def chunk(part: np.ndarray) -> np.ndarray:
-        return _intrinsic_r(*_normalized(part), whole, tol)[2][:, 0]
-
-    return np.concatenate(_chunked(points, m * m * d, chunk))
-
-
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
 
@@ -250,19 +239,17 @@ def _check_scan_dim(k: int, what: object) -> None:
         )
 
 
-def _scan_simplex(s: Simplex, cfg: ToleranceConfig) -> MeshQuality:
+def _scan_simplex(s: Simplex) -> MeshQuality:
     """The one-cell quality of ``s``; raises DegeneracyError naming the first degenerate subset."""
     _check_scan_dim(s.intrinsic_dim, s)
-    first, *columns = _scan_chunk(s.vertices[None], cfg.degeneracy_rel_tol)
+    first, *columns = _scan_chunk(s.vertices[None], DEFAULT_TOLERANCES.degeneracy_rel_tol)
     if first[0] >= 0:
         subset = _subset_at(s.intrinsic_dim, int(first[0]))
         raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
     return MeshQuality(s.ambient_dim, np.zeros(1, dtype=np.intp), *columns)
 
 
-def min_dihedral_over_subsimplices(
-    s: Simplex, cfg: ToleranceConfig | None = None
-) -> tuple[float, float]:
+def min_dihedral_over_subsimplices(s: Simplex) -> tuple[float, float]:
     """(min, max) over all dihedral angles of all subsimplices of ``s``.
 
     Every subsimplex (dimension 2 up to the cell itself) is measured in
@@ -274,23 +261,26 @@ def min_dihedral_over_subsimplices(
         DegeneracyError: naming the first degenerate vertex subset, in the
             order of ascending size, lexicographic within a size.
     """
-    quality = _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
+    quality = _scan_simplex(s)
     return quality.min_dihedral(), quality.max_dihedral()
 
 
-def cell_quality(s: Simplex, cfg: ToleranceConfig | None = None) -> MeshQuality:
+def cell_quality(s: Simplex) -> MeshQuality:
     """The quality of one cell, as :func:`mesh_quality` of a one-cell mesh.
 
     Raises DegeneracyError on bad cells.
     """
     if s.intrinsic_dim != s.ambient_dim:
         raise InvalidInputError(f"cell quality needs a full-dimensional simplex, got {s!r}")
-    return _scan_simplex(s, cfg or DEFAULT_TOLERANCES)
+    return _scan_simplex(s)
 
 
 def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQuality:
     """Per-cell quality and equivalence margins of a mesh, as columns over its good cells.
 
+    This is the one degeneracy decision over a mesh: a cell is degenerate
+    when any of its subsimplices of dimension >= 2, itself included, fails
+    the rule of :func:`minangle.geometry.is_degenerate` at ``cfg``.
     Degenerate cells are collected rather than raised, so a single bad
     cell cannot abort the scan.  Cells are in index order and the result
     is deterministic.

@@ -1,6 +1,10 @@
-"""The public names of the package: adding or removing one must show up here."""
+"""The public names of the package and their parameters.
+
+Adding or removing a name or a parameter must show up here.
+"""
 
 import importlib
+import inspect
 import types
 
 import minangle
@@ -66,6 +70,58 @@ DEFINING_MODULE_NAMES = {
 }
 PUBLIC_NAMES = set().union(*DEFINING_MODULE_NAMES.values())
 
+# Public function or class -> the names of the parameters it takes.  A record's
+# constructor takes its fields (tests/test_records.py pins their defaults).
+PARAMETERS = {
+    "ConditionVerdict": (
+        "condition", "threshold_used", "satisfied", "worst_cell", "worst_value",
+        "degenerate_cells",
+    ),
+    "ConformityReport": ("facet_count", "boundary_facets", "interior_facets", "overshared_facets"),
+    "DihedralAngleSet": ("simplex_dim", "angles", "normals"),
+    "Mesh": ("vertices", "cells"),
+    "MeshQuality": (
+        "ambient_dim", "cells", "min_dihedral_all_sub", "max_dihedral_all_sub",
+        "min_vertex_dsine", "ball_ratio", "dihedral_sum_top", "forward_margin",
+        "degenerate_cells",
+    ),
+    "ProductDecomposition": (
+        "vertex_index", "sub_sine", "dihedral_sines", "product", "d_sine", "residual",
+    ),
+    "Simplex": ("vertices",),
+    "ToleranceConfig": ("degeneracy_rel_tol",),
+    "ValidationReport": ("unused_vertices", "duplicate_cells"),
+    "all_dihedral_angles": ("s",),
+    "ball_ratio": ("s",),
+    "cell_quality": ("s",),
+    "certified_dsine_bound": ("alpha0", "gamma0", "d"),
+    "conformity_check": ("mesh",),
+    "corner_simplex": ("d", "scale"),
+    "dihedral_sum": ("s",),
+    "dump_mesh": ("mesh",),
+    "facet": ("s", "i"),
+    "flatten_family": ("d", "t", "scale"),
+    "generate": ("kind", "dim", "param", "seed", "scale"),
+    "is_degenerate": ("s", "cfg"),
+    "load_mesh": ("path",),
+    "mesh_quality": ("mesh", "cfg"),
+    "min_dihedral_over_subsimplices": ("s",),
+    "needle_family": ("d", "t", "scale"),
+    "outward_unit_normals": ("s",),
+    "parse_family_manifest": ("source", "base_dir"),
+    "parse_mesh": ("source",),
+    "product_decomposition": ("s", "i"),
+    "random_simplex": ("d", "seed", "scale", "min_quality"),
+    "regular_simplex": ("d", "scale"),
+    "simplex_measure": ("s",),
+    "subsimplex_count": ("dim",),
+    "validate_mesh": ("mesh",),
+    "verdict_min_dihedral": ("quality", "alpha0"),
+    "verdict_min_dsine": ("quality", "dsine_min"),
+    "vertex_sines": ("s",),
+    "write_report": ("quality", "verdicts", "sink", "degrees"),
+}
+
 
 def test_public_names_are_the_listed_ones():
     assert len(PUBLIC_NAMES) == 44
@@ -90,3 +146,21 @@ def test_each_name_is_the_object_its_module_defines():
 
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(minangle, "no_such_name")
+
+
+def parameters(obj) -> tuple[str, ...]:
+    """The parameter names of a public callable; a record's come from its fields."""
+    if isinstance(obj, type) and hasattr(obj, "_fields"):
+        # The record base's __init__ takes *args and **kwargs and checks them against _fields.
+        assert tuple(inspect.signature(obj).parameters) == ("args", "kwargs")
+        return obj._fields
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_parameters_are_the_listed_ones():
+    public = {name: getattr(minangle, name) for name in PUBLIC_NAMES}
+    # The errors take a message, as every exception does.
+    errors = {name for name, obj in public.items() if isinstance(obj, type)
+              and issubclass(obj, Exception)}
+    assert set(PARAMETERS) == {name for name, obj in public.items() if callable(obj)} - errors
+    assert {name: parameters(getattr(minangle, name)) for name in PARAMETERS} == PARAMETERS

@@ -517,6 +517,31 @@ class TestInfoCommand:
         assert main(["info", str(bad)]) == EXIT_INPUT_ERROR
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "bad_cell, flags",
+        [
+            # The cell's own ratio is 1.06e-17, above the tolerance, but its
+            # vertices 1, 2 and 3 are collinear: that face has |det R| = 0 exactly.
+            ([[0.0, 1.0, -2 / 3], [1.0, 0.0, 0.0], [-1 / 3, 0.0, 0.0], [2 / 3, 0.0, 0.0]],
+             ["--degeneracy-tol", "1e-300"]),
+            ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], []),
+        ],
+        ids=["singular-subsimplex", "flat-triangle"],
+    )
+    def test_warning_lists_exactly_the_degenerate_rows(self, tmp_path, capsys, bad_cell, flags):
+        d = len(bad_cell[0])
+        good_cell = regular_simplex(d).vertices + 5.0
+        path = write_mesh_file(
+            tmp_path / "mesh.json", np.vstack([good_cell, bad_cell]),
+            [list(range(d + 1)), list(range(d + 1, 2 * d + 2))],
+        )
+        assert main(["info", str(path), *flags]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = [int(line.split()[0]) for line in lines if line.split()[1:] == ["degenerate"]]
+        assert rows == [1]
+        warnings = [line for line in lines if line.startswith("warning: degenerate cells")]
+        assert warnings == [f"warning: degenerate cells {rows}"]
+
 
 class TestMalformedInput:
     """Input no parser can take is an input error (exit 2, one line), never a traceback."""

@@ -37,8 +37,8 @@ RECORDS = {
         {"degenerate_cells": ()},
     ),
     ValidationReport: (
-        ("degenerate_cells", "unused_vertices", "duplicate_cells"),
-        {"degenerate_cells": (), "unused_vertices": (), "duplicate_cells": ()},
+        ("unused_vertices", "duplicate_cells"),
+        {"unused_vertices": (), "duplicate_cells": ()},
     ),
     ConformityReport: (
         ("facet_count", "boundary_facets", "interior_facets", "overshared_facets"),
