@@ -17,8 +17,10 @@ in :mod:`minangle.regularity`.
 
 Every function here is the kernel of :mod:`minangle.geometry` at N=1, which
 takes the angles and d-sines from the barycentric gradients of the simplex
-in coordinates of its own affine hull; so subsimplex angles are intrinsic,
-and the values agree with the mesh scan of :mod:`minangle.regularity`.
+in coordinates of its own affine hull, through the same R factor as the
+mesh scan of :mod:`minangle.regularity`.  So subsimplex angles are
+intrinsic, and every value equals the scan's bit for bit: the angles of
+``all_dihedral_angles(s)`` are those behind ``cell_quality(s)``.
 """
 
 from __future__ import annotations
@@ -27,22 +29,27 @@ import itertools
 import math
 
 from .errors import InvalidInputError
-from .geometry import Simplex, _Record, _simplex_forms, facet
+from .geometry import (
+    Simplex,
+    _Record,
+    _require_angle_dim,
+    _require_full_dim,
+    _simplex_forms,
+    facet,
+)
 
 
 class DihedralAngleSet(_Record, eq=False):
-    """All k(k+1)/2 dihedral angles of one simplex, plus its outward normals.
+    """All k(k+1)/2 dihedral angles of one simplex.
 
     Angles are keyed by the unordered facet pair (i, j) with i < j and are
-    given in radians; ``normals`` are the outward unit normals, one row per
-    facet: in the simplex's coordinates when it is full-dimensional (k = d),
-    and in the orthonormal hull coordinates of its R factor when k < d.
-    Sets compare and hash by identity, as their fields hold a dict and an array.
+    given in radians.  The normals they come from are
+    :func:`minangle.geometry.outward_unit_normals`.  Sets compare and hash
+    by identity, as their field holds a dict.
     """
 
     simplex_dim: int
     angles: dict[tuple[int, int], float]
-    normals: np.ndarray
 
     def angle(self, i: int, j: int) -> float:
         """The angle between facets F_i and F_j, symmetric in (i, j), in [0, pi]."""
@@ -87,26 +94,15 @@ class ProductDecomposition(_Record):
 def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     """Every dihedral angle of ``s``, computed from one set of normals.
 
-    Embedded simplices (k < d) are measured in coordinates of their own
-    affine hull, so the angles are intrinsic.  Requires intrinsic
-    dimension >= 2.
+    Every simplex, full-dimensional or embedded (k < d), is measured in
+    coordinates of its own affine hull, so the angles are intrinsic and
+    equal the mesh scan's.  Requires intrinsic dimension >= 2.
     """
     k = s.intrinsic_dim
-    if k < 2:
-        raise InvalidInputError(f"dihedral angles need dimension >= 2, got {s!r}")
-    units, _, values, _ = _simplex_forms(s, "dihedral angles", ambient=k == s.ambient_dim)
+    _require_angle_dim(k, s)
+    values = _simplex_forms(s, "dihedral angles")[2]
     pairs = itertools.combinations(range(k + 1), 2)  # the np.triu_indices order
-    angles = dict(zip(pairs, values.tolist()))
-    return DihedralAngleSet(simplex_dim=k, angles=angles, normals=-units)
-
-
-def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
-    d = s.ambient_dim
-    if s.intrinsic_dim != d:
-        raise InvalidInputError(f"{what} needs a full-dimensional simplex, got {s!r}")
-    if d < min_dim:
-        raise InvalidInputError(f"{what} needs dimension >= {min_dim}")
-    return d
+    return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
 
 
 def vertex_sines(s: Simplex) -> tuple[float, ...]:

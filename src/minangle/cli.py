@@ -46,6 +46,7 @@ from .meshio import (
     _cell_lines,
     _dumps,
     _quality_columns,
+    _read_file,
     audit_to_dict,
     conformity_check,
     dump_mesh,
@@ -238,14 +239,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
     manifest_path = Path(args.manifest)
-    try:
-        manifest_text = manifest_path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InvalidInputError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    try:
-        paths = parse_family_manifest(manifest_text, base_dir=manifest_path.parent)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{manifest_path}: {exc}") from exc
+    paths = _read_file(
+        manifest_path,
+        "manifest",
+        lambda data: parse_family_manifest(data, base_dir=manifest_path.parent),
+    )
     meshes = [load_mesh(p) for p in paths]
     dims = {m.ambient_dim for m in meshes}
     if len(dims) > 1:

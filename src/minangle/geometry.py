@@ -22,8 +22,10 @@ finite element?", 2002).  The atan2 form stays accurate for angles near 0
 and pi, where the inverse cosine of a cosine loses half the digits.
 
 The single-simplex functions here and in :mod:`minangle.angles` are the
-kernel at N=1; :mod:`minangle.regularity` runs it over every subsimplex of
-many cells at once.
+kernel at N=1, from the same R, so their values equal the scan's bit for
+bit; :mod:`minangle.regularity` runs it over every subsimplex of many cells
+at once.  Only :func:`outward_unit_normals` leaves hull coordinates: it
+rotates the normals back into the simplex's own with Q.
 
 All functions here are pure: nothing mutates its inputs, and the only
 global state is the kernel's index tables, built once per size and
@@ -118,6 +120,21 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 KINDS = ("regular", "corner", "flatten", "needle", "random")
 
 
+def _coordinates(vertices) -> np.ndarray:
+    """``vertices`` as a read-only, finite, nonempty (n, d) float64 copy, or InvalidInputError."""
+    try:
+        arr = np.array(vertices, dtype=float, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"inconsistent vertex coordinates: {exc}") from exc
+    except OverflowError as exc:
+        raise InvalidInputError(f"vertex coordinate outside the double range: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise InvalidInputError("vertices must form a nonempty 2-d coordinate array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("vertex coordinates must be finite")
+    return _read_only(arr)
+
+
 class Simplex:
     """An ordered k-simplex embedded in R^d, k <= d.
 
@@ -129,24 +146,12 @@ class Simplex:
     __slots__ = ("_vertices",)
 
     def __init__(self, vertices) -> None:
-        try:
-            arr = np.array(vertices, dtype=float, copy=True)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"inconsistent vertex coordinates: {exc}") from exc
-        if arr.ndim != 2:
-            raise InvalidInputError(
-                f"vertices must form a 2-d coordinate array, got ndim={arr.ndim}"
-            )
+        arr = _coordinates(vertices)
         n_vertices, dim = arr.shape
-        if n_vertices < 1 or dim < 1:
-            raise InvalidInputError(f"empty simplex of shape {arr.shape}")
         if n_vertices - 1 > dim:
             raise InvalidInputError(
                 f"{n_vertices} vertices cannot span a simplex in R^{dim} (k <= d required)"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("vertex coordinates must be finite")
-        arr.setflags(write=False)
         self._vertices = arr
 
     @property
@@ -239,19 +244,19 @@ def _intrinsic_r(
 
 
 def _gradient_forms(
-    columns: np.ndarray, volume: np.ndarray
+    r: np.ndarray, volume: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients, dihedral angles and vertex sines of stacked k-simplices.
 
-    ``columns`` (..., k, k) holds the edge vectors A_j - A_0 of each simplex
-    as columns, in orthonormal coordinates: R of :func:`_intrinsic_r`, or
-    E^T of a full-dimensional simplex.  ``volume`` (...) is |det columns|.
-    Returns the unit gradients g_i/|g_i| (..., k+1, k), the lengths |g_i|
-    (..., k+1), the dihedral angles (..., k(k+1)/2) of the facet pairs in
+    ``r`` (..., k, k) is R of :func:`_intrinsic_r`: its columns are the edge
+    vectors A_j - A_0 of each simplex in coordinates of its own affine hull.
+    ``volume`` (...) is |det R|.  Returns the unit gradients g_i/|g_i|
+    (..., k+1, k) in those coordinates, the lengths |g_i| (..., k+1), the
+    dihedral angles (..., k(k+1)/2) of the facet pairs in
     ``np.triu_indices(k + 1, 1)`` order, and the vertex k-sines (..., k+1).
     """
-    k = columns.shape[-1]
-    inverse = np.linalg.inv(columns)
+    k = r.shape[-1]
+    inverse = np.linalg.inv(r)
     grads = np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
     lengths = np.linalg.norm(grads, axis=-1)
     # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
@@ -274,23 +279,34 @@ def _whole(s: Simplex, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
 
 
 def _simplex_forms(
-    s: Simplex, what: str, *, ambient: bool = False
+    s: Simplex, what: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_gradient_forms` of ``s`` itself, normalized to diameter 1.
-
-    The gradients come from R, or with ``ambient`` from the normalized edge
-    matrix of a full-dimensional ``s``, so the normals keep the input's
-    coordinates.
+    """:func:`_gradient_forms` of ``s`` itself, normalized to diameter 1: the scan at N=1.
 
     Raises:
         DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
     """
-    z, r, volume, degenerate = _whole(s)
+    _, r, volume, degenerate = _whole(s)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
-    columns = np.swapaxes(z[:, None, 1:], -1, -2) if ambient else r
-    units, lengths, angles, dsines = _gradient_forms(columns, volume)
+    units, lengths, angles, dsines = _gradient_forms(r, volume)
     return units[0, 0], lengths[0, 0], angles[0, 0], dsines[0, 0]
+
+
+def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
+    """The dimension d of a full-dimensional ``s`` with d >= min_dim; else InvalidInputError."""
+    d = s.ambient_dim
+    if s.intrinsic_dim != d:
+        raise InvalidInputError(f"{what} needs a full-dimensional simplex, got {s!r}")
+    if d < min_dim:
+        raise InvalidInputError(f"{what} needs dimension >= {min_dim}")
+    return d
+
+
+def _require_angle_dim(k: int, subject: object) -> None:
+    """InvalidInputError unless k >= 2: edges and points have no dihedral angles."""
+    if k < 2:
+        raise InvalidInputError(f"dihedral angles need dimension >= 2, got {subject!r}")
 
 
 def simplex_measure(s: Simplex) -> float:
@@ -330,12 +346,15 @@ def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
 
 
 def outward_unit_normals(s: Simplex) -> np.ndarray:
-    """All k+1 outward unit facet normals of a full-dimensional simplex.
+    """The k+1 outward unit facet normals of a k-simplex in R^d, k >= 1, as (k+1, d) rows.
 
-    Row i is the unit normal of facet F_i pointing away from vertex A_i, in
-    the coordinates of ``s``.
+    Row i is the unit normal of facet F_i inside the affine hull of ``s``,
+    pointing away from vertex A_i, in the coordinates of ``s``.  These are
+    the scan's normals in the R basis of E^T = Q R, rotated back by Q.
     """
-    if s.intrinsic_dim != s.ambient_dim:
-        raise InvalidInputError(f"normals need a full-dimensional simplex, got {s!r}")
-    return -_simplex_forms(s, "normals", ambient=True)[0]
-
+    if s.intrinsic_dim < 1:
+        raise InvalidInputError("a 0-simplex has no facets")
+    units = _simplex_forms(s, "normals")[0]
+    z, _ = _normalized(s.vertices[None])
+    q = np.linalg.qr(z[0, 1:].T, mode="reduced")[0]
+    return -units @ q.T

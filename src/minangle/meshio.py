@@ -23,12 +23,12 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import IO, Any, Sequence
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Simplex, _others, _Record
+from .geometry import Simplex, _coordinates, _others, _Record
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
 _DEG_PER_RAD = 180.0 / math.pi
@@ -134,16 +134,7 @@ class Mesh:
     __slots__ = ("_vertices", "_cells")
 
     def __init__(self, vertices, cells) -> None:
-        try:
-            varr = np.array(vertices, dtype=float, copy=True)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"inconsistent vertex coordinates: {exc}") from exc
-        except OverflowError as exc:
-            raise InvalidInputError(f"vertex coordinate outside the double range: {exc}") from exc
-        if varr.ndim != 2 or varr.shape[0] < 1 or varr.shape[1] < 1:
-            raise InvalidInputError("vertices must form a nonempty 2-d coordinate array")
-        if not np.all(np.isfinite(varr)):
-            raise InvalidInputError("vertex coordinates must be finite")
+        varr = _coordinates(vertices)
         dim = varr.shape[1]
 
         cell_list = list(cells)
@@ -153,7 +144,6 @@ class Mesh:
         if carr is None:
             _raise_first_bad_cell(cell_list, dim, varr.shape[0])
             carr = np.array(cell_list, dtype=np.int64)
-        varr.setflags(write=False)
         carr.setflags(write=False)
         self._vertices = varr
         self._cells = carr
@@ -290,16 +280,21 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
     return Mesh(vertices, cellrows)
 
 
-def load_mesh(path: str | Path) -> Mesh:
-    """Read and parse a mesh file from disk."""
+def _read_file(path: str | Path, what: str, parse: Callable[[bytes], Any]) -> Any:
+    """``parse`` of the bytes of the ``what`` file at ``path``; each error names the file."""
     try:
-        text = Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InvalidInputError(f"cannot read mesh file {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return parse_mesh(text)
+        return parse(data)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def load_mesh(path: str | Path) -> Mesh:
+    """Read and parse a mesh file from disk."""
+    return _read_file(path, "mesh file", parse_mesh)
 
 
 def dump_mesh(mesh: Mesh) -> str:

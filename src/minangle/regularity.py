@@ -31,9 +31,8 @@ gradients.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,6 +46,8 @@ from .geometry import (
     _intrinsic_r,
     _normalized,
     _Record,
+    _require_angle_dim,
+    _require_full_dim,
 )
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
@@ -148,23 +149,9 @@ class ConditionVerdict(_Record):
     degenerate_cells: tuple[int, ...] = ()
 
 
-def _index_subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """The vertex subsets of a k-simplex's subsimplices of dimension >= 2, the simplex last.
-
-    Subsets come in ascending size and in lexicographic order within a size.
-    """
-    for size in range(3, k + 2):
-        yield from itertools.combinations(range(k + 1), size)
-
-
 def subsimplex_count(dim: int) -> int:
     """Number of subsimplices of dimension >= 2 of a dim-simplex, itself included."""
     return sum(math.comb(dim + 1, size) for size in range(3, dim + 2))
-
-
-def _subset_at(k: int, position: int) -> tuple[int, ...]:
-    """The vertex subset at ``position`` in the order of :func:`_index_subsets`."""
-    return next(itertools.islice(_index_subsets(k), position, None))
 
 
 def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
@@ -176,8 +163,9 @@ def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
 
-    The position is in :func:`_index_subsets` order, the cell included; the
-    metric entries of a degenerate cell are meaningless.
+    The position counts the subsets the scan visits, the cell last: the
+    :func:`minangle.geometry._combinations` rows of each size from 3 up to
+    m.  The metric entries of a degenerate cell are meaningless.
     """
     n, m, _ = points.shape
     z, dist = _normalized(points)
@@ -230,8 +218,7 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
 
 
 def _check_scan_dim(k: int, what: object) -> None:
-    if k < 2:
-        raise InvalidInputError(f"dihedral angles need dimension >= 2, got {what!r}")
+    _require_angle_dim(k, what)
     if k > DIMENSION_CAP:
         raise InvalidInputError(
             f"dimension {k} is above the limit d <= {DIMENSION_CAP}: the subsimplex "
@@ -244,8 +231,9 @@ def _scan_simplex(s: Simplex) -> MeshQuality:
     _check_scan_dim(s.intrinsic_dim, s)
     first, *columns = _scan_chunk(s.vertices[None], DEFAULT_TOLERANCES.degeneracy_rel_tol)
     if first[0] >= 0:
-        subset = _subset_at(s.intrinsic_dim, int(first[0]))
-        raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
+        m = s.vertex_count
+        subsets = [row for size in range(3, m + 1) for row in _combinations(m, size).tolist()]
+        raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
     return MeshQuality(s.ambient_dim, np.zeros(1, dtype=np.intp), *columns)
 
 
@@ -270,8 +258,7 @@ def cell_quality(s: Simplex) -> MeshQuality:
 
     Raises DegeneracyError on bad cells.
     """
-    if s.intrinsic_dim != s.ambient_dim:
-        raise InvalidInputError(f"cell quality needs a full-dimensional simplex, got {s!r}")
+    _require_full_dim(s, "cell quality")
     return _scan_simplex(s)
 
 

@@ -138,6 +138,18 @@ class TestAllDihedralAngles:
                 for value in all_dihedral_angles(s).values():
                     assert 0.0 < value < math.pi
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equal_to_the_scan_bit_for_bit(self, d):
+        # One R factor serves the library and the scan, so no last bit differs.
+        for seed in range(100):
+            s = random_simplex(d, seed)
+            values = all_dihedral_angles(s).values()
+            quality = cell_quality(s)
+            assert np.sum(values) == quality.dihedral_sum_top[0]
+            if d == 2:
+                assert min(values) == quality.min_dihedral()
+                assert max(values) == quality.max_dihedral()
+
 
 class TestDSine:
     def test_right_angle_corner_is_one(self):

@@ -78,7 +78,7 @@ PARAMETERS = {
         "degenerate_cells",
     ),
     "ConformityReport": ("facet_count", "boundary_facets", "interior_facets", "overshared_facets"),
-    "DihedralAngleSet": ("simplex_dim", "angles", "normals"),
+    "DihedralAngleSet": ("simplex_dim", "angles"),
     "Mesh": ("vertices", "cells"),
     "MeshQuality": (
         "ambient_dim", "cells", "min_dihedral_all_sub", "max_dihedral_all_sub",

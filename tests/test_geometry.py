@@ -42,6 +42,10 @@ class TestSimplexConstruction:
         with pytest.raises(InvalidInputError):
             Simplex([[0.0, 0.0], [1.0, math.inf], [0.0, 1.0]])
 
+    def test_coordinate_outside_the_double_range_rejected(self):
+        with pytest.raises(InvalidInputError, match="outside the double range"):
+            Simplex([[10**400, 0], [0, 1], [1, 0]])
+
     def test_too_many_vertices_for_ambient_space(self):
         with pytest.raises(InvalidInputError):
             Simplex([[0.0], [1.0], [2.0]])  # three vertices in R^1
@@ -244,10 +248,26 @@ class TestOutwardNormals:
                     if j != i:
                         assert np.dot(normals[i], s.vertices[j] - s.vertices[i]) > 0.0
 
-    def test_embedded_simplex_rejected(self):
-        tri3d = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            outward_unit_normals(tri3d)
+    @pytest.mark.parametrize("k, d", [(1, 3), (2, 3), (3, 5)])
+    def test_embedded_simplex_normals(self, k, d):
+        for seed in range(10):
+            s = Simplex(random_simplex(d, seed=700 + seed).vertices[: k + 1])
+            normals = outward_unit_normals(s)
+            assert normals.shape == (k + 1, d)
+            np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+            edges = s.vertices[1:] - s.vertices[0]
+            # inside the span of the edges: the least-squares residual vanishes
+            coeffs = np.linalg.lstsq(edges.T, normals.T, rcond=None)[0]
+            np.testing.assert_allclose(edges.T @ coeffs, normals.T, atol=1e-10)
+            for i in range(k + 1):
+                rest = facet(s, i)
+                facet_edges = rest.vertices[1:] - rest.vertices[0]
+                # orthogonal to every facet edge
+                np.testing.assert_allclose(facet_edges @ normals[i], 0.0, atol=1e-10)
+                # outward: points away from the omitted vertex
+                for j in range(k + 1):
+                    if j != i:
+                        assert np.dot(normals[i], s.vertices[j] - s.vertices[i]) > 0.0
 
     def test_degenerate_raises(self):
         with pytest.raises(DegeneracyError):

@@ -44,7 +44,7 @@ RECORDS = {
         ("facet_count", "boundary_facets", "interior_facets", "overshared_facets"),
         {"overshared_facets": ()},
     ),
-    DihedralAngleSet: (("simplex_dim", "angles", "normals"), {}),
+    DihedralAngleSet: (("simplex_dim", "angles"), {}),
     ProductDecomposition: (
         ("vertex_index", "sub_sine", "dihedral_sines", "product", "d_sine", "residual"),
         {},
