@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import IO, Any, Callable, Sequence
 
 # minangle gives BLAS no work: its linear algebra is one small (k <= 12) LAPACK
 # factorization per matrix.  Yet OpenBLAS starts a thread pool when numpy loads,
@@ -37,16 +38,14 @@ from typing import Any, Sequence
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
     _cell_lines,
-    _dumps,
     _quality_columns,
     _read_file,
+    _write,
     audit_to_dict,
     conformity_check,
     dump_mesh,
@@ -135,12 +134,13 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     return ToleranceConfig(degeneracy_rel_tol=args.degeneracy_tol)
 
 
-def _emit(text: str, destination: str) -> None:
+def _emit(render: Callable[[IO[str]], Any], destination: str) -> None:
     if destination != "-":
-        Path(destination).write_text(text)
+        with Path(destination).open("w") as sink:
+            render(sink)
         return
     try:
-        sys.stdout.write(text)
+        render(sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left, as `| head` does; on devnull the flush at exit stays silent.
@@ -148,7 +148,7 @@ def _emit(text: str, destination: str) -> None:
 
 
 def _emit_json(doc: dict[str, Any], destination: str) -> None:
-    _emit(_dumps(doc) + "\n", destination)
+    _emit(lambda sink: _write(doc, sink.write) or sink.write("\n"), destination)
 
 
 def _require_threshold(args: argparse.Namespace) -> None:
@@ -281,7 +281,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     simplex = generate(args.kind, args.dim, args.param, args.seed, args.scale)
     mesh = Mesh(simplex.vertices, [list(range(simplex.vertex_count))])
-    _emit(dump_mesh(mesh), args.output)
+    _emit(lambda sink: sink.write(dump_mesh(mesh)), args.output)
     return EXIT_OK
 
 
@@ -321,9 +321,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
     columns = _quality_columns(quality)
     out.append(_INFO_HEADER % ("cell", *columns))
-    values = np.column_stack(list(columns.values()))
-    out.append(_cell_lines(quality, _INFO_ROW, _INFO_DEGENERATE_ROW, values))
-    _emit("".join(out), "-")
+    rows = _cell_lines(quality, _INFO_ROW, _INFO_DEGENERATE_ROW, [*columns.values()])
+    _emit(lambda sink: sink.writelines(itertools.chain(out, rows)), "-")
     return EXIT_OK
 
 

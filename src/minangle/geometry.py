@@ -313,14 +313,22 @@ def simplex_measure(s: Simplex) -> float:
     """k-dimensional measure of a k-simplex embedded in R^d.
 
     Computed as |det R| / k! = sqrt(det G) / k!, with G the Gram matrix of
-    the edge vectors from vertex 0.  Exactly degenerate input yields 0
-    rather than an error; the result is always nonnegative.
+    the edge vectors from vertex 0.  It is nonnegative, never an error: 0 for
+    exactly degenerate input and ``inf`` for a measure beyond the double range.
     """
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
     _, _, volume, _ = _whole(s)
-    return float(volume[0, 0]) / math.factorial(k) * s.diameter() ** k
+    scaled = float(volume[0, 0]) / math.factorial(k)
+    try:
+        return scaled * s.diameter() ** k
+    except OverflowError:  # diameter ** k is beyond the double range; the measure may not be
+        mantissa, exponent = math.frexp(s.diameter())
+        try:
+            return math.ldexp(scaled * mantissa**k, exponent * k)
+        except OverflowError:
+            return math.inf
 
 
 def facet(s: Simplex, i: int) -> Simplex:

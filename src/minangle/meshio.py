@@ -12,9 +12,9 @@ meshes (coarse to fine) is listed in a manifest document::
 
 with member paths resolved relative to the manifest's own directory.
 
-Quality reports, equivalence-audit reports and family reports are also
-JSON; their layouts are fixed and key order is deterministic, so identical
-inputs produce byte-identical report files.
+Quality, equivalence-audit and family reports are JSON laid out by the stdlib
+encoder, each per-cell table written in chunks of rows; their key order is
+fixed, so identical inputs produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,65 +36,57 @@ _DEG_PER_RAD = 180.0 / math.pi
 # The C one-shot encoder: the same float repr, NaN/Infinity and ASCII
 # escaping as json.dumps, without the pure-Python path its indent takes.
 _ENCODE = json.JSONEncoder().encode
-_SCALARS = frozenset({type(None), bool, int, float})
-_INDENT = "  "
+_CHUNK_ROWS = 256  # rows per write of a table, so the text alive at once stays small
+# A table's place in the layout; no document holds a NUL, as a member's path cannot.
+_PLACEHOLDER = "\x00rows"
 
 
-def _dumps(value: Any) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte; every JSON document written goes here.
-
-    A report's :class:`_Rows` table is rendered from its columns and a flat
-    list of scalars is one C-encoder call.  Anything else recurses, and a dict
-    with a non-str key falls back to json.dumps.
-    """
-    return _encode(value, 0)
-
-
-def _encode(value: Any, level: int) -> str:
-    if isinstance(value, _Rows):
-        return value.text(level)
-    if not isinstance(value, (dict, list, tuple)):
-        return _ENCODE(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = "\n" + _INDENT * (level + 1)
-    if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            return json.dumps(value, indent=2).replace("\n", "\n" + _INDENT * level)
-        body = ("," + inner).join(
-            f"{_ENCODE(key)}: {_encode(item, level + 1)}" for key, item in value.items()
-        )
-        return "{" + inner + body + "\n" + _INDENT * level + "}"
-    if _SCALARS.issuperset(map(type, value)):
-        # A scalar never encodes to text holding ", ".
-        body = _ENCODE(value)[1:-1].replace(", ", "," + inner)
-    else:
-        body = ("," + inner).join(_encode(item, level + 1) for item in value)
-    return "[" + inner + body + "\n" + _INDENT * level + "]"
+def _write(doc: Any, write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(doc, indent=2)``, as every JSON document is written: the stdlib encoder
+    lays out ``doc``, and each :class:`_Rows` table writes its rows where its placeholder is."""
+    tables: list[_Rows] = []
+    text = json.dumps(doc, indent=2, default=lambda table: tables.append(table) or _PLACEHOLDER)
+    pieces = text.split(_ENCODE(_PLACEHOLDER), len(tables))
+    for piece, table in zip(pieces, tables):
+        line = piece[piece.rfind("\n") + 1 :]
+        write(piece)
+        table.write(line[: len(line) - len(line.lstrip(" "))], write)
+    write(pieces[-1])
 
 
-def _record_template(fields: dict[str, str], level: int) -> str:
-    """The %-template of a flat JSON object at ``level``; each key's value is the given text."""
-    inner = "\n" + _INDENT * (level + 1)
-    body = ("," + inner).join(
-        _ENCODE(key).replace("%", "%%") + ": " + text for key, text in fields.items()
-    )
-    return "{" + inner + body + "\n" + _INDENT * level + "}"
+def _dumps(doc: Any) -> str:
+    """The text :func:`_write` writes: ``json.dumps(doc, indent=2)``, byte for byte."""
+    pieces: list[str] = []
+    _write(doc, pieces.append)
+    return "".join(pieces)
 
 
-def _cell_lines(quality: MeshQuality, good: str, degenerate: str, values: np.ndarray) -> str:
-    """Each cell's template by index, filled with the index and its ``values`` row or Nones."""
+def _element_template(fields: dict[str, Any], indent: str) -> str:
+    """A comma, then ``fields`` as an element of an array at ``indent``; ``%s`` per placeholder."""
+    text = json.dumps([fields], indent=2)[1:-2].replace("\n", "\n" + indent)
+    return "," + text.replace("%", "%%").replace(_ENCODE(_PLACEHOLDER), "%s")
+
+
+def _cell_lines(
+    quality: MeshQuality, good: str, degenerate: str, columns: list, encode: Callable = list
+) -> Iterator[str]:
+    """Each cell's template by index, filled with the index and its row of ``columns`` or Nones,
+    ``_CHUNK_ROWS`` cells a piece; ``encode`` maps a chunk's values, row by row, to their fill."""
     count = len(quality.cells) + len(quality.degenerate_cells)
-    templates = np.full(count, degenerate, dtype=object)
-    templates[quality.cells] = good
-    table = np.empty((count, 1 + values.shape[1]), dtype=object)
-    table[:, 0] = np.arange(count)
-    table[quality.cells, 1:] = values
-    return "".join(templates) % tuple(table.ravel().tolist())
+    slots = np.full(count, -1)  # a cell's row in the columns; -1 for a degenerate cell
+    slots[quality.cells] = np.arange(len(quality.cells))
+    for start in range(0, count, _CHUNK_ROWS):
+        rows = slots[start : start + _CHUNK_ROWS]
+        values = np.column_stack([column[rows[rows >= 0]] for column in columns])
+        table = np.empty((len(rows), 1 + len(columns)), dtype=object)
+        table[:, 0] = range(start, start + len(rows))
+        table[rows >= 0, 1:] = np.reshape(encode(values.ravel().tolist()), values.shape)
+        templates = [good if row >= 0 else degenerate for row in rows.tolist()]
+        yield "".join(templates) % tuple(table.ravel().tolist())
 
 
 class _Rows(_Record, eq=False):
-    """A report's ``cells`` array: one row per cell by index, rendered by :func:`_dumps`.
+    """A report's ``cells`` array: one row per cell by index, written by :func:`_write`.
 
     A good cell's row is its index and its entries of ``columns``; a
     degenerate cell's is its index and the literal ``degenerate`` fields.
@@ -104,23 +96,20 @@ class _Rows(_Record, eq=False):
     columns: dict[str, np.ndarray]
     degenerate: dict[str, Any]
 
-    def text(self, level: int) -> str:
-        """The array as ``json.dumps(indent=2)`` writes it at nesting ``level``."""
-        if not len(self.quality.cells) and not self.quality.degenerate_cells:
-            return "[]"
-        inner = "\n" + _INDENT * (level + 1)
-        good = _record_template(dict.fromkeys(("index", *self.columns), "%s"), level + 1)
-        literals = {k: _ENCODE(v).replace("%", "%%") for k, v in self.degenerate.items()}
+    def write(self, indent: str, write: Callable[[str], Any]) -> None:
+        """Write the array as ``json.dumps(indent=2)`` lays it out at ``indent``, a chunk a call."""
+        good = _element_template(dict.fromkeys(("index", *self.columns), _PLACEHOLDER), indent)
         # The degenerate template swallows the Nones of its row's value slots.
-        degenerate = _record_template({"index": "%s", **literals}, level + 1)
+        degenerate = _element_template({"index": _PLACEHOLDER, **self.degenerate}, indent)
         degenerate += "%.0s" * len(self.columns)
-        stacked = np.column_stack(list(self.columns.values())).ravel().tolist()
-        # One C-encoder call over every value; a float never encodes to text holding ", ".
-        pieces = _ENCODE(stacked)[1:-1].split(", ") if stacked else []
-        values = np.array(pieces, dtype=object).reshape(len(self.quality.cells), len(self.columns))
-        separator = "," + inner
-        body = _cell_lines(self.quality, good + separator, degenerate + separator, values)
-        return "[" + inner + body[: -len(separator)] + "\n" + _INDENT * level + "]"
+        # One C-encoder call per chunk; a float never encodes to text holding ", ".
+        encode = lambda values: _ENCODE(values)[1:-1].split(", ") if values else []
+        chunks = _cell_lines(self.quality, good, degenerate, [*self.columns.values()], encode)
+        first = next(chunks, None)
+        write("[" + first[1:] if first else "[")  # the first row has no comma before it
+        for chunk in chunks:
+            write(chunk)
+        write("\n" + indent + "]" if first else "]")
 
 
 class Mesh:
@@ -298,11 +287,11 @@ def load_mesh(path: str | Path) -> Mesh:
 
 
 def dump_mesh(mesh: Mesh) -> str:
-    """Serialize a mesh to the canonical JSON document (round-trip exact)."""
+    """Serialize a mesh to the canonical JSON document (round-trip exact), as json.dumps does."""
     doc = {
         "ambient_dimension": mesh.ambient_dim,
-        "vertices": [[float(x) for x in row] for row in mesh.vertices],
-        "cells": [[int(i) for i in row] for row in mesh.cells],
+        "vertices": mesh.vertices.tolist(),
+        "cells": mesh.cells.tolist(),
     }
     return _dumps(doc) + "\n"
 
@@ -462,7 +451,7 @@ def _quality_columns(quality: MeshQuality) -> dict[str, np.ndarray]:
 def report_to_dict(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
 ) -> dict[str, Any]:
-    """The quality report as a document for :func:`_dumps`, with deterministic key order.
+    """The quality report as a document for :func:`_write`, with deterministic key order.
 
     Its ``cells`` is a :class:`_Rows` table, not a list of dicts;
     ``json.loads`` of :func:`write_report`'s output gives the report as a
@@ -506,12 +495,13 @@ def report_to_dict(
 def write_report(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str], degrees: bool = False
 ) -> None:
-    """Serialize a quality report as JSON to a text sink."""
-    sink.write(_dumps(report_to_dict(quality, verdicts, degrees)) + "\n")
+    """Serialize a quality report as JSON to a text sink, ``_CHUNK_ROWS`` cells per write."""
+    _write(report_to_dict(quality, verdicts, degrees), sink.write)
+    sink.write("\n")
 
 
 def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
-    """The equivalence-audit report as a document for :func:`_dumps`; ``cells`` is a table."""
+    """The equivalence-audit report as a document for :func:`_write`; ``cells`` is a table."""
     bound = quality.certified_bound  # a property: computed on each read, so read once
     backward = quality.min_vertex_dsine - bound
     columns = {

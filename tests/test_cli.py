@@ -784,20 +784,40 @@ class TestProcessStartup:
 
 class TestClosedStdout:
     """A reader that closes the pipe before the command writes, as `| head` can, changes
-    nothing: the command exits with its own code and prints no error."""
+    nothing: the command exits with its own code and prints no error.  The Kuhn mesh's
+    report spans several chunks of rows, so buffered output meets the closed pipe mid-table."""
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
-        "command, expected",
+        "mesh, command, expected",
         [
-            (["info"], EXIT_OK),
-            (["check", "--alpha0", "0.5", "-o", "-"], EXIT_OK),
-            (["check", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
-            (["audit", "-o", "-"], EXIT_OK),
+            ("tetra", ["info"], EXIT_OK),
+            ("tetra", ["check", "--alpha0", "0.5", "-o", "-"], EXIT_OK),
+            ("tetra", ["check", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
+            ("tetra", ["audit", "-o", "-"], EXIT_OK),
+            ("tetra", ["family", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
+            # 648 cells, more than two chunks of rows; two of them degenerate.
+            ("kuhn", ["info"], EXIT_OK),
+            ("kuhn", ["check", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
+            ("kuhn", ["audit", "-o", "-"], EXIT_DEGENERATE),
+            ("kuhn", ["family", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
         ],
-        ids=["info", "check", "check-violated", "audit"],
+        ids=[
+            "info", "check", "check-violated", "audit", "family",
+            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn",
+        ],
     )
-    def test_exit_code_is_the_commands_own(self, tetra_path, command, expected, unbuffered):
+    def test_exit_code_is_the_commands_own(
+        self, tetra_path, tmp_path, mesh, command, expected, unbuffered
+    ):
+        path = tetra_path
+        if mesh == "kuhn":
+            path = tmp_path / "kuhn.json"
+            path.write_text(dump_mesh(kuhn_mesh(2, 18, seed=5)))
+        if command[0] == "family":
+            manifest = tmp_path / "family.json"
+            manifest.write_text(json.dumps({"meshes": [path.name]}))
+            path = manifest
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -807,7 +827,7 @@ class TestClosedStdout:
         os.close(read)
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "minangle.cli", command[0], str(tetra_path), *command[1:]],
+                [sys.executable, "-m", "minangle.cli", command[0], str(path), *command[1:]],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         finally:

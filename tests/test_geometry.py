@@ -122,6 +122,14 @@ class TestSimplexMeasure:
     def test_exactly_degenerate_returns_zero(self):
         assert simplex_measure(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])) == 0.0
 
+    def test_measure_in_range_when_the_diameter_power_is_not(self):
+        # diameter**2 = 1e310 is beyond the double range; the area, 5e54, is not.
+        area = simplex_measure(Simplex([[0.0, 0.0], [1e155, 0.0], [0.0, 1e-100]]))
+        assert area == pytest.approx(5e54, rel=1e-12)
+
+    def test_measure_beyond_the_double_range_is_inf(self):
+        assert simplex_measure(Simplex(np.array([[0, 0], [1, 0], [0, 1.0]]) * 1e200)) == math.inf
+
 
 class TestFacet:
     def test_definition_on_triangle(self):

@@ -26,8 +26,9 @@ from minangle import (
     verdict_min_dsine,
     write_report,
 )
-from minangle.meshio import _dumps, audit_to_dict, report_to_dict
+from minangle.meshio import _CHUNK_ROWS, _dumps, _write, audit_to_dict, report_to_dict
 from oracles import audit_doc, report_doc
+from test_golden import kuhn_mesh
 
 TETRA_DOC = {
     "ambient_dimension": 3,
@@ -552,3 +553,35 @@ class TestRowRenderer:
             member = {"meshes": [{"index": 0, "path": "m.json", **doc}]}
             expected = {"meshes": [{"index": 0, "path": "m.json", **expected}]}
             assert _dumps(member) == json.dumps(expected, indent=2)
+
+
+class RecordingSink:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
+class TestStreamedTables:
+    """A report reaches its sink in pieces: none holds more than ``_CHUNK_ROWS`` rows beyond
+    the document's skeleton, so the text held at once does not grow with the mesh."""
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_no_piece_holds_more_than_a_chunk_of_rows(self, degrees):
+        quality = mesh_quality(kuhn_mesh(2, 40, seed=4))
+        assert len(quality.cells) + len(quality.degenerate_cells) == 3200
+        verdicts = [verdict_min_dihedral(quality, 0.5)]
+        for write in (
+            lambda sink: write_report(quality, verdicts, sink, degrees),
+            lambda sink: _write(audit_to_dict(quality, degrees), sink.write),
+        ):
+            sink = RecordingSink()
+            write(sink)
+            decoded = json.loads("".join(sink.pieces))
+            skeleton = json.dumps({**decoded, "cells": []}, indent=2).count("\n") + 1
+            row = max(len(cell) for cell in decoded["cells"]) + 2  # its fields and braces
+            assert len(sink.pieces) > 1
+            assert max(piece.count("\n") for piece in sink.pieces) <= _CHUNK_ROWS * row + skeleton
