@@ -8,12 +8,14 @@ Commands::
     minangle generate --kind regular --dim 3 [-o mesh.json]
     minangle info <mesh>
 
-Exit codes (usable directly in CI)::
+Each command parses its arguments, loads, scans, builds the verdicts, and
+emits what :mod:`minangle.meshio` lays out.  Exit codes (usable directly in CI)
+come from the records::
 
-    0  all requested conditions satisfied
-    1  a condition or audit margin violated
+    0  every ConditionVerdict.satisfied; for audit, MeshQuality.audit_satisfied()
+    1  a ConditionVerdict not satisfied; for audit, audit_satisfied() is false
     2  input error (bad file, bad flags, unreadable manifest member)
-    3  degenerate geometry encountered mid-check
+    3  a MeshQuality.degenerate_cells is nonempty, or a DegeneracyError
 
 Angle thresholds are always given in radians; --degrees only adds degree
 annotations to the emitted reports and never changes a verdict.  Reports
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -42,19 +43,21 @@ from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
-    _cell_lines,
-    _quality_columns,
     _read_file,
     _write,
     audit_to_dict,
     conformity_check,
     dump_mesh,
+    family_to_dict,
+    info_lines,
     load_mesh,
     parse_family_manifest,
     report_to_dict,
     validate_mesh,
 )
-from .regularity import mesh_quality, verdict_min_dihedral, verdict_min_dsine
+from .regularity import (
+    ConditionVerdict, MeshQuality, mesh_quality, verdict_min_dihedral, verdict_min_dsine
+)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -129,9 +132,8 @@ def _add_report_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    if getattr(args, "degeneracy_tol", None) is None:
-        return ToleranceConfig()
-    return ToleranceConfig(degeneracy_rel_tol=args.degeneracy_tol)
+    tol = args.degeneracy_tol
+    return ToleranceConfig() if tol is None else ToleranceConfig(degeneracy_rel_tol=tol)
 
 
 def _emit(render: Callable[[IO[str]], Any], destination: str) -> None:
@@ -156,124 +158,55 @@ def _require_threshold(args: argparse.Namespace) -> None:
         raise InvalidInputError("at least one of --alpha0 / --dsine-min is required")
 
 
-def _check_report(mesh: Mesh, cfg: ToleranceConfig, args: argparse.Namespace) -> dict[str, Any]:
-    """The ``check`` report of one mesh under the requested thresholds."""
-    quality = mesh_quality(mesh, cfg)
-    verdicts = []
-    if args.alpha0 is not None:
-        verdicts.append(verdict_min_dihedral(quality, args.alpha0))
-    if args.dsine_min is not None:
-        verdicts.append(verdict_min_dsine(quality, args.dsine_min))
-    return report_to_dict(quality, verdicts, args.degrees)
+def _verdicts(quality: MeshQuality, args: argparse.Namespace) -> list[ConditionVerdict]:
+    """The verdicts of ``quality`` under the requested thresholds, ``--alpha0`` first."""
+    requested = [(verdict_min_dihedral, args.alpha0), (verdict_min_dsine, args.dsine_min)]
+    return [verdict(quality, bound) for verdict, bound in requested if bound is not None]
 
 
-def _check_exit(docs: list[dict[str, Any]]) -> int:
-    """The exit code of ``check`` reports: degenerate geometry first, then any violation."""
-    if any("degenerate_cells" in doc for doc in docs):
+def _exit_code(qualities: Sequence[MeshQuality], verdicts: Sequence[ConditionVerdict]) -> int:
+    """The exit code of ``check`` and ``family``: degenerate geometry first, then any violation."""
+    if any(quality.degenerate_cells for quality in qualities):
         return EXIT_DEGENERATE
-    if any(not verdict["satisfied"] for doc in docs for verdict in doc["verdicts"]):
-        return EXIT_VIOLATED
-    return EXIT_OK
+    return EXIT_OK if all(verdict.satisfied for verdict in verdicts) else EXIT_VIOLATED
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
-    doc = _check_report(load_mesh(args.mesh), cfg, args)
-    _emit_json(doc, args.report)
-    return _check_exit([doc])
+    quality = mesh_quality(load_mesh(args.mesh), cfg)
+    verdicts = _verdicts(quality, args)
+    _emit_json(report_to_dict(quality, verdicts, args.degrees), args.report)
+    return _exit_code([quality], verdicts)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
-    doc = audit_to_dict(mesh_quality(load_mesh(args.mesh), cfg), degrees=args.degrees)
-    _emit_json(doc, args.report)
-    if "degenerate_cells" in doc:
+    quality = mesh_quality(load_mesh(args.mesh), cfg)
+    _emit_json(audit_to_dict(quality, degrees=args.degrees), args.report)
+    if quality.degenerate_cells:
         return EXIT_DEGENERATE
-    return EXIT_OK if doc["satisfied"] else EXIT_VIOLATED
-
-
-# Family aggregate -> how the members' values of the same report key combine.
-_FAMILY_AGGREGATES = {
-    "min_dihedral_rad": min,
-    "max_dihedral_rad": max,
-    "min_dsine": min,
-    "min_ball_ratio": min,
-}
-
-
-def _family_aggregates(mesh_docs: list[dict[str, Any]]) -> dict[str, float | None]:
-    """Extrema over the members' report aggregates; None where no member has cells."""
-    result = {}
-    for key, pick in _FAMILY_AGGREGATES.items():
-        values = [doc["aggregates"][key] for doc in mesh_docs]
-        result[key] = pick((value for value in values if value is not None), default=None)
-    return result
-
-
-def _family_verdicts(mesh_docs: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Each condition's verdict over the members.
-
-    A condition holds when every member satisfies it.  Its worst mesh is the
-    member with the lowest worst value, the earliest one on a tie.  Every
-    member's report lists the same conditions in the same order.
-    """
-    result = []
-    for verdicts in zip(*(doc["verdicts"] for doc in mesh_docs)):
-        worst_mesh = min(range(len(verdicts)), key=lambda i: verdicts[i]["worst_value"])
-        worst = verdicts[worst_mesh]
-        result.append(
-            {
-                "condition": worst["condition"],
-                "threshold": worst["threshold"],
-                "satisfied": all(verdict["satisfied"] for verdict in verdicts),
-                "worst_mesh": worst_mesh,
-                "worst_cell": worst["worst_cell"],
-                "worst_value": worst["worst_value"],
-            }
-        )
-    return result
+    return EXIT_OK if quality.audit_satisfied() else EXIT_VIOLATED
 
 
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
     cfg = _tolerances(args)
-    manifest_path = Path(args.manifest)
-    paths = _read_file(
-        manifest_path,
-        "manifest",
-        lambda data: parse_family_manifest(data, base_dir=manifest_path.parent),
-    )
-    meshes = [load_mesh(p) for p in paths]
-    dims = {m.ambient_dim for m in meshes}
+    manifest = Path(args.manifest)
+    parse = lambda data: parse_family_manifest(data, base_dir=manifest.parent)
+    paths = _read_file(manifest, "manifest", parse)
+    # Every member is read before any is scanned, so a read error comes first.
+    meshes = [load_mesh(path) for path in paths]
+    dims = sorted({mesh.ambient_dim for mesh in meshes})
     if len(dims) > 1:
-        raise InvalidInputError(
-            f"family members disagree on ambient dimension: {sorted(dims)}"
-        )
-
-    mesh_docs = [
-        {"index": index, "path": str(path), **_check_report(mesh, cfg, args)}
-        for index, (path, mesh) in enumerate(zip(paths, meshes))
-    ]
-    trend = [
-        {
-            "index": doc["index"],
-            "path": doc["path"],
-            "min_dihedral_rad": doc["aggregates"]["min_dihedral_rad"],
-            "min_dsine": doc["aggregates"]["min_dsine"],
-        }
-        for doc in mesh_docs
-    ]
-    family_doc: dict[str, Any] = {
-        "ambient_dimension": meshes[0].ambient_dim,
-        "mesh_count": len(meshes),
-        "family_aggregates": _family_aggregates(mesh_docs),
-        "trend": trend,
-        "verdicts": _family_verdicts(mesh_docs),
-        "meshes": mesh_docs,
-    }
-    _emit_json(family_doc, args.report)
-    return _check_exit(mesh_docs)
+        raise InvalidInputError(f"family members disagree on ambient dimension: {dims}")
+    members = []
+    for path, mesh in zip(paths, meshes):
+        quality = mesh_quality(mesh, cfg)
+        members.append((path, quality, _verdicts(quality, args)))
+    _emit_json(family_to_dict(members, args.degrees), args.report)
+    _, qualities, verdicts = zip(*members)
+    return _exit_code(qualities, [verdict for row in verdicts for verdict in row])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -285,44 +218,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_INFO_HEADER = "%5s %17s %17s %10s %10s %17s\n"
-_INFO_ROW = "%5d %17.7f %17.7f %10.7f %10.7f %17.7f\n"
-# A degenerate cell's row takes six values like any other and prints only the first.
-_INFO_DEGENERATE_ROW = "%5d        degenerate" + "%.0s" * 5 + "\n"
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     mesh = load_mesh(args.mesh)
     validation = validate_mesh(mesh)
     conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, cfg)
-
-    out = []
-    out.append(f"mesh: {args.mesh}\n")
-    out.append(f"ambient dimension: {mesh.ambient_dim}\n")
-    out.append(f"vertices: {mesh.vertex_count}\n")
-    out.append(f"cells: {mesh.cell_count}\n")
-    if conformity.is_conforming:
-        out.append(
-            f"conformity: OK ({conformity.interior_facets} interior, "
-            f"{conformity.boundary_facets} boundary facets)\n"
-        )
-    else:
-        out.append("conformity: VIOLATED\n")
-        for facet_key, count in conformity.overshared_facets:
-            out.append(f"  facet {list(facet_key)} shared by {count} cells\n")
-    if validation.unused_vertices:
-        out.append(f"warning: unused vertices {list(validation.unused_vertices)}\n")
-    if validation.duplicate_cells:
-        out.append(f"warning: duplicate cells {list(validation.duplicate_cells)}\n")
-    if quality.degenerate_cells:
-        out.append(f"warning: degenerate cells {list(quality.degenerate_cells)}\n")
-
-    columns = _quality_columns(quality)
-    out.append(_INFO_HEADER % ("cell", *columns))
-    rows = _cell_lines(quality, _INFO_ROW, _INFO_DEGENERATE_ROW, [*columns.values()])
-    _emit(lambda sink: sink.writelines(itertools.chain(out, rows)), "-")
+    lines = info_lines(args.mesh, mesh, validation, conformity, quality)
+    _emit(lambda sink: sink.writelines(lines), "-")
     return EXIT_OK
 
 

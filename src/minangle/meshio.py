@@ -12,9 +12,12 @@ meshes (coarse to fine) is listed in a manifest document::
 
 with member paths resolved relative to the manifest's own directory.
 
-Quality, equivalence-audit and family reports are JSON laid out by the stdlib
-encoder, each per-cell table written in chunks of rows; their key order is
-fixed, so identical inputs produce byte-identical report files.
+Every output layout is made here, from the records: the quality,
+equivalence-audit and family reports (:func:`report_to_dict`,
+:func:`audit_to_dict`, :func:`family_to_dict`) are JSON laid out by the stdlib
+encoder, each per-cell table written in chunks of rows, and :func:`info_lines`
+lays out the ``info`` text.  Key order is fixed, so identical inputs produce
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ _DEG_PER_RAD = 180.0 / math.pi
 
 # The C one-shot encoder: the same float repr, NaN/Infinity and ASCII
 # escaping as json.dumps, without the pure-Python path its indent takes.
-_ENCODE = json.JSONEncoder().encode
+_ENCODER = json.JSONEncoder()
+_ENCODE = _ENCODER.encode
 _CHUNK_ROWS = 256  # rows per write of a table, so the text alive at once stays small
 # A table's place in the layout; no document holds a NUL, as a member's path cannot.
 _PLACEHOLDER = "\x00rows"
@@ -45,7 +49,12 @@ def _write(doc: Any, write: Callable[[str], Any]) -> None:
     """Write ``json.dumps(doc, indent=2)``, as every JSON document is written: the stdlib encoder
     lays out ``doc``, and each :class:`_Rows` table writes its rows where its placeholder is."""
     tables: list[_Rows] = []
-    text = json.dumps(doc, indent=2, default=lambda table: tables.append(table) or _PLACEHOLDER)
+
+    def placeholder(value: Any) -> str:  # anything but a table raises json.dumps's own TypeError
+        tables.append(value if isinstance(value, _Rows) else _ENCODER.default(value))
+        return _PLACEHOLDER
+
+    text = json.dumps(doc, indent=2, default=placeholder)
     pieces = text.split(_ENCODE(_PLACEHOLDER), len(tables))
     for piece, table in zip(pieces, tables):
         line = piece[piece.rfind("\n") + 1 :]
@@ -67,11 +76,20 @@ def _element_template(fields: dict[str, Any], indent: str) -> str:
     return "," + text.replace("%", "%%").replace(_ENCODE(_PLACEHOLDER), "%s")
 
 
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of ``values``, each distinct bit pattern encoded once: cells
+    that share faces share extrema, and grouping on bits keeps ``-0.0`` apart from ``0.0``."""
+    distinct, where = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    # One C-encoder call; a float never encodes to text holding ", ".
+    texts = _ENCODE(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[where].reshape(values.shape)
+
+
 def _cell_lines(
-    quality: MeshQuality, good: str, degenerate: str, columns: list, encode: Callable = list
+    quality: MeshQuality, good: str, degenerate: str, columns: list, encode: Callable = np.asarray
 ) -> Iterator[str]:
     """Each cell's template by index, filled with the index and its row of ``columns`` or Nones,
-    ``_CHUNK_ROWS`` cells a piece; ``encode`` maps a chunk's values, row by row, to their fill."""
+    ``_CHUNK_ROWS`` cells a piece; ``encode`` maps a chunk's rows of values to their fills."""
     count = len(quality.cells) + len(quality.degenerate_cells)
     slots = np.full(count, -1)  # a cell's row in the columns; -1 for a degenerate cell
     slots[quality.cells] = np.arange(len(quality.cells))
@@ -80,7 +98,7 @@ def _cell_lines(
         values = np.column_stack([column[rows[rows >= 0]] for column in columns])
         table = np.empty((len(rows), 1 + len(columns)), dtype=object)
         table[:, 0] = range(start, start + len(rows))
-        table[rows >= 0, 1:] = np.reshape(encode(values.ravel().tolist()), values.shape)
+        table[rows >= 0, 1:] = encode(values)
         templates = [good if row >= 0 else degenerate for row in rows.tolist()]
         yield "".join(templates) % tuple(table.ravel().tolist())
 
@@ -102,9 +120,7 @@ class _Rows(_Record, eq=False):
         # The degenerate template swallows the Nones of its row's value slots.
         degenerate = _element_template({"index": _PLACEHOLDER, **self.degenerate}, indent)
         degenerate += "%.0s" * len(self.columns)
-        # One C-encoder call per chunk; a float never encodes to text holding ", ".
-        encode = lambda values: _ENCODE(values)[1:-1].split(", ") if values else []
-        chunks = _cell_lines(self.quality, good, degenerate, [*self.columns.values()], encode)
+        chunks = _cell_lines(self.quality, good, degenerate, [*self.columns.values()], _json_floats)
         first = next(chunks, None)
         write("[" + first[1:] if first else "[")  # the first row has no comma before it
         for chunk in chunks:
@@ -448,6 +464,20 @@ def _quality_columns(quality: MeshQuality) -> dict[str, np.ndarray]:
     }
 
 
+# A quality report's aggregate -> how a family picks among its members, the reduction behind it.
+_AGGREGATES = {
+    "min_dihedral_rad": (min, MeshQuality.min_dihedral),
+    "max_dihedral_rad": (max, MeshQuality.max_dihedral),
+    "min_dsine": (min, MeshQuality.min_dsine),
+    "min_ball_ratio": (min, MeshQuality.min_ball_ratio),
+}
+
+
+def _aggregates(quality: MeshQuality, keys: Sequence[str] = tuple(_AGGREGATES)) -> dict:
+    """The ``keys`` of a quality report's aggregates: extrema over the good cells, or None."""
+    return {key: _AGGREGATES[key][1](quality) if len(quality.cells) else None for key in keys}
+
+
 def report_to_dict(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
 ) -> dict[str, Any]:
@@ -464,22 +494,13 @@ def report_to_dict(
     columns = _quality_columns(quality)
     # A degenerate cell's row: null in each radian column, then the flag.
     degenerate = {**dict.fromkeys(columns), "degenerate": True}
+    aggregates = _aggregates(quality)
     if degrees:
-        columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
-        columns["max_dihedral_deg"] = quality.max_dihedral_all_sub * _DEG_PER_RAD
-        columns["dihedral_sum_deg"] = quality.dihedral_sum_top * _DEG_PER_RAD
-    has_cells = bool(len(quality.cells))
-    low = quality.min_dihedral() if has_cells else None
-    high = quality.max_dihedral() if has_cells else None
-    aggregates: dict[str, Any] = {
-        "min_dihedral_rad": low,
-        "max_dihedral_rad": high,
-        "min_dsine": quality.min_dsine() if has_cells else None,
-        "min_ball_ratio": quality.min_ball_ratio() if has_cells else None,
-    }
-    if degrees:
-        aggregates["min_dihedral_deg"] = low * _DEG_PER_RAD if has_cells else None
-        aggregates["max_dihedral_deg"] = high * _DEG_PER_RAD if has_cells else None
+        for name in ("min_dihedral", "max_dihedral", "dihedral_sum"):
+            columns[name + "_deg"] = columns[name + "_rad"] * _DEG_PER_RAD
+        for name in ("min_dihedral", "max_dihedral"):
+            value = aggregates[name + "_rad"]
+            aggregates[name + "_deg"] = None if value is None else value * _DEG_PER_RAD
     doc: dict[str, Any] = {
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
@@ -530,3 +551,75 @@ def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]
     if quality.degenerate_cells:
         doc["degenerate_cells"] = list(quality.degenerate_cells)
     return doc
+
+
+def family_to_dict(
+    members: Sequence[tuple[str | Path, MeshQuality, Sequence[ConditionVerdict]]],
+    degrees: bool = False,
+) -> dict[str, Any]:
+    """The family report of ``members``, each ``(path, quality, verdicts)``, coarse to fine.
+
+    A family aggregate is the extremum over the members with nondegenerate cells, or null
+    when none has any.  A condition holds when every member satisfies it; its worst mesh is
+    the member with the lowest worst value, the earliest one on a tie.
+    """
+    scanned = [quality for _, quality, _ in members if len(quality.cells)]
+    trend, meshes = [], []
+    for index, (path, quality, conditions) in enumerate(members):
+        head = {"index": index, "path": str(path)}
+        trend.append({**head, **_aggregates(quality, ("min_dihedral_rad", "min_dsine"))})
+        meshes.append({**head, **report_to_dict(quality, conditions, degrees)})
+    verdicts = []
+    for row in zip(*(conditions for *_, conditions in members)):  # the same conditions in each
+        worst_mesh = min(range(len(row)), key=lambda index: row[index].worst_value)
+        worst = row[worst_mesh]
+        verdicts.append({
+            "condition": worst.condition, "threshold": worst.threshold_used,
+            "satisfied": all(verdict.satisfied for verdict in row), "worst_mesh": worst_mesh,
+            "worst_cell": worst.worst_cell, "worst_value": worst.worst_value,
+        })
+    return {
+        "ambient_dimension": members[0][1].ambient_dim,
+        "mesh_count": len(members),
+        "family_aggregates": {
+            key: pick(map(reduce, scanned), default=None)
+            for key, (pick, reduce) in _AGGREGATES.items()
+        },
+        "trend": trend,
+        "verdicts": verdicts,
+        "meshes": meshes,
+    }
+
+
+_INFO_HEADER = "%5s %17s %17s %10s %10s %17s\n"
+_INFO_ROW = "%5d %17.7f %17.7f %10.7f %10.7f %17.7f\n"
+# A degenerate cell's row takes six values like any other and prints only the first.
+_INFO_DEGENERATE_ROW = "%5d        degenerate" + "%.0s" * 5 + "\n"
+
+
+def info_lines(
+    path: str | Path, mesh: Mesh, validation: ValidationReport, conformity: ConformityReport,
+    quality: MeshQuality,
+) -> Iterator[str]:
+    """The ``info`` text of the mesh at ``path``: its counts, conformity and warnings, then a
+    table of each cell's quality columns, streamed ``_CHUNK_ROWS`` rows a piece."""
+    yield f"mesh: {path}\n"
+    yield f"ambient dimension: {mesh.ambient_dim}\n"
+    yield f"vertices: {mesh.vertex_count}\n"
+    yield f"cells: {mesh.cell_count}\n"
+    if conformity.is_conforming:
+        interior, boundary = conformity.interior_facets, conformity.boundary_facets
+        yield f"conformity: OK ({interior} interior, {boundary} boundary facets)\n"
+    else:
+        yield "conformity: VIOLATED\n"
+        for facet_key, count in conformity.overshared_facets:
+            yield f"  facet {list(facet_key)} shared by {count} cells\n"
+    if validation.unused_vertices:
+        yield f"warning: unused vertices {list(validation.unused_vertices)}\n"
+    if validation.duplicate_cells:
+        yield f"warning: duplicate cells {list(validation.duplicate_cells)}\n"
+    if quality.degenerate_cells:
+        yield f"warning: degenerate cells {list(quality.degenerate_cells)}\n"
+    columns = _quality_columns(quality)
+    yield _INFO_HEADER % ("cell", *columns)
+    yield from _cell_lines(quality, _INFO_ROW, _INFO_DEGENERATE_ROW, [*columns.values()])

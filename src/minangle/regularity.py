@@ -297,7 +297,7 @@ def _verdict(
     return ConditionVerdict(
         condition=condition,
         threshold_used=threshold,
-        satisfied=worst_value >= threshold,
+        satisfied=bool(worst_value >= threshold),  # a Python bool for numpy thresholds too
         worst_cell=worst_cell,
         worst_value=worst_value,
         degenerate_cells=quality.degenerate_cells,

@@ -396,6 +396,74 @@ class TestFamilyCommand:
         assert {v["worst_mesh"] for v in expected} == {worst_mesh}
         assert all(v["satisfied"] is (code == EXIT_OK) for v in expected)
 
+    # Kinds of member: a regular tetrahedron, a flat sliver whose one cell is degenerate, and
+    # a thin one that violates --alpha0 0.5.
+    MEMBERS = {
+        "regular": ["--kind", "regular"],
+        "degenerate": ["--kind", "flatten", "--param", "1e-15"],
+        "violating": ["--kind", "flatten", "--param", "0.125"],
+    }
+
+    @staticmethod
+    def expected_from_members(paths, reports):
+        """The family aggregates and trend, worked out from each member's ``check`` report."""
+        picks = {"min_dihedral_rad": min, "max_dihedral_rad": max, "min_dsine": min,
+                 "min_ball_ratio": min}
+        aggregates = {}
+        for key, pick in picks.items():
+            values = [report["aggregates"][key] for report in reports]
+            present = [value for value in values if value is not None]
+            aggregates[key] = pick(present) if present else None
+        trend = [
+            {"index": index, "path": str(path),
+             "min_dihedral_rad": report["aggregates"]["min_dihedral_rad"],
+             "min_dsine": report["aggregates"]["min_dsine"]}
+            for index, (path, report) in enumerate(zip(paths, reports))
+        ]
+        return aggregates, trend
+
+    @pytest.mark.parametrize(
+        "kinds, member_codes",
+        [
+            (["regular", "degenerate"], [EXIT_OK, EXIT_DEGENERATE]),
+            (["degenerate", "degenerate"], [EXIT_DEGENERATE, EXIT_DEGENERATE]),
+            (["violating", "degenerate"], [EXIT_VIOLATED, EXIT_DEGENERATE]),
+        ],
+    )
+    def test_degenerate_members(self, tmp_path, kinds, member_codes):
+        paths = []
+        for index, kind in enumerate(kinds):
+            path = tmp_path / f"m{index}.json"
+            argv = ["generate", "--dim", "3", *self.MEMBERS[kind], "-o", str(path)]
+            assert main(argv) == EXIT_OK
+            paths.append(path)
+        manifest = tmp_path / "family.json"
+        manifest.write_text(json.dumps({"meshes": [path.name for path in paths]}))
+        flags = ["--alpha0", "0.5", "--dsine-min", "0.1"]
+        reports = []
+        for path, member_code in zip(paths, member_codes):
+            out = tmp_path / f"{path.stem}-check.json"
+            assert main(["check", str(path), *flags, "-o", str(out)]) == member_code
+            reports.append(json.loads(out.read_text()))
+        out = tmp_path / "family-report.json"
+        # A degenerate member outranks a violating one.
+        assert main(["family", str(manifest), *flags, "-o", str(out)]) == EXIT_DEGENERATE
+        doc = json.loads(out.read_text())
+
+        aggregates, trend = self.expected_from_members(paths, reports)
+        assert doc["family_aggregates"] == aggregates
+        assert doc["trend"] == trend
+        assert doc["meshes"] == [
+            {"index": index, "path": str(path), **report}
+            for index, (path, report) in enumerate(zip(paths, reports))
+        ]
+        assert doc["trend"][-1]["min_dihedral_rad"] is doc["trend"][-1]["min_dsine"] is None
+        if kinds[0] == "degenerate":
+            assert set(aggregates.values()) == {None}
+        else:
+            assert aggregates == reports[0]["aggregates"]
+        assert [v["satisfied"] for v in doc["verdicts"]] == [False, False]
+
     def test_family_of_regular_meshes_passes(self, tmp_path, tetra_path):
         manifest = tmp_path / "family.json"
         manifest.write_text(json.dumps({"meshes": [str(tetra_path)] * 3}))

@@ -253,6 +253,21 @@ class TestQualityReport:
         with pytest.raises(InvalidInputError, match="empty mesh"):
             report_to_dict(MeshQuality(3, *[np.empty(0)] * 7), ())
 
+    @pytest.mark.parametrize("verdict", [verdict_min_dihedral, verdict_min_dsine])
+    def test_numpy_scalar_threshold_writes_the_same_bytes(self, verdict):
+        quality = mesh_quality(glued_pair_mesh())
+        texts = []
+        for threshold in (0.5, np.float64(0.5)):
+            sink = io.StringIO()
+            write_report(quality, [verdict(quality, threshold)], sink)
+            texts.append(sink.getvalue())
+        assert texts[0] == texts[1]
+        assert type(verdict(quality, np.float64(0.5)).satisfied) is bool
+
+    def test_value_json_cannot_encode_is_a_type_error(self):
+        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+            _write({"x": np.float32(1)}, io.StringIO().write)
+
 
 class TestFamilyManifest:
     def test_paths_resolve_against_base_dir(self, tmp_path):
@@ -563,6 +578,20 @@ class RecordingSink:
 
     def write(self, text):
         self.pieces.append(text)
+
+
+class TestDistinctValues:
+    """A chunk encodes each distinct bit pattern once, so equal values share one text."""
+
+    def test_signed_zeros_and_repeats_keep_their_own_text(self):
+        values = [0.0, -0.0, 0.0, math.nan, -0.0, 1.5, 1.5, math.inf, -math.inf, 0.1]
+        column = np.array(values)
+        quality = MeshQuality(3, np.arange(len(values)), *[column] * 6)
+        verdicts = [verdict_min_dihedral(quality, 0.5)]
+        text = _dumps(report_to_dict(quality, verdicts))
+        assert text == json.dumps(report_doc(quality, verdicts, False), indent=2)
+        cells = json.loads(text)["cells"]
+        assert [repr(row["min_dsine"]) for row in cells] == [repr(value) for value in values]
 
 
 class TestStreamedTables:
