@@ -15,22 +15,22 @@ vertex, times the sines of the dihedral angles at that facet.  That
 identity is the engine behind the regularity-condition equivalence checks
 in :mod:`minangle.regularity`.
 
-Every function here is the kernel of :mod:`minangle.geometry` at N=1, which
-takes the angles and d-sines from the barycentric gradients of the simplex
-in coordinates of its own affine hull, through the same R factor as the
-mesh scan of :mod:`minangle.regularity`.  So subsimplex angles are
-intrinsic, and every value equals the scan's bit for bit: the angles of
-``all_dihedral_angles(s)`` are those behind ``cell_quality(s)``.
+Every function here is the kernel of :mod:`minangle.geometry` at N=1: the
+angles and d-sines come from the barycentric gradients of the simplex in
+coordinates of its own affine hull, with the R factor, facet-pair order and
+sums of the scan in :mod:`minangle.regularity`.  So angles are intrinsic and
+equal the scan's bit for bit: ``all_dihedral_angles(s)`` holds the angles
+behind ``cell_quality(s)``, and ``dihedral_sum(s)`` is its dihedral_sum_top.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import InvalidInputError
 from .geometry import (
     Simplex,
+    _pairs,
     _Record,
     _require_angle_dim,
     _require_full_dim,
@@ -101,7 +101,7 @@ def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     k = s.intrinsic_dim
     _require_angle_dim(k, s)
     values = _simplex_forms(s, "dihedral angles")[2]
-    pairs = itertools.combinations(range(k + 1), 2)  # the np.triu_indices order
+    pairs = zip(*(index.tolist() for index in _pairs(k + 1)))
     return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
 
 
@@ -135,9 +135,9 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
             f"vertex index {i} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
-    _, _, angles, sines = _simplex_forms(s, "product decomposition")
-    position = {pair: n for n, pair in enumerate(itertools.combinations(range(d + 1), 2))}
-    dihedral_sines = tuple(math.sin(angles[position[j, d]]) for j in range(d) if j != i)
+    _, _, angles, sines, _ = _simplex_forms(s, "product decomposition")
+    at_last = angles[_pairs(d + 1)[1] == d].tolist()  # the pairs (j, d), j = 0..d-1
+    dihedral_sines = tuple(math.sin(beta) for j, beta in enumerate(at_last) if j != i)
     sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[3][i])
     product = sub_sine * math.prod(dihedral_sines)
     direct = float(sines[i])
@@ -155,9 +155,11 @@ def dihedral_sum(s: Simplex) -> float:
     """Sum of all k(k+1)/2 dihedral angles, in radians.
 
     For any triangle this is pi; for a nondegenerate tetrahedron the sum
-    lies strictly between 2*pi and 3*pi.
+    lies strictly between 2*pi and 3*pi.  Summed as the scan sums a cell's:
+    ``dihedral_sum(s) == cell_quality(s).dihedral_sum_top[0]`` bit for bit.
     """
-    return math.fsum(all_dihedral_angles(s).values())
+    _require_angle_dim(s.intrinsic_dim, s)
+    return float(_simplex_forms(s, "dihedral angles")[2].sum())
 
 
 def ball_ratio(s: Simplex) -> float:
@@ -167,5 +169,4 @@ def ball_ratio(s: Simplex) -> float:
     ``ball_ratio(s) * s.diameter()`` is the radius of the inscribed ball.
     """
     _require_full_dim(s, "ball ratio")
-    _, lengths, _, _ = _simplex_forms(s, "ball ratio")
-    return float(1.0 / lengths.sum())
+    return float(1.0 / _simplex_forms(s, "ball ratio")[1].sum())

@@ -4,9 +4,9 @@ A simplex is an ordered list of vertex coordinates.  Every measure, normal,
 dihedral angle and vertex sine in the package comes from one batched kernel,
 which works on stacks of simplices of the same dimension:
 
-* each simplex is translated to its vertex 0 and divided by its diameter,
-  after exact power-of-two rescalings, so results do not depend on where in
-  the double range it lives;
+* each simplex is translated to its vertex 0, rescaled exactly by 2^-e and
+  divided by its remaining diameter D, so results do not depend on where in
+  the double range it lives; its diameter and measure are rebuilt from D and e;
 * its k edge vectors are put into coordinates of its own affine hull by a QR
   factorization, E^T = Q R, which never forms the Gram matrix G = E E^T (its
   condition number is the square of E's).  |det R| = sqrt(det G) = k! * volume;
@@ -171,33 +171,41 @@ class Simplex:
         return self._vertices.shape[0]
 
     def diameter(self) -> float:
-        """Largest pairwise vertex distance; hypot scales, so no square overflows."""
-        diff = self._vertices[:, None, :] - self._vertices[None, :, :]
-        return float(np.hypot.reduce(np.abs(diff), axis=-1).max())
+        """Largest vertex distance: the kernel's D * 2^e, ``inf`` past the double range."""
+        _, _, (diameter, exponent) = _normalized(self._vertices[None])
+        return _ldexp(diameter[0], exponent[0])
 
     def __repr__(self) -> str:
         return f"Simplex(k={self.intrinsic_dim}, d={self.ambient_dim})"
 
 
-def _pow2_scaled(x: np.ndarray) -> np.ndarray:
-    """Each cell of ``x`` scaled exactly by a power of two so its largest entry is in [0.5, 1)."""
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell of ``x`` scaled exactly by 2^-e so its largest entry is in [0.5, 1), and e."""
     _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
-    return np.ldexp(x, -exponent[:, None, None])
+    return np.ldexp(x, -exponent[:, None, None]), exponent
 
 
-def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
 
-    Returns the normalized vertices and their (N, m, m) pairwise distances.
-    The exact power-of-two rescalings before the subtraction and before the
-    squares keep every intermediate inside the normal double range.
+    Returns the normalized vertices, their (N, m, m) pairwise distances, and
+    the diameters as (D, e), each (N,), with diameter D * 2^e.  The exact
+    power-of-two rescalings before the subtraction and before the squares,
+    by 2^-e in all, keep every intermediate inside the normal double range.
     """
-    scaled = _pow2_scaled(points)
-    shifted = _pow2_scaled(scaled - scaled[:, :1])
+    scaled, outer = _pow2_scaled(points)
+    shifted, inner = _pow2_scaled(scaled - scaled[:, :1])
     dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
     diameter = dist.max(axis=(1, 2))
-    diameter[diameter == 0.0] = 1.0  # coincident vertices: the degeneracy rule flags the cell
-    return shifted / diameter[:, None, None], dist / diameter[:, None, None]
+    # Coincident vertices: the degeneracy rule flags the cell; 1 leaves them at 0.
+    divisor = np.where(diameter == 0.0, 1.0, diameter)[:, None, None]
+    return shifted / divisor, dist / divisor, (diameter, outer + inner)
+
+
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """mantissa * 2^exponent as a Python float: ``inf`` past the double range, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(mantissa, exponent))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -271,26 +279,24 @@ def _gradient_forms(
 
 
 def _whole(s: Simplex, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """The kernel's first stage on all of ``s`` (N = S = 1): z, R, |det R| and the rule."""
+    """The kernel's first stage on all of ``s`` (N = S = 1): z, (D, e), R, |det R| and the rule."""
     m = s.vertex_count
-    z, dist = _normalized(s.vertices[None])
+    z, dist, scale = _normalized(s.vertices[None])
     r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), cfg.degeneracy_rel_tol)
-    return z, r, volume, bool(degenerate[0, 0])
+    return z, scale, r, volume, bool(degenerate[0, 0])
 
 
-def _simplex_forms(
-    s: Simplex, what: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_gradient_forms` of ``s`` itself, normalized to diameter 1: the scan at N=1.
+def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
+    """:func:`_gradient_forms` of ``s`` at diameter 1 (the scan at N=1), then its vertices z.
 
     Raises:
         DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
     """
-    _, r, volume, degenerate = _whole(s)
+    z, _, r, volume, degenerate = _whole(s)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
     units, lengths, angles, dsines = _gradient_forms(r, volume)
-    return units[0, 0], lengths[0, 0], angles[0, 0], dsines[0, 0]
+    return units[0, 0], lengths[0, 0], angles[0, 0], dsines[0, 0], z[0]
 
 
 def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
@@ -312,23 +318,16 @@ def _require_angle_dim(k: int, subject: object) -> None:
 def simplex_measure(s: Simplex) -> float:
     """k-dimensional measure of a k-simplex embedded in R^d.
 
-    Computed as |det R| / k! = sqrt(det G) / k!, with G the Gram matrix of
-    the edge vectors from vertex 0.  It is nonnegative, never an error: 0 for
-    exactly degenerate input and ``inf`` for a measure beyond the double range.
+    Computed as (|det R| / k! * D^k) * 2^(ke) on the kernel's normalization,
+    with diameter D * 2^e and |det R| = sqrt(det G) of the edge Gram matrix.
+    It never raises or warns: 0 for exactly degenerate input, ``inf`` only
+    for a measure beyond the double range.
     """
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
-    _, _, volume, _ = _whole(s)
-    scaled = float(volume[0, 0]) / math.factorial(k)
-    try:
-        return scaled * s.diameter() ** k
-    except OverflowError:  # diameter ** k is beyond the double range; the measure may not be
-        mantissa, exponent = math.frexp(s.diameter())
-        try:
-            return math.ldexp(scaled * mantissa**k, exponent * k)
-        except OverflowError:
-            return math.inf
+    _, (diameter, exponent), _, volume, _ = _whole(s)
+    return _ldexp(volume[0, 0] / math.factorial(k) * diameter[0] ** k, k * exponent[0])
 
 
 def facet(s: Simplex, i: int) -> Simplex:
@@ -362,7 +361,6 @@ def outward_unit_normals(s: Simplex) -> np.ndarray:
     """
     if s.intrinsic_dim < 1:
         raise InvalidInputError("a 0-simplex has no facets")
-    units = _simplex_forms(s, "normals")[0]
-    z, _ = _normalized(s.vertices[None])
-    q = np.linalg.qr(z[0, 1:].T, mode="reduced")[0]
+    units, *_, z = _simplex_forms(s, "normals")
+    q = np.linalg.qr(z[1:].T, mode="reduced")[0]
     return -units @ q.T

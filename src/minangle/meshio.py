@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -148,7 +149,6 @@ class Mesh:
         carr = _stacked_cells(cell_list, dim, varr.shape[0])
         if carr is None:
             _raise_first_bad_cell(cell_list, dim, varr.shape[0])
-            carr = np.array(cell_list, dtype=np.int64)
         carr.setflags(write=False)
         self._vertices = varr
         self._cells = carr
@@ -198,15 +198,12 @@ def _stacked_cells(cells: list, dim: int, vertex_count: int) -> np.ndarray | Non
     """
     try:
         kinds = set(map(type, itertools.chain.from_iterable(cells)))
-        stacked = np.array(cells)
+        if not all(map(_is_index_type, kinds)):
+            return None
+        stacked = np.array(cells, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if (
-        not all(map(_is_index_type, kinds))
-        or stacked.ndim != 2
-        or stacked.shape[1] != dim + 1
-        or stacked.dtype.kind not in "iu"
-    ):
+    if stacked.ndim != 2 or stacked.shape[1] != dim + 1:
         return None
     ordered = np.sort(stacked, axis=1)
     if (
@@ -215,20 +212,23 @@ def _stacked_cells(cells: list, dim: int, vertex_count: int) -> np.ndarray | Non
         or (ordered[:, 1:] == ordered[:, :-1]).any()
     ):
         return None
-    return stacked.astype(np.int64)
+    return stacked
 
 
-def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> None:
-    """Raise InvalidInputError for the first cell that breaks a structural rule, if any."""
+def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> NoReturn:
+    """Raise InvalidInputError for the first cell that breaks a structural rule, in this order:
+    a row is an ordered sequence (not a string) of dim + 1 entries, each an integer in range,
+    none repeated."""
     for pos, cell in enumerate(cells):
+        ordered = cell.ndim > 0 if isinstance(cell, np.ndarray) else isinstance(cell, Sequence)
+        if not ordered or isinstance(cell, (str, bytes, bytearray)):
+            raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
         indices = list(cell)
         if len(indices) != dim + 1:
             raise InvalidInputError(
                 f"cell {pos}: expected {dim + 1} vertex indices for dimension {dim}, "
                 f"got {len(indices)}"
             )
-        if len(set(indices)) != len(indices):
-            raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
         for idx in indices:
             if not _is_index_type(type(idx)):
                 raise InvalidInputError(f"cell {pos}: vertex index {idx!r} is not an integer")
@@ -236,6 +236,9 @@ def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> None:
                 raise InvalidInputError(
                     f"cell {pos}: vertex index {idx} out of range 0..{vertex_count - 1}"
                 )
+        if len(set(indices)) != len(indices):
+            raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
+    raise InvalidInputError("cells do not form an integer array")  # every row passed alone
 
 
 def _raise_first_bad_vertex(vertices: list, dim: int) -> None:

@@ -154,12 +154,6 @@ def subsimplex_count(dim: int) -> int:
     return sum(math.comb(dim + 1, size) for size in range(3, dim + 2))
 
 
-def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
-    """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
-    step = max(1, _CHUNK_FLOATS // floats_per_cell)
-    return [func(points[start : start + step]) for start in range(0, len(points), step)]
-
-
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
 
@@ -168,7 +162,7 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     m.  The metric entries of a degenerate cell are meaningless.
     """
     n, m, _ = points.shape
-    z, dist = _normalized(points)
+    z, dist, _ = _normalized(points)
     first = np.full(n, -1)
     lo = np.full(n, np.inf)
     hi = np.full(n, -np.inf)
@@ -206,7 +200,8 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     """
     _, m, d = points.shape
     floats_per_cell = max(math.comb(m, size) * size * size * d for size in range(3, m + 1))
-    parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
+    step = max(1, _CHUNK_FLOATS // floats_per_cell)  # cells per chunk
+    parts = [_scan_chunk(points[i : i + step], tol) for i in range(0, len(points), step)]
     first, *columns = map(np.concatenate, zip(*parts))
     good = first < 0
     return MeshQuality(
@@ -286,6 +281,8 @@ def _verdict(
 ) -> ConditionVerdict:
     if not in_range:
         raise InvalidInputError(f"{rule}, got {threshold}")
+    if isinstance(threshold, np.generic):  # a Python number, so every report can write it
+        threshold = threshold.item()
     if quality.degenerate_cells:
         # A degenerate cell has no positive quality at all; it is the worst.
         worst_cell, worst_value = quality.degenerate_cells[0], 0.0

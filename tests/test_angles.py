@@ -131,6 +131,12 @@ class TestAllDihedralAngles:
         for value in all_dihedral_angles(lifted).values():
             assert value == pytest.approx(math.pi / 3, abs=1e-12)
 
+    def test_min_and_max_angle(self):
+        angle_set = all_dihedral_angles(corner(3))
+        assert angle_set.min_angle() == min(angle_set.values())
+        assert angle_set.max_angle() == max(angle_set.values())
+        assert angle_set.max_angle() == pytest.approx(math.pi / 2, abs=1e-15)
+
     def test_angles_strictly_inside_zero_pi(self):
         for d in (2, 3, 4):
             for seed in range(10):
@@ -266,6 +272,13 @@ class TestDihedralSum:
         for exponent in range(1, 11):
             total = dihedral_sum(flatten_family(3, 2.0**-exponent))
             assert 2.0 * math.pi < total < 3.0 * math.pi
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equal_to_the_scan_bit_for_bit(self, d):
+        # The scan's dihedral_sum_top is the sum of the same angles, in the same order.
+        for seed in range(100):
+            s = random_simplex(d, seed)
+            assert dihedral_sum(s) == cell_quality(s).dihedral_sum_top[0]
 
 
 class TestInradiusAndBallRatio:

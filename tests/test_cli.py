@@ -579,6 +579,19 @@ class TestInfoCommand:
         assert "conformity: VIOLATED" in out
         assert "shared by 3 cells" in out
 
+    def test_unused_vertices_and_duplicate_cells_warned(self, tmp_path, capsys):
+        base = regular_simplex(3).vertices
+        path = write_mesh_file(
+            tmp_path / "mesh.json", np.vstack([base, base + 5.0]),
+            [[0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, 3]],
+        )
+        assert main(["info", str(path)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert warnings == [
+            "warning: unused vertices [4, 5, 6, 7]",
+            "warning: duplicate cells [1, 2]",
+        ]
+
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

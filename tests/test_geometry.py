@@ -1,6 +1,7 @@
 """Tests for the geometric kernel: measures, hull coordinates, normals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ class TestSimplexConstruction:
     def test_coordinate_outside_the_double_range_rejected(self):
         with pytest.raises(InvalidInputError, match="outside the double range"):
             Simplex([[10**400, 0], [0, 1], [1, 0]])
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="nonempty 2-d coordinate array"):
+            Simplex([1.0, 2.0])
 
     def test_too_many_vertices_for_ambient_space(self):
         with pytest.raises(InvalidInputError):
@@ -129,6 +134,36 @@ class TestSimplexMeasure:
 
     def test_measure_beyond_the_double_range_is_inf(self):
         assert simplex_measure(Simplex(np.array([[0, 0], [1, 0], [0, 1.0]]) * 1e200)) == math.inf
+
+    def test_measure_in_range_when_the_diameter_is_not(self):
+        # The diameter, 3e308, is beyond the double range; the area, 1.5e308, is not.
+        s = Simplex([[-1.5e308, 0.0], [1.5e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area = simplex_measure(s)
+            diameter = s.diameter()
+        assert area == pytest.approx(1.5e308, rel=1e-14, abs=0.0)
+        assert diameter == math.inf
+
+
+class TestDiameter:
+    def test_corner_triangle(self):
+        assert corner(2).diameter() == math.sqrt(2.0)
+
+    def test_coincident_vertices(self):
+        assert Simplex([[3.0, 4.0]]).diameter() == 0.0
+        assert Simplex([[3.0, 4.0], [3.0, 4.0]]).diameter() == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_exact_under_power_of_two_scaling(self, d):
+        # The kernel's rescalings are by powers of two, so the diameter scales exactly.
+        for seed in range(30):
+            v = random_simplex(d, seed).vertices
+            unit = Simplex(v).diameter()
+            for j in range(-1000, 1001, 50):
+                expected = 2.0**j * unit
+                if 1e-300 < expected < 1e300:
+                    assert Simplex(v * 2.0**j).diameter() == expected
 
 
 class TestFacet:
@@ -327,7 +362,7 @@ class TestToleranceConfig:
     def test_equilateral_ratio_is_the_largest_a_triangle_reaches(self):
         # The rule compares |det R| / diameter^2 with the tolerance.
         def ratio(s):
-            z, dist = _normalized(s.vertices[None])
+            z, dist, _ = _normalized(s.vertices[None])
             return float(_intrinsic_r(z, dist, np.arange(3)[None], 1e-12)[1][0, 0])
 
         assert ratio(regular_simplex(2)) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
@@ -339,7 +374,7 @@ class TestToleranceConfig:
 
 def kernel_hull_coordinates(s):
     """Normalized vertices of ``s`` in the kernel's hull frame, and their pairwise distances."""
-    z, dist = _normalized(s.vertices[None])
+    z, dist, _ = _normalized(s.vertices[None])
     r = _intrinsic_r(z, dist, np.arange(s.vertex_count)[None], 1e-12)[0]
     coords = np.vstack([np.zeros(s.intrinsic_dim), r[0, 0].T])
     return coords, dist[0]

@@ -256,12 +256,13 @@ class TestQualityReport:
     @pytest.mark.parametrize("verdict", [verdict_min_dihedral, verdict_min_dsine])
     def test_numpy_scalar_threshold_writes_the_same_bytes(self, verdict):
         quality = mesh_quality(glued_pair_mesh())
-        texts = []
-        for threshold in (0.5, np.float64(0.5)):
-            sink = io.StringIO()
-            write_report(quality, [verdict(quality, threshold)], sink)
-            texts.append(sink.getvalue())
-        assert texts[0] == texts[1]
+        for plain, scalar in [(0.5, np.float64(0.5)), (0.5, np.float32(0.5)), (1, np.int64(1))]:
+            texts = []
+            for threshold in (plain, scalar):
+                sink = io.StringIO()
+                write_report(quality, [verdict(quality, threshold)], sink)
+                texts.append(sink.getvalue())
+            assert texts[0] == texts[1]
         assert type(verdict(quality, np.float64(0.5)).satisfied) is bool
 
     def test_value_json_cannot_encode_is_a_type_error(self):
@@ -295,6 +296,12 @@ class TestMeshConstruction:
         with pytest.raises(InvalidInputError, match="not an integer"):
             Mesh(TETRA_DOC["vertices"], [[0.0, 1, 2, 3]])
 
+    @pytest.mark.parametrize("row", [5, None, {0, 1, 2, 3}, {0: 1, 1: 2, 2: 3, 3: 0}, "0123"])
+    def test_row_that_is_not_a_sequence_named(self, row):
+        with pytest.raises(InvalidInputError) as error:
+            Mesh(TETRA_DOC["vertices"], [[0, 1, 2, 3], row])
+        assert str(error.value) == "cell 1: expected an array of vertex indices"
+
     def test_no_cells_rejected(self):
         with pytest.raises(InvalidInputError):
             Mesh(TETRA_DOC["vertices"], [])
@@ -315,6 +322,7 @@ class TestStructuralErrors:
         "bad, message",
         [
             ([0, True, 2, 3], "cell 2: vertex index True is not an integer"),
+            ([1, True, 2, 3], "cell 2: vertex index True is not an integer"),
             ([0, 1.0, 2, 3], "cell 2: vertex index 1.0 is not an integer"),
             ([0, 1, 2, 4], "cell 2: vertex index 4 out of range 0..3"),
             ([-1, 1, 2, 3], "cell 2: vertex index -1 out of range 0..3"),
