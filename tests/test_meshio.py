@@ -322,7 +322,6 @@ class TestStructuralErrors:
         "bad, message",
         [
             ([0, True, 2, 3], "cell 2: vertex index True is not an integer"),
-            ([1, True, 2, 3], "cell 2: vertex index True is not an integer"),
             ([0, 1.0, 2, 3], "cell 2: vertex index 1.0 is not an integer"),
             ([0, 1, 2, 4], "cell 2: vertex index 4 out of range 0..3"),
             ([-1, 1, 2, 3], "cell 2: vertex index -1 out of range 0..3"),
@@ -332,6 +331,7 @@ class TestStructuralErrors:
             ([0, 1, 2, 3, 0], "cell 2: expected 4 vertex indices for dimension 3, got 5"),
             ([0, 1, 1], "cell 2: expected 4 vertex indices for dimension 3, got 3"),
             ([0, 9, 2.5, 3], "cell 2: vertex index 9 out of range 0..3"),
+            ([1, True, 2, 3], "cell 2: vertex index True is not an integer"),
         ],
     )
     def test_first_bad_cell_is_named(self, bad, message):
