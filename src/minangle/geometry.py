@@ -179,22 +179,21 @@ class Simplex:
         return f"Simplex(k={self.intrinsic_dim}, d={self.ambient_dim})"
 
 
-def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell of ``x`` scaled exactly by 2^-e so its largest entry is in [0.5, 1), and e."""
-    _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
-    return np.ldexp(x, -exponent[:, None, None]), exponent
-
-
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
 
     Returns the normalized vertices, their (N, m, m) pairwise distances, and
-    the diameters as (D, e), each (N,), with diameter D * 2^e.  The exact
-    power-of-two rescalings before the subtraction and before the squares,
-    by 2^-e in all, keep every intermediate inside the normal double range.
+    the diameters as (D, e), each (N,), with diameter D * 2^e.  Two exact
+    power-of-two rescalings, by 2^-e in all: halving cells that reach 2^1023
+    keeps their differences finite without flushing small coordinates, and
+    the differences are scaled into [0.5, 1) before they are squared.
     """
-    scaled, outer = _pow2_scaled(points)
-    shifted, inner = _pow2_scaled(scaled - scaled[:, :1])
+    _, top = np.frexp(np.abs(points).max(axis=(1, 2)))
+    outer = np.maximum(top - 1023, 0)
+    scaled = np.ldexp(points, -outer[:, None, None])
+    shifted = scaled - scaled[:, :1]
+    _, inner = np.frexp(np.abs(shifted).max(axis=(1, 2)))
+    shifted = np.ldexp(shifted, -inner[:, None, None])
     dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
     diameter = dist.max(axis=(1, 2))
     # Coincident vertices: the degeneracy rule flags the cell; 1 leaves them at 0.

@@ -281,10 +281,6 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
     cellrows = data["cells"]
     if not isinstance(cellrows, list) or not cellrows:
         raise InvalidInputError("cells must be a nonempty array of index arrays")
-    if set(map(type, cellrows)) != {list}:
-        for pos, row in enumerate(cellrows):
-            if not isinstance(row, list):
-                raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
     return Mesh(vertices, cellrows)
 
 

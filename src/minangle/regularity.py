@@ -154,6 +154,12 @@ def subsimplex_count(dim: int) -> int:
     return sum(math.comb(dim + 1, size) for size in range(3, dim + 2))
 
 
+def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
+    """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
+    step = max(1, _CHUNK_FLOATS // floats_per_cell)
+    return [func(points[start : start + step]) for start in range(0, len(points), step)]
+
+
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
 
@@ -200,8 +206,7 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     """
     _, m, d = points.shape
     floats_per_cell = max(math.comb(m, size) * size * size * d for size in range(3, m + 1))
-    step = max(1, _CHUNK_FLOATS // floats_per_cell)  # cells per chunk
-    parts = [_scan_chunk(points[i : i + step], tol) for i in range(0, len(points), step)]
+    parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
     first, *columns = map(np.concatenate, zip(*parts))
     good = first < 0
     return MeshQuality(

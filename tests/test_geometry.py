@@ -165,6 +165,13 @@ class TestDiameter:
                 if 1e-300 < expected < 1e300:
                     assert Simplex(v * 2.0**j).diameter() == expected
 
+    @pytest.mark.parametrize("far", [1e300, 1.7e308])
+    @pytest.mark.parametrize("gap", [1e-30, 1e-20, 3e-300, 5e-320])
+    def test_short_edge_far_from_the_origin(self, far, gap):
+        # Only a cell with an entry of 2^1023 or more is rescaled before the
+        # subtraction, and only halved, so no short edge is flushed away.
+        assert Simplex([[far, 0.0], [far, gap]]).diameter() == gap
+
 
 class TestFacet:
     def test_definition_on_triangle(self):

@@ -344,6 +344,16 @@ class TestStructuralErrors:
             parse_mesh(json.dumps(dict(TETRA_DOC, cells=cells)))
         assert str(parse_error.value) == message
 
+    def test_bad_row_before_a_non_array_row_is_named(self):
+        cells = [[0, 1, 2], 7]
+        message = "cell 0: expected 4 vertex indices for dimension 3, got 3"
+        with pytest.raises(InvalidInputError) as mesh_error:
+            Mesh(self.VERTICES, cells)
+        assert str(mesh_error.value) == message
+        with pytest.raises(InvalidInputError) as parse_error:
+            parse_mesh(json.dumps(dict(TETRA_DOC, cells=cells)))
+        assert str(parse_error.value) == message
+
     def test_ragged_cells_name_the_first_short_row(self):
         cells = [self.GOOD] * 5 + [[0, 1]] + [self.GOOD, [0, 1, 2, 3, 0, 1]]
         with pytest.raises(InvalidInputError, match=r"^cell 5: expected 4 vertex indices"):
