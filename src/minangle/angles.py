@@ -30,6 +30,7 @@ import math
 from .errors import InvalidInputError
 from .geometry import (
     Simplex,
+    _is_index_type,
     _pairs,
     _Record,
     _require_angle_dim,
@@ -130,9 +131,9 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
     shared facet (i < d); reorder the vertices first if it does not.
     """
     d = _require_full_dim(s, "product decomposition", 3)
-    if not 0 <= i < d:
+    if not _is_index_type(type(i)) or not 0 <= i < d:
         raise InvalidInputError(
-            f"vertex index {i} must lie in the facet omitting the last vertex "
+            f"vertex index {i!r} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
     _, _, angles, sines, _ = _simplex_forms(s, "product decomposition")
@@ -142,7 +143,7 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
     product = sub_sine * math.prod(dihedral_sines)
     direct = float(sines[i])
     return ProductDecomposition(
-        vertex_index=i,
+        vertex_index=int(i),
         sub_sine=sub_sine,
         dihedral_sines=dihedral_sines,
         product=product,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex
+from .geometry import KINDS, Simplex, _require_integer
 
 _REJECTION_BUDGET = 10_000
 
@@ -40,9 +40,8 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-        self.state = seed & _MASK64
+        _require_integer(seed, "seed", 0)
+        self.state = int(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -53,11 +52,6 @@ class SplitMix64:
 
     def uniform(self) -> float:
         return (self.next_uint64() >> 11) * 2.0**-53
-
-
-def _require_dim(d: int, minimum: int) -> None:
-    if not isinstance(d, int) or d < minimum:
-        raise InvalidInputError(f"dimension must be an integer >= {minimum}, got {d}")
 
 
 def _require_scale(scale: float) -> None:
@@ -77,7 +71,7 @@ def regular_simplex(d: int, scale: float = 1.0) -> Simplex:
     centroid of the previous ones at height sqrt((k+1)/(2k)), which keeps
     every edge at unit length before scaling.
     """
-    _require_dim(d, 2)
+    _require_integer(d, "dimension", 2)
     _require_scale(scale)
     v = np.zeros((d + 1, d))
     v[1, 0] = 1.0
@@ -92,7 +86,7 @@ def corner_simplex(d: int, scale: float = 1.0) -> Simplex:
 
     Its d-sine at vertex 0 is exactly 1, the largest possible value.
     """
-    _require_dim(d, 2)
+    _require_integer(d, "dimension", 2)
     _require_scale(scale)
     v = np.zeros((d + 1, d))
     v[1:] = np.eye(d) * scale
@@ -108,7 +102,7 @@ def flatten_family(d: int, t: float, scale: float = 1.0) -> Simplex:
     the cell flattens, its measure shrinking linearly in t while the
     largest dihedral angle climbs toward pi.
     """
-    _require_dim(d, 3)
+    _require_integer(d, "dimension", 3)
     _require_scale(scale)
     _require_param(t)
     base = regular_simplex(d - 1, scale).vertices
@@ -123,7 +117,7 @@ def needle_family(d: int, t: float, scale: float = 1.0) -> Simplex:
     Vertex 1 is pulled toward vertex 0 along their shared edge; t = 1
     reproduces the regular simplex, t -> 0 collapses the edge.
     """
-    _require_dim(d, 2)
+    _require_integer(d, "dimension", 2)
     _require_scale(scale)
     _require_param(t)
     v = regular_simplex(d, scale).vertices.copy()
@@ -145,7 +139,7 @@ def random_simplex(
         GenerationError: if the rejection budget (10^4 draws) runs out,
             which happens only for quality floors close to 1.
     """
-    _require_dim(d, 2)
+    _require_integer(d, "dimension", 2)
     _require_scale(scale)
     stream = SplitMix64(seed)
     if not 0.0 <= min_quality < 1.0:

@@ -308,6 +308,17 @@ def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     return d
 
 
+def _is_index_type(kind: type) -> bool:
+    """Whether ``kind`` is an integer type: int or a numpy integer, never bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _require_integer(value: object, what: str, minimum: int) -> None:
+    """InvalidInputError naming ``value`` unless it is an integer >= minimum."""
+    if not _is_index_type(type(value)) or value < minimum:
+        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 def _require_angle_dim(k: int, subject: object) -> None:
     """InvalidInputError unless k >= 2: edges and points have no dihedral angles."""
     if k < 2:
@@ -334,8 +345,8 @@ def facet(s: Simplex, i: int) -> Simplex:
     k = s.intrinsic_dim
     if k < 1:
         raise InvalidInputError("a 0-simplex has no facets")
-    if not 0 <= i <= k:
-        raise InvalidInputError(f"facet index {i} out of range 0..{k}")
+    if not _is_index_type(type(i)) or not 0 <= i <= k:
+        raise InvalidInputError(f"facet index {i!r} out of range 0..{k}")
     return Simplex(np.delete(s.vertices, i, axis=0))
 
 

@@ -32,7 +32,7 @@ from typing import IO, Any, Callable, Iterator, NoReturn
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Simplex, _coordinates, _others, _Record
+from .geometry import Simplex, _coordinates, _is_index_type, _others, _Record, _require_integer
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
 _DEG_PER_RAD = 180.0 / math.pi
@@ -175,8 +175,8 @@ class Mesh:
 
     def cell_simplex(self, index: int) -> Simplex:
         """The cell at ``index`` as a full-dimensional Simplex."""
-        if not 0 <= index < self.cell_count:
-            raise InvalidInputError(f"cell index {index} out of range 0..{self.cell_count - 1}")
+        if not _is_index_type(type(index)) or not 0 <= index < self.cell_count:
+            raise InvalidInputError(f"cell index {index!r} out of range 0..{self.cell_count - 1}")
         return Simplex(self._vertices[self._cells[index]])
 
     def __repr__(self) -> str:
@@ -184,10 +184,6 @@ class Mesh:
             f"Mesh(d={self.ambient_dim}, vertices={self.vertex_count}, "
             f"cells={self.cell_count})"
         )
-
-
-def _is_index_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 def _stacked_cells(cells: list, dim: int, vertex_count: int) -> np.ndarray | None:
@@ -267,8 +263,7 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
         if key not in data:
             raise InvalidInputError(f"mesh document is missing the {key!r} field")
     dim = data["ambient_dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidInputError(f"ambient_dimension must be a positive integer, got {dim!r}")
+    _require_integer(dim, "ambient_dimension", 1)
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise InvalidInputError("vertices must be a nonempty array of coordinate arrays")
@@ -474,7 +469,16 @@ _AGGREGATES = {
 
 def _aggregates(quality: MeshQuality, keys: Sequence[str] = tuple(_AGGREGATES)) -> dict:
     """The ``keys`` of a quality report's aggregates: extrema over the good cells, or None."""
-    return {key: _AGGREGATES[key][1](quality) if len(quality.cells) else None for key in keys}
+    return {key: _AGGREGATES[key][1](quality) for key in keys}
+
+
+def _with_degrees(table: dict[str, Any], degrees: bool) -> dict[str, Any]:
+    """``table``, then with ``degrees`` a ``*_deg`` twin of each ``*_rad`` entry, in order."""
+    twins = {
+        key.removesuffix("_rad") + "_deg": None if value is None else value * _DEG_PER_RAD
+        for key, value in table.items() if degrees and key.endswith("_rad")
+    }  # a null stays null
+    return {**table, **twins}
 
 
 def report_to_dict(
@@ -482,29 +486,21 @@ def report_to_dict(
 ) -> dict[str, Any]:
     """The quality report as a document for :func:`_write`, with deterministic key order.
 
-    Its ``cells`` is a :class:`_Rows` table, not a list of dicts;
-    ``json.loads`` of :func:`write_report`'s output gives the report as a
-    dict.  The aggregates are the extrema over the nondegenerate cells, or null
-    when there are none.  Angles are emitted in radians; ``degrees=True``
-    adds parallel ``*_deg`` annotation fields and changes nothing else.
+    Its ``cells`` is a :class:`_Rows` table; ``json.loads`` of :func:`write_report`'s output
+    gives the report as a dict.  The aggregates are the record's reductions over its good
+    cells.  Angles are in radians; ``degrees=True`` adds the ``*_deg`` twins and changes
+    nothing else.
     """
     if not len(quality.cells) and not quality.degenerate_cells:
         raise InvalidInputError("refusing to build a report for an empty mesh")
     columns = _quality_columns(quality)
     # A degenerate cell's row: null in each radian column, then the flag.
     degenerate = {**dict.fromkeys(columns), "degenerate": True}
-    aggregates = _aggregates(quality)
-    if degrees:
-        for name in ("min_dihedral", "max_dihedral", "dihedral_sum"):
-            columns[name + "_deg"] = columns[name + "_rad"] * _DEG_PER_RAD
-        for name in ("min_dihedral", "max_dihedral"):
-            value = aggregates[name + "_rad"]
-            aggregates[name + "_deg"] = None if value is None else value * _DEG_PER_RAD
     doc: dict[str, Any] = {
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
-        "aggregates": aggregates,
-        "cells": _Rows(quality, columns, degenerate),
+        "aggregates": _with_degrees(_aggregates(quality), degrees),
+        "cells": _Rows(quality, _with_degrees(columns, degrees), degenerate),
         "verdicts": [_verdict_dict(v) for v in verdicts],
     }
     if quality.degenerate_cells:
@@ -522,29 +518,23 @@ def write_report(
 
 def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
     """The equivalence-audit report as a document for :func:`_write`; ``cells`` is a table."""
-    bound = quality.certified_bound  # a property: computed on each read, so read once
-    backward = quality.min_vertex_dsine - bound
     columns = {
         "min_dsine": quality.min_vertex_dsine,
         "min_dihedral_rad": quality.min_dihedral_all_sub,
         "max_dihedral_rad": quality.max_dihedral_all_sub,
-        "certified_bound": bound,
+        "certified_bound": quality.certified_bound,
         "forward_margin": quality.forward_margin,
-        "backward_margin": backward,
+        "backward_margin": quality.backward_margin,
     }
-    if degrees:
-        columns["min_dihedral_deg"] = quality.min_dihedral_all_sub * _DEG_PER_RAD
-        columns["max_dihedral_deg"] = quality.max_dihedral_all_sub * _DEG_PER_RAD
-    has_cells = bool(len(quality.cells))
     doc: dict[str, Any] = {
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
         "audit_tolerance": AUDIT_TOLERANCE,
         "aggregates": {
-            "min_forward_margin": quality.min_forward_margin() if has_cells else None,
-            "min_backward_margin": float(backward.min()) if has_cells else None,
+            "min_forward_margin": quality.min_forward_margin(),
+            "min_backward_margin": quality.min_backward_margin(),
         },
-        "cells": _Rows(quality, columns, {"degenerate": True}),
+        "cells": _Rows(quality, _with_degrees(columns, degrees), {"degenerate": True}),
         "satisfied": quality.audit_satisfied(),
     }
     if quality.degenerate_cells:
@@ -562,7 +552,6 @@ def family_to_dict(
     when none has any.  A condition holds when every member satisfies it; its worst mesh is
     the member with the lowest worst value, the earliest one on a tie.
     """
-    scanned = [quality for _, quality, _ in members if len(quality.cells)]
     trend, meshes = [], []
     for index, (path, quality, conditions) in enumerate(members):
         head = {"index": index, "path": str(path)}
@@ -581,7 +570,7 @@ def family_to_dict(
         "ambient_dimension": members[0][1].ambient_dim,
         "mesh_count": len(members),
         "family_aggregates": {
-            key: pick(map(reduce, scanned), default=None)
+            key: pick([v for _, q, _ in members if (v := reduce(q)) is not None], default=None)
             for key, (pick, reduce) in _AGGREGATES.items()
         },
         "trend": trend,

@@ -47,6 +47,7 @@ from .geometry import (
     _normalized,
     _Record,
     _require_angle_dim,
+    _require_integer,
     _require_full_dim,
 )
 
@@ -71,10 +72,16 @@ CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"
 
 
+def _reduced(reduce, column: np.ndarray) -> float | None:
+    """``reduce`` of a column as a Python float, or None for a record without good cells."""
+    return float(reduce(column)) if len(column) else None
+
+
 class MeshQuality(_Record, eq=False):
     """Quality of a mesh as columns: entry i of each metric array belongs to cell ``cells[i]``.
 
-    ``cells`` lists the nondegenerate cells in ascending order, ``degenerate_cells`` the rest.
+    ``cells`` lists the nondegenerate cells in ascending order, ``degenerate_cells`` the rest;
+    each ``min_*`` or ``max_*`` method gives None, a report's null, when there are no good cells.
     ``forward_margin`` and ``backward_margin`` are the two equivalence margins, >= 0 up to
     rounding: for every subsimplex, the sine of each of its dihedral angles must be at least
     that subsimplex's smallest vertex sine; and the cell's smallest vertex d-sine must be at
@@ -105,32 +112,30 @@ class MeshQuality(_Record, eq=False):
     def backward_margin(self) -> np.ndarray:
         return self.min_vertex_dsine - self.certified_bound
 
-    def min_dihedral(self) -> float:
-        return float(self.min_dihedral_all_sub.min())
+    def min_dihedral(self) -> float | None:
+        return _reduced(np.min, self.min_dihedral_all_sub)
 
-    def max_dihedral(self) -> float:
-        return float(self.max_dihedral_all_sub.max())
+    def max_dihedral(self) -> float | None:
+        return _reduced(np.max, self.max_dihedral_all_sub)
 
-    def min_dsine(self) -> float:
-        return float(self.min_vertex_dsine.min())
+    def min_dsine(self) -> float | None:
+        return _reduced(np.min, self.min_vertex_dsine)
 
-    def min_ball_ratio(self) -> float:
-        return float(self.ball_ratio.min())
+    def min_ball_ratio(self) -> float | None:
+        return _reduced(np.min, self.ball_ratio)
 
-    def min_forward_margin(self) -> float:
-        return float(self.forward_margin.min())
+    def min_forward_margin(self) -> float | None:
+        return _reduced(np.min, self.forward_margin)
 
-    def min_backward_margin(self) -> float:
-        return float(self.backward_margin.min())
+    def min_backward_margin(self) -> float | None:
+        return _reduced(np.min, self.backward_margin)
 
     def audit_satisfied(self) -> bool:
         """Whether there are cells, none degenerate, and both margins are >= -AUDIT_TOLERANCE."""
-        if self.degenerate_cells or not len(self.cells):
+        margins = self.min_forward_margin(), self.min_backward_margin()
+        if self.degenerate_cells or None in margins:
             return False
-        return (
-            self.min_forward_margin() >= -AUDIT_TOLERANCE
-            and self.min_backward_margin() >= -AUDIT_TOLERANCE
-        )
+        return all(margin >= -AUDIT_TOLERANCE for margin in margins)
 
 
 class ConditionVerdict(_Record):
@@ -342,8 +347,7 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     exponent unrolls the product decomposition down to dimension 2: level
     d' contributes d'-1 factors and the planar base case one more.
     """
-    if not isinstance(d, int) or d < 2:
-        raise InvalidInputError(f"dimension must be an integer >= 2, got {d}")
+    _require_integer(d, "dimension", 2)
     if not 0.0 < alpha0 <= gamma0 < math.pi:
         raise InvalidInputError(
             f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"

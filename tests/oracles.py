@@ -17,6 +17,7 @@ angles (by atan2) and d-sines from barycentric gradients:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -120,6 +121,27 @@ def planar_angle(vertices, i: int) -> float:
     w = v[others[1]] - v[i]
     cosine = float(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
     return math.acos(max(-1.0, min(1.0, cosine)))
+
+
+def kuhn_triangulation(d: int, n: int) -> tuple[np.ndarray, list[list[int]]]:
+    """The Kuhn (Freudenthal) triangulation of [0, 1]^d, n steps per axis: (vertices, cells).
+
+    Vertex ids are the lexicographic grid index.  Each of the n^d sub-cubes is split into d!
+    cells, one per ordering of the axes: a cell walks from the sub-cube's low corner one step
+    along each axis in that order.  Every cell is congruent to the path simplex of a cube.
+    """
+    side = n + 1
+    grid = np.array(list(itertools.product(range(side), repeat=d)), dtype=float) / n
+    strides = [side ** (d - 1 - axis) for axis in range(d)]
+    cells = []
+    for corner in itertools.product(range(n), repeat=d):
+        base = int(np.dot(corner, strides))
+        for order in itertools.permutations(range(d)):
+            walk = [base]
+            for axis in order:
+                walk.append(walk[-1] + strides[axis])
+            cells.append(walk)
+    return grid, cells
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -251,6 +251,12 @@ class TestProductDecomposition:
     def test_last_vertex_rejected(self):
         with pytest.raises(InvalidInputError):
             product_decomposition(regular_simplex(3), 3)
+        for i in (1.0, True, "1", None):
+            with pytest.raises(InvalidInputError, match=f"vertex index {i!r} must lie in"):
+                product_decomposition(regular_simplex(3), i)
+        numpy_index = product_decomposition(regular_simplex(3), np.int64(1))
+        assert numpy_index == product_decomposition(regular_simplex(3), 1)
+        assert type(numpy_index.vertex_index) is int
 
     def test_dimension_two_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -31,6 +31,7 @@ from minangle import (
     vertex_sines,
 )
 from minangle.cli import main
+from oracles import kuhn_triangulation
 from test_golden import kuhn_mesh
 
 EXIT_OK, EXIT_VIOLATED, EXIT_INPUT_ERROR, EXIT_DEGENERATE = 0, 1, 2, 3
@@ -464,6 +465,33 @@ class TestFamilyCommand:
             assert aggregates == reports[0]["aggregates"]
         assert [v["satisfied"] for v in doc["verdicts"]] == [False, False]
 
+    @pytest.mark.parametrize("d, finest", [(2, 4), (3, 4), (4, 3)])
+    def test_kuhn_refinement_family_has_the_closed_form(self, tmp_path, d, finest):
+        """Every cell of every Kuhn mesh is congruent to the path simplex with vertices
+        v_j = e_1 + ... + e_j, so the smallest angle is the same at every refinement.
+
+        Its triangle (v_0, v_1, v_d) has a right angle at v_1, as v_1 - v_0 = e_1 is
+        orthogonal to v_d - v_1 = e_2 + ... + e_d, and legs of length 1 and sqrt(d - 1).  Its
+        angle at v_d is therefore arctan(1 / sqrt(d - 1)): 45 degrees for d = 2, 35.26 for
+        d = 3, 30 for d = 4.  The family must satisfy the condition just below that value and
+        violate it just above, and every member's worst value is that angle.
+        """
+        closed = math.atan(1.0 / math.sqrt(d - 1))
+        paths = []
+        for n in range(1, finest + 1):
+            paths.append(write_mesh_file(tmp_path / f"kuhn{n}.json", *kuhn_triangulation(d, n)))
+        manifest = tmp_path / "family.json"
+        manifest.write_text(json.dumps({"meshes": [path.name for path in paths]}))
+        report = tmp_path / "report.json"
+        for factor, code in [(1 - 1e-12, EXIT_OK), (1 + 1e-12, EXIT_VIOLATED)]:
+            argv = ["family", str(manifest), "--alpha0", repr(closed * factor)]
+            assert main([*argv, "-o", str(report)]) == code
+            doc = json.loads(report.read_text())
+            assert doc["verdicts"][0]["satisfied"] is (code == EXIT_OK)
+            for member in doc["meshes"]:
+                worst = member["verdicts"][0]["worst_value"]
+                assert worst == pytest.approx(closed, rel=1e-14, abs=0.0)
+
     def test_family_of_regular_meshes_passes(self, tmp_path, tetra_path):
         manifest = tmp_path / "family.json"
         manifest.write_text(json.dumps({"meshes": [str(tetra_path)] * 3}))
@@ -591,6 +619,14 @@ class TestInfoCommand:
             "warning: unused vertices [4, 5, 6, 7]",
             "warning: duplicate cells [1, 2]",
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kuhn_mesh_facet_counts(self, tmp_path, capsys, n):
+        """The n x n Kuhn mesh of the square has 3n^2 - 2n interior and 4n boundary edges."""
+        path = write_mesh_file(tmp_path / "kuhn.json", *kuhn_triangulation(2, n))
+        assert main(["info", str(path)]) == EXIT_OK
+        expected = f"conformity: OK ({3 * n * n - 2 * n} interior, {4 * n} boundary facets)"
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

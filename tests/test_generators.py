@@ -45,6 +45,12 @@ class TestRegularSimplex:
             regular_simplex(1)
         with pytest.raises(InvalidInputError):
             regular_simplex(3, scale=0.0)
+        for d in (3.0, True, "3", None):
+            with pytest.raises(InvalidInputError) as error:
+                regular_simplex(d)
+            assert str(error.value) == f"dimension must be an integer >= 2, got {d!r}"
+        for make in (regular_simplex, corner_simplex, random_simplex):
+            np.testing.assert_array_equal(make(np.int64(3)).vertices, make(3).vertices)
 
 
 class TestCornerSimplex:
@@ -162,6 +168,14 @@ class TestRandomSimplex:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
             random_simplex(3, seed=-1)
+        for seed in (1.5, True, "5", None, np.float64(5.0)):
+            with pytest.raises(InvalidInputError) as error:
+                random_simplex(2, seed=seed)
+            assert str(error.value) == f"seed must be an integer >= 0, got {seed!r}"
+        for seed in (np.int64(5), np.uint64(2**64 - 1), np.int8(7)):
+            np.testing.assert_array_equal(
+                random_simplex(2, seed=seed).vertices, random_simplex(2, seed=int(seed)).vertices
+            )
         with pytest.raises(InvalidInputError):
             random_simplex(3, min_quality=1.0)
         with pytest.raises(InvalidInputError):
@@ -198,6 +212,10 @@ class TestGeneratorSpec:
         np.testing.assert_array_equal(
             generate("random", 3, seed=5).vertices, random_simplex(3, seed=5).vertices
         )
+        np.testing.assert_array_equal(
+            generate("needle", 3, param=0.25).vertices, needle_family(3, 0.25).vertices
+        )
+        np.testing.assert_array_equal(generate("needle", 2).vertices, regular_simplex(2).vertices)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown generator kind 'spiky'"):
@@ -212,7 +230,7 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidInputError, match=floor):
             generate("random", 3, param=1.0)
         # The seed is checked before the floor.
-        with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
             generate("random", 3, param=1.0, seed=-1)
         s = generate("random", 3, param=0.3, seed=11)
         assert min(vertex_sines(s)) > 0.3

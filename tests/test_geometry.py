@@ -71,6 +71,9 @@ class TestSimplexMeasure:
     def test_unit_segment(self):
         assert simplex_measure(Simplex([[0.0], [1.0]])) == pytest.approx(1.0, abs=0.0)
 
+    def test_point_has_unit_measure(self):
+        assert simplex_measure(Simplex([[3.0, -2.0]])) == 1.0
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_corner_simplex_closed_form(self, d):
         assert simplex_measure(corner(d)) == pytest.approx(
@@ -197,6 +200,12 @@ class TestFacet:
             facet(corner(2), 3)
         with pytest.raises(InvalidInputError):
             facet(corner(2), -1)
+        for i in (True, 1.0, "1", None):
+            with pytest.raises(InvalidInputError, match=f"facet index {i!r} out of range 0..2"):
+                facet(corner(2), i)
+        with pytest.raises(InvalidInputError, match="a 0-simplex has no facets"):
+            facet(Simplex([[1.0, 2.0]]), 0)
+        np.testing.assert_array_equal(facet(corner(2), np.int64(1)).vertices, [[0, 0], [0, 1]])
 
 
 class TestOrthonormalFrame:
@@ -323,6 +332,10 @@ class TestOutwardNormals:
         with pytest.raises(DegeneracyError):
             outward_unit_normals(Simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
+    def test_point_has_no_normals(self):
+        with pytest.raises(InvalidInputError, match="a 0-simplex has no facets"):
+            outward_unit_normals(Simplex([[1.0, 2.0, 3.0]]))
+
 
 class TestIsDegenerate:
     def test_collinear_points(self):
@@ -330,6 +343,9 @@ class TestIsDegenerate:
 
     def test_regular_tetrahedron_is_not(self):
         assert not is_degenerate(regular_simplex(3))
+
+    def test_point_is_not(self):
+        assert not is_degenerate(Simplex([[1.0, 2.0]]))
 
     def test_flat_sliver_at_default_tolerance(self):
         # sqrt(det G) = (sqrt(3)/2) t against the tolerance 1e-12 * diameter^3.

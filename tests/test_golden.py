@@ -33,6 +33,7 @@ from oracles import (
     audit_doc,
     ball_ratio_cm,
     hull_coordinates,
+    kuhn_triangulation,
     report_doc,
     simplex_dihedral_angles,
     vertex_sines_cm,
@@ -66,17 +67,7 @@ AUDIT_FIELDS = (
 def kuhn_mesh(d, n, seed):
     """Jittered Kuhn mesh of [0, 1]^d with one sliver and one collapsed vertex."""
     rng = np.random.default_rng(seed)
-    side = n + 1
-    grid = np.array(list(itertools.product(range(side), repeat=d)), dtype=float) / n
-    strides = [side ** (d - 1 - axis) for axis in range(d)]
-    cells = []
-    for corner in itertools.product(range(n), repeat=d):
-        base = int(np.dot(corner, strides))
-        for order in itertools.permutations(range(d)):
-            walk = [base]
-            for axis in order:
-                walk.append(walk[-1] + strides[axis])
-            cells.append(walk)
+    grid, cells = kuhn_triangulation(d, n)
     vertices = grid + rng.uniform(-JITTER / n, JITTER / n, grid.shape)
     # Sliver: push vertex 2 of cell 0 (a vertex in few cells) to SLIVER_GAP/n
     # from the plane of its opposite face.

@@ -69,6 +69,14 @@ class TestParseMesh:
         assert mesh.vertex_count == 4
         assert mesh.cell_count == 1
         assert mesh.cell_simplex(0).intrinsic_dim == 3
+        assert mesh.cell_simplex(np.int64(0)).intrinsic_dim == 3
+        assert repr(mesh) == "Mesh(d=3, vertices=4, cells=1)"
+
+    @pytest.mark.parametrize("index", [2, -1, 1.0, True, "0", None])
+    def test_cell_index_out_of_range_rejected(self, index):
+        with pytest.raises(InvalidInputError) as error:
+            glued_pair_mesh().cell_simplex(index)
+        assert str(error.value) == f"cell index {index!r} out of range 0..1"
 
     def test_repeated_cell_index_rejected(self):
         doc = dict(TETRA_DOC, cells=[[0, 1, 1, 2]])
@@ -97,6 +105,22 @@ class TestParseMesh:
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidInputError, match="cells"):
             parse_mesh(json.dumps({"ambient_dimension": 2, "vertices": [[0.0, 0.0]]}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "mesh document must be a JSON object"),
+            (json.dumps(dict(TETRA_DOC, vertices=[])),
+             "vertices must be a nonempty array of coordinate arrays"),
+            (json.dumps(dict(TETRA_DOC, ambient_dimension=3.0)),
+             "ambient_dimension must be an integer >= 1, got 3.0"),
+        ],
+        ids=["array", "no-vertices", "float-dimension"],
+    )
+    def test_document_shape_rejected(self, text, message):
+        with pytest.raises(InvalidInputError) as error:
+            parse_mesh(text)
+        assert str(error.value) == message
 
     def test_non_numeric_coordinate_rejected(self):
         doc = dict(TETRA_DOC, vertices=[["x", 0.0, 0.0]] + TETRA_DOC["vertices"][1:])

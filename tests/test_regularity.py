@@ -162,6 +162,12 @@ class TestConditionChecks:
         assert verdict.worst_cell == 0
         assert verdict.worst_value == pytest.approx(1.0471975511965976, abs=1e-10)
 
+    @pytest.mark.parametrize("verdict", [verdict_min_dihedral, verdict_min_dsine])
+    def test_record_without_cells_rejected(self, verdict):
+        empty = MeshQuality(3, np.empty(0, dtype=np.intp), *[np.empty(0)] * 6)
+        with pytest.raises(InvalidInputError, match="mesh produced no cells to check"):
+            verdict(empty, 0.5)
+
     def test_zero_threshold_rejected(self):
         quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
         with pytest.raises(InvalidInputError):
@@ -237,6 +243,11 @@ class TestCertifiedBound:
             certified_dsine_bound(1.0, math.pi, 3)
         with pytest.raises(InvalidInputError):
             certified_dsine_bound(0.5, 1.0, 1)
+        for d in (3.0, True, "3", None):
+            with pytest.raises(InvalidInputError) as error:
+                certified_dsine_bound(0.5, 1.0, d)
+            assert str(error.value) == f"dimension must be an integer >= 2, got {d!r}"
+        assert certified_dsine_bound(0.5, 0.6, np.int64(3)) == certified_dsine_bound(0.5, 0.6, 3)
 
 
 class TestEquivalenceAudit:
@@ -332,6 +343,24 @@ class TestEquivalenceAudit:
         assert record.audit_satisfied() is satisfied
         if len(record.cells):
             assert record.backward_margin[0] == pytest.approx(changes.get("backward", 0.1))
+
+    REDUCERS = (
+        MeshQuality.min_dihedral, MeshQuality.max_dihedral, MeshQuality.min_dsine,
+        MeshQuality.min_ball_ratio, MeshQuality.min_forward_margin,
+        MeshQuality.min_backward_margin,
+    )
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[-1.5e308, 0], [1.5e308, 0], [0, 1]], [[0, 0], [1, 0], [2, 0]]],
+        ids=["wider-than-the-double-range", "collinear"],
+    )
+    def test_reducers_give_none_without_good_cells(self, vertices):
+        quality = mesh_quality(Mesh(vertices, [[0, 1, 2]]))
+        assert quality.degenerate_cells == (0,)
+        assert [reduce(quality) for reduce in self.REDUCERS] == [None] * 6
+        assert quality.audit_satisfied() is False
+        assert [reduce(self.record(cells=())) for reduce in self.REDUCERS] == [None] * 6
 
 
 class TestTwoDimensionalEquivalence:
