@@ -30,8 +30,8 @@ import math
 from .errors import InvalidInputError
 from .geometry import (
     Simplex,
+    _combinations,
     _is_index_type,
-    _pairs,
     _Record,
     _require_angle_dim,
     _require_full_dim,
@@ -54,6 +54,9 @@ class DihedralAngleSet(_Record, eq=False):
 
     def angle(self, i: int, j: int) -> float:
         """The angle between facets F_i and F_j, symmetric in (i, j), in [0, pi]."""
+        for index in (i, j):
+            if not _is_index_type(type(index)):
+                raise InvalidInputError(f"facet index {index!r} is not an integer")
         if i == j:
             raise InvalidInputError("dihedral angle needs two distinct facets")
         key = (i, j) if i < j else (j, i)
@@ -102,7 +105,7 @@ def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     k = s.intrinsic_dim
     _require_angle_dim(k, s)
     values = _simplex_forms(s, "dihedral angles")[2]
-    pairs = zip(*(index.tolist() for index in _pairs(k + 1)))
+    pairs = map(tuple, _combinations(k + 1, 2).tolist())
     return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
 
 
@@ -137,7 +140,7 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
             f"(0..{d - 1}); reorder the vertices first"
         )
     _, _, angles, sines, _ = _simplex_forms(s, "product decomposition")
-    at_last = angles[_pairs(d + 1)[1] == d].tolist()  # the pairs (j, d), j = 0..d-1
+    at_last = angles[_combinations(d + 1, 2)[:, 1] == d].tolist()  # the pairs (j, d), j = 0..d-1
     dihedral_sines = tuple(math.sin(beta) for j, beta in enumerate(at_last) if j != i)
     sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[3][i])
     product = sub_sine * math.prod(dihedral_sines)

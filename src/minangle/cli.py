@@ -30,7 +30,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import IO, Any, Callable, Sequence
+from typing import Iterable, Sequence
 
 # minangle gives BLAS no work: its linear algebra is one small (k <= 12) LAPACK
 # factorization per matrix.  Yet OpenBLAS starts a thread pool when numpy loads,
@@ -43,8 +43,8 @@ from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
+    _pieces,
     _read_file,
-    _write,
     audit_to_dict,
     conformity_check,
     dump_mesh,
@@ -136,21 +136,19 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     return ToleranceConfig() if tol is None else ToleranceConfig(degeneracy_rel_tol=tol)
 
 
-def _emit(render: Callable[[IO[str]], Any], destination: str) -> None:
+def _emit(pieces: Iterable[str], destination: str) -> None:
+    """Write ``pieces`` to the file at ``destination``, opened before the first piece is made,
+    or to standard output for ``-``."""
     if destination != "-":
         with Path(destination).open("w") as sink:
-            render(sink)
+            sink.writelines(pieces)
         return
     try:
-        render(sys.stdout)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left, as `| head` does; on devnull the flush at exit stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _emit_json(doc: dict[str, Any], destination: str) -> None:
-    _emit(lambda sink: _write(doc, sink.write) or sink.write("\n"), destination)
 
 
 def _require_threshold(args: argparse.Namespace) -> None:
@@ -164,11 +162,11 @@ def _verdicts(quality: MeshQuality, args: argparse.Namespace) -> list[ConditionV
     return [verdict(quality, bound) for verdict, bound in requested if bound is not None]
 
 
-def _exit_code(qualities: Sequence[MeshQuality], verdicts: Sequence[ConditionVerdict]) -> int:
-    """The exit code of ``check`` and ``family``: degenerate geometry first, then any violation."""
+def _exit_code(qualities: Sequence[MeshQuality], satisfied: bool) -> int:
+    """The exit code of every report command: degenerate geometry outranks a violation."""
     if any(quality.degenerate_cells for quality in qualities):
         return EXIT_DEGENERATE
-    return EXIT_OK if all(verdict.satisfied for verdict in verdicts) else EXIT_VIOLATED
+    return EXIT_OK if satisfied else EXIT_VIOLATED
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -176,17 +174,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     quality = mesh_quality(load_mesh(args.mesh), cfg)
     verdicts = _verdicts(quality, args)
-    _emit_json(report_to_dict(quality, verdicts, args.degrees), args.report)
-    return _exit_code([quality], verdicts)
+    _emit(_pieces(report_to_dict(quality, verdicts, args.degrees)), args.report)
+    return _exit_code([quality], all(verdict.satisfied for verdict in verdicts))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _tolerances(args)
     quality = mesh_quality(load_mesh(args.mesh), cfg)
-    _emit_json(audit_to_dict(quality, degrees=args.degrees), args.report)
-    if quality.degenerate_cells:
-        return EXIT_DEGENERATE
-    return EXIT_OK if quality.audit_satisfied() else EXIT_VIOLATED
+    _emit(_pieces(audit_to_dict(quality, degrees=args.degrees)), args.report)
+    return _exit_code([quality], quality.audit_satisfied())
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -204,9 +200,9 @@ def cmd_family(args: argparse.Namespace) -> int:
     for path, mesh in zip(paths, meshes):
         quality = mesh_quality(mesh, cfg)
         members.append((path, quality, _verdicts(quality, args)))
-    _emit_json(family_to_dict(members, args.degrees), args.report)
+    _emit(_pieces(family_to_dict(members, args.degrees)), args.report)
     _, qualities, verdicts = zip(*members)
-    return _exit_code(qualities, [verdict for row in verdicts for verdict in row])
+    return _exit_code(qualities, all(verdict.satisfied for row in verdicts for verdict in row))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -214,7 +210,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     simplex = generate(args.kind, args.dim, args.param, args.seed, args.scale)
     mesh = Mesh(simplex.vertices, [list(range(simplex.vertex_count))])
-    _emit(lambda sink: sink.write(dump_mesh(mesh)), args.output)
+    _emit(map(dump_mesh, [mesh]), args.output)  # lazy: -o opens first, as for a report
     return EXIT_OK
 
 
@@ -224,8 +220,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     validation = validate_mesh(mesh)
     conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, cfg)
-    lines = info_lines(args.mesh, mesh, validation, conformity, quality)
-    _emit(lambda sink: sink.writelines(lines), "-")
+    _emit(info_lines(args.mesh, mesh, validation, conformity, quality), "-")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex, _require_integer
+from .geometry import KINDS, Simplex, _is_real_type, _require_integer
 
 _REJECTION_BUDGET = 10_000
 
@@ -55,12 +55,12 @@ class SplitMix64:
 
 
 def _require_scale(scale: float) -> None:
-    if not 0.0 < scale < math.inf:
+    if not (_is_real_type(type(scale)) and 0.0 < scale < math.inf):
         raise InvalidInputError(f"scale must be positive and finite, got {scale}")
 
 
 def _require_param(t: float) -> None:
-    if not 0.0 < t <= 1.0:
+    if not (_is_real_type(type(t)) and 0.0 < t <= 1.0):
         raise InvalidInputError(f"family parameter must lie in (0, 1], got {t}")
 
 
@@ -142,7 +142,7 @@ def random_simplex(
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
     stream = SplitMix64(seed)
-    if not 0.0 <= min_quality < 1.0:
+    if not (_is_real_type(type(min_quality)) and 0.0 <= min_quality < 1.0):
         raise InvalidInputError(f"quality floor must lie in [0, 1), got {min_quality}")
     for _ in range(_REJECTION_BUDGET):
         coords = np.array(

@@ -28,8 +28,9 @@ at once.  Only :func:`outward_unit_normals` leaves hull coordinates: it
 rotates the normals back into the simplex's own with Q.
 
 All functions here are pure: nothing mutates its inputs, and the only
-global state is the kernel's index tables, built once per size and
-read-only, so values can be shared freely across threads.
+global state is the kernel's vertex-subset tables (:func:`_combinations`),
+built once per size and read-only, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ class _Record:
         return hash(tuple(vars(self).values()))
 
 
+def _is_index_type(kind: type) -> bool:
+    """Whether ``kind`` is an integer type: int or a numpy integer, never bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_real_type(kind: type) -> bool:
+    """Whether ``kind`` is a real type: int, float, or a numpy integer or float, never bool."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
 class ToleranceConfig(_Record):
     """The degeneracy tolerance, for the two functions that take one.
 
@@ -107,10 +118,9 @@ class ToleranceConfig(_Record):
     degeneracy_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.degeneracy_rel_tol < math.sqrt(3.0) / 2.0:
-            raise InvalidInputError(
-                f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {self.degeneracy_rel_tol}"
-            )
+        tol = self.degeneracy_rel_tol
+        if not (_is_real_type(type(tol)) and 0.0 < tol < math.sqrt(3.0) / 2.0):
+            raise InvalidInputError(f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {tol}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -213,21 +223,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(m, 1)``: the index pairs a < b of m vertices, built once per m."""
-    a, b = np.triu_indices(m, 1)
-    return _read_only(a), _read_only(b)
-
-
-@functools.lru_cache(maxsize=None)
-def _others(m: int) -> np.ndarray:
-    """(m, m-1) array whose row v lists 0..m-1 without v, built once per m."""
-    return _read_only(np.array([[w for w in range(m) if w != v] for v in range(m)]))
-
-
-@functools.lru_cache(maxsize=None)
 def _combinations(m: int, size: int) -> np.ndarray:
-    """The ``itertools.combinations(range(m), size)`` subsets as rows, built once per (m, size)."""
+    """The ``itertools.combinations(range(m), size)`` subsets as rows, built once per (m, size).
+
+    The one vertex-subset table: ``_combinations(m, 2).T`` is ``np.triu_indices(m, 1)``, the
+    pairs a < b, and ``_combinations(m, m - 1)[::-1]`` has the row v that leaves out v.
+    """
     return _read_only(np.array(list(itertools.combinations(range(m), size))))
 
 
@@ -245,7 +246,7 @@ def _intrinsic_r(
     edges = corners[:, :, 1:] - corners[:, :, :1]
     r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
     volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
-    a, b = _pairs(k + 1)
+    a, b = _combinations(k + 1, 2).T
     diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
     return r, volume, volume <= tol * diameter**k
 
@@ -268,12 +269,13 @@ def _gradient_forms(
     lengths = np.linalg.norm(grads, axis=-1)
     # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
     units = grads / lengths[..., None]
-    i, j = _pairs(k + 1)
+    i, j = _combinations(k + 1, 2).T
     angles = 2.0 * np.arctan2(
         np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
         np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
     )
-    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., _others(k + 1)], axis=-1))
+    others = _combinations(k + 1, k)[::-1]  # row i leaves out i
+    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
     return units, lengths, angles, dsines
 
 
@@ -306,11 +308,6 @@ def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     if d < min_dim:
         raise InvalidInputError(f"{what} needs dimension >= {min_dim}")
     return d
-
-
-def _is_index_type(kind: type) -> bool:
-    """Whether ``kind`` is an integer type: int or a numpy integer, never bool."""
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 def _require_integer(value: object, what: str, minimum: int) -> None:

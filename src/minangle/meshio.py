@@ -12,12 +12,13 @@ meshes (coarse to fine) is listed in a manifest document::
 
 with member paths resolved relative to the manifest's own directory.
 
-Every output layout is made here, from the records: the quality,
-equivalence-audit and family reports (:func:`report_to_dict`,
-:func:`audit_to_dict`, :func:`family_to_dict`) are JSON laid out by the stdlib
-encoder, each per-cell table written in chunks of rows, and :func:`info_lines`
-lays out the ``info`` text.  Key order is fixed, so identical inputs produce
-byte-identical report files.
+Every output layout is made here, from the records, as an iterator of text
+pieces with the final newline included.  The quality, equivalence-audit and
+family reports (:func:`report_to_dict`, :func:`audit_to_dict`,
+:func:`family_to_dict`) and the mesh document are JSON that :func:`_pieces`
+lays out with the stdlib encoder, each per-cell table in chunks of rows, and
+:func:`info_lines` yields the ``info`` text.  Key order is fixed, so identical
+inputs produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from typing import IO, Any, Callable, Iterator, NoReturn
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Simplex, _coordinates, _is_index_type, _others, _Record, _require_integer
+from .geometry import (
+    Simplex, _combinations, _coordinates, _is_index_type, _Record, _require_integer
+)
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
 _DEG_PER_RAD = 180.0 / math.pi
@@ -41,14 +44,15 @@ _DEG_PER_RAD = 180.0 / math.pi
 # escaping as json.dumps, without the pure-Python path its indent takes.
 _ENCODER = json.JSONEncoder()
 _ENCODE = _ENCODER.encode
-_CHUNK_ROWS = 256  # rows per write of a table, so the text alive at once stays small
+_CHUNK_ROWS = 256  # rows per piece of a table, so the text alive at once stays small
 # A table's place in the layout; no document holds a NUL, as a member's path cannot.
 _PLACEHOLDER = "\x00rows"
 
 
-def _write(doc: Any, write: Callable[[str], Any]) -> None:
-    """Write ``json.dumps(doc, indent=2)``, as every JSON document is written: the stdlib encoder
-    lays out ``doc``, and each :class:`_Rows` table writes its rows where its placeholder is."""
+def _pieces(doc: Any) -> Iterator[str]:
+    """``json.dumps(doc, indent=2)`` and a newline, in pieces, as every JSON document is written:
+    the stdlib encoder lays out ``doc``, and each :class:`_Rows` table yields its rows where its
+    placeholder is."""
     tables: list[_Rows] = []
 
     def placeholder(value: Any) -> str:  # anything but a table raises json.dumps's own TypeError
@@ -59,16 +63,9 @@ def _write(doc: Any, write: Callable[[str], Any]) -> None:
     pieces = text.split(_ENCODE(_PLACEHOLDER), len(tables))
     for piece, table in zip(pieces, tables):
         line = piece[piece.rfind("\n") + 1 :]
-        write(piece)
-        table.write(line[: len(line) - len(line.lstrip(" "))], write)
-    write(pieces[-1])
-
-
-def _dumps(doc: Any) -> str:
-    """The text :func:`_write` writes: ``json.dumps(doc, indent=2)``, byte for byte."""
-    pieces: list[str] = []
-    _write(doc, pieces.append)
-    return "".join(pieces)
+        yield piece
+        yield from table.pieces(line[: len(line) - len(line.lstrip(" "))])
+    yield pieces[-1] + "\n"
 
 
 def _element_template(fields: dict[str, Any], indent: str) -> str:
@@ -105,7 +102,7 @@ def _cell_lines(
 
 
 class _Rows(_Record, eq=False):
-    """A report's ``cells`` array: one row per cell by index, written by :func:`_write`.
+    """A report's ``cells`` array: one row per cell by index, laid out by :func:`_pieces`.
 
     A good cell's row is its index and its entries of ``columns``; a
     degenerate cell's is its index and the literal ``degenerate`` fields.
@@ -115,18 +112,17 @@ class _Rows(_Record, eq=False):
     columns: dict[str, np.ndarray]
     degenerate: dict[str, Any]
 
-    def write(self, indent: str, write: Callable[[str], Any]) -> None:
-        """Write the array as ``json.dumps(indent=2)`` lays it out at ``indent``, a chunk a call."""
+    def pieces(self, indent: str) -> Iterator[str]:
+        """The array as ``json.dumps(indent=2)`` lays it out at ``indent``, a chunk a piece."""
         good = _element_template(dict.fromkeys(("index", *self.columns), _PLACEHOLDER), indent)
         # The degenerate template swallows the Nones of its row's value slots.
         degenerate = _element_template({"index": _PLACEHOLDER, **self.degenerate}, indent)
         degenerate += "%.0s" * len(self.columns)
         chunks = _cell_lines(self.quality, good, degenerate, [*self.columns.values()], _json_floats)
         first = next(chunks, None)
-        write("[" + first[1:] if first else "[")  # the first row has no comma before it
-        for chunk in chunks:
-            write(chunk)
-        write("\n" + indent + "]" if first else "]")
+        yield "[" + first[1:] if first else "["  # the first row has no comma before it
+        yield from chunks
+        yield "\n" + indent + "]" if first else "]"
 
 
 class Mesh:
@@ -303,7 +299,7 @@ def dump_mesh(mesh: Mesh) -> str:
         "vertices": mesh.vertices.tolist(),
         "cells": mesh.cells.tolist(),
     }
-    return _dumps(doc) + "\n"
+    return "".join(_pieces(doc))
 
 
 def parse_family_manifest(source: str | bytes | IO, base_dir: str | Path | None = None) -> list[Path]:
@@ -418,7 +414,7 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     cells = np.sort(mesh.cells, axis=1)
     m = cells.shape[1]
     # Dropping one entry of a sorted row leaves the facet's sorted key.
-    facets = cells[:, _others(m)].reshape(-1, m - 1)
+    facets = cells[:, _combinations(m, m - 1)[::-1]].reshape(-1, m - 1)
     first, counts, _ = _row_groups(facets)
     overshared = tuple(
         (tuple(key), count)
@@ -484,7 +480,7 @@ def _with_degrees(table: dict[str, Any], degrees: bool) -> dict[str, Any]:
 def report_to_dict(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
 ) -> dict[str, Any]:
-    """The quality report as a document for :func:`_write`, with deterministic key order.
+    """The quality report as a document for :func:`_pieces`, with deterministic key order.
 
     Its ``cells`` is a :class:`_Rows` table; ``json.loads`` of :func:`write_report`'s output
     gives the report as a dict.  The aggregates are the record's reductions over its good
@@ -512,12 +508,12 @@ def write_report(
     quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str], degrees: bool = False
 ) -> None:
     """Serialize a quality report as JSON to a text sink, ``_CHUNK_ROWS`` cells per write."""
-    _write(report_to_dict(quality, verdicts, degrees), sink.write)
-    sink.write("\n")
+    for piece in _pieces(report_to_dict(quality, verdicts, degrees)):
+        sink.write(piece)
 
 
 def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
-    """The equivalence-audit report as a document for :func:`_write`; ``cells`` is a table."""
+    """The equivalence-audit report as a document for :func:`_pieces`; ``cells`` is a table."""
     columns = {
         "min_dsine": quality.min_vertex_dsine,
         "min_dihedral_rad": quality.min_dihedral_all_sub,

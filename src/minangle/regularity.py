@@ -44,6 +44,7 @@ from .geometry import (
     _combinations,
     _gradient_forms,
     _intrinsic_r,
+    _is_real_type,
     _normalized,
     _Record,
     _require_angle_dim,
@@ -318,7 +319,8 @@ def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdic
     verdict annotated with their indices instead of an exception.
     """
     return _verdict(
-        CONDITION_MIN_DIHEDRAL, alpha0, 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
+        CONDITION_MIN_DIHEDRAL, alpha0,
+        _is_real_type(type(alpha0)) and 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
         quality, quality.min_dihedral_all_sub,
     )
 
@@ -326,7 +328,8 @@ def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdic
 def verdict_min_dsine(quality: MeshQuality, dsine_min: float) -> ConditionVerdict:
     """Whether every vertex d-sine of every cell of ``quality`` is >= dsine_min."""
     return _verdict(
-        CONDITION_MIN_DSINE, dsine_min, 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
+        CONDITION_MIN_DSINE, dsine_min,
+        _is_real_type(type(dsine_min)) and 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
         quality, quality.min_vertex_dsine,
     )
 
@@ -348,7 +351,8 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     d' contributes d'-1 factors and the planar base case one more.
     """
     _require_integer(d, "dimension", 2)
-    if not 0.0 < alpha0 <= gamma0 < math.pi:
+    reals = _is_real_type(type(alpha0)) and _is_real_type(type(gamma0))
+    if not (reals and 0.0 < alpha0 <= gamma0 < math.pi):
         raise InvalidInputError(
             f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
         )

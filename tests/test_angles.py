@@ -95,6 +95,14 @@ class TestDihedralAngle:
         angles = all_dihedral_angles(corner(3))
         with pytest.raises(InvalidInputError):
             angles.angle(0, 4)
+        # Only integers index facets; a dict lookup alone would take True and 1.0 as 1.
+        regular = all_dihedral_angles(regular_simplex(3))
+        cases = [((True, 2), True), ((1.0, 2.0), 1.0), (("a", 2), "a"), ((2, None), None)]
+        for pair, bad in cases:
+            with pytest.raises(InvalidInputError) as error:
+                regular.angle(*pair)
+            assert str(error.value) == f"facet index {bad!r} is not an integer"
+        assert regular.angle(np.int64(2), np.int64(1)) == regular.angle(1, 2)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneracyError):

@@ -918,10 +918,12 @@ class TestClosedStdout:
             ("kuhn", ["check", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
             ("kuhn", ["audit", "-o", "-"], EXIT_DEGENERATE),
             ("kuhn", ["family", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
+            # No mesh is read: the command writes one.
+            (None, ["generate", "--kind", "regular", "--dim", "3", "-o", "-"], EXIT_OK),
         ],
         ids=[
             "info", "check", "check-violated", "audit", "family",
-            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn",
+            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn", "generate",
         ],
     )
     def test_exit_code_is_the_commands_own(
@@ -940,11 +942,12 @@ class TestClosedStdout:
             env["PYTHONUNBUFFERED"] = "1"
         src = str(Path(minangle.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        operands = [] if mesh is None else [str(path)]
         read, write = os.pipe()
         os.close(read)
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "minangle.cli", command[0], str(path), *command[1:]],
+                [sys.executable, "-m", "minangle.cli", command[0], *operands, *command[1:]],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         finally:

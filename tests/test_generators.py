@@ -90,6 +90,11 @@ class TestFlattenFamily:
             flatten_family(3, 1.5)
         with pytest.raises(InvalidInputError):
             flatten_family(2, 0.5)  # needs d >= 3
+        for family in (flatten_family, needle_family):
+            for t in ("a", None, True):
+                with pytest.raises(InvalidInputError) as error:
+                    family(3, t)
+                assert str(error.value) == f"family parameter must lie in (0, 1], got {t}"
 
     def test_quality_decays_smoothly_under_halving(self):
         previous = min(vertex_sines(flatten_family(3, 0.5)))
@@ -178,12 +183,20 @@ class TestRandomSimplex:
             )
         with pytest.raises(InvalidInputError):
             random_simplex(3, min_quality=1.0)
+        for floor in ("x", None, True):
+            with pytest.raises(InvalidInputError) as error:
+                random_simplex(3, 0, 1.0, floor)
+            assert str(error.value) == f"quality floor must lie in [0, 1), got {floor}"
+        np.testing.assert_array_equal(
+            random_simplex(2, min_quality=np.float32(0.25)).vertices,
+            random_simplex(2, min_quality=0.25).vertices,
+        )
         with pytest.raises(InvalidInputError):
             random_simplex(1)
 
 
 class TestScale:
-    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0, "a", None, True])
     def test_scale_must_be_positive_and_finite(self, scale):
         """Rejected up front, before an infinite scale turns into inf - inf = nan coordinates."""
         makers = [

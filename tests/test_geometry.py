@@ -370,6 +370,12 @@ class TestToleranceConfig:
         with pytest.raises(InvalidInputError):
             ToleranceConfig(degeneracy_rel_tol=0.0)
 
+    @pytest.mark.parametrize("tol", ["a", None, True, "1e-3"])
+    def test_rejects_a_tolerance_that_is_not_a_number(self, tol):
+        with pytest.raises(InvalidInputError) as error:
+            ToleranceConfig(tol)
+        assert str(error.value) == f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {tol}"
+
     @pytest.mark.parametrize("tol", [math.inf, 1.0, 1e300])
     def test_rejects_tolerance_of_one_or_more(self, tol):
         # sqrt(det G) <= (max edge)^k always, so such a tolerance flags every cell.

@@ -26,7 +26,7 @@ from minangle import (
     verdict_min_dsine,
     write_report,
 )
-from minangle.meshio import _CHUNK_ROWS, _dumps, _write, audit_to_dict, report_to_dict
+from minangle.meshio import _CHUNK_ROWS, _pieces, audit_to_dict, report_to_dict
 from oracles import audit_doc, report_doc
 from test_golden import kuhn_mesh
 
@@ -291,7 +291,7 @@ class TestQualityReport:
 
     def test_value_json_cannot_encode_is_a_type_error(self):
         with pytest.raises(TypeError, match="float32 is not JSON serializable"):
-            _write({"x": np.float32(1)}, io.StringIO().write)
+            "".join(_pieces({"x": np.float32(1)}))
 
 
 class TestFamilyManifest:
@@ -537,7 +537,7 @@ DOCS = st.recursive(
 
 
 class TestJsonWriter:
-    """``_dumps`` must equal ``json.dumps(value, indent=2)`` byte for byte."""
+    """``_pieces`` must join to ``json.dumps(value, indent=2)`` and a newline, byte for byte."""
 
     @settings(max_examples=200, deadline=None)
     @given(DOCS)
@@ -549,7 +549,7 @@ class TestJsonWriter:
     @example([{"a": 1}, {2: 3}, {"a": [1, {"b": None}]}])
     @example((1, (2.5, "x"), [{"t": (1,)}]))
     def test_matches_json_dumps(self, doc):
-        assert _dumps(doc) == json.dumps(doc, indent=2)
+        assert "".join(_pieces(doc)) == json.dumps(doc, indent=2) + "\n"
 
     def test_reports_and_meshes_match_json_dumps(self):
         mesh = overshared_triple_mesh()
@@ -606,10 +606,10 @@ class TestRowRenderer:
                 (audit_to_dict(quality, degrees), audit_doc(quality, degrees)),
             ]
         for doc, expected in pairs:
-            assert _dumps(doc) == json.dumps(expected, indent=2)
+            assert "".join(_pieces(doc)) == json.dumps(expected, indent=2) + "\n"
             member = {"meshes": [{"index": 0, "path": "m.json", **doc}]}
             expected = {"meshes": [{"index": 0, "path": "m.json", **expected}]}
-            assert _dumps(member) == json.dumps(expected, indent=2)
+            assert "".join(_pieces(member)) == json.dumps(expected, indent=2) + "\n"
 
 
 class RecordingSink:
@@ -630,8 +630,8 @@ class TestDistinctValues:
         column = np.array(values)
         quality = MeshQuality(3, np.arange(len(values)), *[column] * 6)
         verdicts = [verdict_min_dihedral(quality, 0.5)]
-        text = _dumps(report_to_dict(quality, verdicts))
-        assert text == json.dumps(report_doc(quality, verdicts, False), indent=2)
+        text = "".join(_pieces(report_to_dict(quality, verdicts)))
+        assert text == json.dumps(report_doc(quality, verdicts, False), indent=2) + "\n"
         cells = json.loads(text)["cells"]
         assert [repr(row["min_dsine"]) for row in cells] == [repr(value) for value in values]
 
@@ -647,7 +647,7 @@ class TestStreamedTables:
         verdicts = [verdict_min_dihedral(quality, 0.5)]
         for write in (
             lambda sink: write_report(quality, verdicts, sink, degrees),
-            lambda sink: _write(audit_to_dict(quality, degrees), sink.write),
+            lambda sink: sink.pieces.extend(_pieces(audit_to_dict(quality, degrees))),
         ):
             sink = RecordingSink()
             write(sink)

@@ -175,6 +175,19 @@ class TestConditionChecks:
         with pytest.raises(InvalidInputError, match=r"alpha0 must lie in \(0, pi\), got 3\.14159"):
             verdict_min_dihedral(quality, math.pi)
 
+    @pytest.mark.parametrize("threshold", ["a", None, True, "0.5"])
+    @pytest.mark.parametrize(
+        "verdict, rule",
+        [(verdict_min_dihedral, "alpha0 must lie in (0, pi)"),
+         (verdict_min_dsine, "dsine_min must lie in (0, 1]")],
+        ids=["dihedral", "dsine"],
+    )
+    def test_threshold_that_is_not_a_number_rejected(self, verdict, rule, threshold):
+        quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
+        with pytest.raises(InvalidInputError) as error:
+            verdict(quality, threshold)
+        assert str(error.value) == f"{rule}, got {threshold}"
+
     def test_generalized_condition_both_ways(self):
         quality = mesh_quality(single_cell_mesh(regular_simplex(3)))
         ok = verdict_min_dsine(quality, dsine_min=0.7)
@@ -248,6 +261,13 @@ class TestCertifiedBound:
                 certified_dsine_bound(0.5, 1.0, d)
             assert str(error.value) == f"dimension must be an integer >= 2, got {d!r}"
         assert certified_dsine_bound(0.5, 0.6, np.int64(3)) == certified_dsine_bound(0.5, 0.6, 3)
+        for alpha0, gamma0 in [("a", 1.0), (0.5, None), (True, 1.0), (0.5, "1.0")]:
+            with pytest.raises(InvalidInputError) as error:
+                certified_dsine_bound(alpha0, gamma0, 3)
+            assert str(error.value) == (
+                f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
+            )
+        assert certified_dsine_bound(np.float64(0.5), 1, 3) == certified_dsine_bound(0.5, 1.0, 3)
 
 
 class TestEquivalenceAudit:
