@@ -17,8 +17,6 @@ _PUBLIC = {
         "DihedralAngleSet",
         "ProductDecomposition",
         "all_dihedral_angles",
-        "ball_ratio",
-        "dihedral_sum",
         "product_decomposition",
         "vertex_sines",
     ),
@@ -59,8 +57,6 @@ _PUBLIC = {
         "cell_quality",
         "certified_dsine_bound",
         "mesh_quality",
-        "min_dihedral_over_subsimplices",
-        "subsimplex_count",
         "verdict_min_dihedral",
         "verdict_min_dsine",
     ),

@@ -1,4 +1,4 @@
-"""Dihedral angles, vertex d-sines, and derived per-simplex metrics.
+"""Dihedral angles, vertex d-sines and their product decomposition for one simplex.
 
 The dihedral angle between facets F_i and F_j is defined through the inner
 product of their outward unit normals, cos(beta_ij) = -n_i . n_j.  The
@@ -17,10 +17,10 @@ in :mod:`minangle.regularity`.
 
 Every function here is the kernel of :mod:`minangle.geometry` at N=1: the
 angles and d-sines come from the barycentric gradients of the simplex in
-coordinates of its own affine hull, with the R factor, facet-pair order and
-sums of the scan in :mod:`minangle.regularity`.  So angles are intrinsic and
+coordinates of its own affine hull, with the R factor and facet-pair order
+of the scan in :mod:`minangle.regularity`.  So angles are intrinsic and
 equal the scan's bit for bit: ``all_dihedral_angles(s)`` holds the angles
-behind ``cell_quality(s)``, and ``dihedral_sum(s)`` is its dihedral_sum_top.
+behind ``cell_quality(s)``, the one source of their sum and of a ball ratio.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     """
     k = s.intrinsic_dim
     _require_angle_dim(k, s)
-    values = _simplex_forms(s, "dihedral angles")[2]
+    values = _simplex_forms(s, "dihedral angles")[1]
     pairs = map(tuple, _combinations(k + 1, 2).tolist())
     return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
 
@@ -121,7 +121,7 @@ def vertex_sines(s: Simplex) -> tuple[float, ...]:
         DegeneracyError: if ``s`` is degenerate.
     """
     _require_full_dim(s, "d-sine", 2)
-    return tuple(_simplex_forms(s, "d-sine")[3].tolist())
+    return tuple(_simplex_forms(s, "d-sine")[2].tolist())
 
 
 def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
@@ -139,10 +139,10 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
             f"vertex index {i!r} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
-    _, _, angles, sines, _ = _simplex_forms(s, "product decomposition")
+    _, angles, sines, _ = _simplex_forms(s, "product decomposition")
     at_last = angles[_combinations(d + 1, 2)[:, 1] == d].tolist()  # the pairs (j, d), j = 0..d-1
     dihedral_sines = tuple(math.sin(beta) for j, beta in enumerate(at_last) if j != i)
-    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[3][i])
+    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[2][i])
     product = sub_sine * math.prod(dihedral_sines)
     direct = float(sines[i])
     return ProductDecomposition(
@@ -153,24 +153,3 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
         d_sine=direct,
         residual=abs(direct - product) / direct,
     )
-
-
-def dihedral_sum(s: Simplex) -> float:
-    """Sum of all k(k+1)/2 dihedral angles, in radians.
-
-    For any triangle this is pi; for a nondegenerate tetrahedron the sum
-    lies strictly between 2*pi and 3*pi.  Summed as the scan sums a cell's:
-    ``dihedral_sum(s) == cell_quality(s).dihedral_sum_top[0]`` bit for bit.
-    """
-    _require_angle_dim(s.intrinsic_dim, s)
-    return float(_simplex_forms(s, "dihedral angles")[2].sum())
-
-
-def ball_ratio(s: Simplex) -> float:
-    """Inradius divided by the diameter; scale-invariant, in (0, 1).
-
-    The inradius is 1 / sum_j |g_j| over the barycentric gradients, so
-    ``ball_ratio(s) * s.diameter()`` is the radius of the inscribed ball.
-    """
-    _require_full_dim(s, "ball ratio")
-    return float(1.0 / _simplex_forms(s, "ball ratio")[1].sum())

@@ -23,9 +23,9 @@ and pi, where the inverse cosine of a cosine loses half the digits.
 
 The single-simplex functions here and in :mod:`minangle.angles` are the
 kernel at N=1, from the same R, so their values equal the scan's bit for
-bit; :mod:`minangle.regularity` runs it over every subsimplex of many cells
-at once.  Only :func:`outward_unit_normals` leaves hull coordinates: it
-rotates the normals back into the simplex's own with Q.
+bit; :mod:`minangle.regularity` runs it over every subsimplex of many cells,
+or of one in ``cell_quality``.  Only :func:`outward_unit_normals` leaves
+hull coordinates: it rotates the normals back into the simplex's own with Q.
 
 All functions here are pure: nothing mutates its inputs, and the only
 global state is the kernel's vertex-subset tables (:func:`_combinations`),
@@ -288,7 +288,7 @@ def _whole(s: Simplex, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
 
 
 def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
-    """:func:`_gradient_forms` of ``s`` at diameter 1 (the scan at N=1), then its vertices z.
+    """Units, angles and sines of :func:`_gradient_forms` of ``s`` at diameter 1 (N=1), then z.
 
     Raises:
         DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
@@ -296,8 +296,8 @@ def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
     z, _, r, volume, degenerate = _whole(s)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
-    units, lengths, angles, dsines = _gradient_forms(r, volume)
-    return units[0, 0], lengths[0, 0], angles[0, 0], dsines[0, 0], z[0]
+    units, _, angles, dsines = _gradient_forms(r, volume)
+    return units[0, 0], angles[0, 0], dsines[0, 0], z[0]
 
 
 def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:

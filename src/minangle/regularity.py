@@ -155,11 +155,6 @@ class ConditionVerdict(_Record):
     degenerate_cells: tuple[int, ...] = ()
 
 
-def subsimplex_count(dim: int) -> int:
-    """Number of subsimplices of dimension >= 2 of a dim-simplex, itself included."""
-    return sum(math.comb(dim + 1, size) for size in range(3, dim + 2))
-
-
 def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
     """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
     step = max(1, _CHUNK_FLOATS // floats_per_cell)
@@ -232,40 +227,22 @@ def _check_scan_dim(k: int, what: object) -> None:
         )
 
 
-def _scan_simplex(s: Simplex) -> MeshQuality:
-    """The one-cell quality of ``s``; raises DegeneracyError naming the first degenerate subset."""
-    _check_scan_dim(s.intrinsic_dim, s)
-    first, *columns = _scan_chunk(s.vertices[None], DEFAULT_TOLERANCES.degeneracy_rel_tol)
-    if first[0] >= 0:
-        m = s.vertex_count
-        subsets = [row for size in range(3, m + 1) for row in _combinations(m, size).tolist()]
-        raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
-    return MeshQuality(s.ambient_dim, np.zeros(1, dtype=np.intp), *columns)
+def cell_quality(s: Simplex) -> MeshQuality:
+    """The quality of one full-dimensional cell, as :func:`mesh_quality` of a one-cell mesh.
 
-
-def min_dihedral_over_subsimplices(s: Simplex) -> tuple[float, float]:
-    """(min, max) over all dihedral angles of all subsimplices of ``s``.
-
-    Every subsimplex (dimension 2 up to the cell itself) is measured in
-    coordinates of its own affine hull.  For d = 2 this is the span of the
-    planar angles; for d = 3 the minimum combines face angles and
-    face-to-face dihedral angles.
+    Its inradius is ``ball_ratio[0] * s.diameter()``.
 
     Raises:
         DegeneracyError: naming the first degenerate vertex subset, in the
             order of ascending size, lexicographic within a size.
     """
-    quality = _scan_simplex(s)
-    return quality.min_dihedral(), quality.max_dihedral()
-
-
-def cell_quality(s: Simplex) -> MeshQuality:
-    """The quality of one cell, as :func:`mesh_quality` of a one-cell mesh.
-
-    Raises DegeneracyError on bad cells.
-    """
-    _require_full_dim(s, "cell quality")
-    return _scan_simplex(s)
+    d = _require_full_dim(s, "cell quality")
+    _check_scan_dim(d, s)
+    first, *columns = _scan_chunk(s.vertices[None], DEFAULT_TOLERANCES.degeneracy_rel_tol)
+    if first[0] >= 0:
+        subsets = [row for size in range(3, d + 2) for row in _combinations(d + 1, size).tolist()]
+        raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
+    return MeshQuality(d, np.zeros(1, dtype=np.intp), *columns)
 
 
 def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQuality:
@@ -356,4 +333,4 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
         raise InvalidInputError(
             f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
         )
-    return float(_certified_bound(alpha0, gamma0, d))
+    return float(_certified_bound(float(alpha0), float(gamma0), d))  # in double precision

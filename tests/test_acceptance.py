@@ -21,13 +21,12 @@ from minangle import (
     Mesh,
     Simplex,
     all_dihedral_angles,
+    cell_quality,
     certified_dsine_bound,
-    ball_ratio,
     corner_simplex,
-    dihedral_sum,
     dump_mesh,
     flatten_family,
-    min_dihedral_over_subsimplices,
+    mesh_quality,
     product_decomposition,
     random_simplex,
     regular_simplex,
@@ -35,6 +34,7 @@ from minangle import (
 )
 from minangle.cli import main
 from oracles import planar_angle, rigid_motion
+from test_golden import CORPUS, MESH_QUALITY_FIELDS, kuhn_mesh
 
 POOL_DIMS = (3, 4, 5, 6)
 POOL_SIZE = 1000
@@ -110,7 +110,7 @@ def test_criterion_3_closed_forms():
     for d in range(2, 9):
         assert vertex_sines(corner_simplex(d))[0] == pytest.approx(1.0, abs=1e-12)
     tet = regular_simplex(3)
-    assert ball_ratio(tet) * tet.diameter() == pytest.approx(  # the inradius
+    assert cell_quality(tet).ball_ratio[0] * tet.diameter() == pytest.approx(  # the inradius
         1.0 / (2.0 * math.sqrt(6.0)), abs=1e-10
     )
 
@@ -132,7 +132,8 @@ def test_criterion_5_backward_bound(sample_pool):
     for d in POOL_DIMS:
         exponent = d * (d - 1) // 2
         for s in sample_pool[d]:
-            lo, hi = min_dihedral_over_subsimplices(s)
+            quality = cell_quality(s)
+            lo, hi = quality.min_dihedral(), quality.max_dihedral()
             smallest_sine = min(math.sin(lo), math.sin(hi))
             bound = smallest_sine**exponent
             assert bound == certified_dsine_bound(lo, hi, d)
@@ -143,9 +144,9 @@ def test_criterion_5_backward_bound(sample_pool):
 @criterion(6, "flattening family degenerates monotonically")
 def test_criterion_6_degeneration_trend(flatten_sequence):
     dsines = [min(vertex_sines(s)) for s in flatten_sequence]
-    extremes = [min_dihedral_over_subsimplices(s) for s in flatten_sequence]
-    min_dihedrals = [lo for lo, _ in extremes]
-    max_dihedrals = [hi for _, hi in extremes]
+    qualities = [cell_quality(s) for s in flatten_sequence]
+    min_dihedrals = [quality.min_dihedral() for quality in qualities]
+    max_dihedrals = [quality.max_dihedral() for quality in qualities]
     assert all(b < a for a, b in zip(dsines, dsines[1:])), "min d-sine not decreasing"
     assert all(
         b < a for a, b in zip(min_dihedrals, min_dihedrals[1:])
@@ -157,7 +158,7 @@ def test_criterion_6_degeneration_trend(flatten_sequence):
 @criterion(7, "tetrahedron dihedral sums stay strictly inside (2*pi, 3*pi)")
 def test_criterion_7_dihedral_sum_range(sample_pool, flatten_sequence):
     for s in sample_pool[3] + flatten_sequence:
-        total = dihedral_sum(s)
+        total = cell_quality(s).dihedral_sum_top[0]
         assert 2.0 * math.pi < total < 3.0 * math.pi, f"sum {total} out of range"
 
 
@@ -174,6 +175,20 @@ def test_criterion_8_invariance_suite():
             transformed = all_dihedral_angles(moved)
             for key, value in base.angles.items():
                 assert transformed.angles[key] == pytest.approx(value, rel=1e-9)
+
+
+@criterion(8, "mesh quality is bit for bit the same at every power-of-two scale")
+def test_criterion_8_whole_double_range():
+    columns = ("cells", *MESH_QUALITY_FIELDS, "certified_bound", "backward_margin")
+    for d, n in CORPUS:
+        mesh = kuhn_mesh(d, n, seed=1_000 + d)
+        base = mesh_quality(mesh)
+        for exponent in (-1000, -600, -1, 1, 600, 1000):
+            scaled = mesh_quality(Mesh(np.ldexp(mesh.vertices, exponent), mesh.cells))
+            assert scaled.degenerate_cells == base.degenerate_cells, (d, exponent)
+            for column in columns:
+                new, old = getattr(scaled, column), getattr(base, column)
+                assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), (d, exponent, column)
 
 
 @criterion(9, "CLI exit-code matrix and byte-identical reports")

@@ -12,9 +12,7 @@ from minangle import (
     InvalidInputError,
     Simplex,
     all_dihedral_angles,
-    ball_ratio,
     cell_quality,
-    dihedral_sum,
     flatten_family,
     is_degenerate,
     product_decomposition,
@@ -275,16 +273,16 @@ class TestDihedralSum:
     def test_any_triangle_sums_to_pi(self):
         for seed in range(25):
             tri = random_simplex(2, seed=7100 + seed, min_quality=1e-3)
-            assert dihedral_sum(tri) == pytest.approx(math.pi, abs=1e-10)
+            assert cell_quality(tri).dihedral_sum_top[0] == pytest.approx(math.pi, abs=1e-10)
 
     def test_regular_tetrahedron(self):
-        total = dihedral_sum(regular_simplex(3))
+        total = cell_quality(regular_simplex(3)).dihedral_sum_top[0]
         assert total == pytest.approx(6.0 * REGULAR_TETRA_DIHEDRAL, abs=1e-12)
         assert 2.0 * math.pi < total < 3.0 * math.pi
 
     def test_flattening_tetrahedra_stay_below_three_pi(self):
         for exponent in range(1, 11):
-            total = dihedral_sum(flatten_family(3, 2.0**-exponent))
+            total = cell_quality(flatten_family(3, 2.0**-exponent)).dihedral_sum_top[0]
             assert 2.0 * math.pi < total < 3.0 * math.pi
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -292,19 +290,19 @@ class TestDihedralSum:
         # The scan's dihedral_sum_top is the sum of the same angles, in the same order.
         for seed in range(100):
             s = random_simplex(d, seed)
-            assert dihedral_sum(s) == cell_quality(s).dihedral_sum_top[0]
+            assert np.sum(all_dihedral_angles(s).values()) == cell_quality(s).dihedral_sum_top[0]
 
 
 class TestInradiusAndBallRatio:
     def test_regular_tetrahedron_inradius(self):
         tet = regular_simplex(3)
-        assert ball_ratio(tet) * tet.diameter() == pytest.approx(
+        assert cell_quality(tet).ball_ratio[0] * tet.diameter() == pytest.approx(
             REGULAR_TETRA_INRADIUS, abs=1e-12
         )
 
     def test_equilateral_triangle_inradius(self):
         tri = regular_simplex(2)
-        assert ball_ratio(tri) * tri.diameter() == pytest.approx(
+        assert cell_quality(tri).ball_ratio[0] * tri.diameter() == pytest.approx(
             EQUILATERAL_INRADIUS, abs=1e-12
         )
 
@@ -316,15 +314,16 @@ class TestInradiusAndBallRatio:
     def test_scaling_behaviour(self, lam, seed):
         s = random_simplex(3, seed=seed, min_quality=1e-2)
         scaled = Simplex(s.vertices * lam)
-        inradius = ball_ratio(s) * s.diameter()
-        assert ball_ratio(scaled) * scaled.diameter() == pytest.approx(lam * inradius, rel=1e-10)
-        assert ball_ratio(scaled) == pytest.approx(ball_ratio(s), rel=1e-10)
+        ratio, scaled_ratio = cell_quality(s).ball_ratio[0], cell_quality(scaled).ball_ratio[0]
+        inradius = ratio * s.diameter()
+        assert scaled_ratio * scaled.diameter() == pytest.approx(lam * inradius, rel=1e-10)
+        assert scaled_ratio == pytest.approx(ratio, rel=1e-10)
 
     def test_ball_ratio_bounded(self):
         for d in (2, 3, 4):
             for seed in range(10):
                 s = random_simplex(d, seed=50 + seed, min_quality=1e-3)
-                assert 0.0 < ball_ratio(s) < 1.0
+                assert 0.0 < cell_quality(s).ball_ratio[0] < 1.0
 
 
 class TestInvarianceOfAngleMetrics:

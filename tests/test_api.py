@@ -1,13 +1,18 @@
-"""The public names of the package and their parameters.
+"""The public names of the package, their parameters, and the README's examples of them.
 
 Adding or removing a name or a parameter must show up here.
 """
 
 import importlib
 import inspect
+import re
 import types
+from pathlib import Path
 
 import minangle
+from minangle.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Defining submodule -> the public names it contributes.
 DEFINING_MODULE_NAMES = {
@@ -15,8 +20,6 @@ DEFINING_MODULE_NAMES = {
         "DihedralAngleSet",
         "ProductDecomposition",
         "all_dihedral_angles",
-        "ball_ratio",
-        "dihedral_sum",
         "product_decomposition",
         "vertex_sines",
     },
@@ -62,8 +65,6 @@ DEFINING_MODULE_NAMES = {
         "cell_quality",
         "certified_dsine_bound",
         "mesh_quality",
-        "min_dihedral_over_subsimplices",
-        "subsimplex_count",
         "verdict_min_dihedral",
         "verdict_min_dsine",
     },
@@ -92,12 +93,10 @@ PARAMETERS = {
     "ToleranceConfig": ("degeneracy_rel_tol",),
     "ValidationReport": ("unused_vertices", "duplicate_cells"),
     "all_dihedral_angles": ("s",),
-    "ball_ratio": ("s",),
     "cell_quality": ("s",),
     "certified_dsine_bound": ("alpha0", "gamma0", "d"),
     "conformity_check": ("mesh",),
     "corner_simplex": ("d", "scale"),
-    "dihedral_sum": ("s",),
     "dump_mesh": ("mesh",),
     "facet": ("s", "i"),
     "flatten_family": ("d", "t", "scale"),
@@ -105,7 +104,6 @@ PARAMETERS = {
     "is_degenerate": ("s", "cfg"),
     "load_mesh": ("path",),
     "mesh_quality": ("mesh", "cfg"),
-    "min_dihedral_over_subsimplices": ("s",),
     "needle_family": ("d", "t", "scale"),
     "outward_unit_normals": ("s",),
     "parse_family_manifest": ("source", "base_dir"),
@@ -114,7 +112,6 @@ PARAMETERS = {
     "random_simplex": ("d", "seed", "scale", "min_quality"),
     "regular_simplex": ("d", "scale"),
     "simplex_measure": ("s",),
-    "subsimplex_count": ("dim",),
     "validate_mesh": ("mesh",),
     "verdict_min_dihedral": ("quality", "alpha0"),
     "verdict_min_dsine": ("quality", "dsine_min"),
@@ -124,7 +121,7 @@ PARAMETERS = {
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 40
     assert set(minangle.__all__) == PUBLIC_NAMES
     assert len(minangle.__all__) == len(PUBLIC_NAMES)
     public = {
@@ -164,3 +161,18 @@ def test_parameters_are_the_listed_ones():
               and issubclass(obj, Exception)}
     assert set(PARAMETERS) == {name for name, obj in public.items() if callable(obj)} - errors
     assert {name: parameters(getattr(minangle, name)) for name in PARAMETERS} == PARAMETERS
+
+
+def test_readme_library_blocks_run(tmp_path, monkeypatch):
+    # The two Python blocks of "## Library" run in order, in one namespace, on a
+    # regular tetrahedron named as they name it; CI runs them once more on the
+    # installed package.
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2, len(blocks)
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--kind", "regular", "--dim", "3", "-o", "mesh.json"]) == 0
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["quality"].audit_satisfied()

@@ -20,7 +20,6 @@ from minangle import (
     Mesh,
     Simplex,
     all_dihedral_angles,
-    ball_ratio,
     cell_quality,
     dump_mesh,
     is_degenerate,
@@ -996,13 +995,13 @@ class TestExtremeScale:
             vertex_sines,
             lambda s: vertex_sines(s)[2],
             lambda s: min(vertex_sines(s)),
-            ball_ratio,
+            lambda s: cell_quality(s).ball_ratio[0],
             lambda s: all_dihedral_angles(s).values(),
         ):
             np.testing.assert_allclose(metric(scaled), metric(unit), rtol=1e-12, atol=0.0)
-        # The inradius is ball_ratio(s) * s.diameter().
-        assert ball_ratio(scaled) * scaled.diameter() == pytest.approx(
-            scale * ball_ratio(unit) * unit.diameter(), rel=1e-12, abs=0.0
+        # The inradius is cell_quality(s).ball_ratio[0] * s.diameter().
+        assert cell_quality(scaled).ball_ratio[0] * scaled.diameter() == pytest.approx(
+            scale * cell_quality(unit).ball_ratio[0] * unit.diameter(), rel=1e-12, abs=0.0
         )
         # The residual of a regular simplex is 0 up to rounding.
         assert product_decomposition(scaled, 1).residual == pytest.approx(

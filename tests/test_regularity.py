@@ -17,14 +17,13 @@ from minangle import (
     certified_dsine_bound,
     flatten_family,
     mesh_quality,
-    min_dihedral_over_subsimplices,
     random_simplex,
     regular_simplex,
-    subsimplex_count,
     verdict_min_dihedral,
     verdict_min_dsine,
     vertex_sines,
 )
+from minangle.geometry import _combinations
 from oracles import planar_angle
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
@@ -36,6 +35,16 @@ CORNER3_OFF_CORNER_DSINE = 1.0 / math.sqrt(3.0)
 
 def corner(d):
     return Simplex(np.vstack([np.zeros(d), np.eye(d)]))
+
+
+def scan_subset_count(d):
+    """How many vertex subsets the scan of a d-cell visits, of sizes 3 to d + 1."""
+    return sum(len(_combinations(d + 1, size)) for size in range(3, d + 2))
+
+
+def extreme_angles(s):
+    quality = cell_quality(s)
+    return quality.min_dihedral(), quality.max_dihedral()
 
 
 def single_cell_mesh(simplex):
@@ -57,18 +66,18 @@ def triangle_with_angles(alpha, beta, origin=(0.0, 0.0)):
 class TestSubsimplices:
     def test_tetrahedron_count(self):
         # four triangles and the cell
-        assert subsimplex_count(3) == 5
+        assert scan_subset_count(3) == 5
 
     def test_four_simplex_count(self):
-        assert subsimplex_count(4) == 16
+        assert scan_subset_count(4) == 16
 
     def test_triangle_is_its_only_subsimplex(self):
-        assert subsimplex_count(2) == 1
+        assert scan_subset_count(2) == 1
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_count_matches_binomial_closed_form(self, d):
         expected = sum(math.comb(d + 1, m) for m in range(3, d + 2))
-        assert subsimplex_count(d) == expected
+        assert scan_subset_count(d) == expected
 
     def test_deterministic_order(self):
         # Subsets come in ascending size, lexicographic within a size.  Here the
@@ -78,7 +87,7 @@ class TestSubsimplices:
         s = Simplex([e1, e2, 2.0 * e2, np.zeros(4), 2.0 * e1])
         for _ in range(2):
             with pytest.raises(DegeneracyError, match=r"subset \(0, 3, 4\)$"):
-                min_dihedral_over_subsimplices(s)
+                cell_quality(s)
 
     def test_dimension_cap(self):
         s = regular_simplex(13)
@@ -90,17 +99,17 @@ class TestSubsimplices:
 
 class TestMinDihedralOverSubsimplices:
     def test_equilateral_triangle(self):
-        lo, hi = min_dihedral_over_subsimplices(regular_simplex(2))
+        lo, hi = extreme_angles(regular_simplex(2))
         assert lo == pytest.approx(math.pi / 3, abs=1e-12)
         assert hi == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_regular_tetrahedron(self):
-        lo, hi = min_dihedral_over_subsimplices(regular_simplex(3))
+        lo, hi = extreme_angles(regular_simplex(3))
         assert lo == pytest.approx(math.pi / 3, abs=1e-12)  # face angles
         assert hi == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
 
     def test_corner_simplex(self):
-        lo, hi = min_dihedral_over_subsimplices(corner(3))
+        lo, hi = extreme_angles(corner(3))
         assert lo == pytest.approx(math.pi / 4, abs=1e-12)
         assert hi == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -108,7 +117,7 @@ class TestMinDihedralOverSubsimplices:
         for seed in range(20):
             tri = random_simplex(2, seed=4400 + seed, min_quality=1e-2)
             angles = [planar_angle(tri.vertices, i) for i in range(3)]
-            lo, hi = min_dihedral_over_subsimplices(tri)
+            lo, hi = extreme_angles(tri)
             assert lo == pytest.approx(min(angles), abs=1e-10)
             assert hi == pytest.approx(max(angles), abs=1e-10)
 
@@ -119,7 +128,7 @@ class TestMinDihedralOverSubsimplices:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
         )
         with pytest.raises(DegeneracyError, match=r"\(0, 1, 3\)"):
-            min_dihedral_over_subsimplices(bad)
+            cell_quality(bad)
 
     def test_clustered_vertices_raise_degeneracy_without_overflow(self):
         # The clustered triangle is not measured: its barycentric gradients overflow.
@@ -267,7 +276,9 @@ class TestCertifiedBound:
             assert str(error.value) == (
                 f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
             )
-        assert certified_dsine_bound(np.float64(0.5), 1, 3) == certified_dsine_bound(0.5, 1.0, 3)
+        # Numpy scalars count by value: a float32 0.5 is exactly 0.5.
+        for alpha0, gamma0 in [(np.float64(0.5), 1), (np.float32(0.5), 1.0)]:
+            assert certified_dsine_bound(alpha0, gamma0, 3) == certified_dsine_bound(0.5, 1.0, 3)
 
 
 class TestEquivalenceAudit:
@@ -424,7 +435,7 @@ class TestDegeneratingFamily:
         for exponent in range(1, 11):
             s = flatten_family(3, 2.0**-exponent)
             dsines.append(min(vertex_sines(s)))
-            min_dihedrals.append(min_dihedral_over_subsimplices(s)[0])
+            min_dihedrals.append(cell_quality(s).min_dihedral())
         assert all(b < a for a, b in zip(dsines, dsines[1:]))
         assert all(b < a for a, b in zip(min_dihedrals, min_dihedrals[1:]))
         assert dsines[-1] < 1e-3
