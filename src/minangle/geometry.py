@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -130,19 +131,48 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 KINDS = ("regular", "corner", "flatten", "needle", "random")
 
 
-def _coordinates(vertices) -> np.ndarray:
-    """``vertices`` as a read-only, finite, nonempty (n, d) float64 copy, or InvalidInputError."""
+def _is_row(value: object) -> bool:
+    """Whether ``value`` is a row: an ordered sequence or an array with ndim > 0, never text."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+
+
+def _coordinates(vertices, dim: int | None = None) -> np.ndarray:
+    """``vertices`` as a read-only (n, dim) float64 copy, n >= 1, or InvalidInputError naming
+    the first bad vertex.  The one vertex rule: a vertex is a row of ``dim`` coordinates, by
+    default as many as vertex 0 has, each a finite real number, never a bool or text."""
     try:
-        arr = np.array(vertices, dtype=float, copy=True)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"inconsistent vertex coordinates: {exc}") from exc
-    except OverflowError as exc:
-        raise InvalidInputError(f"vertex coordinate outside the double range: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidInputError("vertices must form a nonempty 2-d coordinate array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("vertex coordinates must be finite")
-    return _read_only(arr)
+        if isinstance(vertices, np.ndarray) and vertices.dtype != object:
+            kinds = {vertices.dtype.type}  # the dtype stands for every entry
+        else:
+            kinds = set(map(type, itertools.chain.from_iterable(vertices)))
+        if all(map(_is_real_type, kinds)):
+            with np.errstate(over="ignore"):  # a long double past the double range: inf
+                arr = np.array(vertices, dtype=float)
+            shaped = arr.ndim == 2 and arr.size and dim in (None, arr.shape[1])
+            if shaped and np.isfinite(arr).all():
+                return _read_only(arr)
+    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, an int past the range
+        pass
+    rows = vertices if _is_row(vertices) else ()
+    dim = dim or (len(rows[0]) if len(rows) and _is_row(rows[0]) else 0)
+    if not (len(rows) and dim):
+        raise InvalidInputError("vertices must be a nonempty array of coordinate arrays")
+    for pos, coords in enumerate(rows):
+        coords = coords.tolist() if isinstance(coords, np.ndarray) else coords  # True, not np.True_
+        if not _is_row(coords) or len(coords) != dim:
+            got = len(coords) if _is_row(coords) else type(coords).__name__
+            raise InvalidInputError(f"vertex {pos}: expected {dim} coordinates, got {got}")
+        for value in coords:
+            if not _is_real_type(type(value)):
+                raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not a number")
+            try:
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not finite")
+            except OverflowError:
+                raise InvalidInputError(f"vertex {pos}: coordinate outside the double range")
+    raise InvalidInputError("vertices do not form a coordinate array")  # every row passed alone
 
 
 class Simplex:
@@ -279,11 +309,18 @@ def _gradient_forms(
     return units, lengths, angles, dsines
 
 
-def _whole(s: Simplex, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+def _tolerance(cfg: ToleranceConfig | None) -> float:
+    """The degeneracy tolerance of ``cfg``, or of ``DEFAULT_TOLERANCES`` for None."""
+    if not isinstance(cfg, (ToleranceConfig, type(None))):
+        raise InvalidInputError(f"cfg must be a ToleranceConfig or None, got {cfg!r}")
+    return (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
+
+
+def _whole(s: Simplex, tol: float = DEFAULT_TOLERANCES.degeneracy_rel_tol):
     """The kernel's first stage on all of ``s`` (N = S = 1): z, (D, e), R, |det R| and the rule."""
     m = s.vertex_count
     z, dist, scale = _normalized(s.vertices[None])
-    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), cfg.degeneracy_rel_tol)
+    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), tol)
     return z, scale, r, volume, bool(degenerate[0, 0])
 
 
@@ -351,11 +388,12 @@ def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
     """Scale-invariant degeneracy test.
 
     True iff sqrt(det G) <= degeneracy_rel_tol * (max edge length)^k.
-    Deterministic; never raises.
+    Deterministic; raises only for a ``cfg`` that is not a ToleranceConfig or None.
     """
+    tol = _tolerance(cfg)
     if s.intrinsic_dim == 0:
         return False
-    *_, degenerate = _whole(s, cfg or DEFAULT_TOLERANCES)
+    *_, degenerate = _whole(s, tol)
     return degenerate
 
 

@@ -4,9 +4,10 @@ The canonical mesh format is a single JSON document::
 
     {"ambient_dimension": d, "vertices": [[x, ...], ...], "cells": [[i0, ..., id], ...]}
 
-Coordinates are serialized through Python's shortest round-trip float
-representation, so parse -> write -> parse is bit-exact.  A family of
-meshes (coarse to fine) is listed in a manifest document::
+Its coordinates pass the vertex rule of :class:`Simplex` (finite real numbers, never
+bools or text) and are written as Python's shortest round-trip floats, so parse ->
+write -> parse is bit-exact.  A family of meshes (coarse to fine) is listed in a
+manifest document::
 
     {"meshes": ["path0", "path1", ...]}
 
@@ -28,13 +29,14 @@ import json
 import math
 from collections.abc import Sequence
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, NoReturn
+from typing import IO, Any, Callable, Iterator
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    Simplex, _combinations, _coordinates, _is_index_type, _Record, _require_integer
+    Simplex, _combinations, _coordinates, _is_index_type, _is_row, _read_only, _Record,
+    _require_integer,
 )
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
@@ -128,26 +130,17 @@ class _Rows(_Record, eq=False):
 class Mesh:
     """A simplicial mesh: a vertex pool plus (d+1)-tuples of vertex indices.
 
-    Construction enforces the structural invariants (index ranges, cell
-    arity, distinct indices per cell, finite coordinates); geometric
-    degeneracy is decided by :func:`minangle.regularity.mesh_quality`.
+    Construction enforces the structural invariants (the vertex rule of
+    :class:`Simplex`; index ranges, cell arity, distinct indices per cell);
+    geometric degeneracy is decided by :func:`minangle.regularity.mesh_quality`.
     """
 
     __slots__ = ("_vertices", "_cells")
 
     def __init__(self, vertices, cells) -> None:
-        varr = _coordinates(vertices)
-        dim = varr.shape[1]
-
-        cell_list = list(cells)
-        if not cell_list:
-            raise InvalidInputError("mesh has no cells")
-        carr = _stacked_cells(cell_list, dim, varr.shape[0])
-        if carr is None:
-            _raise_first_bad_cell(cell_list, dim, varr.shape[0])
-        carr.setflags(write=False)
-        self._vertices = varr
-        self._cells = carr
+        self._vertices = _coordinates(vertices)
+        vertex_count, dim = self._vertices.shape
+        self._cells = _cell_indices(cells, dim, vertex_count)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -182,38 +175,25 @@ class Mesh:
         )
 
 
-def _stacked_cells(cells: list, dim: int, vertex_count: int) -> np.ndarray | None:
-    """The cells as an (N, dim+1) int64 array, or None if any cell breaks a structural rule.
-
-    Index types are checked as one set of types; arity, range and distinct
-    indices on the stacked, row-sorted array.
-    """
+def _cell_indices(cells, dim: int, vertex_count: int) -> np.ndarray:
+    """``cells`` as a read-only (N, dim+1) int64 copy, N >= 1, or InvalidInputError naming the
+    first bad cell.  A cell is a row of dim + 1 integers (never bools) in range, none repeated:
+    one scan of the index types and one check of the stacked, row-sorted array take valid
+    input; else each row is checked by these rules, in this order."""
+    if not _is_row(cells) or not len(cells):
+        raise InvalidInputError("cells must be a nonempty array of index arrays")
     try:
-        kinds = set(map(type, itertools.chain.from_iterable(cells)))
-        if not all(map(_is_index_type, kinds)):
-            return None
-        stacked = np.array(cells, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if stacked.ndim != 2 or stacked.shape[1] != dim + 1:
-        return None
-    ordered = np.sort(stacked, axis=1)
-    if (
-        ordered[:, 0].min() < 0
-        or ordered[:, -1].max() >= vertex_count
-        or (ordered[:, 1:] == ordered[:, :-1]).any()
-    ):
-        return None
-    return stacked
-
-
-def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> NoReturn:
-    """Raise InvalidInputError for the first cell that breaks a structural rule, in this order:
-    a row is an ordered sequence (not a string) of dim + 1 entries, each an integer in range,
-    none repeated."""
+        if all(map(_is_index_type, set(map(type, itertools.chain.from_iterable(cells))))):
+            stacked = np.array(cells, dtype=np.int64)
+            ordered = np.sort(stacked, axis=-1)
+            shaped = stacked.ndim == 2 and stacked.shape[1] == dim + 1
+            in_range = shaped and 0 <= ordered[:, 0].min() and ordered[:, -1].max() < vertex_count
+            if in_range and (ordered[:, 1:] != ordered[:, :-1]).all():
+                return _read_only(stacked)
+    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, an int past int64
+        pass
     for pos, cell in enumerate(cells):
-        ordered = cell.ndim > 0 if isinstance(cell, np.ndarray) else isinstance(cell, Sequence)
-        if not ordered or isinstance(cell, (str, bytes, bytearray)):
+        if not _is_row(cell):
             raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
         indices = list(cell)
         if len(indices) != dim + 1:
@@ -233,19 +213,6 @@ def _raise_first_bad_cell(cells: list, dim: int, vertex_count: int) -> NoReturn:
     raise InvalidInputError("cells do not form an integer array")  # every row passed alone
 
 
-def _raise_first_bad_vertex(vertices: list, dim: int) -> None:
-    """Raise InvalidInputError for the first vertex that is not ``dim`` numbers, if any."""
-    for pos, coords in enumerate(vertices):
-        if not isinstance(coords, list) or len(coords) != dim:
-            raise InvalidInputError(
-                f"vertex {pos}: expected {dim} coordinates, got "
-                f"{len(coords) if isinstance(coords, list) else type(coords).__name__}"
-            )
-        for value in coords:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not a number")
-
-
 def parse_mesh(source: str | bytes | IO) -> Mesh:
     """Parse a canonical mesh document from text, bytes, or a file object.
 
@@ -260,19 +227,7 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
             raise InvalidInputError(f"mesh document is missing the {key!r} field")
     dim = data["ambient_dimension"]
     _require_integer(dim, "ambient_dimension", 1)
-    vertices = data["vertices"]
-    if not isinstance(vertices, list) or not vertices:
-        raise InvalidInputError("vertices must be a nonempty array of coordinate arrays")
-    if not (
-        set(map(type, vertices)) == {list}
-        and set(map(len, vertices)) == {dim}
-        and {int, float}.issuperset(map(type, itertools.chain.from_iterable(vertices)))
-    ):
-        _raise_first_bad_vertex(vertices, dim)
-    cellrows = data["cells"]
-    if not isinstance(cellrows, list) or not cellrows:
-        raise InvalidInputError("cells must be a nonempty array of index arrays")
-    return Mesh(vertices, cellrows)
+    return Mesh(_coordinates(data["vertices"], dim), data["cells"])
 
 
 def _read_file(path: str | Path, what: str, parse: Callable[[bytes], Any]) -> Any:
@@ -335,6 +290,8 @@ def _read_json(source: str | bytes | IO, what: str) -> Any:
         raise InvalidInputError(
             f"malformed {what} document: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InvalidInputError(f"malformed {what} document: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInputError(
             f"malformed {what} document: arrays or objects nested too deeply"

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
-    DEFAULT_TOLERANCES,
     Simplex,
     ToleranceConfig,
     _combinations,
@@ -50,6 +49,7 @@ from .geometry import (
     _require_angle_dim,
     _require_integer,
     _require_full_dim,
+    _tolerance,
 )
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with minangle.meshio
@@ -238,7 +238,7 @@ def cell_quality(s: Simplex) -> MeshQuality:
     """
     d = _require_full_dim(s, "cell quality")
     _check_scan_dim(d, s)
-    first, *columns = _scan_chunk(s.vertices[None], DEFAULT_TOLERANCES.degeneracy_rel_tol)
+    first, *columns = _scan_chunk(s.vertices[None], _tolerance(None))
     if first[0] >= 0:
         subsets = [row for size in range(3, d + 2) for row in _combinations(d + 1, size).tolist()]
         raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
@@ -256,7 +256,7 @@ def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQualit
     is deterministic.
     """
     _check_scan_dim(mesh.ambient_dim, mesh)
-    return _scan(mesh.vertices[mesh.cells], (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol)
+    return _scan(mesh.vertices[mesh.cells], _tolerance(cfg))
 
 
 def _verdict(

@@ -680,6 +680,16 @@ class TestMalformedInput:
                         ["info", str(path)]):
             self.assert_input_error(command, capsys, "outside the double range")
 
+    def test_integer_literal_too_long_to_decode(self, tmp_path, capsys):
+        # Past Python's digit limit json.loads raises a bare ValueError; below it,
+        # the vertex rule rejects the value as outside the double range.
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"ambient_dimension": 2, "vertices": [[%s, 0], [1, 0], [0, 1]], '
+            '"cells": [[0, 1, 2]]}' % ("9" * 5000)
+        )
+        self.assert_input_error(["check", str(path), "--alpha0", "0.1"], capsys, str(path))
+
     def test_deeply_nested_mesh_and_manifest(self, tmp_path, capsys):
         deep = "[" * 100_000 + "]" * 100_000
         mesh = tmp_path / "deep.json"

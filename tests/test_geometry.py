@@ -48,7 +48,7 @@ class TestSimplexConstruction:
             Simplex([[10**400, 0], [0, 1], [1, 0]])
 
     def test_one_dimensional_input_rejected(self):
-        with pytest.raises(InvalidInputError, match="nonempty 2-d coordinate array"):
+        with pytest.raises(InvalidInputError, match="nonempty array of coordinate arrays"):
             Simplex([1.0, 2.0])
 
     def test_too_many_vertices_for_ambient_space(self):
@@ -363,6 +363,10 @@ class TestIsDegenerate:
         squashed = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]])
         assert not is_degenerate(squashed)
         assert is_degenerate(squashed, ToleranceConfig(degeneracy_rel_tol=1e-4))
+        # A bare number is not a second way to give the tolerance.
+        with pytest.raises(InvalidInputError) as error:
+            is_degenerate(squashed, 1e-3)
+        assert str(error.value) == "cfg must be a ToleranceConfig or None, got 0.001"
 
 
 class TestToleranceConfig:

@@ -14,6 +14,7 @@ from minangle import (
     InvalidInputError,
     Mesh,
     MeshQuality,
+    Simplex,
     conformity_check,
     dump_mesh,
     load_mesh,
@@ -330,6 +331,12 @@ class TestMeshConstruction:
         with pytest.raises(InvalidInputError):
             Mesh(TETRA_DOC["vertices"], [])
 
+    @pytest.mark.parametrize("cells", [[], 5, None, "abc", np.zeros((0, 4), dtype=int)])
+    def test_cells_that_are_not_a_nonempty_row_sequence_rejected(self, cells):
+        with pytest.raises(InvalidInputError) as error:
+            Mesh(TETRA_DOC["vertices"], cells)
+        assert str(error.value) == "cells must be a nonempty array of index arrays"
+
     def test_nonfinite_vertex_rejected(self):
         bad = [[0.0, 0.0, math.nan]] + TETRA_DOC["vertices"][1:]
         with pytest.raises(InvalidInputError):
@@ -413,12 +420,48 @@ class TestStructuralErrors:
             ([[0.0, 0.0, 0.0], [1.0, None, 0.0]], "vertex 1: coordinate None is not a number"),
             ([[0.0, 0.0, 0.0], 5, [0.0, 0.0]], "vertex 1: expected 3 coordinates, got int"),
             ([[0.0, 0.0, 0.0], {"x": 1}], "vertex 1: expected 3 coordinates, got dict"),
+            ([[0.0, 0.0, 0.0], [1.0, "0", 0.0]], "vertex 1: coordinate '0' is not a number"),
+            ([[0, 0, 0], [1, 0, 0], [0, False, 1]], "vertex 2: coordinate False is not a number"),
+            (np.eye(3, dtype=bool), "vertex 0: coordinate True is not a number"),
+            (np.array([["0", "0", "0"], ["1", "0", "0"]]),
+             "vertex 0: coordinate '0' is not a number"),
+            ([[0.0, 0.0, 0.0], [1.0, math.nan, 0.0]], "vertex 1: coordinate nan is not finite"),
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, math.inf]], "vertex 1: coordinate inf is not finite"),
+            ([[0, 0, 0], [10**400, 0, 0]], "vertex 1: coordinate outside the double range"),
+            ([[0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "vertex 1: expected 2 coordinates, got 3"),
+            ([], "vertices must be a nonempty array of coordinate arrays"),
         ],
     )
     def test_first_bad_vertex_is_named(self, vertices, message):
-        with pytest.raises(InvalidInputError) as error:
-            parse_mesh(json.dumps(dict(TETRA_DOC, vertices=vertices)))
-        assert str(error.value) == message
+        # One rule for every entry point; the document declares vertex 0's length,
+        # and json.dumps writes NaN and inf as the literals NaN and Infinity.
+        rows = vertices.tolist() if isinstance(vertices, np.ndarray) else vertices
+        doc = {"ambient_dimension": len(rows[0]) if rows else 3, "vertices": rows,
+               "cells": [[0, 1, 2]]}
+        builds = (Simplex, lambda v: Mesh(v, [[0, 1, 2]]), lambda v: parse_mesh(json.dumps(doc)))
+        for build in builds:
+            with pytest.raises(InvalidInputError) as error:
+                build(vertices)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda v: v.astype(np.float32),
+            lambda v: v.astype(np.int64),
+            lambda v: [tuple(row) for row in v.tolist()],
+            list,  # a list of ndarray rows
+            lambda v: v.astype(object),
+        ],
+        ids=["float32", "int", "tuple-rows", "array-rows", "object-array"],
+    )
+    def test_real_coordinate_forms_accepted(self, convert):
+        expected = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -3.0]])
+        for vertices in (Simplex(convert(expected)).vertices,
+                         Mesh(convert(expected), [[0, 1, 2, 3]]).vertices):
+            assert vertices.dtype == np.float64 and not vertices.flags.writeable
+            assert vertices.tobytes() == expected.tobytes()
 
     def test_non_array_cell_row_named(self):
         doc = dict(TETRA_DOC, cells=[self.GOOD, 7, "abc"])

@@ -13,6 +13,7 @@ from minangle import (
     Mesh,
     MeshQuality,
     Simplex,
+    ToleranceConfig,
     cell_quality,
     certified_dsine_bound,
     flatten_family,
@@ -225,6 +226,15 @@ class TestConditionChecks:
         )
         verdict = verdict_min_dihedral(mesh_quality(mesh), alpha0=2.0)
         assert verdict.worst_cell == 0
+
+    def test_custom_tolerance(self):
+        mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]], [[0, 1, 2]])
+        assert mesh_quality(mesh).degenerate_cells == ()
+        assert mesh_quality(mesh, ToleranceConfig(1e-4)).degenerate_cells == (0,)
+        # A bare number is not a second way to give the tolerance.
+        with pytest.raises(InvalidInputError) as error:
+            mesh_quality(mesh, 1e-3)
+        assert str(error.value) == "cfg must be a ToleranceConfig or None, got 0.001"
 
     def test_degenerate_cell_yields_annotated_violation(self):
         tri = triangle_with_angles(math.pi / 3, math.pi / 3)
