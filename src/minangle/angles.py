@@ -104,7 +104,7 @@ def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
     """
     k = s.intrinsic_dim
     _require_angle_dim(k, s)
-    values = _simplex_forms(s, "dihedral angles")[1]
+    values = _simplex_forms(s, "dihedral angles")[0]
     pairs = map(tuple, _combinations(k + 1, 2).tolist())
     return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
 
@@ -121,7 +121,7 @@ def vertex_sines(s: Simplex) -> tuple[float, ...]:
         DegeneracyError: if ``s`` is degenerate.
     """
     _require_full_dim(s, "d-sine", 2)
-    return tuple(_simplex_forms(s, "d-sine")[2].tolist())
+    return tuple(_simplex_forms(s, "d-sine")[1].tolist())
 
 
 def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
@@ -139,10 +139,10 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
             f"vertex index {i!r} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
-    _, angles, sines, _ = _simplex_forms(s, "product decomposition")
+    angles, sines, _ = _simplex_forms(s, "product decomposition")
     at_last = angles[_combinations(d + 1, 2)[:, 1] == d].tolist()  # the pairs (j, d), j = 0..d-1
     dihedral_sines = tuple(math.sin(beta) for j, beta in enumerate(at_last) if j != i)
-    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[2][i])
+    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[1][i])
     product = sub_sine * math.prod(dihedral_sines)
     direct = float(sines[i])
     return ProductDecomposition(

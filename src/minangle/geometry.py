@@ -7,25 +7,31 @@ which works on stacks of simplices of the same dimension:
 * each simplex is translated to its vertex 0, rescaled exactly by 2^-e and
   divided by its remaining diameter D, so results do not depend on where in
   the double range it lives; its diameter and measure are rebuilt from D and e;
-* its k edge vectors are put into coordinates of its own affine hull by a QR
-  factorization, E^T = Q R, which never forms the Gram matrix G = E E^T (its
-  condition number is the square of E's).  |det R| = sqrt(det G) = k! * volume;
-* the rows of R^-1 are the barycentric gradients g_1..g_k, and
-  g_0 = -(g_1 + ... + g_k).  With n_i = -g_i/|g_i| the outward unit normals:
+* a triangle is measured in closed form from its edge vectors
+  (:func:`_triangles`): its twice-area w is the norm of the wedge of two
+  edges, and the angle at a vertex is atan2(w, e . e') of its two edges;
+* a larger simplex has its k edge vectors put into coordinates of its own
+  affine hull by a QR factorization, E^T = Q R, which never forms the Gram
+  matrix G = E E^T (its condition number is the square of E's).
+  |det R| = sqrt(det G) = k! * volume;
+* the rows of R^-1, by back-substitution, are the barycentric gradients
+  g_1..g_k, and g_0 = -(g_1 + ... + g_k).  With n_i = -g_i/|g_i| the
+  outward unit normals:
 
       dihedral angle  beta_ij = 2 atan2(|n_i + n_j|, |n_i - n_j|)
       vertex k-sine   sin_k(A_i) = 1 / (|det R| * prod_{j != i} |g_j|)
       ball ratio      1 / sum_j |g_j|   (the normalized diameter is 1)
 
 (Brandts, Korotov and Krizek, CAMWA 2008; Shewchuk, "What is a good linear
-finite element?", 2002).  The atan2 form stays accurate for angles near 0
+finite element?", 2002).  Both atan2 forms stay accurate for angles near 0
 and pi, where the inverse cosine of a cosine loses half the digits.
 
 The single-simplex functions here and in :mod:`minangle.angles` are the
-kernel at N=1, from the same R, so their values equal the scan's bit for
+kernel at N=1 (:func:`_level`), so their values equal the scan's bit for
 bit; :mod:`minangle.regularity` runs it over every subsimplex of many cells,
 or of one in ``cell_quality``.  Only :func:`outward_unit_normals` leaves
-hull coordinates: it rotates the normals back into the simplex's own with Q.
+hull coordinates: it factors the simplex's edges itself, as it needs Q to
+rotate the normals back into the simplex's own coordinates.
 
 All functions here are pure: nothing mutates its inputs, and the only
 global state is the kernel's vertex-subset tables (:func:`_combinations`),
@@ -168,10 +174,13 @@ def _coordinates(vertices, dim: int | None = None) -> np.ndarray:
             if not _is_real_type(type(value)):
                 raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not a number")
             try:
-                if not math.isfinite(value):
-                    raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not finite")
-            except OverflowError:
-                raise InvalidInputError(f"vertex {pos}: coordinate outside the double range")
+                double = float(value)  # a long double past the double range: inf
+            except OverflowError:  # an int past the double range
+                double = math.inf
+            if not math.isfinite(double):
+                if _is_index_type(type(value)) or np.isfinite(value):  # finite in its own type
+                    raise InvalidInputError(f"vertex {pos}: coordinate outside the double range")
+                raise InvalidInputError(f"vertex {pos}: coordinate {value!r} is not finite")
     raise InvalidInputError("vertices do not form a coordinate array")  # every row passed alone
 
 
@@ -234,7 +243,9 @@ def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     shifted = scaled - scaled[:, :1]
     _, inner = np.frexp(np.abs(shifted).max(axis=(1, 2)))
     shifted = np.ldexp(shifted, -inner[:, None, None])
-    dist = np.linalg.norm(shifted[:, :, None, :] - shifted[:, None, :, :], axis=-1)
+    coords = np.ascontiguousarray(shifted.T)  # (d, m, N): the sums run over whole planes of cells
+    diff = coords[:, :, None] - coords[:, None]
+    dist = np.sqrt((diff * diff).sum(axis=0)).T
     diameter = dist.max(axis=(1, 2))
     # Coincident vertices: the degeneracy rule flags the cell; 1 leaves them at 0.
     divisor = np.where(diameter == 0.0, 1.0, diameter)[:, None, None]
@@ -281,32 +292,122 @@ def _intrinsic_r(
     return r, volume, volume <= tol * diameter**k
 
 
+def _gradients(r: np.ndarray) -> np.ndarray:
+    """The barycentric gradients g_0..g_k (..., k+1, k) of stacked simplices from R (..., k, k).
+
+    The rows of R^-1 are g_1..g_k.  R is upper triangular, so R^-1 is too, and
+    its rows come by back-substitution from the last: row i of R R^-1 = I gives
+    x_i = -(R[i, i+1:] x_{i+1:}) / R[i, i] off the diagonal, 1 / R[i, i] on it.
+    """
+    k = r.shape[-1]
+    reciprocal = 1.0 / np.diagonal(r, axis1=-2, axis2=-1)
+    inverse = np.zeros_like(r)
+    diagonal = np.arange(k)
+    inverse[..., diagonal, diagonal] = reciprocal
+    for i in range(k - 2, -1, -1):
+        tail = np.einsum("...j,...jc->...c", r[..., i, i + 1 :], inverse[..., i + 1 :, i + 1 :])
+        inverse[..., i, i + 1 :] = -reciprocal[..., i, None] * tail
+    return np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the rows of ``vectors`` (..., n); one ``einsum`` is faster than
+    ``np.linalg.norm`` over a short last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", vectors, vectors))
+
+
 def _gradient_forms(
     r: np.ndarray, volume: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients, dihedral angles and vertex sines of stacked k-simplices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient lengths, dihedral angles and vertex sines of stacked k-simplices.
 
     ``r`` (..., k, k) is R of :func:`_intrinsic_r`: its columns are the edge
     vectors A_j - A_0 of each simplex in coordinates of its own affine hull.
-    ``volume`` (...) is |det R|.  Returns the unit gradients g_i/|g_i|
-    (..., k+1, k) in those coordinates, the lengths |g_i| (..., k+1), the
+    ``volume`` (...) is |det R|.  Returns the lengths |g_i| (..., k+1), the
     dihedral angles (..., k(k+1)/2) of the facet pairs in
     ``np.triu_indices(k + 1, 1)`` order, and the vertex k-sines (..., k+1).
     """
     k = r.shape[-1]
-    inverse = np.linalg.inv(r)
-    grads = np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
-    lengths = np.linalg.norm(grads, axis=-1)
+    grads = _gradients(r)
+    lengths = _norms(grads)
     # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
     units = grads / lengths[..., None]
     i, j = _combinations(k + 1, 2).T
     angles = 2.0 * np.arctan2(
-        np.linalg.norm(units[..., i, :] + units[..., j, :], axis=-1),
-        np.linalg.norm(units[..., i, :] - units[..., j, :], axis=-1),
+        _norms(units[..., i, :] + units[..., j, :]), _norms(units[..., i, :] - units[..., j, :])
     )
     others = _combinations(k + 1, k)[::-1]  # row i leaves out i
     dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
-    return units, lengths, angles, dsines
+    return lengths, angles, dsines
+
+
+def _triangles(
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray | None
+) -> tuple[np.ndarray, ...]:
+    """:func:`_level` for triangles (S, 3), in closed form from their edge vectors.
+
+    Edge i is the facet F_i: E_i = z_k - z_j for (i, j, k) a cyclic order.  The
+    edges are rescaled exactly by 2^-e of the longest, into [0.5, 1) however
+    small the triangle is in its cell.  The twice-area w is the norm of the
+    wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors (rescaled by
+    a power of two, so their squares cannot underflow).  With l_i = |E_i|, the
+    angle between F_i and F_j is atan2(w, -E_i . E_j), the sine at vertex i is
+    w / (l_j l_k), and |g_i| = l_i / w, in cell units by 2^-e.  The arrays are
+    (3, S, d, N), so each sum runs over whole rows of cells.
+    """
+    coords = np.ascontiguousarray(z.transpose(1, 2, 0))  # (m, d, N)
+    ends = subsets.T
+    edges = coords[ends[[2, 0, 1]]] - coords[ends[[1, 2, 0]]]
+    i, j = _combinations(3, 2).T  # the facet pairs, and the vertex pairs
+    exponent = np.maximum(np.frexp(dist.T[ends[i], ends[j]].max(axis=0))[1], -1021)
+    unscale = np.ldexp(1.0, -exponent)  # finite, as e >= -1021
+    edges *= unscale[:, None]
+    sides = np.sqrt((edges * edges).sum(axis=2))
+    a, b = _combinations(z.shape[-1], 2).T
+    u, v = edges[1], edges[2]
+    minors = u[:, a] * v[:, b] - u[:, b] * v[:, a]
+    scale = np.maximum(np.frexp(np.abs(minors).max(axis=1))[1], -1021)
+    minors *= np.ldexp(1.0, -scale)[:, None]
+    twice_area = np.sqrt((minors * minors).sum(axis=1)) * np.ldexp(1.0, scale)
+    degenerate = twice_area <= tol * sides.max(axis=0) ** 2
+    volume = np.ldexp(twice_area, 2 * exponent)
+    if flagged is None:
+        return degenerate.T, volume.T
+    # A unit stand-in for every triangle of a flagged cell: see _level.
+    standin = flagged | degenerate.any(axis=0)
+    w = np.where(standin, 1.0, twice_area)
+    sides = np.where(standin, 1.0, sides)
+    angles = np.arctan2(w, -(edges[i] * edges[j]).sum(axis=2))
+    dsines = w / (sides[i] * sides[j])[::-1]
+    lengths = sides / w * unscale
+    return degenerate.T, volume.T, lengths.T, angles.T, dsines.T
+
+
+def _level(
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray | None
+) -> tuple[np.ndarray, ...]:
+    """The kernel on one subset size of normalized cells: the rule, then the forms.
+
+    ``subsets`` is (S, k+1) vertex indices, ``flagged`` (N,) the cells already
+    known to be degenerate.  Returns the rule of :func:`is_degenerate` (N, S),
+    the measure |det R| at the cells' unit diameter (N, S), and, unless
+    ``flagged`` is None, :func:`_gradient_forms`'s gradient lengths, dihedral
+    angles and vertex sines.  Triangles take the closed form of
+    :func:`_triangles`, larger subsets the R factor of :func:`_intrinsic_r`.
+    Every subsimplex of a flagged cell, or of one flagged here, gets a unit
+    stand-in, so the reciprocals stay finite and a subsimplex that passed its
+    own rule at a subnormal threshold cannot overflow; the caller discards
+    those values.
+    """
+    if subsets.shape[1] == 3:
+        return _triangles(z, dist, subsets, tol, flagged)
+    r, volume, degenerate = _intrinsic_r(z, dist, subsets, tol)
+    if flagged is None:
+        return degenerate, volume
+    standin = flagged | degenerate.any(axis=1)
+    r[standin] = np.eye(r.shape[-1])
+    forms = _gradient_forms(r, np.where(standin[:, None], 1.0, volume))
+    return degenerate, volume, *forms
 
 
 def _tolerance(cfg: ToleranceConfig | None) -> float:
@@ -316,25 +417,27 @@ def _tolerance(cfg: ToleranceConfig | None) -> float:
     return (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
 
 
-def _whole(s: Simplex, tol: float = DEFAULT_TOLERANCES.degeneracy_rel_tol):
-    """The kernel's first stage on all of ``s`` (N = S = 1): z, (D, e), R, |det R| and the rule."""
+def _whole(
+    s: Simplex, tol: float = DEFAULT_TOLERANCES.degeneracy_rel_tol, forms: bool = False
+) -> tuple:
+    """:func:`_level` on all of ``s`` (N = S = 1): z, (D, e), the rule, |det R|, then the forms."""
     m = s.vertex_count
     z, dist, scale = _normalized(s.vertices[None])
-    r, volume, degenerate = _intrinsic_r(z, dist, _combinations(m, m), tol)
-    return z, scale, r, volume, bool(degenerate[0, 0])
+    flagged = np.zeros(1, dtype=bool) if forms else None
+    degenerate, *values = _level(z, dist, _combinations(m, m), tol, flagged)
+    return z[0], scale, bool(degenerate[0, 0]), *(value[0, 0] for value in values)
 
 
 def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
-    """Units, angles and sines of :func:`_gradient_forms` of ``s`` at diameter 1 (N=1), then z.
+    """Angles and sines of :func:`_level` of ``s`` at diameter 1 (N=1), then z.
 
     Raises:
         DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
     """
-    z, _, r, volume, degenerate = _whole(s)
+    z, _, degenerate, _, _, angles, dsines = _whole(s, forms=True)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
-    units, _, angles, dsines = _gradient_forms(r, volume)
-    return units[0, 0], angles[0, 0], dsines[0, 0], z[0]
+    return angles, dsines, z
 
 
 def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
@@ -370,8 +473,8 @@ def simplex_measure(s: Simplex) -> float:
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
-    _, (diameter, exponent), _, volume, _ = _whole(s)
-    return _ldexp(volume[0, 0] / math.factorial(k) * diameter[0] ** k, k * exponent[0])
+    _, (diameter, exponent), _, volume = _whole(s)
+    return _ldexp(volume / math.factorial(k) * diameter[0] ** k, k * exponent[0])
 
 
 def facet(s: Simplex, i: int) -> Simplex:
@@ -393,8 +496,7 @@ def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
     tol = _tolerance(cfg)
     if s.intrinsic_dim == 0:
         return False
-    *_, degenerate = _whole(s, tol)
-    return degenerate
+    return _whole(s, tol)[2]
 
 
 def outward_unit_normals(s: Simplex) -> np.ndarray:
@@ -406,6 +508,7 @@ def outward_unit_normals(s: Simplex) -> np.ndarray:
     """
     if s.intrinsic_dim < 1:
         raise InvalidInputError("a 0-simplex has no facets")
-    units, *_, z = _simplex_forms(s, "normals")
-    q = np.linalg.qr(z[1:].T, mode="reduced")[0]
-    return -units @ q.T
+    z = _simplex_forms(s, "normals")[-1]
+    q, r = np.linalg.qr(z[1:].T)
+    grads = _gradients(r)
+    return -(grads / _norms(grads)[..., None]) @ q.T

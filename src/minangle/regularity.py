@@ -23,9 +23,10 @@ the ordinary planar angles) up to the cell itself; edges and vertices
 carry no dihedral angles and are excluded.
 
 One batched kernel (:mod:`minangle.geometry`) scans every subsimplex of
-many cells at once: each cell is normalized, each subsimplex's edges are
-put into coordinates of its own affine hull by a stacked QR factorization,
-and the angles, vertex sines and ball ratio come from the barycentric
+many cells at once: each cell is normalized, each triangle is measured in
+closed form from its edge vectors, each larger subsimplex's edges are put
+into coordinates of its own affine hull by a stacked QR factorization, and
+the angles, vertex sines and ball ratio come from the barycentric
 gradients.
 """
 
@@ -41,9 +42,8 @@ from .geometry import (
     Simplex,
     ToleranceConfig,
     _combinations,
-    _gradient_forms,
-    _intrinsic_r,
     _is_real_type,
+    _level,
     _normalized,
     _Record,
     _require_angle_dim,
@@ -176,18 +176,12 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     forward = np.full(n, np.inf)
     position = 0
     for size in range(3, m + 1):
-        k = size - 1
         subsets = _combinations(m, size)
-        r, volume, degenerate = _intrinsic_r(z, dist, subsets, tol)
+        # The subsimplices of a flagged cell get _level's unit stand-in; these cells are discarded.
+        degenerate, _, lengths, angles, dsines = _level(z, dist, subsets, tol, first >= 0)
         hit = degenerate.any(axis=1) & (first < 0)
         first[hit] = position + degenerate[hit].argmax(axis=1)
         position += len(subsets)
-        # Every subsimplex of a flagged cell gets a unit stand-in, so inv() stays
-        # defined and a subsimplex that passed its own rule at a subnormal
-        # threshold cannot overflow; these cells are discarded.
-        r[first >= 0] = np.eye(k)
-        volume[first >= 0] = 1.0
-        _, lengths, angles, dsines = _gradient_forms(r, volume)
         lo = np.minimum(lo, angles.min(axis=(1, 2)))
         hi = np.maximum(hi, angles.max(axis=(1, 2)))
         # Forward direction: every dihedral sine of a subsimplex must dominate
@@ -206,7 +200,10 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     A cell is degenerate when one of its subsimplices, itself included, fails the degeneracy rule.
     """
     _, m, d = points.shape
-    floats_per_cell = max(math.comb(m, size) * size * size * d for size in range(3, m + 1))
+    floats_per_cell = max(
+        math.comb(m, 3) * d * (d - 1) // 2,  # the triangles' 2x2 minors
+        *(math.comb(m, size) * size * size * d for size in range(3, m + 1)),
+    )
     parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
     first, *columns = map(np.concatenate, zip(*parts))
     good = first < 0

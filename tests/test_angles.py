@@ -1,6 +1,8 @@
 """Tests for dihedral angles, d-sines, the product decomposition, and friends."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from minangle import (
     cell_quality,
     flatten_family,
     is_degenerate,
+    needle_family,
     product_decomposition,
     random_simplex,
     regular_simplex,
@@ -367,3 +370,72 @@ class TestForwardInequality:
                 off_pair = max(sines[v] for v in range(d + 1) if v not in (i, j))
                 assert math.sin(beta) >= off_pair - 1e-9
                 assert math.sin(beta) >= min(sines) - 1e-9
+
+
+def exact_sine_squares(points):
+    """sin^2 of each vertex angle of a triangle, exact in rationals from its float coordinates."""
+    p = [[Fraction(float(x)) for x in row] for row in points]
+    squares = []
+    for a in range(3):
+        b, c = (x for x in range(3) if x != a)
+        u = [x - y for x, y in zip(p[b], p[a])]
+        v = [x - y for x, y in zip(p[c], p[a])]
+        uu, vv = sum(x * x for x in u), sum(x * x for x in v)
+        uv = sum(x * y for x, y in zip(u, v))
+        squares.append((uu * vv - uv * uv) / (uu * vv))
+    return squares
+
+
+def placed_triangle(points, d, seed, order):
+    """``points`` (3, 2) embedded in R^d by a rigid motion, vertices in ``order``."""
+    flat = np.hstack([np.asarray(points, dtype=float), np.zeros((3, d - 2))])
+    return rigid_motion(flat, np.random.default_rng(seed))[list(order)]
+
+
+class TestTriangleAccuracy:
+    """Triangle angles and sines against exact rational sin^2 of the float coordinates.
+
+    The input's own rounding moves an angle by a few eps absolute, so the
+    error model is relative error <= c eps / beta_min; the rest is rounding.
+    """
+
+    EPS = np.finfo(float).eps
+    C = 4.0
+
+    def assert_accurate(self, vertices):
+        angle_set = all_dihedral_angles(Simplex(vertices))
+        # The facets F_i and F_j meet at vertex 3 - i - j.
+        at_vertex = {3 - i - j: beta for (i, j), beta in angle_set.angles.items()}
+        beta_min = min(at_vertex.values())
+        bound = self.C * self.EPS / beta_min
+        for a, square in enumerate(exact_sine_squares(vertices)):
+            exact = math.sqrt(square)
+            assert abs(math.sin(at_vertex[a]) - exact) <= bound * exact, (a, at_vertex)
+        if len(vertices[0]) == 2:
+            for sine, square in zip(vertex_sines(Simplex(vertices)), exact_sine_squares(vertices)):
+                assert abs(sine - math.sqrt(square)) <= bound * math.sqrt(square)
+        assert abs(math.fsum(at_vertex.values()) - math.pi) <= 1e-14
+
+    @given(
+        d=st.integers(min_value=2, max_value=6),
+        apex_x=st.floats(min_value=-1.5, max_value=2.5),
+        log_height=st.floats(min_value=-8.0, max_value=0.5),
+        log_scale=st.integers(min_value=-20, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        order=st.permutations(range(3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_triangles(self, d, apex_x, log_height, log_scale, seed, order):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [apex_x, 10.0**log_height]]) * 2.0**log_scale
+        self.assert_accurate(placed_triangle(points, d, seed, order))
+
+    @pytest.mark.parametrize("t", [10.0**-e for e in range(1, 9)])
+    @pytest.mark.parametrize("kind", ["needle", "flatten"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_needles_and_flattened_triangles(self, kind, t, d):
+        if kind == "needle":
+            points = needle_family(2, t).vertices
+        else:
+            points = [[0.0, 0.0], [1.0, 0.0], [0.5, t * math.sqrt(3.0) / 2.0]]
+        for seed, order in enumerate(itertools.permutations(range(3))):
+            self.assert_accurate(placed_triangle(points, d, seed, order))

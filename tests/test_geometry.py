@@ -22,7 +22,14 @@ from minangle import (
     regular_simplex,
     simplex_measure,
 )
-from minangle.geometry import _intrinsic_r, _normalized
+from minangle.geometry import (
+    _combinations,
+    _gradient_forms,
+    _gradients,
+    _intrinsic_r,
+    _level,
+    _normalized,
+)
 from oracles import cayley_menger_measure, rigid_motion
 
 REGULAR_TETRA_MEASURE = math.sqrt(2.0) / 12.0
@@ -417,3 +424,31 @@ def _pairwise(v):
     v = np.asarray(v, dtype=float)
     diff = v[:, None, :] - v[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class TestKernelReferences:
+    """The kernel's triangular inverse and closed-form triangles against the general routes."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_back_substitution_matches_inv(self, k):
+        rng = np.random.default_rng(k)
+        r = np.triu(rng.uniform(-1.0, 1.0, (50, 3, k, k)), 1)
+        diagonal = rng.uniform(0.5, 1.0, (50, 3, 1, k)) * rng.choice([-1.0, 1.0], (50, 3, 1, k))
+        r += np.eye(k) * diagonal
+        gradients = _gradients(r)
+        np.testing.assert_allclose(gradients[..., 1:, :], np.linalg.inv(r), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(gradients[..., 0, :], -gradients[..., 1:, :].sum(axis=-2))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_triangle_level_matches_the_qr_route(self, d):
+        # Every triangle of random cells: the rule, |det R| and the forms agree.
+        cells = np.stack([random_simplex(d, seed).vertices for seed in range(30)])
+        z, dist, _ = _normalized(cells)
+        subsets = _combinations(d + 1, 3)
+        flagged = np.zeros(len(cells), dtype=bool)
+        degenerate, volume, *forms = _level(z, dist, subsets, 1e-12, flagged)
+        r, qr_volume, qr_degenerate = _intrinsic_r(z, dist, subsets, 1e-12)
+        assert not degenerate.any() and not qr_degenerate.any()
+        np.testing.assert_allclose(volume, qr_volume, rtol=1e-13)
+        for form, qr_form in zip(forms, _gradient_forms(r, qr_volume)):
+            np.testing.assert_allclose(form, qr_form, rtol=1e-12)

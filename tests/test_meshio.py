@@ -445,6 +445,22 @@ class TestStructuralErrors:
                 build(vertices)
             assert str(error.value) == message
 
+    @pytest.mark.parametrize("dtype", [np.longdouble, object])
+    def test_long_double_past_the_double_range_is_out_of_range(self, dtype):
+        # Finite in its own type (where long double is wider than double), so not "not finite".
+        with np.errstate(over="ignore"):
+            big = np.longdouble(10) ** 400
+        if not np.isfinite(big):
+            pytest.skip("long double is no wider than double here")
+        vertices = np.array([[0, 0], [1, 0], [0, big]], dtype=dtype)
+        for build in (Simplex, lambda v: Mesh(v, [[0, 1, 2]])):
+            with pytest.raises(InvalidInputError) as error:
+                build(vertices)
+            assert str(error.value) == "vertex 2: coordinate outside the double range"
+        infinite = np.array([[0, 0], [np.longdouble("inf"), 0]], dtype=dtype)
+        with pytest.raises(InvalidInputError, match=r"^vertex 1: coordinate .*inf.* is not finite"):
+            Simplex(infinite)
+
     @pytest.mark.parametrize(
         "convert",
         [

@@ -17,6 +17,7 @@ from minangle import (
     cell_quality,
     certified_dsine_bound,
     flatten_family,
+    is_degenerate,
     mesh_quality,
     random_simplex,
     regular_simplex,
@@ -25,6 +26,7 @@ from minangle import (
     vertex_sines,
 )
 from minangle.geometry import _combinations
+from minangle.regularity import _scan_chunk
 from oracles import planar_angle
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
@@ -479,3 +481,55 @@ class TestCellQuality:
     def test_degenerate_cell_raises(self):
         with pytest.raises(DegeneracyError):
             cell_quality(flatten_family(3, 1e-15))
+
+
+def first_degenerate_subset(s, tol):
+    """The scan's first vertex subset of ``s`` that fails the rule at ``tol``, or None."""
+    first = _scan_chunk(s.vertices[None], tol)[0][0]
+    d = s.intrinsic_dim
+    sizes = range(3, d + 2)
+    subsets = [tuple(row) for size in sizes for row in _combinations(d + 1, size).tolist()]
+    return subsets[first] if first >= 0 else None
+
+
+class TestOneDegeneracyRule:
+    """A triangle with ratio w / h^2 just below or just above the tolerance gets the same
+    verdict from is_degenerate, from the scan of a one-triangle mesh, and from the scan of
+    a full-dimensional cell that holds it as its face (0, 1, 2).
+
+    The coordinates are dyadic and the cells' diameters powers of two, so the kernel's
+    normalization is exact and the ratio is the apex height y exactly.  Such a cell
+    is always below the tolerance itself (its own ratio is less than its face's), so it
+    is degenerate either way: what must agree is whether the triangle is its first
+    degenerate subset.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_planar_triangle(self, tol, side):
+        y = {-1: np.nextafter(tol, 0.0), 0: tol, 1: np.nextafter(tol, 1.0)}[side]
+        triangle = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, y]])
+        tetrahedron = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, y, 0.0], [0.5, 0.25, 0.5]])
+        self.assert_one_verdict(triangle, tetrahedron, tol, side <= 0)
+        quality = mesh_quality(single_cell_mesh(triangle), ToleranceConfig(tol))
+        assert quality.degenerate_cells == ((0,) if side <= 0 else ())
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_triangle_embedded_in_r5(self, tol, side):
+        # y on the 2^-53 grid next to tol keeps 1/4 +- y/2 exact.
+        y = (math.floor if side < 0 else math.ceil)(tol * 2.0**53) / 2.0**53
+        assert (y < tol) if side < 0 else (y > tol)
+        b = np.array([0.5, 0.5, 0.5, 0.5, 0.0])  # |b| = 1, the diameter
+        apex = b / 2 + y * np.array([0.5, -0.5, 0.5, -0.5, 0.0])
+        others = b / 2 + 0.5 * np.array(
+            [[0.0, 0.0, 0.0, 0.0, 1.0], [0.5, 0.5, -0.5, -0.5, 0.0], [0.5, -0.5, -0.5, 0.5, 0.0]]
+        )
+        triangle = Simplex([np.zeros(5), b, apex])
+        cell = Simplex(np.vstack([np.zeros(5), b, apex, others]))
+        self.assert_one_verdict(triangle, cell, tol, side < 0)
+
+    def assert_one_verdict(self, triangle, cell, tol, degenerate):
+        assert is_degenerate(triangle, ToleranceConfig(tol)) == degenerate
+        assert mesh_quality(single_cell_mesh(cell), ToleranceConfig(tol)).degenerate_cells == (0,)
+        assert (first_degenerate_subset(cell, tol) == (0, 1, 2)) == degenerate
