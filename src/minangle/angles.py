@@ -19,8 +19,10 @@ Every function here is the kernel of :mod:`minangle.geometry` at N=1: the
 angles and d-sines come from the barycentric gradients of the simplex in
 coordinates of its own affine hull, with the R factor and facet-pair order
 of the scan in :mod:`minangle.regularity`.  So angles are intrinsic and
-equal the scan's bit for bit: ``all_dihedral_angles(s)`` holds the angles
-behind ``cell_quality(s)``, the one source of their sum and of a ball ratio.
+equal those of the one-cell scan bit for bit: ``all_dihedral_angles(s)``
+holds the angles behind ``cell_quality(s)``, the one source of their sum and
+of a ball ratio.  The same cell scanned among others by ``mesh_quality`` can
+differ in the last bit, as numpy rounds with the batch shape.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
 
     Every simplex, full-dimensional or embedded (k < d), is measured in
     coordinates of its own affine hull, so the angles are intrinsic and
-    equal the mesh scan's.  Requires intrinsic dimension >= 2.
+    equal the one-cell scan's.  Requires intrinsic dimension >= 2.
     """
     k = s.intrinsic_dim
     _require_angle_dim(k, s)

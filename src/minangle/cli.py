@@ -25,19 +25,24 @@ Identical inputs and flags produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from pathlib import Path
-from typing import Iterable, Sequence
 
+# Run as the program, nothing the imports below allocate is garbage: no collection runs
+# until run() has frozen their objects and turned the collector back on.
+if __name__ == "__main__":
+    gc.disable()
 # minangle gives BLAS no work: its linear algebra is one small (k <= 12) LAPACK
 # factorization per matrix.  Yet OpenBLAS starts a thread pool when numpy loads,
 # which cost 70-85 ms of every command on a 2-vCPU machine.  The variable only
 # takes effect before numpy's first import, and a value the user set is kept.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+from pathlib import Path
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
@@ -143,12 +148,24 @@ def _emit(pieces: Iterable[str], destination: str) -> None:
         with Path(destination).open("w") as sink:
             sink.writelines(pieces)
         return
+    _write(sys.stdout, pieces)
+
+
+def _write(stream: TextIO, pieces: Iterable[str] = ()) -> None:
+    """Write ``pieces`` to ``stream`` and flush it.  A character the stream cannot encode, say
+    of a path under ``PYTHONIOENCODING=latin-1``, is written escaped, as standard error does.
+    A reader that left, as ``| head`` does, ends the writing without an error."""
     try:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
+        for piece in pieces:
+            try:
+                stream.write(piece)
+            except UnicodeEncodeError:  # nothing of the piece was written
+                encoding = stream.encoding
+                stream.write(piece.encode(encoding, "backslashreplace").decode(encoding))
+        stream.flush()
     except BrokenPipeError:
-        # The reader left, as `| head` does; on devnull the flush at exit stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # On devnull, what stays buffered flushes silently, at exit or in run().
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _require_threshold(args: argparse.Namespace) -> None:
@@ -250,11 +267,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _error(f"out of memory: {str(exc) or 'allocation failed'}", EXIT_INPUT_ERROR)
 
 
-def run() -> None:
-    """Console-script entry point."""
-    # The imports live until exit; frozen, no collection walks them again, even at shutdown.
+def run() -> NoReturn:
+    """Console-script entry point: :func:`main`, then the process ends without a teardown."""
+    # The imports live until exit; frozen, no collection walks them again.  The command
+    # then collects as main() does anywhere.
     gc.freeze()
-    sys.exit(main())
+    gc.enable()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: its descriptor was closed when the process started
+            _write(stream)
+    # Freeing a heap that dies with the process only costs time; streams are flushed above
+    # and every file the command writes is closed.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -27,9 +27,11 @@ finite element?", 2002).  Both atan2 forms stay accurate for angles near 0
 and pi, where the inverse cosine of a cosine loses half the digits.
 
 The single-simplex functions here and in :mod:`minangle.angles` are the
-kernel at N=1 (:func:`_level`), so their values equal the scan's bit for
-bit; :mod:`minangle.regularity` runs it over every subsimplex of many cells,
-or of one in ``cell_quality``.  Only :func:`outward_unit_normals` leaves
+kernel at N=1 (:func:`_level`), so their values equal those of a one-cell
+scan, ``cell_quality``, bit for bit.  :mod:`minangle.regularity` runs it over
+every subsimplex of many cells; inside ``mesh_quality`` a cell's values can
+differ in the last bit, as numpy's stacked factorizations and reductions
+round with the batch shape.  Only :func:`outward_unit_normals` leaves
 hull coordinates: it factors the simplex's edges itself, as it needs Q to
 rotate the normals back into the simplex's own coordinates.
 

@@ -34,6 +34,8 @@ from oracles import kuhn_triangulation
 from test_golden import kuhn_mesh
 
 EXIT_OK, EXIT_VIOLATED, EXIT_INPUT_ERROR, EXIT_DEGENERATE = 0, 1, 2, 3
+# The source tree a child interpreter imports minangle from.
+SRC = str(Path(minangle.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -854,8 +856,7 @@ class TestProcessStartup:
     def child(code, **env):
         """Run ``code`` in a new interpreter without OPENBLAS_NUM_THREADS, plus ``env``."""
         environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        src = str(Path(minangle.__file__).resolve().parent.parent)
-        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
         environ.update(env)
         result = subprocess.run(
             [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120
@@ -905,7 +906,101 @@ class TestProcessStartup:
     def test_main_freezes_nothing(self, tetra_path, capsys):
         before = gc.get_freeze_count()
         assert main(["info", str(tetra_path)]) == EXIT_OK
-        assert gc.get_freeze_count() == before
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, True)
+
+    # Logs each cyclic collection that cli.py's code runs to $GC_LOG: "in-main" within main(),
+    # "before-main" elsewhere, as in its imports.  A collection while the interpreter starts
+    # or compiles cli.py, before any of its code runs, is not logged.
+    GC_HOOK = """
+import gc, os, sys
+
+def _log(phase, info):
+    frame, names = sys._getframe(1), set()
+    while frame:
+        if frame.f_code.co_filename.endswith(os.path.join("minangle", "cli.py")):
+            names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    if phase == "start" and names:
+        with open(os.environ["GC_LOG"], "a") as log:
+            log.write("in-main\\n" if "main" in names else "before-main\\n")
+
+gc.callbacks.append(_log)
+"""
+
+    def collections(self, tmp_path, args):
+        """The lines of the collection log of a child run with ``args`` and the hook above."""
+        (tmp_path / "sitecustomize.py").write_text(self.GC_HOOK)
+        log = tmp_path / "gc.log"
+        log.touch()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env.update(PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]), GC_LOG=str(log))
+        result = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return log.read_text().split()
+
+    def test_program_collects_nothing_before_main(self, tmp_path, tetra_path):
+        # The same imports, not run as the program, collect: the hook sees them.
+        assert "before-main" in self.collections(tmp_path, ["-c", "import minangle.cli"])
+        (tmp_path / "gc.log").unlink()
+        log = self.collections(tmp_path, ["-m", "minangle.cli", "info", str(tetra_path)])
+        assert "before-main" not in log
+
+    def test_program_collects_while_the_command_runs(self, tetra_path):
+        # meshio is imported first, so cli.py, run as the program, takes the spy.
+        code = (
+            "import gc, runpy, sys\n"
+            "import minangle.meshio as meshio\n"
+            "load = meshio.load_mesh\n"
+            "def spy(path):\n"
+            "    print('collector-enabled', gc.isenabled())\n"
+            "    return load(path)\n"
+            "meshio.load_mesh = spy\n"
+            f"sys.argv = ['minangle', 'check', {str(tetra_path)!r}, '--alpha0', '0.5']\n"
+            "runpy.run_module('minangle.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        assert self.child(code)[:2] == ["collector-enabled", "True"]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "file"])
+    @pytest.mark.parametrize(
+        "command, expected",
+        [(["check", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE), (["info"], EXIT_OK)],
+        ids=["check", "info"],
+    )
+    def test_program_writes_what_main_writes(
+        self, tmp_path, capsys, command, expected, to_file
+    ):
+        path = tmp_path / "kuhn.json"
+        path.write_text(dump_mesh(kuhn_mesh(2, 18, seed=5)))  # 648 cells, two degenerate
+        argv = [command[0], str(path), *command[1:]]
+        assert main(argv) == expected
+        in_process = capsys.readouterr()
+        env = {**os.environ, "PYTHONPATH": SRC}
+        child = [sys.executable, "-m", "minangle.cli", *argv]
+        if to_file:
+            with open(tmp_path / "out.txt", "wb") as out:
+                result = subprocess.run(
+                    child, stdout=out, stderr=subprocess.PIPE, env=env, timeout=120
+                )
+            stdout = (tmp_path / "out.txt").read_bytes()
+        else:
+            result = subprocess.run(child, capture_output=True, env=env, timeout=120)
+            stdout = result.stdout
+        assert result.returncode == expected
+        assert (stdout.decode(), result.stderr.decode()) == (in_process.out, in_process.err)
+
+    def test_path_stdout_cannot_encode_is_escaped(self, tmp_path):
+        path = tmp_path / "m\u20ac.json"
+        assert main(["generate", "--kind", "regular", "--dim", "3", "-o", str(path)]) == EXIT_OK
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1", "PYTHONPATH": SRC}
+        result = subprocess.run(
+            [sys.executable, "-m", "minangle.cli", "info", str(path)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        first = result.stdout.decode("latin-1").splitlines()[0]
+        assert first == "mesh: " + str(tmp_path / "m\\u20ac.json")
 
 
 class TestClosedStdout:
@@ -929,10 +1024,12 @@ class TestClosedStdout:
             ("kuhn", ["family", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
             # No mesh is read: the command writes one.
             (None, ["generate", "--kind", "regular", "--dim", "3", "-o", "-"], EXIT_OK),
+            # argparse writes the help; only the flush before exit meets the closed pipe.
+            (None, ["--help"], EXIT_OK),
         ],
         ids=[
             "info", "check", "check-violated", "audit", "family",
-            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn", "generate",
+            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn", "generate", "help",
         ],
     )
     def test_exit_code_is_the_commands_own(
@@ -946,22 +1043,47 @@ class TestClosedStdout:
             manifest = tmp_path / "family.json"
             manifest.write_text(json.dumps({"meshes": [path.name]}))
             path = manifest
+        operands = [] if mesh is None else [str(path)]
+        argv = [command[0], *operands, *command[1:]]
+        result = self.closed_pipe_child(argv, unbuffered, "stdout", stderr=subprocess.PIPE)
+        assert (result.returncode, result.stderr.decode()) == (expected, "")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_usage_error_to_a_closed_stderr(self, unbuffered):
+        # As `check --bogus 2>&1 >/dev/null | true`: the usage message meets the closed pipe.
+        argv = ["check", "--bogus"]
+        result = self.closed_pipe_child(argv, unbuffered, "stderr", stdout=subprocess.DEVNULL)
+        assert result.returncode == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("descriptor", [1, 2], ids=["stdout", "stderr"])
+    def test_stream_closed_from_the_start(self, tetra_path, tmp_path, descriptor):
+        # As `check ... -o report.json >&-`: Python starts with that stream set to None.
+        env = {**os.environ, "PYTHONPATH": SRC}
+        report = tmp_path / "report.json"
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$@" {descriptor}>&-', "sh", sys.executable, "-m", "minangle.cli",
+             "check", str(tetra_path), "--alpha0", "0.5", "-o", str(report)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert json.loads(report.read_text())["verdicts"][0]["satisfied"]
+
+    @staticmethod
+    def closed_pipe_child(argv, unbuffered, stream, **streams):
+        """Run ``-m minangle.cli`` with ``argv``, its ``stream`` a pipe whose reader has left."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        src = str(Path(minangle.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        operands = [] if mesh is None else [str(path)]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         read, write = os.pipe()
         os.close(read)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "minangle.cli", command[0], *operands, *command[1:]],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            return subprocess.run(
+                [sys.executable, "-m", "minangle.cli", *argv],
+                env=env, timeout=120, **streams, **{stream: write},
             )
         finally:
             os.close(write)
-        assert (result.returncode, result.stderr.decode()) == (expected, "")
 
 
 class TestExtremeScale:
