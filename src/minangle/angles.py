@@ -37,6 +37,7 @@ from .geometry import (
     _Record,
     _require_angle_dim,
     _require_full_dim,
+    _require_index,
     _simplex_forms,
     facet,
 )
@@ -57,17 +58,10 @@ class DihedralAngleSet(_Record, eq=False):
     def angle(self, i: int, j: int) -> float:
         """The angle between facets F_i and F_j, symmetric in (i, j), in [0, pi]."""
         for index in (i, j):
-            if not _is_index_type(type(index)):
-                raise InvalidInputError(f"facet index {index!r} is not an integer")
+            _require_index(index, "facet index", self.simplex_dim + 1)
         if i == j:
             raise InvalidInputError("dihedral angle needs two distinct facets")
-        key = (i, j) if i < j else (j, i)
-        try:
-            return self.angles[key]
-        except KeyError:
-            raise InvalidInputError(
-                f"facet pair {key} out of range for dimension {self.simplex_dim}"
-            ) from None
+        return self.angles[(i, j) if i < j else (j, i)]
 
     def values(self) -> list[float]:
         return list(self.angles.values())

@@ -48,6 +48,7 @@ from .errors import DegeneracyError, GenerationError, InvalidInputError
 from .geometry import KINDS, ToleranceConfig
 from .meshio import (
     Mesh,
+    _ESCAPES,
     _pieces,
     _read_file,
     audit_to_dict,
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="print mesh statistics, conformity, and quality")
     info.add_argument("mesh", help="mesh file in the canonical JSON format")
-    info.add_argument("--degeneracy-tol", type=float, default=None, dest="degeneracy_tol")
+    _add_tolerance_arg(info)
     info.set_defaults(func=cmd_info)
 
     return parser
@@ -133,12 +134,12 @@ def _add_report_args(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="annotate report angles in degrees (verdicts are unaffected)",
     )
-    sub.add_argument("--degeneracy-tol", type=float, default=None, dest="degeneracy_tol")
+    _add_tolerance_arg(sub)
 
 
-def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    tol = args.degeneracy_tol
-    return ToleranceConfig() if tol is None else ToleranceConfig(degeneracy_rel_tol=tol)
+def _add_tolerance_arg(sub: argparse.ArgumentParser) -> None:
+    default = ToleranceConfig.degeneracy_rel_tol
+    sub.add_argument("--degeneracy-tol", type=float, default=default, dest="degeneracy_tol")
 
 
 def _emit(pieces: Iterable[str], destination: str) -> None:
@@ -188,7 +189,7 @@ def _exit_code(qualities: Sequence[MeshQuality], satisfied: bool) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     _require_threshold(args)
-    cfg = _tolerances(args)
+    cfg = ToleranceConfig(args.degeneracy_tol)
     quality = mesh_quality(load_mesh(args.mesh), cfg)
     verdicts = _verdicts(quality, args)
     _emit(_pieces(report_to_dict(quality, verdicts, args.degrees)), args.report)
@@ -196,7 +197,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _tolerances(args)
+    cfg = ToleranceConfig(args.degeneracy_tol)
     quality = mesh_quality(load_mesh(args.mesh), cfg)
     _emit(_pieces(audit_to_dict(quality, degrees=args.degrees)), args.report)
     return _exit_code([quality], quality.audit_satisfied())
@@ -204,7 +205,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
-    cfg = _tolerances(args)
+    cfg = ToleranceConfig(args.degeneracy_tol)
     manifest = Path(args.manifest)
     parse = lambda data: parse_family_manifest(data, base_dir=manifest.parent)
     paths = _read_file(manifest, "manifest", parse)
@@ -232,17 +233,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = _tolerances(args)
+    cfg = ToleranceConfig(args.degeneracy_tol)
     mesh = load_mesh(args.mesh)
     validation = validate_mesh(mesh)
     conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, cfg)
     _emit(info_lines(args.mesh, mesh, validation, conformity, quality), "-")
     return EXIT_OK
-
-
-# Control characters, say from a path in a manifest, are escaped so an error stays one line.
-_ESCAPES = {code: repr(chr(code))[1:-1] for code in [*range(32), 127]}
 
 
 def _error(message: str, code: int) -> int:

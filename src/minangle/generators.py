@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex, _is_real_type, _require_integer
+from .geometry import KINDS, Simplex, _require_integer, _require_real
 
 _REJECTION_BUDGET = 10_000
 
@@ -55,13 +55,19 @@ class SplitMix64:
 
 
 def _require_scale(scale: float) -> None:
-    if not (_is_real_type(type(scale)) and 0.0 < scale < math.inf):
-        raise InvalidInputError(f"scale must be positive and finite, got {scale}")
+    _require_real(scale, "scale must be positive and finite", lambda x: 0.0 < x < math.inf)
 
 
 def _require_param(t: float) -> None:
-    if not (_is_real_type(type(t)) and 0.0 < t <= 1.0):
-        raise InvalidInputError(f"family parameter must lie in (0, 1], got {t}")
+    _require_real(t, "family parameter must lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
+
+
+def _vertex_rows(d: int) -> np.ndarray:
+    """The zero (d+1, d) array a generator fills; MemoryError for one too large to hold."""
+    try:
+        return np.zeros((d + 1, d))
+    except ValueError as exc:  # numpy's "array is too big" or "Maximum allowed dimension exceeded"
+        raise MemoryError(str(exc)) from None
 
 
 def regular_simplex(d: int, scale: float = 1.0) -> Simplex:
@@ -73,7 +79,7 @@ def regular_simplex(d: int, scale: float = 1.0) -> Simplex:
     """
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
-    v = np.zeros((d + 1, d))
+    v = _vertex_rows(d)
     v[1, 0] = 1.0
     for k in range(2, d + 1):
         v[k] = v[:k].mean(axis=0)
@@ -88,7 +94,7 @@ def corner_simplex(d: int, scale: float = 1.0) -> Simplex:
     """
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
-    v = np.zeros((d + 1, d))
+    v = _vertex_rows(d)
     v[1:] = np.eye(d) * scale
     return Simplex(v)
 
@@ -142,8 +148,7 @@ def random_simplex(
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
     stream = SplitMix64(seed)
-    if not (_is_real_type(type(min_quality)) and 0.0 <= min_quality < 1.0):
-        raise InvalidInputError(f"quality floor must lie in [0, 1), got {min_quality}")
+    _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
     for _ in range(_REJECTION_BUDGET):
         coords = np.array(
             [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]

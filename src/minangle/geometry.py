@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -108,6 +108,31 @@ def _is_real_type(kind: type) -> bool:
     return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
 
 
+def _require_integer(value: object, what: str, minimum: int) -> None:
+    """InvalidInputError naming ``value`` unless it is an integer >= minimum."""
+    if not _is_index_type(type(value)) or value < minimum:
+        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_real(value: object, rule: str, inside: Callable[[float], bool]) -> None:
+    """InvalidInputError "{rule}, got {value}" unless ``value`` is a real number, never a bool,
+    whose double ``inside`` accepts.  An int past the double range is never accepted."""
+    try:
+        accepted = _is_real_type(type(value)) and inside(float(value))
+    except OverflowError:  # an int past the double range
+        accepted = False
+    if not accepted:
+        raise InvalidInputError(f"{rule}, got {value}")
+
+
+def _require_index(value: object, what: str, stop: int) -> None:
+    """InvalidInputError naming ``value`` unless it is an integer in 0..stop - 1."""
+    if not _is_index_type(type(value)):
+        raise InvalidInputError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < stop:
+        raise InvalidInputError(f"{what} {value} out of range 0..{stop - 1}")
+
+
 class ToleranceConfig(_Record):
     """The degeneracy tolerance, for the two functions that take one.
 
@@ -127,9 +152,8 @@ class ToleranceConfig(_Record):
     degeneracy_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        tol = self.degeneracy_rel_tol
-        if not (_is_real_type(type(tol)) and 0.0 < tol < math.sqrt(3.0) / 2.0):
-            raise InvalidInputError(f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {tol}")
+        rule = "degeneracy_rel_tol must lie in (0, sqrt(3)/2)"
+        _require_real(self.degeneracy_rel_tol, rule, lambda x: 0.0 < x < math.sqrt(3.0) / 2.0)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -452,12 +476,6 @@ def _require_full_dim(s: Simplex, what: str, min_dim: int = 1) -> int:
     return d
 
 
-def _require_integer(value: object, what: str, minimum: int) -> None:
-    """InvalidInputError naming ``value`` unless it is an integer >= minimum."""
-    if not _is_index_type(type(value)) or value < minimum:
-        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
-
-
 def _require_angle_dim(k: int, subject: object) -> None:
     """InvalidInputError unless k >= 2: edges and points have no dihedral angles."""
     if k < 2:
@@ -484,8 +502,7 @@ def facet(s: Simplex, i: int) -> Simplex:
     k = s.intrinsic_dim
     if k < 1:
         raise InvalidInputError("a 0-simplex has no facets")
-    if not _is_index_type(type(i)) or not 0 <= i <= k:
-        raise InvalidInputError(f"facet index {i!r} out of range 0..{k}")
+    _require_index(i, "facet index", k + 1)
     return Simplex(np.delete(s.vertices, i, axis=0))
 
 

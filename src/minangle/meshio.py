@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (
     Simplex, _combinations, _coordinates, _is_index_type, _is_row, _read_only, _Record,
-    _require_integer,
+    _require_index, _require_integer,
 )
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
@@ -164,8 +164,7 @@ class Mesh:
 
     def cell_simplex(self, index: int) -> Simplex:
         """The cell at ``index`` as a full-dimensional Simplex."""
-        if not _is_index_type(type(index)) or not 0 <= index < self.cell_count:
-            raise InvalidInputError(f"cell index {index!r} out of range 0..{self.cell_count - 1}")
+        _require_index(index, "cell index", self.cell_count)
         return Simplex(self._vertices[self._cells[index]])
 
     def __repr__(self) -> str:
@@ -202,12 +201,7 @@ def _cell_indices(cells, dim: int, vertex_count: int) -> np.ndarray:
                 f"got {len(indices)}"
             )
         for idx in indices:
-            if not _is_index_type(type(idx)):
-                raise InvalidInputError(f"cell {pos}: vertex index {idx!r} is not an integer")
-            if not 0 <= idx < vertex_count:
-                raise InvalidInputError(
-                    f"cell {pos}: vertex index {idx} out of range 0..{vertex_count - 1}"
-                )
+            _require_index(idx, f"cell {pos}: vertex index", vertex_count)
         if len(set(indices)) != len(indices):
             raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
     raise InvalidInputError("cells do not form an integer array")  # every row passed alone
@@ -532,6 +526,9 @@ def family_to_dict(
     }
 
 
+# Control characters, say of a path in a manifest, are escaped so a message or a path stays
+# one line: in the ``info`` text here, and in every CLI error.
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in [*range(32), 127]}
 _INFO_HEADER = "%5s %17s %17s %10s %10s %17s\n"
 _INFO_ROW = "%5d %17.7f %17.7f %10.7f %10.7f %17.7f\n"
 # A degenerate cell's row takes six values like any other and prints only the first.
@@ -544,7 +541,7 @@ def info_lines(
 ) -> Iterator[str]:
     """The ``info`` text of the mesh at ``path``: its counts, conformity and warnings, then a
     table of each cell's quality columns, streamed ``_CHUNK_ROWS`` rows a piece."""
-    yield f"mesh: {path}\n"
+    yield f"mesh: {str(path).translate(_ESCAPES)}\n"
     yield f"ambient dimension: {mesh.ambient_dim}\n"
     yield f"vertices: {mesh.vertex_count}\n"
     yield f"cells: {mesh.cell_count}\n"

@@ -47,8 +47,9 @@ from .geometry import (
     _normalized,
     _Record,
     _require_angle_dim,
-    _require_integer,
     _require_full_dim,
+    _require_integer,
+    _require_real,
     _tolerance,
 )
 
@@ -257,15 +258,8 @@ def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQualit
 
 
 def _verdict(
-    condition: str,
-    threshold: float,
-    in_range: bool,
-    rule: str,
-    quality: MeshQuality,
-    values: np.ndarray,
+    condition: str, threshold: float, quality: MeshQuality, values: np.ndarray
 ) -> ConditionVerdict:
-    if not in_range:
-        raise InvalidInputError(f"{rule}, got {threshold}")
     if isinstance(threshold, np.generic):  # a Python number, so every report can write it
         threshold = threshold.item()
     if quality.degenerate_cells:
@@ -292,20 +286,14 @@ def verdict_min_dihedral(quality: MeshQuality, alpha0: float) -> ConditionVerdic
     Equality counts as satisfied.  Degenerate cells yield a violated
     verdict annotated with their indices instead of an exception.
     """
-    return _verdict(
-        CONDITION_MIN_DIHEDRAL, alpha0,
-        _is_real_type(type(alpha0)) and 0.0 < alpha0 < math.pi, "alpha0 must lie in (0, pi)",
-        quality, quality.min_dihedral_all_sub,
-    )
+    _require_real(alpha0, "alpha0 must lie in (0, pi)", lambda x: 0.0 < x < math.pi)
+    return _verdict(CONDITION_MIN_DIHEDRAL, alpha0, quality, quality.min_dihedral_all_sub)
 
 
 def verdict_min_dsine(quality: MeshQuality, dsine_min: float) -> ConditionVerdict:
     """Whether every vertex d-sine of every cell of ``quality`` is >= dsine_min."""
-    return _verdict(
-        CONDITION_MIN_DSINE, dsine_min,
-        _is_real_type(type(dsine_min)) and 0.0 < dsine_min <= 1.0, "dsine_min must lie in (0, 1]",
-        quality, quality.min_vertex_dsine,
-    )
+    _require_real(dsine_min, "dsine_min must lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
+    return _verdict(CONDITION_MIN_DSINE, dsine_min, quality, quality.min_vertex_dsine)
 
 
 def _certified_bound(alpha0, gamma0, d: int):

@@ -94,7 +94,7 @@ class TestDihedralAngle:
 
     def test_out_of_range_rejected(self):
         angles = all_dihedral_angles(corner(3))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^facet index 4 out of range 0\.\.3$"):
             angles.angle(0, 4)
         # Only integers index facets; a dict lookup alone would take True and 1.0 as 1.
         regular = all_dihedral_angles(regular_simplex(3))

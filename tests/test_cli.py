@@ -555,13 +555,15 @@ class TestGenerateCommand:
         assert captured.err == f"error: scale must be positive and finite, got {float(scale)}\n"
 
     def test_huge_dimension_is_one_error_line(self, capsys):
-        # Its (d+1, d) vertex array would take 71 PiB, so the allocation fails at once.
-        argv = ["generate", "--kind", "regular", "--dim", "100000000"]
-        assert main(argv) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: out of memory: ")
-        assert captured.err.count("\n") == 1
+        # Its (d+1, d) vertex array would take 71 PiB, or more bytes than an index can count,
+        # or more rows than a dimension can hold, so the allocation fails at once.
+        for dim in ["100000000", "3037000500", "100000000000000000000"]:
+            argv = ["generate", "--kind", "regular", "--dim", dim]
+            assert main(argv) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: out of memory: ")
+            assert captured.err.count("\n") == 1
 
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "--kind", "spiky", "--dim", "3"]) == EXIT_INPUT_ERROR
@@ -628,6 +630,14 @@ class TestInfoCommand:
         assert main(["info", str(path)]) == EXIT_OK
         expected = f"conformity: OK ({3 * n * n - 2 * n} interior, {4 * n} boundary facets)"
         assert expected in capsys.readouterr().out.splitlines()
+
+    def test_path_with_a_newline_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # The mesh line escapes control characters with the table of every error line.
+        monkeypatch.chdir(tmp_path)
+        write_mesh_file(tmp_path / "nl\nname.json", regular_simplex(3).vertices, [[0, 1, 2, 3]])
+        assert main(["info", "nl\nname.json"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["mesh: nl\\nname.json", "ambient dimension: 3"]
 
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

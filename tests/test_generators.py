@@ -91,7 +91,7 @@ class TestFlattenFamily:
         with pytest.raises(InvalidInputError):
             flatten_family(2, 0.5)  # needs d >= 3
         for family in (flatten_family, needle_family):
-            for t in ("a", None, True):
+            for t in ("a", None, True, "1", math.nan, 10**400, -(10**400)):
                 with pytest.raises(InvalidInputError) as error:
                     family(3, t)
                 assert str(error.value) == f"family parameter must lie in (0, 1], got {t}"
@@ -183,7 +183,7 @@ class TestRandomSimplex:
             )
         with pytest.raises(InvalidInputError):
             random_simplex(3, min_quality=1.0)
-        for floor in ("x", None, True):
+        for floor in ("x", None, True, "1", math.nan, 10**400, -(10**400)):
             with pytest.raises(InvalidInputError) as error:
                 random_simplex(3, 0, 1.0, floor)
             assert str(error.value) == f"quality floor must lie in [0, 1), got {floor}"
@@ -196,7 +196,11 @@ class TestRandomSimplex:
 
 
 class TestScale:
-    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0, "a", None, True])
+    @pytest.mark.parametrize(
+        "scale",
+        [math.inf, -math.inf, math.nan, 0.0, -1.0, "a", None, True, "1",
+         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     def test_scale_must_be_positive_and_finite(self, scale):
         """Rejected up front, before an infinite scale turns into inf - inf = nan coordinates."""
         makers = [
@@ -208,8 +212,9 @@ class TestScale:
             lambda: generate("regular", 3, scale=scale),
         ]
         for make in makers:
-            with pytest.raises(InvalidInputError, match="scale must be positive and finite, got"):
+            with pytest.raises(InvalidInputError) as error:
                 make()
+            assert str(error.value) == f"scale must be positive and finite, got {scale}"
 
 
 class TestGeneratorSpec:

@@ -208,7 +208,7 @@ class TestFacet:
         with pytest.raises(InvalidInputError):
             facet(corner(2), -1)
         for i in (True, 1.0, "1", None):
-            with pytest.raises(InvalidInputError, match=f"facet index {i!r} out of range 0..2"):
+            with pytest.raises(InvalidInputError, match=f"facet index {i!r} is not an integer"):
                 facet(corner(2), i)
         with pytest.raises(InvalidInputError, match="a 0-simplex has no facets"):
             facet(Simplex([[1.0, 2.0]]), 0)
@@ -381,7 +381,11 @@ class TestToleranceConfig:
         with pytest.raises(InvalidInputError):
             ToleranceConfig(degeneracy_rel_tol=0.0)
 
-    @pytest.mark.parametrize("tol", ["a", None, True, "1e-3"])
+    @pytest.mark.parametrize(
+        "tol",
+        ["a", None, True, "1e-3", "1", math.nan,
+         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     def test_rejects_a_tolerance_that_is_not_a_number(self, tol):
         with pytest.raises(InvalidInputError) as error:
             ToleranceConfig(tol)

@@ -77,7 +77,8 @@ class TestParseMesh:
     def test_cell_index_out_of_range_rejected(self, index):
         with pytest.raises(InvalidInputError) as error:
             glued_pair_mesh().cell_simplex(index)
-        assert str(error.value) == f"cell index {index!r} out of range 0..1"
+        rule = "out of range 0..1" if type(index) is int else "is not an integer"
+        assert str(error.value) == f"cell index {index!r} {rule}"
 
     def test_repeated_cell_index_rejected(self):
         doc = dict(TETRA_DOC, cells=[[0, 1, 1, 2]])

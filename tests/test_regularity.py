@@ -187,7 +187,11 @@ class TestConditionChecks:
         with pytest.raises(InvalidInputError, match=r"alpha0 must lie in \(0, pi\), got 3\.14159"):
             verdict_min_dihedral(quality, math.pi)
 
-    @pytest.mark.parametrize("threshold", ["a", None, True, "0.5"])
+    @pytest.mark.parametrize(
+        "threshold",
+        ["a", None, True, "0.5", "1", math.nan,
+         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     @pytest.mark.parametrize(
         "verdict, rule",
         [(verdict_min_dihedral, "alpha0 must lie in (0, pi)"),
