@@ -30,9 +30,8 @@ _PUBLIC = {
         "regular_simplex",
     ),
     "geometry": (
-        "DEFAULT_TOLERANCES",
+        "DEGENERACY_REL_TOL",
         "Simplex",
-        "ToleranceConfig",
         "facet",
         "is_degenerate",
         "outward_unit_normals",

@@ -38,6 +38,7 @@ from .geometry import (
     _require_angle_dim,
     _require_full_dim,
     _require_index,
+    _shown,
     _simplex_forms,
     facet,
 )
@@ -132,7 +133,7 @@ def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
     d = _require_full_dim(s, "product decomposition", 3)
     if not _is_index_type(type(i)) or not 0 <= i < d:
         raise InvalidInputError(
-            f"vertex index {i!r} must lie in the facet omitting the last vertex "
+            f"vertex index {_shown(i, repr)} must lie in the facet omitting the last vertex "
             f"(0..{d - 1}); reorder the vertices first"
         )
     angles, sines, _ = _simplex_forms(s, "product decomposition")

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, ToleranceConfig
+from .geometry import DEGENERACY_REL_TOL, KINDS, _tolerance
 from .meshio import (
     Mesh,
     _ESCAPES,
@@ -138,8 +138,7 @@ def _add_report_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_tolerance_arg(sub: argparse.ArgumentParser) -> None:
-    default = ToleranceConfig.degeneracy_rel_tol
-    sub.add_argument("--degeneracy-tol", type=float, default=default, dest="degeneracy_tol")
+    sub.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_REL_TOL)
 
 
 def _emit(pieces: Iterable[str], destination: str) -> None:
@@ -189,23 +188,23 @@ def _exit_code(qualities: Sequence[MeshQuality], satisfied: bool) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     _require_threshold(args)
-    cfg = ToleranceConfig(args.degeneracy_tol)
-    quality = mesh_quality(load_mesh(args.mesh), cfg)
+    tol = _tolerance(args.degeneracy_tol)
+    quality = mesh_quality(load_mesh(args.mesh), tol)
     verdicts = _verdicts(quality, args)
     _emit(_pieces(report_to_dict(quality, verdicts, args.degrees)), args.report)
     return _exit_code([quality], all(verdict.satisfied for verdict in verdicts))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = ToleranceConfig(args.degeneracy_tol)
-    quality = mesh_quality(load_mesh(args.mesh), cfg)
+    tol = _tolerance(args.degeneracy_tol)
+    quality = mesh_quality(load_mesh(args.mesh), tol)
     _emit(_pieces(audit_to_dict(quality, degrees=args.degrees)), args.report)
     return _exit_code([quality], quality.audit_satisfied())
 
 
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
-    cfg = ToleranceConfig(args.degeneracy_tol)
+    tol = _tolerance(args.degeneracy_tol)
     manifest = Path(args.manifest)
     parse = lambda data: parse_family_manifest(data, base_dir=manifest.parent)
     paths = _read_file(manifest, "manifest", parse)
@@ -216,7 +215,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"family members disagree on ambient dimension: {dims}")
     members = []
     for path, mesh in zip(paths, meshes):
-        quality = mesh_quality(mesh, cfg)
+        quality = mesh_quality(mesh, tol)
         members.append((path, quality, _verdicts(quality, args)))
     _emit(_pieces(family_to_dict(members, args.degrees)), args.report)
     _, qualities, verdicts = zip(*members)
@@ -233,11 +232,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = ToleranceConfig(args.degeneracy_tol)
+    tol = _tolerance(args.degeneracy_tol)
     mesh = load_mesh(args.mesh)
     validation = validate_mesh(mesh)
     conformity = conformity_check(mesh)
-    quality = mesh_quality(mesh, cfg)
+    quality = mesh_quality(mesh, tol)
     _emit(info_lines(args.mesh, mesh, validation, conformity, quality), "-")
     return EXIT_OK
 

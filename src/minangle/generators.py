@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex, _require_integer, _require_real
+from .geometry import KINDS, Simplex, _require_integer, _require_real, _shown
 
 _REJECTION_BUDGET = 10_000
 
@@ -149,10 +149,9 @@ def random_simplex(
     _require_scale(scale)
     stream = SplitMix64(seed)
     _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
+    coords = _vertex_rows(d)  # sized before the first draw; Simplex copies it
     for _ in range(_REJECTION_BUDGET):
-        coords = np.array(
-            [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]
-        )
+        coords[:] = [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]
         candidate = Simplex(coords)
         try:
             sines = vertex_sines(candidate)
@@ -162,7 +161,7 @@ def random_simplex(
             return candidate
     raise GenerationError(
         f"no simplex with min d-sine > {min_quality} in {_REJECTION_BUDGET} draws "
-        f"(d={d}, seed={seed})"
+        f"(d={d}, seed={_shown(seed)})"
     )
 
 
@@ -186,4 +185,6 @@ def generate(
         return needle_family(dim, 1.0 if param is None else param, scale)
     if kind == "random":
         return random_simplex(dim, seed, scale, 0.0 if param is None else param)
-    raise InvalidInputError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
+    raise InvalidInputError(
+        f"unknown generator kind {_shown(kind, repr)}; expected one of {KINDS}"
+    )

@@ -57,8 +57,8 @@ class _Record:
     """An immutable record of the fields its subclass annotates, in annotation order.
 
     A frozen data class that compiles no code at import: defaults are class
-    attributes, ``__post_init__`` checks the fields, and records compare and
-    hash by fields, or by identity when declared ``eq=False``.
+    attributes, and records compare and hash by fields, or by identity when
+    declared ``eq=False``.
     """
 
     def __init_subclass__(cls, eq: bool = True) -> None:
@@ -75,10 +75,6 @@ class _Record:
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
         # Only the fields, in order, ever enter __dict__: the methods below rely on it.
         self.__dict__.update((f, values[f]) for f in cls._fields)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,10 +104,26 @@ def _is_real_type(kind: type) -> bool:
     return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
 
 
+def _shown(value: object, form: Callable[[object], str] = str) -> str:
+    """``form(value)`` for a message that names a caller's value.  An int with more digits
+    than ``str`` may print (``sys.get_int_max_str_digits()``) is shown by its digit count."""
+    try:
+        return form(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        from decimal import Decimal  # converts an int of any length exactly
+
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {Decimal(value).adjusted() + 1} digits>"
+
+
 def _require_integer(value: object, what: str, minimum: int) -> None:
     """InvalidInputError naming ``value`` unless it is an integer >= minimum."""
     if not _is_index_type(type(value)) or value < minimum:
-        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise InvalidInputError(
+            f"{what} must be an integer >= {minimum}, got {_shown(value, repr)}"
+        )
 
 
 def _require_real(value: object, rule: str, inside: Callable[[float], bool]) -> None:
@@ -122,41 +134,23 @@ def _require_real(value: object, rule: str, inside: Callable[[float], bool]) -> 
     except OverflowError:  # an int past the double range
         accepted = False
     if not accepted:
-        raise InvalidInputError(f"{rule}, got {value}")
+        raise InvalidInputError(f"{rule}, got {_shown(value)}")
 
 
 def _require_index(value: object, what: str, stop: int) -> None:
     """InvalidInputError naming ``value`` unless it is an integer in 0..stop - 1."""
     if not _is_index_type(type(value)):
-        raise InvalidInputError(f"{what} {value!r} is not an integer")
+        raise InvalidInputError(f"{what} {_shown(value, repr)} is not an integer")
     if not 0 <= value < stop:
-        raise InvalidInputError(f"{what} {value} out of range 0..{stop - 1}")
+        raise InvalidInputError(f"{what} {_shown(value)} out of range 0..{stop - 1}")
 
 
-class ToleranceConfig(_Record):
-    """The degeneracy tolerance, for the two functions that take one.
-
-    :func:`is_degenerate` tests one simplex with it, and
-    :func:`minangle.regularity.mesh_quality` every subsimplex of every cell;
-    every other function uses ``DEFAULT_TOLERANCES``.
-
-    Attributes:
-        degeneracy_rel_tol: relative degeneracy threshold in (0, sqrt(3)/2).
-            A k-simplex is treated as degenerate when sqrt(det G) <= tol *
-            (max edge)^k, which makes the test invariant under uniform
-            scaling.  Every cell of dimension >= 2 has triangles, whose ratio
-            is at most sqrt(3)/2 (equilateral), so a larger tolerance would
-            mark every cell degenerate.
-    """
-
-    degeneracy_rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        rule = "degeneracy_rel_tol must lie in (0, sqrt(3)/2)"
-        _require_real(self.degeneracy_rel_tol, rule, lambda x: 0.0 < x < math.sqrt(3.0) / 2.0)
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# The default tolerance of the degeneracy rule: a k-simplex is degenerate when
+# sqrt(det G) <= tol * (max edge)^k, which makes the test invariant under uniform
+# scaling.  A tolerance lies in (0, sqrt(3)/2): every cell of dimension >= 2 has
+# triangles, whose ratio is at most sqrt(3)/2 (equilateral), so a larger
+# tolerance would mark every cell degenerate.
+DEGENERACY_REL_TOL = 1e-12
 
 # The simplex shapes :mod:`minangle.generators` builds, by name.  They live here
 # so that the CLI can list them without loading the generators.
@@ -436,16 +430,14 @@ def _level(
     return degenerate, volume, *forms
 
 
-def _tolerance(cfg: ToleranceConfig | None) -> float:
-    """The degeneracy tolerance of ``cfg``, or of ``DEFAULT_TOLERANCES`` for None."""
-    if not isinstance(cfg, (ToleranceConfig, type(None))):
-        raise InvalidInputError(f"cfg must be a ToleranceConfig or None, got {cfg!r}")
-    return (cfg or DEFAULT_TOLERANCES).degeneracy_rel_tol
+def _tolerance(degeneracy_rel_tol: float) -> float:
+    """``degeneracy_rel_tol`` as a float, or InvalidInputError unless it lies in (0, sqrt(3)/2)."""
+    rule = "degeneracy_rel_tol must lie in (0, sqrt(3)/2)"
+    _require_real(degeneracy_rel_tol, rule, lambda x: 0.0 < x < math.sqrt(3.0) / 2.0)
+    return float(degeneracy_rel_tol)
 
 
-def _whole(
-    s: Simplex, tol: float = DEFAULT_TOLERANCES.degeneracy_rel_tol, forms: bool = False
-) -> tuple:
+def _whole(s: Simplex, tol: float = DEGENERACY_REL_TOL, forms: bool = False) -> tuple:
     """:func:`_level` on all of ``s`` (N = S = 1): z, (D, e), the rule, |det R|, then the forms."""
     m = s.vertex_count
     z, dist, scale = _normalized(s.vertices[None])
@@ -506,13 +498,13 @@ def facet(s: Simplex, i: int) -> Simplex:
     return Simplex(np.delete(s.vertices, i, axis=0))
 
 
-def is_degenerate(s: Simplex, cfg: ToleranceConfig | None = None) -> bool:
+def is_degenerate(s: Simplex, degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> bool:
     """Scale-invariant degeneracy test.
 
     True iff sqrt(det G) <= degeneracy_rel_tol * (max edge length)^k.
-    Deterministic; raises only for a ``cfg`` that is not a ToleranceConfig or None.
+    Deterministic; raises only for a tolerance outside (0, sqrt(3)/2).
     """
-    tol = _tolerance(cfg)
+    tol = _tolerance(degeneracy_rel_tol)
     if s.intrinsic_dim == 0:
         return False
     return _whole(s, tol)[2]

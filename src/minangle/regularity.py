@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
+    DEGENERACY_REL_TOL,
     Simplex,
-    ToleranceConfig,
     _combinations,
     _is_real_type,
     _level,
@@ -50,6 +50,7 @@ from .geometry import (
     _require_full_dim,
     _require_integer,
     _require_real,
+    _shown,
     _tolerance,
 )
 
@@ -236,25 +237,25 @@ def cell_quality(s: Simplex) -> MeshQuality:
     """
     d = _require_full_dim(s, "cell quality")
     _check_scan_dim(d, s)
-    first, *columns = _scan_chunk(s.vertices[None], _tolerance(None))
+    first, *columns = _scan_chunk(s.vertices[None], DEGENERACY_REL_TOL)
     if first[0] >= 0:
         subsets = [row for size in range(3, d + 2) for row in _combinations(d + 1, size).tolist()]
         raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
     return MeshQuality(d, np.zeros(1, dtype=np.intp), *columns)
 
 
-def mesh_quality(mesh: "Mesh", cfg: ToleranceConfig | None = None) -> MeshQuality:
+def mesh_quality(mesh: "Mesh", degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> MeshQuality:
     """Per-cell quality and equivalence margins of a mesh, as columns over its good cells.
 
     This is the one degeneracy decision over a mesh: a cell is degenerate
     when any of its subsimplices of dimension >= 2, itself included, fails
-    the rule of :func:`minangle.geometry.is_degenerate` at ``cfg``.
+    the rule of :func:`minangle.geometry.is_degenerate` at ``degeneracy_rel_tol``.
     Degenerate cells are collected rather than raised, so a single bad
     cell cannot abort the scan.  Cells are in index order and the result
     is deterministic.
     """
     _check_scan_dim(mesh.ambient_dim, mesh)
-    return _scan(mesh.vertices[mesh.cells], _tolerance(cfg))
+    return _scan(mesh.vertices[mesh.cells], _tolerance(degeneracy_rel_tol))
 
 
 def _verdict(
@@ -316,6 +317,7 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     reals = _is_real_type(type(alpha0)) and _is_real_type(type(gamma0))
     if not (reals and 0.0 < alpha0 <= gamma0 < math.pi):
         raise InvalidInputError(
-            f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
+            "angle window must satisfy 0 < alpha0 <= gamma0 < pi, "
+            f"got ({_shown(alpha0)}, {_shown(gamma0)})"
         )
     return float(_certified_bound(float(alpha0), float(gamma0), d))  # in double precision

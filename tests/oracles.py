@@ -22,6 +22,16 @@ import math
 
 import numpy as np
 
+# An int of 5001 digits: str() refuses more than 4300 (sys.get_int_max_str_digits()).
+HUGE_INT = 10**5000
+
+
+def shown(value, form=str) -> str:
+    """How a message names ``value``: ``form(value)``, or +-HUGE_INT by its digit count."""
+    if type(value) is int and abs(value) == HUGE_INT:
+        return f"<{'negative ' if value < 0 else ''}int of 5001 digits>"
+    return form(value)
+
 
 def cayley_menger_measure(vertices) -> float:
     """k-measure of a simplex from the Cayley-Menger determinant."""

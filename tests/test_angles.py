@@ -23,7 +23,7 @@ from minangle import (
     regular_simplex,
     vertex_sines,
 )
-from oracles import planar_angle, rigid_motion, tetra_dihedral_by_cross
+from oracles import HUGE_INT, planar_angle, rigid_motion, shown, tetra_dihedral_by_cross
 
 REGULAR_TETRA_DIHEDRAL = math.acos(1.0 / 3.0)          # 1.2309594173407747
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))     # 0.7698003589195010
@@ -260,8 +260,9 @@ class TestProductDecomposition:
     def test_last_vertex_rejected(self):
         with pytest.raises(InvalidInputError):
             product_decomposition(regular_simplex(3), 3)
-        for i in (1.0, True, "1", None):
-            with pytest.raises(InvalidInputError, match=f"vertex index {i!r} must lie in"):
+        for i in (1.0, True, "1", None, HUGE_INT):
+            message = f"^vertex index {shown(i, repr)} must lie in"
+            with pytest.raises(InvalidInputError, match=message):
                 product_decomposition(regular_simplex(3), i)
         numpy_index = product_decomposition(regular_simplex(3), np.int64(1))
         assert numpy_index == product_decomposition(regular_simplex(3), 1)

@@ -556,9 +556,11 @@ class TestGenerateCommand:
 
     def test_huge_dimension_is_one_error_line(self, capsys):
         # Its (d+1, d) vertex array would take 71 PiB, or more bytes than an index can count,
-        # or more rows than a dimension can hold, so the allocation fails at once.
-        for dim in ["100000000", "3037000500", "100000000000000000000"]:
-            argv = ["generate", "--kind", "regular", "--dim", dim]
+        # or more rows than a dimension can hold, so the allocation fails at once: for random
+        # too, which sizes the array before its first draw.
+        dims = ["100000000", "3037000500", "100000000000000000000"]
+        for kind, dim in [("regular", dim) for dim in dims] + [("random", "100000000")]:
+            argv = ["generate", "--kind", kind, "--dim", dim]
             assert main(argv) == EXIT_INPUT_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""

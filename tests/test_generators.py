@@ -18,7 +18,7 @@ from minangle import (
     simplex_measure,
     vertex_sines,
 )
-from oracles import planar_angle
+from oracles import HUGE_INT, planar_angle, shown
 
 
 def edge_lengths(simplex):
@@ -45,10 +45,10 @@ class TestRegularSimplex:
             regular_simplex(1)
         with pytest.raises(InvalidInputError):
             regular_simplex(3, scale=0.0)
-        for d in (3.0, True, "3", None):
+        for d in (3.0, True, "3", None, -HUGE_INT):
             with pytest.raises(InvalidInputError) as error:
                 regular_simplex(d)
-            assert str(error.value) == f"dimension must be an integer >= 2, got {d!r}"
+            assert str(error.value) == f"dimension must be an integer >= 2, got {shown(d, repr)}"
         for make in (regular_simplex, corner_simplex, random_simplex):
             np.testing.assert_array_equal(make(np.int64(3)).vertices, make(3).vertices)
 
@@ -173,10 +173,10 @@ class TestRandomSimplex:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
             random_simplex(3, seed=-1)
-        for seed in (1.5, True, "5", None, np.float64(5.0)):
+        for seed in (1.5, True, "5", None, np.float64(5.0), -HUGE_INT):
             with pytest.raises(InvalidInputError) as error:
                 random_simplex(2, seed=seed)
-            assert str(error.value) == f"seed must be an integer >= 0, got {seed!r}"
+            assert str(error.value) == f"seed must be an integer >= 0, got {shown(seed, repr)}"
         for seed in (np.int64(5), np.uint64(2**64 - 1), np.int8(7)):
             np.testing.assert_array_equal(
                 random_simplex(2, seed=seed).vertices, random_simplex(2, seed=int(seed)).vertices
@@ -199,7 +199,8 @@ class TestScale:
     @pytest.mark.parametrize(
         "scale",
         [math.inf, -math.inf, math.nan, 0.0, -1.0, "a", None, True, "1",
-         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
+         pytest.param(HUGE_INT, id="1e5000"), pytest.param(-HUGE_INT, id="-1e5000")],
     )
     def test_scale_must_be_positive_and_finite(self, scale):
         """Rejected up front, before an infinite scale turns into inf - inf = nan coordinates."""
@@ -214,7 +215,7 @@ class TestScale:
         for make in makers:
             with pytest.raises(InvalidInputError) as error:
                 make()
-            assert str(error.value) == f"scale must be positive and finite, got {scale}"
+            assert str(error.value) == f"scale must be positive and finite, got {shown(scale)}"
 
 
 class TestGeneratorSpec:
@@ -238,6 +239,8 @@ class TestGeneratorSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown generator kind 'spiky'"):
             generate("spiky", 3)
+        with pytest.raises(InvalidInputError, match="^unknown generator kind <int of 5001 digits>"):
+            generate(HUGE_INT, 3)
 
     def test_flatten_needs_three_dimensions(self):
         with pytest.raises(InvalidInputError):

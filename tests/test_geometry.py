@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from minangle import (
     DegeneracyError,
     InvalidInputError,
+    Mesh,
     Simplex,
-    ToleranceConfig,
     all_dihedral_angles,
     facet,
     flatten_family,
     is_degenerate,
+    mesh_quality,
     outward_unit_normals,
     random_simplex,
     regular_simplex,
@@ -30,7 +31,7 @@ from minangle.geometry import (
     _level,
     _normalized,
 )
-from oracles import cayley_menger_measure, rigid_motion
+from oracles import HUGE_INT, cayley_menger_measure, rigid_motion, shown
 
 REGULAR_TETRA_MEASURE = math.sqrt(2.0) / 12.0
 
@@ -210,6 +211,10 @@ class TestFacet:
         for i in (True, 1.0, "1", None):
             with pytest.raises(InvalidInputError, match=f"facet index {i!r} is not an integer"):
                 facet(corner(2), i)
+        for i in (HUGE_INT, -HUGE_INT):
+            with pytest.raises(InvalidInputError) as error:
+                facet(corner(2), i)
+            assert str(error.value) == f"facet index {shown(i)} out of range 0..2"
         with pytest.raises(InvalidInputError, match="a 0-simplex has no facets"):
             facet(Simplex([[1.0, 2.0]]), 0)
         np.testing.assert_array_equal(facet(corner(2), np.int64(1)).vertices, [[0, 0], [0, 1]])
@@ -369,39 +374,49 @@ class TestIsDegenerate:
     def test_custom_tolerance(self):
         squashed = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]])
         assert not is_degenerate(squashed)
-        assert is_degenerate(squashed, ToleranceConfig(degeneracy_rel_tol=1e-4))
-        # A bare number is not a second way to give the tolerance.
+        assert is_degenerate(squashed, 1e-4)
+        assert is_degenerate(squashed, degeneracy_rel_tol=1e-4)
+        # A numpy scalar is a tolerance as its double is.
+        for tol in (1e-3, np.float64(1e-3), np.float32(1e-3)):
+            assert is_degenerate(squashed, tol)
+            assert not is_degenerate(regular_simplex(2), tol)
+
+
+def assert_tolerance_rejected(tol):
+    """Both functions that take a tolerance reject ``tol`` with the rule's whole message."""
+    triangle = regular_simplex(2)
+    mesh = Mesh(triangle.vertices, [[0, 1, 2]])
+    message = f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {shown(tol)}"
+    for call in (lambda: is_degenerate(triangle, tol), lambda: mesh_quality(mesh, tol)):
         with pytest.raises(InvalidInputError) as error:
-            is_degenerate(squashed, 1e-3)
-        assert str(error.value) == "cfg must be a ToleranceConfig or None, got 0.001"
+            call()
+        assert str(error.value) == message
 
 
 class TestToleranceConfig:
+    """The degeneracy tolerance rule, a plain number at is_degenerate and mesh_quality."""
+
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(InvalidInputError):
-            ToleranceConfig(degeneracy_rel_tol=0.0)
+        assert_tolerance_rejected(0.0)
 
     @pytest.mark.parametrize(
         "tol",
         ["a", None, True, "1e-3", "1", math.nan,
-         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
+         pytest.param(HUGE_INT, id="1e5000"), pytest.param(-HUGE_INT, id="-1e5000")],
     )
     def test_rejects_a_tolerance_that_is_not_a_number(self, tol):
-        with pytest.raises(InvalidInputError) as error:
-            ToleranceConfig(tol)
-        assert str(error.value) == f"degeneracy_rel_tol must lie in (0, sqrt(3)/2), got {tol}"
+        assert_tolerance_rejected(tol)
 
     @pytest.mark.parametrize("tol", [math.inf, 1.0, 1e300])
     def test_rejects_tolerance_of_one_or_more(self, tol):
         # sqrt(det G) <= (max edge)^k always, so such a tolerance flags every cell.
-        with pytest.raises(InvalidInputError, match=r"must lie in \(0, sqrt\(3\)/2\), got"):
-            ToleranceConfig(degeneracy_rel_tol=tol)
+        assert_tolerance_rejected(tol)
 
     @pytest.mark.parametrize("tol", [math.sqrt(3) / 2, 0.87, 0.99])
     def test_rejects_tolerance_of_the_equilateral_ratio_or_more(self, tol):
         # The equilateral triangle has the largest |det R| / diameter^2 of any triangle.
-        with pytest.raises(InvalidInputError, match=r"must lie in \(0, sqrt\(3\)/2\), got"):
-            ToleranceConfig(degeneracy_rel_tol=tol)
+        assert_tolerance_rejected(tol)
 
     def test_equilateral_ratio_is_the_largest_a_triangle_reaches(self):
         # The rule compares |det R| / diameter^2 with the tolerance.
@@ -413,7 +428,7 @@ class TestToleranceConfig:
         rng = np.random.default_rng(0)
         for d in (2, 3):
             assert max(ratio(Simplex(rng.normal(size=(3, d)))) for _ in range(200)) < 0.866
-        assert not is_degenerate(regular_simplex(2), ToleranceConfig(0.866))
+        assert not is_degenerate(regular_simplex(2), 0.866)
 
 
 def kernel_hull_coordinates(s):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from minangle import (
-    DEFAULT_TOLERANCES,
+    DEGENERACY_REL_TOL,
     Mesh,
     MeshQuality,
     certified_dsine_bound,
@@ -89,7 +89,7 @@ def reference_cell(vertices, d):
             sub = vertices[list(subset)]
             gram_root = hull_coordinates(sub)[1]
             diameter = max(math.dist(p, q) for p, q in itertools.combinations(sub, 2))
-            if gram_root <= DEFAULT_TOLERANCES.degeneracy_rel_tol * diameter ** (size - 1):
+            if gram_root <= DEGENERACY_REL_TOL * diameter ** (size - 1):
                 return None
             angles = simplex_dihedral_angles(sub).values()
             lo = min(lo, min(angles))

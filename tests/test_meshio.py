@@ -28,7 +28,7 @@ from minangle import (
     write_report,
 )
 from minangle.meshio import _CHUNK_ROWS, _pieces, audit_to_dict, report_to_dict
-from oracles import audit_doc, report_doc
+from oracles import HUGE_INT, audit_doc, report_doc, shown
 from test_golden import kuhn_mesh
 
 TETRA_DOC = {
@@ -73,12 +73,14 @@ class TestParseMesh:
         assert mesh.cell_simplex(np.int64(0)).intrinsic_dim == 3
         assert repr(mesh) == "Mesh(d=3, vertices=4, cells=1)"
 
-    @pytest.mark.parametrize("index", [2, -1, 1.0, True, "0", None])
+    @pytest.mark.parametrize(
+        "index", [2, -1, 1.0, True, "0", None, pytest.param(HUGE_INT, id="1e5000")]
+    )
     def test_cell_index_out_of_range_rejected(self, index):
         with pytest.raises(InvalidInputError) as error:
             glued_pair_mesh().cell_simplex(index)
         rule = "out of range 0..1" if type(index) is int else "is not an integer"
-        assert str(error.value) == f"cell index {index!r} {rule}"
+        assert str(error.value) == f"cell index {shown(index, repr)} {rule}"
 
     def test_repeated_cell_index_rejected(self):
         doc = dict(TETRA_DOC, cells=[[0, 1, 1, 2]])
@@ -321,6 +323,13 @@ class TestMeshConstruction:
     def test_float_indices_rejected(self):
         with pytest.raises(InvalidInputError, match="not an integer"):
             Mesh(TETRA_DOC["vertices"], [[0.0, 1, 2, 3]])
+
+    @pytest.mark.parametrize("index", [HUGE_INT, -HUGE_INT], ids=["1e5000", "-1e5000"])
+    def test_index_past_the_digit_limit_is_named_by_its_length(self, index):
+        # No JSON document holds such an int: the decoder refuses it, so only Mesh sees it.
+        with pytest.raises(InvalidInputError) as error:
+            Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, index]])
+        assert str(error.value) == f"cell 0: vertex index {shown(index)} out of range 0..2"
 
     @pytest.mark.parametrize("row", [5, None, {0, 1, 2, 3}, {0: 1, 1: 2, 2: 3, 3: 0}, "0123"])
     def test_row_that_is_not_a_sequence_named(self, row):

@@ -7,11 +7,9 @@ from minangle import (
     ConditionVerdict,
     ConformityReport,
     DihedralAngleSet,
-    InvalidInputError,
     Mesh,
     MeshQuality,
     ProductDecomposition,
-    ToleranceConfig,
     ValidationReport,
     all_dihedral_angles,
     cell_quality,
@@ -21,10 +19,10 @@ from minangle import (
     regular_simplex,
 )
 from minangle.regularity import _scan
+from test_geometry import assert_tolerance_rejected
 
 # Record type -> its fields in order, and the defaults of the trailing ones.
 RECORDS = {
-    ToleranceConfig: (("degeneracy_rel_tol",), {"degeneracy_rel_tol": 1e-12}),
     MeshQuality: (
         ("ambient_dim", "cells", "min_dihedral_all_sub", "max_dihedral_all_sub",
          "min_vertex_dsine", "ball_ratio", "dihedral_sum_top", "forward_margin",
@@ -55,8 +53,6 @@ IDENTITY_EQUALITY = (MeshQuality, DihedralAngleSet)
 
 def sample(cls):
     """Distinct, hashable field values, new objects on each call."""
-    if cls is ToleranceConfig:
-        return [float("1e-6")]
     return [(index, name) for index, name in enumerate(RECORDS[cls][0])]
 
 
@@ -145,7 +141,7 @@ def test_repr_names_every_field(cls, make):
 @records
 def test_equality_and_hash(cls, make):
     first, second = cls(*make()), cls(*make())
-    changed = cls(*make()[:-1], 1e-5 if cls is ToleranceConfig else "changed")
+    changed = cls(*make()[:-1], "changed")
     assert first == first and first != changed and first != tuple(make())
     if cls in IDENTITY_EQUALITY:
         assert first != second
@@ -158,10 +154,9 @@ def test_equality_and_hash(cls, make):
 
 
 def test_tolerance_config_checks_its_field():
-    with pytest.raises(InvalidInputError, match=r"must lie in \(0, sqrt\(3\)/2\), got 0\.9"):
-        ToleranceConfig(0.9)
-    with pytest.raises(InvalidInputError, match=r"got -1\.0"):
-        ToleranceConfig(degeneracy_rel_tol=-1.0)
+    # The tolerance is a plain number, no record: both functions that take it apply its rule.
+    for tol in (0.9, -1.0):
+        assert_tolerance_rejected(tol)
 
 
 def test_dihedral_angle_sets_compare_by_identity():

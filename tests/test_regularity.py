@@ -13,7 +13,6 @@ from minangle import (
     Mesh,
     MeshQuality,
     Simplex,
-    ToleranceConfig,
     cell_quality,
     certified_dsine_bound,
     flatten_family,
@@ -27,7 +26,7 @@ from minangle import (
 )
 from minangle.geometry import _combinations
 from minangle.regularity import _scan_chunk
-from oracles import planar_angle
+from oracles import HUGE_INT, planar_angle, shown
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
 # Vertices 0, 1, 2 lie 1e-155 apart: the tolerance times that triangle's
@@ -236,11 +235,13 @@ class TestConditionChecks:
     def test_custom_tolerance(self):
         mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]], [[0, 1, 2]])
         assert mesh_quality(mesh).degenerate_cells == ()
-        assert mesh_quality(mesh, ToleranceConfig(1e-4)).degenerate_cells == (0,)
-        # A bare number is not a second way to give the tolerance.
-        with pytest.raises(InvalidInputError) as error:
-            mesh_quality(mesh, 1e-3)
-        assert str(error.value) == "cfg must be a ToleranceConfig or None, got 0.001"
+        assert mesh_quality(mesh, 1e-4).degenerate_cells == (0,)
+        assert mesh_quality(mesh, degeneracy_rel_tol=1e-4).degenerate_cells == (0,)
+        # A numpy scalar is a tolerance as its double is.
+        regular = Mesh(regular_simplex(2).vertices, [[0, 1, 2]])
+        for tol in (1e-3, np.float64(1e-3), np.float32(1e-3)):
+            assert mesh_quality(mesh, tol).degenerate_cells == (0,)
+            assert mesh_quality(regular, tol).degenerate_cells == ()
 
     def test_degenerate_cell_yields_annotated_violation(self):
         tri = triangle_with_angles(math.pi / 3, math.pi / 3)
@@ -281,16 +282,19 @@ class TestCertifiedBound:
             certified_dsine_bound(1.0, math.pi, 3)
         with pytest.raises(InvalidInputError):
             certified_dsine_bound(0.5, 1.0, 1)
-        for d in (3.0, True, "3", None):
+        for d in (3.0, True, "3", None, -HUGE_INT):
             with pytest.raises(InvalidInputError) as error:
                 certified_dsine_bound(0.5, 1.0, d)
-            assert str(error.value) == f"dimension must be an integer >= 2, got {d!r}"
+            assert str(error.value) == f"dimension must be an integer >= 2, got {shown(d, repr)}"
         assert certified_dsine_bound(0.5, 0.6, np.int64(3)) == certified_dsine_bound(0.5, 0.6, 3)
-        for alpha0, gamma0 in [("a", 1.0), (0.5, None), (True, 1.0), (0.5, "1.0")]:
+        windows = [("a", 1.0), (0.5, None), (True, 1.0), (0.5, "1.0"), (HUGE_INT, 1.0),
+                   (0.5, -HUGE_INT)]
+        for alpha0, gamma0 in windows:
             with pytest.raises(InvalidInputError) as error:
                 certified_dsine_bound(alpha0, gamma0, 3)
             assert str(error.value) == (
-                f"angle window must satisfy 0 < alpha0 <= gamma0 < pi, got ({alpha0}, {gamma0})"
+                "angle window must satisfy 0 < alpha0 <= gamma0 < pi, "
+                f"got ({shown(alpha0)}, {shown(gamma0)})"
             )
         # Numpy scalars count by value: a float32 0.5 is exactly 0.5.
         for alpha0, gamma0 in [(np.float64(0.5), 1), (np.float32(0.5), 1.0)]:
@@ -515,7 +519,7 @@ class TestOneDegeneracyRule:
         triangle = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, y]])
         tetrahedron = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, y, 0.0], [0.5, 0.25, 0.5]])
         self.assert_one_verdict(triangle, tetrahedron, tol, side <= 0)
-        quality = mesh_quality(single_cell_mesh(triangle), ToleranceConfig(tol))
+        quality = mesh_quality(single_cell_mesh(triangle), tol)
         assert quality.degenerate_cells == ((0,) if side <= 0 else ())
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-3])
@@ -534,6 +538,6 @@ class TestOneDegeneracyRule:
         self.assert_one_verdict(triangle, cell, tol, side < 0)
 
     def assert_one_verdict(self, triangle, cell, tol, degenerate):
-        assert is_degenerate(triangle, ToleranceConfig(tol)) == degenerate
-        assert mesh_quality(single_cell_mesh(cell), ToleranceConfig(tol)).degenerate_cells == (0,)
+        assert is_degenerate(triangle, tol) == degenerate
+        assert mesh_quality(single_cell_mesh(cell), tol).degenerate_cells == (0,)
         assert (first_degenerate_subset(cell, tol) == (0, 1, 2)) == degenerate
