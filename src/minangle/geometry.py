@@ -2,7 +2,8 @@
 
 A simplex is an ordered list of vertex coordinates.  Every measure, normal,
 dihedral angle and vertex sine in the package comes from one batched kernel,
-which works on stacks of simplices of the same dimension:
+which works on N simplices of the same dimension as planes: the last axis of
+each array runs over the simplices, so each vector operation spans them all.
 
 * each simplex is translated to its vertex 0, rescaled exactly by 2^-e and
   divided by its remaining diameter D, so results do not depend on where in
@@ -11,9 +12,9 @@ which works on stacks of simplices of the same dimension:
   (:func:`_triangles`): its twice-area w is the norm of the wedge of two
   edges, and the angle at a vertex is atan2(w, e . e') of its two edges;
 * a larger simplex has its k edge vectors put into coordinates of its own
-  affine hull by a QR factorization, E^T = Q R, which never forms the Gram
-  matrix G = E E^T (its condition number is the square of E's).
-  |det R| = sqrt(det G) = k! * volume;
+  affine hull by modified Gram-Schmidt, E^T = Q R, which never forms the Gram
+  matrix G = E E^T (its condition number is the square of E's); its R is as
+  accurate as Householder's (Bjorck, BIT 7, 1967).  |det R| = k! * volume;
 * the rows of R^-1, by back-substitution, are the barycentric gradients
   g_1..g_k, and g_0 = -(g_1 + ... + g_k).  With n_i = -g_i/|g_i| the
   outward unit normals:
@@ -30,12 +31,11 @@ The single-simplex functions here and in :mod:`minangle.angles` are the
 kernel at N=1 (:func:`_level`), so their values equal those of a one-cell
 scan, ``cell_quality``, bit for bit.  :mod:`minangle.regularity` runs it over
 every subsimplex of many cells; inside ``mesh_quality`` a cell's values can
-differ in the last bit, as numpy's stacked factorizations and reductions
-round with the batch shape.  Only :func:`outward_unit_normals` leaves
-hull coordinates: it factors the simplex's edges itself, as it needs Q to
-rotate the normals back into the simplex's own coordinates.
+differ in the last bit, as numpy's reductions round with the batch shape.
+Only :func:`outward_unit_normals` leaves hull coordinates: it needs Q, which
+it orthogonalizes twice, to rotate the normals back into the simplex's own.
 
-All functions here are pure: nothing mutates its inputs, and the only
+The public functions here are pure: none mutates its inputs, and the only
 global state is the kernel's vertex-subset tables (:func:`_combinations`),
 built once per size and read-only, so values can be shared freely across
 threads.
@@ -249,10 +249,10 @@ class Simplex:
 
 
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Cells (N, m, d) translated to vertex 0 and divided by their diameter.
+    """Cells (N, m, d) translated to vertex 0 and divided by their diameter, as planes.
 
-    Returns the normalized vertices, their (N, m, m) pairwise distances, and
-    the diameters as (D, e), each (N,), with diameter D * 2^e.  Two exact
+    Returns the normalized vertices (m, d, N), their pairwise distances (m, m, N),
+    and the diameters as (D, e), each (N,), with diameter D * 2^e.  Two exact
     power-of-two rescalings, by 2^-e in all: halving cells that reach 2^1023
     keeps their differences finite without flushing small coordinates, and
     the differences are scaled into [0.5, 1) before they are squared.
@@ -263,13 +263,13 @@ def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     shifted = scaled - scaled[:, :1]
     _, inner = np.frexp(np.abs(shifted).max(axis=(1, 2)))
     shifted = np.ldexp(shifted, -inner[:, None, None])
-    coords = np.ascontiguousarray(shifted.T)  # (d, m, N): the sums run over whole planes of cells
-    diff = coords[:, :, None] - coords[:, None]
-    dist = np.sqrt((diff * diff).sum(axis=0)).T
-    diameter = dist.max(axis=(1, 2))
+    coords = np.ascontiguousarray(shifted.transpose(1, 2, 0))  # each sum runs over whole planes
+    diff = coords[:, None] - coords[None]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    diameter = dist.max(axis=(0, 1))
     # Coincident vertices: the degeneracy rule flags the cell; 1 leaves them at 0.
-    divisor = np.where(diameter == 0.0, 1.0, diameter)[:, None, None]
-    return shifted / divisor, dist / divisor, (diameter, outer + inner)
+    divisor = np.where(diameter == 0.0, 1.0, diameter)
+    return coords / divisor, dist / divisor, (diameter, outer + inner)
 
 
 def _ldexp(mantissa: float, exponent: int) -> float:
@@ -293,71 +293,63 @@ def _combinations(m: int, size: int) -> np.ndarray:
     return _read_only(np.array(list(itertools.combinations(range(m), size))))
 
 
-def _intrinsic_r(
-    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R factors of the subsets' edge matrices, |det R|, and the degeneracy rule.
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the vectors along axis 1 of ``vectors`` (n, c, ...)."""
+    return np.sqrt((vectors * vectors).sum(axis=1))
 
-    ``subsets`` is (S, k+1) vertex indices.  Returns R (N, S, k, k),
-    |det R| = sqrt(det G) (N, S), and whether sqrt(det G) <= tol * (subset
-    diameter)^k (N, S), the rule of :func:`is_degenerate`.
+
+def _gram_schmidt(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E^T = Q R of edge planes (k, S, d, N) by modified Gram-Schmidt, column by column.
+
+    Column j is normalized to q_j = edges[j] / R[j, j] and taken out of every
+    later column, R[j, l] = q_j . edges[l], so each entry of R (k, k, S, N) is
+    an (S, N) plane, R[j, j] >= 0.  A zero pivot divides by 1: its column stays
+    0, and so does |det R|.  Q overwrites ``edges``.
     """
-    k = subsets.shape[1] - 1
-    corners = z[:, subsets]
-    edges = corners[:, :, 1:] - corners[:, :, :1]
-    r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
-    volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
-    a, b = _combinations(k + 1, 2).T
-    diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
-    return r, volume, volume <= tol * diameter**k
+    r = np.zeros((len(edges), *edges.shape[:2], edges.shape[3]))
+    for j in range(len(edges)):
+        r[j, j] = _norms(edges[j])
+        edges[j] /= np.where(r[j, j] == 0.0, 1.0, r[j, j])[:, None]
+        r[j, j + 1 :] = (edges[j] * edges[j + 1 :]).sum(axis=2)
+        edges[j + 1 :] -= r[j, j + 1 :, :, None] * edges[j]
+    return edges, r
 
 
 def _gradients(r: np.ndarray) -> np.ndarray:
-    """The barycentric gradients g_0..g_k (..., k+1, k) of stacked simplices from R (..., k, k).
+    """The barycentric gradients g_0..g_k (k+1, k, S, N) of simplices from R (k, k, S, N).
 
     The rows of R^-1 are g_1..g_k.  R is upper triangular, so R^-1 is too, and
     its rows come by back-substitution from the last: row i of R R^-1 = I gives
     x_i = -(R[i, i+1:] x_{i+1:}) / R[i, i] off the diagonal, 1 / R[i, i] on it.
     """
-    k = r.shape[-1]
-    reciprocal = 1.0 / np.diagonal(r, axis1=-2, axis2=-1)
-    inverse = np.zeros_like(r)
+    k = len(r)
     diagonal = np.arange(k)
-    inverse[..., diagonal, diagonal] = reciprocal
+    reciprocal = 1.0 / r[diagonal, diagonal]
+    inverse = np.zeros_like(r)
+    inverse[diagonal, diagonal] = reciprocal
     for i in range(k - 2, -1, -1):
-        tail = np.einsum("...j,...jc->...c", r[..., i, i + 1 :], inverse[..., i + 1 :, i + 1 :])
-        inverse[..., i, i + 1 :] = -reciprocal[..., i, None] * tail
-    return np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
+        tail = (r[i, i + 1 :, None] * inverse[i + 1 :, i + 1 :]).sum(axis=0)
+        inverse[i, i + 1 :] = -reciprocal[i] * tail
+    return np.concatenate([-inverse.sum(axis=0, keepdims=True), inverse])
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of the rows of ``vectors`` (..., n); one ``einsum`` is faster than
-    ``np.linalg.norm`` over a short last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", vectors, vectors))
+def _gradient_forms(grads: np.ndarray, volume: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gradient lengths, dihedral angles and vertex sines of k-simplices.
 
-
-def _gradient_forms(
-    r: np.ndarray, volume: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient lengths, dihedral angles and vertex sines of stacked k-simplices.
-
-    ``r`` (..., k, k) is R of :func:`_intrinsic_r`: its columns are the edge
-    vectors A_j - A_0 of each simplex in coordinates of its own affine hull.
-    ``volume`` (...) is |det R|.  Returns the lengths |g_i| (..., k+1), the
-    dihedral angles (..., k(k+1)/2) of the facet pairs in
-    ``np.triu_indices(k + 1, 1)`` order, and the vertex k-sines (..., k+1).
+    ``grads`` (k+1, k, S, N) are :func:`_gradients`' g_0..g_k, in coordinates
+    of each simplex's own affine hull, and ``volume`` (S, N) is |det R|.
+    Returns the lengths |g_i| (k+1, S, N), the dihedral angles (k(k+1)/2, S, N)
+    of the facet pairs in ``np.triu_indices(k + 1, 1)`` order, and the vertex
+    k-sines (k+1, S, N).
     """
-    k = r.shape[-1]
-    grads = _gradients(r)
+    k = len(grads) - 1
     lengths = _norms(grads)
     # n_i = -g_i/|g_i|; the common sign drops out of both norms below.
-    units = grads / lengths[..., None]
+    units = grads / lengths[:, None]
     i, j = _combinations(k + 1, 2).T
-    angles = 2.0 * np.arctan2(
-        _norms(units[..., i, :] + units[..., j, :]), _norms(units[..., i, :] - units[..., j, :])
-    )
+    angles = 2.0 * np.arctan2(_norms(units[i] + units[j]), _norms(units[i] - units[j]))
     others = _combinations(k + 1, k)[::-1]  # row i leaves out i
-    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+    dsines = 1.0 / (volume * np.prod(lengths[others], axis=1))
     return lengths, angles, dsines
 
 
@@ -372,18 +364,16 @@ def _triangles(
     wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors (rescaled by
     a power of two, so their squares cannot underflow).  With l_i = |E_i|, the
     angle between F_i and F_j is atan2(w, -E_i . E_j), the sine at vertex i is
-    w / (l_j l_k), and |g_i| = l_i / w, in cell units by 2^-e.  The arrays are
-    (3, S, d, N), so each sum runs over whole rows of cells.
+    w / (l_j l_k), and |g_i| = l_i / w, in cell units by 2^-e.
     """
-    coords = np.ascontiguousarray(z.transpose(1, 2, 0))  # (m, d, N)
     ends = subsets.T
-    edges = coords[ends[[2, 0, 1]]] - coords[ends[[1, 2, 0]]]
+    edges = z[ends[[2, 0, 1]]] - z[ends[[1, 2, 0]]]
     i, j = _combinations(3, 2).T  # the facet pairs, and the vertex pairs
-    exponent = np.maximum(np.frexp(dist.T[ends[i], ends[j]].max(axis=0))[1], -1021)
+    exponent = np.maximum(np.frexp(dist[ends[i], ends[j]].max(axis=0))[1], -1021)
     unscale = np.ldexp(1.0, -exponent)  # finite, as e >= -1021
     edges *= unscale[:, None]
     sides = np.sqrt((edges * edges).sum(axis=2))
-    a, b = _combinations(z.shape[-1], 2).T
+    a, b = _combinations(z.shape[1], 2).T
     u, v = edges[1], edges[2]
     minors = u[:, a] * v[:, b] - u[:, b] * v[:, a]
     scale = np.maximum(np.frexp(np.abs(minors).max(axis=1))[1], -1021)
@@ -392,7 +382,7 @@ def _triangles(
     degenerate = twice_area <= tol * sides.max(axis=0) ** 2
     volume = np.ldexp(twice_area, 2 * exponent)
     if flagged is None:
-        return degenerate.T, volume.T
+        return degenerate, volume
     # A unit stand-in for every triangle of a flagged cell: see _level.
     standin = flagged | degenerate.any(axis=0)
     w = np.where(standin, 1.0, twice_area)
@@ -400,7 +390,7 @@ def _triangles(
     angles = np.arctan2(w, -(edges[i] * edges[j]).sum(axis=2))
     dsines = w / (sides[i] * sides[j])[::-1]
     lengths = sides / w * unscale
-    return degenerate.T, volume.T, lengths.T, angles.T, dsines.T
+    return degenerate, volume, lengths, angles, dsines
 
 
 def _level(
@@ -409,24 +399,29 @@ def _level(
     """The kernel on one subset size of normalized cells: the rule, then the forms.
 
     ``subsets`` is (S, k+1) vertex indices, ``flagged`` (N,) the cells already
-    known to be degenerate.  Returns the rule of :func:`is_degenerate` (N, S),
-    the measure |det R| at the cells' unit diameter (N, S), and, unless
-    ``flagged`` is None, :func:`_gradient_forms`'s gradient lengths, dihedral
-    angles and vertex sines.  Triangles take the closed form of
-    :func:`_triangles`, larger subsets the R factor of :func:`_intrinsic_r`.
-    Every subsimplex of a flagged cell, or of one flagged here, gets a unit
-    stand-in, so the reciprocals stay finite and a subsimplex that passed its
-    own rule at a subnormal threshold cannot overflow; the caller discards
-    those values.
+    known to be degenerate.  Returns the rule of :func:`is_degenerate` (S, N),
+    the measure |det R| at the cells' unit diameter (S, N), and, unless
+    ``flagged`` is None, :func:`_gradient_forms`'s lengths (k+1, S, N), angles
+    and vertex sines.  Triangles take the closed form of :func:`_triangles`,
+    larger subsets the R of :func:`_gram_schmidt`.  Every subsimplex of a
+    flagged cell, or of one flagged here, gets a unit stand-in, so the
+    reciprocals stay finite and a subsimplex that passed its own rule at a
+    subnormal threshold cannot overflow; the caller discards those values.
     """
     if subsets.shape[1] == 3:
         return _triangles(z, dist, subsets, tol, flagged)
-    r, volume, degenerate = _intrinsic_r(z, dist, subsets, tol)
+    k = subsets.shape[1] - 1
+    corners = z[subsets.T]  # (k+1, S, d, N)
+    _, r = _gram_schmidt(corners[1:] - corners[0])
+    diagonal = np.arange(k)
+    volume = np.prod(r[diagonal, diagonal], axis=0)
+    a, b = _combinations(k + 1, 2).T
+    degenerate = volume <= tol * dist[subsets.T[a], subsets.T[b]].max(axis=0) ** k
     if flagged is None:
         return degenerate, volume
-    standin = flagged | degenerate.any(axis=1)
-    r[standin] = np.eye(r.shape[-1])
-    forms = _gradient_forms(r, np.where(standin[:, None], 1.0, volume))
+    standin = flagged | degenerate.any(axis=0)
+    r = np.where(standin, np.eye(k)[:, :, None, None], r)
+    forms = _gradient_forms(_gradients(r), np.where(standin, 1.0, volume))
     return degenerate, volume, *forms
 
 
@@ -443,7 +438,7 @@ def _whole(s: Simplex, tol: float = DEGENERACY_REL_TOL, forms: bool = False) -> 
     z, dist, scale = _normalized(s.vertices[None])
     flagged = np.zeros(1, dtype=bool) if forms else None
     degenerate, *values = _level(z, dist, _combinations(m, m), tol, flagged)
-    return z[0], scale, bool(degenerate[0, 0]), *(value[0, 0] for value in values)
+    return z[..., 0], scale, bool(degenerate[0, 0]), *(value[..., 0, 0] for value in values)
 
 
 def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
@@ -514,12 +509,14 @@ def outward_unit_normals(s: Simplex) -> np.ndarray:
     """The k+1 outward unit facet normals of a k-simplex in R^d, k >= 1, as (k+1, d) rows.
 
     Row i is the unit normal of facet F_i inside the affine hull of ``s``,
-    pointing away from vertex A_i, in the coordinates of ``s``.  These are
-    the scan's normals in the R basis of E^T = Q R, rotated back by Q.
+    pointing away from vertex A_i, in the coordinates of ``s``: -g_i/|g_i| in
+    the R basis of E^T = Q R, rotated back by Q.  Gram-Schmidt runs twice, so
+    Q stays orthonormal on slivers too.
     """
     if s.intrinsic_dim < 1:
         raise InvalidInputError("a 0-simplex has no facets")
     z = _simplex_forms(s, "normals")[-1]
-    q, r = np.linalg.qr(z[1:].T)
-    grads = _gradients(r)
-    return -(grads / _norms(grads)[..., None]) @ q.T
+    q, r = _gram_schmidt((z[1:] - z[0])[:, None, :, None])
+    q, again = _gram_schmidt(q)  # E^T = Q (again R)
+    grads = _gradients(np.einsum("ij...,jl...->il...", again, r))[:, :, 0, 0]
+    return -(grads / _norms(grads)[:, None]) @ q[:, 0, :, 0]

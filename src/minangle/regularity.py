@@ -181,19 +181,19 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
         subsets = _combinations(m, size)
         # The subsimplices of a flagged cell get _level's unit stand-in; these cells are discarded.
         degenerate, _, lengths, angles, dsines = _level(z, dist, subsets, tol, first >= 0)
-        hit = degenerate.any(axis=1) & (first < 0)
-        first[hit] = position + degenerate[hit].argmax(axis=1)
+        hit = degenerate.any(axis=0) & (first < 0)
+        first[hit] = position + degenerate[:, hit].argmax(axis=0)
         position += len(subsets)
-        lo = np.minimum(lo, angles.min(axis=(1, 2)))
-        hi = np.maximum(hi, angles.max(axis=(1, 2)))
+        lo = np.minimum(lo, angles.min(axis=(0, 1)))
+        hi = np.maximum(hi, angles.max(axis=(0, 1)))
         # Forward direction: every dihedral sine of a subsimplex must dominate
         # the subsimplex's own smallest vertex sine.
-        margin = np.sin(angles).min(axis=-1) - dsines.min(axis=-1)
-        forward = np.minimum(forward, margin.min(axis=1))
+        margin = np.sin(angles).min(axis=0) - dsines.min(axis=0)
+        forward = np.minimum(forward, margin.min(axis=0))
     # The last level holds one subset, the cell itself.
-    min_dsine = dsines[:, 0].min(axis=-1)
-    ball = 1.0 / lengths[:, 0].sum(axis=-1)  # the normalized diameter is 1
-    return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=-1), forward
+    min_dsine = dsines[:, 0].min(axis=0)
+    ball = 1.0 / lengths[:, 0].sum(axis=0)  # the normalized diameter is 1
+    return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=0), forward
 
 
 def _scan(points: np.ndarray, tol: float) -> MeshQuality:
@@ -203,8 +203,10 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     """
     _, m, d = points.shape
     floats_per_cell = max(
+        m * m * d,  # the pairwise differences of the normalization
         math.comb(m, 3) * d * (d - 1) // 2,  # the triangles' 2x2 minors
-        *(math.comb(m, size) * size * size * d for size in range(3, m + 1)),
+        # Per subset size s: its corners (s, d) and its normal pairs (s (s-1)/2, s-1).
+        *(math.comb(m, s) * max(s * d, s * (s - 1) ** 2 // 2) for s in range(3, m + 1)),
     )
     parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
     first, *columns = map(np.concatenate, zip(*parts))

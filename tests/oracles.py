@@ -11,6 +11,13 @@ angles (by atan2) and d-sines from barycentric gradients:
   edges, its normals come from the inverse of that projected edge matrix,
   and its dihedral angles from arccos(-n_i . n_j);
 * d-sines and the inradius come from Cayley-Menger facet measures;
+* the QR route (``qr_level``) is the kernel's earlier path for subsets of
+  4 or more vertices: LAPACK's Householder R per stacked (N, S, k, k)
+  matrix, inverted by back-substitution, kept as a floating-point
+  reference for the Gram-Schmidt planes that replaced it;
+* ``exact_subsimplex_forms`` gives sin^2 of every dihedral angle and the
+  square of every vertex sine of every subsimplex, exactly, in rationals
+  from the float coordinates;
 * a report document is the layout of one dict per cell, built by a plain
   loop over the cell indices from the record's columns.
 """
@@ -78,6 +85,62 @@ def simplex_dihedral_angles(vertices) -> dict[tuple[int, int], float]:
         for i in range(k + 1)
         for j in range(i + 1, k + 1)
     }
+
+
+def qr_intrinsic_r(z, dist, subsets, tol):
+    """R factors of the subsets' edge matrices (N, S, k, k), |det R| (N, S), and the rule.
+
+    ``z`` (m, d, N) and ``dist`` (m, m, N) are the kernel's normalized cells, ``subsets``
+    (S, k+1) vertex indices; the rule is sqrt(det G) <= tol * (subset diameter)^k.
+    """
+    k = subsets.shape[1] - 1
+    z, dist = z.transpose(2, 0, 1), dist.transpose(2, 0, 1)
+    corners = z[:, subsets]
+    edges = corners[:, :, 1:] - corners[:, :, :1]
+    r = np.linalg.qr(np.swapaxes(edges, -1, -2), mode="r")
+    volume = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    a, b = np.triu_indices(k + 1, 1)
+    diameter = dist[:, subsets[:, a], subsets[:, b]].max(axis=-1)
+    return r, volume, volume <= tol * diameter**k
+
+
+def qr_gradients(r):
+    """The barycentric gradients g_0..g_k (..., k+1, k) from R (..., k, k), by back-substitution."""
+    k = r.shape[-1]
+    reciprocal = 1.0 / np.diagonal(r, axis1=-2, axis2=-1)
+    inverse = np.zeros_like(r)
+    diagonal = np.arange(k)
+    inverse[..., diagonal, diagonal] = reciprocal
+    for i in range(k - 2, -1, -1):
+        tail = np.einsum("...j,...jc->...c", r[..., i, i + 1 :], inverse[..., i + 1 :, i + 1 :])
+        inverse[..., i, i + 1 :] = -reciprocal[..., i, None] * tail
+    return np.concatenate([-inverse.sum(axis=-2, keepdims=True), inverse], axis=-2)
+
+
+def qr_gradient_forms(r, volume):
+    """Gradient lengths (..., k+1), dihedral angles (..., k(k+1)/2) in ``np.triu_indices`` order
+    and vertex sines (..., k+1) from R (..., k, k) and |det R| (...)."""
+    k = r.shape[-1]
+    grads = qr_gradients(r)
+    lengths = np.sqrt(np.einsum("...i,...i->...", grads, grads))
+    units = grads / lengths[..., None]
+    i, j = np.triu_indices(k + 1, 1)
+    plus, minus = units[..., i, :] + units[..., j, :], units[..., i, :] - units[..., j, :]
+    angles = 2.0 * np.arctan2(
+        np.sqrt(np.einsum("...i,...i->...", plus, plus)),
+        np.sqrt(np.einsum("...i,...i->...", minus, minus)),
+    )
+    others = [[j for j in range(k + 1) if j != i] for i in range(k + 1)]
+    dsines = 1.0 / (volume[..., None] * np.prod(lengths[..., others], axis=-1))
+    return lengths, angles, dsines
+
+
+def qr_level(z, dist, subsets, tol):
+    """The QR route on every subset of every cell: the rule and |det R| (S, N), then the
+    gradient lengths, dihedral angles and vertex sines, each (n, S, N) as the kernel gives them."""
+    r, volume, degenerate = qr_intrinsic_r(z, dist, subsets, tol)
+    forms = qr_gradient_forms(r, volume)
+    return degenerate.T, volume.T, *(form.transpose(2, 1, 0) for form in forms)
 
 
 def _facet_measures(v: np.ndarray) -> list[float]:

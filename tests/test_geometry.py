@@ -23,15 +23,16 @@ from minangle import (
     regular_simplex,
     simplex_measure,
 )
-from minangle.geometry import (
-    _combinations,
-    _gradient_forms,
-    _gradients,
-    _intrinsic_r,
-    _level,
-    _normalized,
+from minangle.geometry import _combinations, _gradients, _level, _normalized
+from oracles import (
+    HUGE_INT,
+    cayley_menger_measure,
+    qr_gradients,
+    qr_intrinsic_r,
+    qr_level,
+    rigid_motion,
+    shown,
 )
-from oracles import HUGE_INT, cayley_menger_measure, rigid_motion, shown
 
 REGULAR_TETRA_MEASURE = math.sqrt(2.0) / 12.0
 
@@ -422,7 +423,7 @@ class TestToleranceConfig:
         # The rule compares |det R| / diameter^2 with the tolerance.
         def ratio(s):
             z, dist, _ = _normalized(s.vertices[None])
-            return float(_intrinsic_r(z, dist, np.arange(3)[None], 1e-12)[1][0, 0])
+            return float(qr_intrinsic_r(z, dist, np.arange(3)[None], 1e-12)[1][0, 0])
 
         assert ratio(regular_simplex(2)) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
         rng = np.random.default_rng(0)
@@ -432,11 +433,12 @@ class TestToleranceConfig:
 
 
 def kernel_hull_coordinates(s):
-    """Normalized vertices of ``s`` in the kernel's hull frame, and their pairwise distances."""
+    """Normalized vertices of ``s`` in the QR reference's hull frame, and their pairwise
+    distances."""
     z, dist, _ = _normalized(s.vertices[None])
-    r = _intrinsic_r(z, dist, np.arange(s.vertex_count)[None], 1e-12)[0]
+    r = qr_intrinsic_r(z, dist, np.arange(s.vertex_count)[None], 1e-12)[0]
     coords = np.vstack([np.zeros(s.intrinsic_dim), r[0, 0].T])
-    return coords, dist[0]
+    return coords, dist[..., 0]
 
 
 def _pairwise(v):
@@ -446,7 +448,8 @@ def _pairwise(v):
 
 
 class TestKernelReferences:
-    """The kernel's triangular inverse and closed-form triangles against the general routes."""
+    """The kernel's triangular inverse, closed-form triangles and Gram-Schmidt planes against
+    the general routes: ``np.linalg.inv`` and the QR route of ``tests/oracles.py``."""
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_back_substitution_matches_inv(self, k):
@@ -454,20 +457,37 @@ class TestKernelReferences:
         r = np.triu(rng.uniform(-1.0, 1.0, (50, 3, k, k)), 1)
         diagonal = rng.uniform(0.5, 1.0, (50, 3, 1, k)) * rng.choice([-1.0, 1.0], (50, 3, 1, k))
         r += np.eye(k) * diagonal
-        gradients = _gradients(r)
-        np.testing.assert_allclose(gradients[..., 1:, :], np.linalg.inv(r), rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(gradients[..., 0, :], -gradients[..., 1:, :].sum(axis=-2))
+        # The kernel's planes (k, k, S, N) and the reference's stacked matrices (N, S, k, k).
+        planes = _gradients(r.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        for gradients in (planes, qr_gradients(r)):
+            np.testing.assert_allclose(
+                gradients[..., 1:, :], np.linalg.inv(r), rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_array_equal(
+                gradients[..., 0, :], -gradients[..., 1:, :].sum(axis=-2)
+            )
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_triangle_level_matches_the_qr_route(self, d):
         # Every triangle of random cells: the rule, |det R| and the forms agree.
+        self.assert_level_matches_the_qr_route(d, [3])
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_plane_level_matches_the_qr_route(self, d):
+        # Every subset of 4 or more vertices: Gram-Schmidt's R against Householder's.
+        self.assert_level_matches_the_qr_route(d, range(4, d + 2))
+
+    @staticmethod
+    def assert_level_matches_the_qr_route(d, sizes):
         cells = np.stack([random_simplex(d, seed).vertices for seed in range(30)])
         z, dist, _ = _normalized(cells)
-        subsets = _combinations(d + 1, 3)
         flagged = np.zeros(len(cells), dtype=bool)
-        degenerate, volume, *forms = _level(z, dist, subsets, 1e-12, flagged)
-        r, qr_volume, qr_degenerate = _intrinsic_r(z, dist, subsets, 1e-12)
-        assert not degenerate.any() and not qr_degenerate.any()
-        np.testing.assert_allclose(volume, qr_volume, rtol=1e-13)
-        for form, qr_form in zip(forms, _gradient_forms(r, qr_volume)):
-            np.testing.assert_allclose(form, qr_form, rtol=1e-12)
+        for size in sizes:
+            subsets = _combinations(d + 1, size)
+            degenerate, volume, *forms = _level(z, dist, subsets, 1e-12, flagged)
+            qr_degenerate, qr_volume, *qr_forms = qr_level(z, dist, subsets, 1e-12)
+            assert not degenerate.any()
+            np.testing.assert_array_equal(degenerate, qr_degenerate)
+            np.testing.assert_allclose(volume, qr_volume, rtol=1e-13)
+            for form, qr_form in zip(forms, qr_forms):
+                np.testing.assert_allclose(form, qr_form, rtol=1e-12)
