@@ -33,8 +33,8 @@ import sys
 # until run() has frozen their objects and turned the collector back on.
 if __name__ == "__main__":
     gc.disable()
-# minangle gives BLAS no work: its linear algebra is one small (k <= 12) LAPACK
-# factorization per matrix.  Yet OpenBLAS starts a thread pool when numpy loads,
+# minangle gives BLAS no work: its kernel is elementwise array arithmetic, with no
+# LAPACK call.  Yet OpenBLAS starts a thread pool when numpy loads,
 # which cost 70-85 ms of every command on a 2-vCPU machine.  The variable only
 # takes effect before numpy's first import, and a value the user set is kept.
 if "numpy" not in sys.modules:

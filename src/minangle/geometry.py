@@ -294,8 +294,14 @@ def _combinations(m: int, size: int) -> np.ndarray:
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of the vectors along axis 1 of ``vectors`` (n, c, ...)."""
-    return np.sqrt((vectors * vectors).sum(axis=1))
+    """The Euclidean norms of the vectors along axis 1 of ``vectors`` (n, c, ...).
+
+    Each vector is rescaled exactly by 2^-e of its largest entry before it is
+    squared, so no square overflows and none that counts underflows.
+    """
+    _, exponent = np.frexp(np.abs(vectors).max(axis=1, keepdims=True))
+    scaled = np.ldexp(vectors, -exponent)
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exponent[:, 0])
 
 
 def _gram_schmidt(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +355,10 @@ def _gradient_forms(grads: np.ndarray, volume: np.ndarray) -> tuple[np.ndarray, 
     i, j = _combinations(k + 1, 2).T
     angles = 2.0 * np.arctan2(_norms(units[i] + units[j]), _norms(units[i] - units[j]))
     others = _combinations(k + 1, k)[::-1]  # row i leaves out i
-    dsines = 1.0 / (volume * np.prod(lengths[others], axis=1))
+    # Mantissas and exponents apart, so the k+1 factors cannot overflow.
+    (mantissa, exponent), (length, power) = np.frexp(volume), np.frexp(lengths[others])
+    product = mantissa * np.prod(length, axis=1)
+    dsines = np.ldexp(1.0 / product, -(exponent + power.sum(axis=1)))
     return lengths, angles, dsines
 
 
@@ -361,8 +370,8 @@ def _triangles(
     Edge i is the facet F_i: E_i = z_k - z_j for (i, j, k) a cyclic order.  The
     edges are rescaled exactly by 2^-e of the longest, into [0.5, 1) however
     small the triangle is in its cell.  The twice-area w is the norm of the
-    wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors (rescaled by
-    a power of two, so their squares cannot underflow).  With l_i = |E_i|, the
+    wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors (by
+    :func:`_norms`, so their squares cannot underflow).  With l_i = |E_i|, the
     angle between F_i and F_j is atan2(w, -E_i . E_j), the sine at vertex i is
     w / (l_j l_k), and |g_i| = l_i / w, in cell units by 2^-e.
     """
@@ -375,10 +384,7 @@ def _triangles(
     sides = np.sqrt((edges * edges).sum(axis=2))
     a, b = _combinations(z.shape[1], 2).T
     u, v = edges[1], edges[2]
-    minors = u[:, a] * v[:, b] - u[:, b] * v[:, a]
-    scale = np.maximum(np.frexp(np.abs(minors).max(axis=1))[1], -1021)
-    minors *= np.ldexp(1.0, -scale)[:, None]
-    twice_area = np.sqrt((minors * minors).sum(axis=1)) * np.ldexp(1.0, scale)
+    twice_area = _norms(u[:, a] * v[:, b] - u[:, b] * v[:, a])
     degenerate = twice_area <= tol * sides.max(axis=0) ** 2
     volume = np.ldexp(twice_area, 2 * exponent)
     if flagged is None:

@@ -25,9 +25,9 @@ carry no dihedral angles and are excluded.
 One batched kernel (:mod:`minangle.geometry`) scans every subsimplex of
 many cells at once: each cell is normalized, each triangle is measured in
 closed form from its edge vectors, each larger subsimplex's edges are put
-into coordinates of its own affine hull by a stacked QR factorization, and
-the angles, vertex sines and ball ratio come from the barycentric
-gradients.
+into coordinates of its own affine hull by modified Gram-Schmidt on planes
+of cells, and the angles, vertex sines and ball ratio come from the
+barycentric gradients.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+EPS = float(np.finfo(float).eps)
 # An int of 5001 digits: str() refuses more than 4300 (sys.get_int_max_str_digits()).
 HUGE_INT = 10**5000
 
@@ -141,6 +143,92 @@ def qr_level(z, dist, subsets, tol):
     r, volume, degenerate = qr_intrinsic_r(z, dist, subsets, tol)
     forms = qr_gradient_forms(r, volume)
     return degenerate.T, volume.T, *(form.transpose(2, 1, 0) for form in forms)
+
+
+def _inverse_and_determinant(g):
+    """G^-1 and det G of a symmetric positive definite Fraction matrix, by Gauss-Jordan."""
+    n = len(g)
+    rows = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    determinant = Fraction(1)
+    for c in range(n):
+        pivot = rows[c][c]
+        determinant *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows], determinant
+
+
+def exact_subsimplex_forms(vertices) -> dict:
+    """Exact squares of every subsimplex's angle sines and vertex sines, from float coordinates.
+
+    Each coordinate is taken as the rational its double is.  For each vertex subset of 3 or
+    more, by size and then in ``itertools.combinations`` order, the value is (sin2, obtuse,
+    sigma2, grad2) as lists of Fractions or bools: sin^2 of the dihedral angle of each facet
+    pair i < j (in ``np.triu_indices`` order), whether its cosine is negative, the square of
+    each vertex k-sine, and the squared length of each barycentric gradient.  With E the edge
+    matrix, G = E E^T and H = G^-1, g_i . g_j is H[i-1][j-1] (the row and column sums of H
+    stand in for g_0), cos(beta_ij) = -g_i . g_j / (|g_i| |g_j|) and
+    sin_k(A_i)^2 = 1 / (det G prod_{j != i} |g_j|^2).
+    """
+    points = [[Fraction(float(x)) for x in row] for row in np.asarray(vertices, dtype=float)]
+    forms = {}
+    for size in range(3, len(points) + 1):
+        for subset in itertools.combinations(range(len(points)), size):
+            base = points[subset[0]]
+            edges = [[x - y for x, y in zip(points[v], base)] for v in subset[1:]]
+            gram = [[sum(x * y for x, y in zip(a, b)) for b in edges] for a in edges]
+            h, determinant = _inverse_and_determinant(gram)
+            sums = [-sum(column) for column in zip(*h)]  # g_0 . g_j
+            dots = [[sum(map(sum, h)), *sums], *([s, *row] for s, row in zip(sums, h))]
+            i, j = np.triu_indices(size, 1)
+            pairs = list(zip(i.tolist(), j.tolist()))
+            grad2 = [dots[v][v] for v in range(size)]
+            sin2 = [1 - dots[a][b] ** 2 / (grad2[a] * grad2[b]) for a, b in pairs]
+            obtuse = [dots[a][b] > 0 for a, b in pairs]
+            sigma2 = [
+                1 / (determinant * math.prod(grad2[u] for u in range(size) if u != v))
+                for v in range(size)
+            ]
+            forms[subset] = sin2, obtuse, sigma2, grad2
+    return forms
+
+
+def fraction_sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) of a Fraction x >= 0, rounded down to 2^-120 relative."""
+    if not x:
+        return Fraction(0)
+    shift = max(0, 121 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2)
+    return Fraction(math.isqrt((x.numerator << 2 * shift) // x.denominator), 1 << shift)
+
+
+def exact_angle(sin2: Fraction, obtuse: bool) -> float:
+    """The angle in [0, pi] with sine squared ``sin2`` and a cosine of the sign ``obtuse`` says."""
+    acute = math.atan2(float(fraction_sqrt(sin2)), float(fraction_sqrt(1 - sin2)))
+    return math.pi - acute if obtuse else acute
+
+
+def accuracy_constant(vertices, forms) -> float:
+    """The least c that puts each measured sine within c eps / beta_min relative of the exact.
+
+    ``forms`` maps each subset size of 3 or more to a level's dihedral angles (k(k+1)/2, S)
+    and vertex sines (k+1, S), its subsets in ``itertools.combinations`` order.  The sine of
+    each angle and each vertex sine are compared with :func:`exact_subsimplex_forms`; beta_min
+    is the subset's smallest exact dihedral angle.
+    """
+    exact = exact_subsimplex_forms(vertices)
+    worst = 0.0
+    for size, (angles, dsines) in forms.items():
+        for s, subset in enumerate(itertools.combinations(range(len(vertices)), size)):
+            sin2, obtuse, sigma2, _ = exact[subset]
+            beta_min = min(map(exact_angle, sin2, obtuse))
+            measured = [*np.sin(angles[:, s]).tolist(), *dsines[:, s].tolist()]
+            for got, square in zip(measured, sin2 + sigma2):
+                want = float(fraction_sqrt(square))
+                worst = max(worst, abs(got - want) / want * beta_min / EPS)
+    return worst
 
 
 def _facet_measures(v: np.ndarray) -> list[float]:

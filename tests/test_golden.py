@@ -38,6 +38,7 @@ from oracles import (
     simplex_dihedral_angles,
     vertex_sines_cm,
 )
+from test_geometry import SLIVER_C, kernel_level, measured_c, reference_level
 
 # (dimension, subdivisions per axis)
 CORPUS = [(2, 6), (3, 3), (4, 2), (5, 1)]
@@ -192,6 +193,19 @@ def test_mesh_quality_matches_reference(corpus):
                 got = verdict(only_cells(new, kept), threshold)
                 want = verdict(only_cells(ref, kept), threshold)
                 assert (got.satisfied, got.worst_cell) == (want.satisfied, want.worst_cell)
+
+
+def test_slivers_match_the_exact_oracle(corpus):
+    # The cells compared to 1e-9 absolute above, each value within c eps / beta_min relative
+    # of exact rationals (tests/test_geometry.py::TestSliverAccuracy), and no worse than the
+    # QR route: its largest c was 4.3 on these cells, the kernel's 1.9.
+    mesh, ref = corpus
+    below = ref.cells[ref.min_dihedral_all_sub < WELL_SHAPED_ANGLE]
+    slivers = [mesh.cell_simplex(index).vertices for index in below]
+    assert slivers
+    kernel = max(measured_c(vertices, kernel_level) for vertices in slivers)
+    assert kernel <= SLIVER_C
+    assert kernel <= max(measured_c(vertices, reference_level) for vertices in slivers)
 
 
 def test_equivalence_audit_matches_reference(corpus):

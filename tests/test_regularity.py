@@ -1,6 +1,8 @@
 """Tests for subsimplex enumeration, the two conditions, and the equivalence audit."""
 
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -26,7 +28,14 @@ from minangle import (
 )
 from minangle.geometry import _combinations
 from minangle.regularity import _scan_chunk
-from oracles import HUGE_INT, planar_angle, shown
+from oracles import (
+    HUGE_INT,
+    exact_angle,
+    exact_subsimplex_forms,
+    fraction_sqrt,
+    planar_angle,
+    shown,
+)
 
 REGULAR_TETRA_DSINE = 4.0 / (3.0 * math.sqrt(3.0))
 # Vertices 0, 1, 2 lie 1e-155 apart: the tolerance times that triangle's
@@ -459,6 +468,49 @@ class TestDegeneratingFamily:
         assert all(b < a for a, b in zip(dsines, dsines[1:]))
         assert all(b < a for a, b in zip(min_dihedrals, min_dihedrals[1:]))
         assert dsines[-1] < 1e-3
+
+
+class TestFlatSliversAtATinyTolerance:
+    """Flat cells at degeneracy_rel_tol 1e-300, whose gradients reach 1/t, against exact rationals.
+
+    A d-sine multiplies d gradient lengths of about 1/t, and their squared norms pass 1e308
+    long before the cell fails the rule: the kernel rescales each norm and the d-sine product
+    by exact powers of two.  A value whose exact value is a normal double agrees to 1e-12
+    relative; the rest (a d-sine below the normal range) are finite and >= 0.
+    """
+
+    @pytest.mark.parametrize(
+        "d, t", [(3, 1e-110), (3, 1e-140), (3, 1e-160), (4, 1e-80), (4, 1e-95), (5, 1e-65),
+                 (5, 1e-75)],
+    )
+    def test_values_match_the_exact_oracle(self, d, t):
+        s = flatten_family(d, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            quality = mesh_quality(single_cell_mesh(s), 1e-300)
+        assert quality.cells.tolist() == [0]
+        forms = exact_subsimplex_forms(s.vertices)
+        angles = [list(map(exact_angle, sin2, obtuse)) for sin2, obtuse, _, _ in forms.values()]
+        _, _, sigma2, grad2 = forms[tuple(range(d + 1))]
+        diameter = math.sqrt(max(  # of vertex distances close to 1: no square leaves the range
+            math.fsum((x - y) ** 2 for x, y in zip(p, q))
+            for p, q in itertools.combinations(s.vertices.tolist(), 2)
+        ))
+        exact = {
+            "min_dihedral_all_sub": min(map(min, angles)),
+            "max_dihedral_all_sub": max(map(max, angles)),
+            "min_vertex_dsine": float(fraction_sqrt(min(sigma2))),
+            "ball_ratio": float(1 / sum(map(fraction_sqrt, grad2))) / diameter,
+            "dihedral_sum_top": math.fsum(angles[-1]),
+        }
+        for field, want in exact.items():
+            got = float(getattr(quality, field)[0])
+            if want >= sys.float_info.min:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), field
+            else:
+                assert math.isfinite(got) and got >= 0.0, field
+        for field in ("forward_margin", "certified_bound", "backward_margin"):
+            assert np.isfinite(getattr(quality, field)).all(), field
 
 
 class TestCellQuality:
