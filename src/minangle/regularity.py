@@ -202,11 +202,11 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     A cell is degenerate when one of its subsimplices, itself included, fails the degeneracy rule.
     """
     _, m, d = points.shape
+    # Per subset size s, s * s * d bounds the level's widest planes, its corners (s, d) and its
+    # normal pairs (s(s-1)/2, s-1), and at s = m the normalization's differences (m, m, d).
     floats_per_cell = max(
-        m * m * d,  # the pairwise differences of the normalization
         math.comb(m, 3) * d * (d - 1) // 2,  # the triangles' 2x2 minors
-        # Per subset size s: its corners (s, d) and its normal pairs (s (s-1)/2, s-1).
-        *(math.comb(m, s) * max(s * d, s * (s - 1) ** 2 // 2) for s in range(3, m + 1)),
+        *(math.comb(m, size) * size * size * d for size in range(3, m + 1)),
     )
     parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
     first, *columns = map(np.concatenate, zip(*parts))

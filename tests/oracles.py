@@ -1,8 +1,8 @@
 """Independent oracle computations used by the tests.
 
 Everything here deliberately avoids the code paths of the package, which
-normalizes each simplex, takes a QR factorization of its edges and derives
-angles (by atan2) and d-sines from barycentric gradients:
+normalizes each simplex, orthogonalizes its edges by Gram-Schmidt and
+derives angles (by atan2) and d-sines from barycentric gradients:
 
 * volumes come from Cayley-Menger determinants of pairwise distances;
 * tetrahedron face normals come from cross products;
@@ -11,10 +11,9 @@ angles (by atan2) and d-sines from barycentric gradients:
   edges, its normals come from the inverse of that projected edge matrix,
   and its dihedral angles from arccos(-n_i . n_j);
 * d-sines and the inradius come from Cayley-Menger facet measures;
-* the QR route (``qr_level``) is the kernel's earlier path for subsets of
-  4 or more vertices: LAPACK's Householder R per stacked (N, S, k, k)
-  matrix, inverted by back-substitution, kept as a floating-point
-  reference for the Gram-Schmidt planes that replaced it;
+* the QR route (``qr_level``) takes LAPACK's Householder R of each
+  stacked (N, S, k, k) edge matrix and inverts it by back-substitution: a
+  floating-point reference for the kernel's Gram-Schmidt R;
 * ``exact_subsimplex_forms`` gives sin^2 of every dihedral angle and the
   square of every vertex sine of every subsimplex, exactly, in rationals
   from the float coordinates;
