@@ -27,11 +27,11 @@ each array runs over the simplices, so each vector operation spans them all.
 finite element?", 2002).  Both atan2 forms stay accurate for angles near 0
 and pi, where the inverse cosine of a cosine loses half the digits.
 
-The single-simplex functions here and in :mod:`minangle.angles` are the
-kernel at N=1 (:func:`_level`), so their values equal those of a one-cell
-scan, ``cell_quality``, bit for bit.  :mod:`minangle.regularity` runs it over
-every subsimplex of many cells; inside ``mesh_quality`` a cell's values can
-differ in the last bit, as numpy's reductions round with the batch shape.
+The single-simplex functions here and in :mod:`minangle.angles`, the
+measure and the degeneracy test too, read the kernel's one result at N=1
+(:func:`_level`), so they equal a one-cell scan, ``cell_quality``, bit for
+bit.  Inside ``mesh_quality``, over many cells, a cell's values can differ
+in the last bit, as numpy's reductions round with the batch shape.
 Only :func:`outward_unit_normals` leaves hull coordinates: it needs Q, which
 it orthogonalizes twice, to rotate the normals back into the simplex's own.
 
@@ -363,7 +363,7 @@ def _gradient_forms(grads: np.ndarray, volume: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _triangles(
-    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray | None
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """:func:`_level` for triangles (S, 3), in closed form from their edge vectors.
 
@@ -387,8 +387,6 @@ def _triangles(
     twice_area = _norms(u[:, a] * v[:, b] - u[:, b] * v[:, a])
     degenerate = twice_area <= tol * sides.max(axis=0) ** 2
     volume = np.ldexp(twice_area, 2 * exponent)
-    if flagged is None:
-        return degenerate, volume
     # A unit stand-in for every triangle of a flagged cell: see _level.
     standin = flagged | degenerate.any(axis=0)
     w = np.where(standin, 1.0, twice_area)
@@ -400,34 +398,33 @@ def _triangles(
 
 
 def _level(
-    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray | None
+    z: np.ndarray, dist: np.ndarray, subsets: np.ndarray, tol: float, flagged: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """The kernel on one subset size of normalized cells: the rule, then the forms.
 
     ``subsets`` is (S, k+1) vertex indices, ``flagged`` (N,) the cells already
     known to be degenerate.  Returns the rule of :func:`is_degenerate` (S, N),
-    the measure |det R| at the cells' unit diameter (S, N), and, unless
-    ``flagged`` is None, :func:`_gradient_forms`'s lengths (k+1, S, N), angles
-    and vertex sines.  Triangles take the closed form of :func:`_triangles`,
-    larger subsets the R of :func:`_gram_schmidt`.  Every subsimplex of a
-    flagged cell, or of one flagged here, gets a unit stand-in, so the
-    reciprocals stay finite and a subsimplex that passed its own rule at a
-    subnormal threshold cannot overflow; the caller discards those values.
+    the measure |det R| at the cells' unit diameter (S, N), then
+    :func:`_gradient_forms`'s lengths (k+1, S, N), angles and vertex sines.
+    Triangles take the closed form of :func:`_triangles`, larger subsets the R
+    of :func:`_gram_schmidt`.  Every subsimplex of a flagged cell, or of one
+    flagged here, gets a unit stand-in, so the reciprocals stay finite and a
+    subsimplex that passed its own rule at a subnormal threshold cannot
+    overflow; the caller discards those values.
     """
-    if subsets.shape[1] == 3:
-        return _triangles(z, dist, subsets, tol, flagged)
     k = subsets.shape[1] - 1
-    corners = z[subsets.T]  # (k+1, S, d, N)
-    _, r = _gram_schmidt(corners[1:] - corners[0])
-    diagonal = np.arange(k)
-    volume = np.prod(r[diagonal, diagonal], axis=0)
-    a, b = _combinations(k + 1, 2).T
-    degenerate = volume <= tol * dist[subsets.T[a], subsets.T[b]].max(axis=0) ** k
-    if flagged is None:
-        return degenerate, volume
-    standin = flagged | degenerate.any(axis=0)
-    r = np.where(standin, np.eye(k)[:, :, None, None], r)
-    forms = _gradient_forms(_gradients(r), np.where(standin, 1.0, volume))
+    if k == 2:
+        degenerate, volume, *forms = _triangles(z, dist, subsets, tol, flagged)
+    else:
+        corners = z[subsets.T]  # (k+1, S, d, N)
+        _, r = _gram_schmidt(corners[1:] - corners[0])
+        diagonal = np.arange(k)
+        volume = np.prod(r[diagonal, diagonal], axis=0)
+        a, b = _combinations(k + 1, 2).T
+        degenerate = volume <= tol * dist[subsets.T[a], subsets.T[b]].max(axis=0) ** k
+        standin = flagged | degenerate.any(axis=0)
+        r = np.where(standin, np.eye(k)[:, :, None, None], r)
+        forms = _gradient_forms(_gradients(r), np.where(standin, 1.0, volume))
     return degenerate, volume, *forms
 
 
@@ -438,12 +435,10 @@ def _tolerance(degeneracy_rel_tol: float) -> float:
     return float(degeneracy_rel_tol)
 
 
-def _whole(s: Simplex, tol: float = DEGENERACY_REL_TOL, forms: bool = False) -> tuple:
+def _whole(s: Simplex, tol: float = DEGENERACY_REL_TOL) -> tuple:
     """:func:`_level` on all of ``s`` (N = S = 1): z, (D, e), the rule, |det R|, then the forms."""
-    m = s.vertex_count
     z, dist, scale = _normalized(s.vertices[None])
-    flagged = np.zeros(1, dtype=bool) if forms else None
-    degenerate, *values = _level(z, dist, _combinations(m, m), tol, flagged)
+    degenerate, *values = _level(z, dist, _combinations(len(z), len(z)), tol, np.zeros(1, bool))
     return z[..., 0], scale, bool(degenerate[0, 0]), *(value[..., 0, 0] for value in values)
 
 
@@ -453,7 +448,7 @@ def _simplex_forms(s: Simplex, what: str) -> tuple[np.ndarray, ...]:
     Raises:
         DegeneracyError: if ``s`` fails the degeneracy rule at the default tolerance.
     """
-    z, _, degenerate, _, _, angles, dsines = _whole(s, forms=True)
+    z, _, degenerate, _, _, angles, dsines = _whole(s)
     if degenerate:
         raise DegeneracyError(f"{what} undefined for degenerate {s!r}")
     return angles, dsines, z
@@ -486,7 +481,7 @@ def simplex_measure(s: Simplex) -> float:
     k = s.intrinsic_dim
     if k == 0:
         return 1.0
-    _, (diameter, exponent), _, volume = _whole(s)
+    _, (diameter, exponent), _, volume, *_ = _whole(s)
     return _ldexp(volume / math.factorial(k) * diameter[0] ** k, k * exponent[0])
 
 

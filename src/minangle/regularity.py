@@ -157,12 +157,6 @@ class ConditionVerdict(_Record):
     degenerate_cells: tuple[int, ...] = ()
 
 
-def _chunked(points: np.ndarray, floats_per_cell: int, func) -> list:
-    """``func`` applied to consecutive chunks of cells of at most _CHUNK_FLOATS floats."""
-    step = max(1, _CHUNK_FLOATS // floats_per_cell)
-    return [func(points[start : start + step]) for start in range(0, len(points), step)]
-
-
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
 
@@ -208,7 +202,8 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
         math.comb(m, 3) * d * (d - 1) // 2,  # the triangles' 2x2 minors
         *(math.comb(m, size) * size * size * d for size in range(3, m + 1)),
     )
-    parts = _chunked(points, floats_per_cell, lambda part: _scan_chunk(part, tol))
+    step = max(1, _CHUNK_FLOATS // floats_per_cell)
+    parts = [_scan_chunk(points[i : i + step], tol) for i in range(0, len(points), step)]
     first, *columns = map(np.concatenate, zip(*parts))
     good = first < 0
     return MeshQuality(

@@ -384,6 +384,28 @@ class TestIsDegenerate:
             assert is_degenerate(squashed, tol)
             assert not is_degenerate(regular_simplex(2), tol)
 
+    @pytest.mark.parametrize(
+        "vertices, tol, degenerate, measure",
+        [
+            ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], 1e-12, True, 0.0),
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 1e-12, False, 0.7071067811865477),
+            (flatten_family(3, 1e-160).vertices, 1e-300, False, 1.4433756729740642e-161),
+            (regular_simplex(6).vertices * 2.0**1000, 1e-12, False, math.inf),
+            (regular_simplex(6).vertices * 2.0**-1000, 1e-12, False, 0.0),
+        ],
+        ids=["coincident-edge", "triangle-in-r3", "flat-1e-160", "regular-2^1000", "regular-2^-1000"],
+    )
+    def test_rule_and_measure_compute_the_forms_without_warnings(
+        self, vertices, tol, degenerate, measure
+    ):
+        # Both read the kernel's one result and discard its angles and sines, which must
+        # raise no RuntimeWarning on these edge cases; the values are pinned as literals.
+        s = Simplex(vertices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_degenerate(s, tol) is degenerate
+            assert simplex_measure(s) == measure
+
 
 def assert_tolerance_rejected(tol):
     """Both functions that take a tolerance reject ``tol`` with the rule's whole message."""

@@ -206,6 +206,13 @@ def test_slivers_match_the_exact_oracle(corpus):
     kernel = max(measured_c(vertices, kernel_level) for vertices in slivers)
     assert kernel <= SLIVER_C
     assert kernel <= max(measured_c(vertices, reference_level) for vertices in slivers)
+    # A fixed sample of the well-shaped cells, every len(good) // 10-th, is held to the same
+    # bound; its largest c was 0.78 (d = 2), 2.9 (d = 3), 2.3 (d = 4) and 2.7 (d = 5).
+    good = ref.cells[ref.min_dihedral_all_sub >= WELL_SHAPED_ANGLE]
+    sample = good[:: len(good) // 10][:10]
+    assert len(sample) == 10
+    for index in sample:
+        assert measured_c(mesh.cell_simplex(index).vertices, kernel_level) <= SLIVER_C, index
 
 
 def test_equivalence_audit_matches_reference(corpus):

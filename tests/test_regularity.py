@@ -20,6 +20,7 @@ from minangle import (
     flatten_family,
     is_degenerate,
     mesh_quality,
+    needle_family,
     random_simplex,
     regular_simplex,
     verdict_min_dihedral,
@@ -511,6 +512,14 @@ class TestFlatSliversAtATinyTolerance:
                 assert math.isfinite(got) and got >= 0.0, field
         for field in ("forward_margin", "certified_bound", "backward_margin"):
             assert np.isfinite(getattr(quality, field)).all(), field
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 8: g_0 = -(g_1 + ... + g_k) cancels on a needle"
+    )
+    def test_needle_keeps_its_smallest_angle(self):
+        # The exact angle between F_0 and F_1 is 9.43e-18; the scan gives 0.0.
+        quality = mesh_quality(single_cell_mesh(needle_family(3, 1e-17)), 1e-300)
+        assert quality.min_dihedral_all_sub[0] > 0.0
 
 
 class TestCellQuality:
