@@ -25,6 +25,7 @@ Identical inputs and flags produce byte-identical reports.
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import sys
@@ -104,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--param",
         type=float,
-        default=None,
         help="family parameter t for flatten/needle, quality floor for random",
     )
     gen.add_argument("--seed", type=int, default=0, help="random generator seed")
@@ -121,10 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_threshold_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha0", type=float, default=None, help="dihedral lower bound in radians")
-    sub.add_argument(
-        "--dsine-min", type=float, default=None, dest="dsine_min", help="d-sine lower bound"
-    )
+    sub.add_argument("--alpha0", type=float, help="dihedral lower bound in radians")
+    sub.add_argument("--dsine-min", type=float, help="d-sine lower bound")
 
 
 def _add_report_args(sub: argparse.ArgumentParser) -> None:
@@ -146,15 +144,18 @@ def _emit(pieces: Iterable[str], destination: str) -> None:
     or to standard output for ``-``."""
     if destination != "-":
         with Path(destination).open("w") as sink:
-            sink.writelines(pieces)
+            _write(sink, pieces)
         return
     _write(sys.stdout, pieces)
 
 
-def _write(stream: TextIO, pieces: Iterable[str] = ()) -> None:
+def _write(stream: TextIO | None, pieces: Iterable[str] = ()) -> None:
     """Write ``pieces`` to ``stream`` and flush it.  A character the stream cannot encode, say
     of a path under ``PYTHONIOENCODING=latin-1``, is written escaped, as standard error does.
-    A reader that left, as ``| head`` does, ends the writing without an error."""
+    An output that nobody can read ends the writing without an error: a reader that left, as
+    ``| head`` does, a standard stream closed at start (``None``) or one opened read-only."""
+    if stream is None:
+        return
     try:
         for piece in pieces:
             try:
@@ -163,7 +164,9 @@ def _write(stream: TextIO, pieces: Iterable[str] = ()) -> None:
                 encoding = stream.encoding
                 stream.write(piece.encode(encoding, "backslashreplace").decode(encoding))
         stream.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
         # On devnull, what stays buffered flushes silently, at exit or in run().
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
@@ -242,7 +245,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _error(message: str, code: int) -> int:
-    print(f"error: {message.translate(_ESCAPES)}", file=sys.stderr)
+    _write(sys.stderr, [f"error: {message.translate(_ESCAPES)}\n"])
     return code
 
 
@@ -271,8 +274,7 @@ def run() -> NoReturn:
     gc.enable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None: its descriptor was closed when the process started
-            _write(stream)
+        _write(stream)
     # Freeing a heap that dies with the process only costs time; streams are flushed above
     # and every file the command writes is closed.
     os._exit(code)

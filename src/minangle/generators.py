@@ -17,6 +17,7 @@ quality floor.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -29,29 +30,16 @@ _REJECTION_BUDGET = 10_000
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """splitmix64: a 64-bit mixing generator with a one-word state.
-
-    next_uint64 advances the state by the golden-ratio increment and
-    applies the standard two-round xorshift-multiply finalizer.  uniform()
-    maps the top 53 bits onto [0, 1).
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int) -> None:
-        _require_integer(seed, "seed", 0)
-        self.state = int(seed) & _MASK64
-
-    def next_uint64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+def _splitmix64(seed: int) -> Iterator[float]:
+    """splitmix64, a 64-bit mixing generator with a one-word state: each step advances the
+    state by the golden-ratio increment, applies the standard two-round xorshift-multiply
+    finalizer and yields the top 53 bits of the result as a double in [0, 1)."""
+    state = int(seed) & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        return (self.next_uint64() >> 11) * 2.0**-53
+        yield ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
 def _require_scale(scale: float) -> None:
@@ -147,11 +135,12 @@ def random_simplex(
     """
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
-    stream = SplitMix64(seed)
+    _require_integer(seed, "seed", 0)
     _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
     coords = _vertex_rows(d)  # sized before the first draw; Simplex copies it
+    stream = _splitmix64(seed)
     for _ in range(_REJECTION_BUDGET):
-        coords[:] = [[stream.uniform() * scale for _ in range(d)] for _ in range(d + 1)]
+        coords[:] = [[next(stream) * scale for _ in range(d)] for _ in range(d + 1)]
         candidate = Simplex(coords)
         try:
             sines = vertex_sines(candidate)

@@ -264,8 +264,7 @@ def parse_family_manifest(source: str | bytes | IO, base_dir: str | Path | None 
     for pos, member in enumerate(members):
         if not isinstance(member, str):
             raise InvalidInputError(f"manifest entry {pos} is not a path string")
-        member_path = Path(member)
-        paths.append(member_path if member_path.is_absolute() else base / member_path)
+        paths.append(base / member)
     return paths
 
 

@@ -1025,8 +1025,9 @@ gc.callbacks.append(_log)
 
 
 class TestClosedStdout:
-    """A reader that closes the pipe before the command writes, as `| head` can, changes
-    nothing: the command exits with its own code and prints no error.  The Kuhn mesh's
+    """An output that nobody can read changes nothing: a reader that closes the pipe before
+    the command writes, as `| head` can, or a standard stream closed or read-only from the
+    start.  The command exits with its own code and prints no error.  The Kuhn mesh's
     report spans several chunks of rows, so buffered output meets the closed pipe mid-table."""
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -1043,6 +1044,8 @@ class TestClosedStdout:
             ("kuhn", ["check", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
             ("kuhn", ["audit", "-o", "-"], EXIT_DEGENERATE),
             ("kuhn", ["family", "--alpha0", "0.5", "-o", "-"], EXIT_DEGENERATE),
+            # A report file that is the pipe: the command opens it, not the shell.
+            ("kuhn", ["check", "--alpha0", "0.5", "-o", "/dev/stdout"], EXIT_DEGENERATE),
             # No mesh is read: the command writes one.
             (None, ["generate", "--kind", "regular", "--dim", "3", "-o", "-"], EXIT_OK),
             # argparse writes the help; only the flush before exit meets the closed pipe.
@@ -1050,7 +1053,8 @@ class TestClosedStdout:
         ],
         ids=[
             "info", "check", "check-violated", "audit", "family",
-            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn", "generate", "help",
+            "info-kuhn", "check-kuhn", "audit-kuhn", "family-kuhn", "check-kuhn-dev-stdout",
+            "generate", "help",
         ],
     )
     def test_exit_code_is_the_commands_own(
@@ -1076,18 +1080,40 @@ class TestClosedStdout:
         result = self.closed_pipe_child(argv, unbuffered, "stderr", stdout=subprocess.DEVNULL)
         assert result.returncode == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("descriptor", [1, 2], ids=["stdout", "stderr"])
-    def test_stream_closed_from_the_start(self, tetra_path, tmp_path, descriptor):
-        # As `check ... -o report.json >&-`: Python starts with that stream set to None.
+    @pytest.mark.parametrize(
+        "redirect, mesh, command, expected",
+        [
+            # Closed (`>&-`): Python starts with that stream set to None.
+            ("1>&-", "tetra", ["check", "--alpha0", "0.5", "-o", "report.json"], EXIT_OK),
+            ("2>&-", "tetra", ["check", "--alpha0", "0.5", "-o", "report.json"], EXIT_OK),
+            ("1>&-", "tetra", ["check", "--alpha0", "0.5", "-o", "-"], EXIT_OK),
+            ("1>&-", "tetra", ["info"], EXIT_OK),
+            # The error line has nowhere to go; it never falls back to standard output.
+            ("2>&-", "missing", ["check", "--alpha0", "0.5"], EXIT_INPUT_ERROR),
+            # Read-only: each write to the descriptor fails with EBADF.
+            ("2</dev/null", "missing", ["check", "--alpha0", "0.5"], EXIT_INPUT_ERROR),
+            ("1</dev/null", "tetra", ["check", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
+        ],
+        ids=[
+            "stdout", "stderr", "stdout-check", "stdout-info",
+            "stderr-missing", "stderr-read-only", "stdout-read-only",
+        ],
+    )
+    def test_stream_closed_from_the_start(
+        self, tetra_path, tmp_path, redirect, mesh, command, expected
+    ):
+        # As `check ... >&-`: the exit code is the command's own, and nothing reaches the
+        # other stream, neither a traceback nor the error line.
         env = {**os.environ, "PYTHONPATH": SRC}
-        report = tmp_path / "report.json"
+        path = tetra_path if mesh == "tetra" else tmp_path / "missing.json"
         result = subprocess.run(
-            ["sh", "-c", f'exec "$@" {descriptor}>&-', "sh", sys.executable, "-m", "minangle.cli",
-             "check", str(tetra_path), "--alpha0", "0.5", "-o", str(report)],
-            capture_output=True, env=env, timeout=120,
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "minangle.cli",
+             command[0], str(path), *command[1:]],
+            capture_output=True, env=env, timeout=120, cwd=tmp_path,
         )
-        assert result.returncode == EXIT_OK, result.stderr
-        assert json.loads(report.read_text())["verdicts"][0]["satisfied"]
+        assert (result.returncode, result.stdout, result.stderr) == (expected, b"", b"")
+        if "report.json" in command:
+            assert json.loads((tmp_path / "report.json").read_text())["verdicts"][0]["satisfied"]
 
     @staticmethod
     def closed_pipe_child(argv, unbuffered, stream, **streams):

@@ -144,6 +144,13 @@ class TestRandomSimplex:
         b = random_simplex(3, seed=42, min_quality=0.1)
         assert np.array_equal(a.vertices, b.vertices)  # bitwise
 
+    def test_splitmix64_reference_outputs(self):
+        # The first three outputs of the reference splitmix64 for seed 0, as doubles from
+        # their top 53 bits: the first vertex and the first coordinate of the second.
+        reference = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        first = random_simplex(2, seed=0).vertices.ravel()[:3]
+        assert first.tolist() == [(h >> 11) * 2.0**-53 for h in reference]
+
     def test_different_seeds_differ(self):
         a = random_simplex(3, seed=1)
         b = random_simplex(3, seed=2)
