@@ -38,10 +38,8 @@ _PUBLIC = {
         "simplex_measure",
     ),
     "meshio": (
-        "ConformityReport",
         "Mesh",
         "ValidationReport",
-        "conformity_check",
         "dump_mesh",
         "load_mesh",
         "parse_family_manifest",

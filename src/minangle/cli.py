@@ -53,7 +53,6 @@ from .meshio import (
     _pieces,
     _read_file,
     audit_to_dict,
-    conformity_check,
     dump_mesh,
     family_to_dict,
     info_lines,
@@ -72,8 +71,16 @@ EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go through :func:`_write`; argparse's go to stdout if stderr is closed."""
+
+    def error(self, message: str) -> NoReturn:
+        _write(sys.stderr, [self.format_usage(), f"{self.prog}: error: {message}\n"])
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minangle",
         description=(
             "Measure dihedral angles and vertex d-sines of simplicial meshes, "
@@ -152,8 +159,8 @@ def _emit(pieces: Iterable[str], destination: str) -> None:
 def _write(stream: TextIO | None, pieces: Iterable[str] = ()) -> None:
     """Write ``pieces`` to ``stream`` and flush it.  A character the stream cannot encode, say
     of a path under ``PYTHONIOENCODING=latin-1``, is written escaped, as standard error does.
-    An output that nobody can read ends the writing without an error: a reader that left, as
-    ``| head`` does, a standard stream closed at start (``None``) or one opened read-only."""
+    An output nobody can read ends the writing without an error: a reader that left (``| head``),
+    a stream closed at start (``None``) or read-only, or a standard error failing in any way."""
     if stream is None:
         return
     try:
@@ -165,7 +172,7 @@ def _write(stream: TextIO | None, pieces: Iterable[str] = ()) -> None:
                 stream.write(piece.encode(encoding, "backslashreplace").decode(encoding))
         stream.flush()
     except OSError as exc:
-        if exc.errno not in (errno.EPIPE, errno.EBADF):
+        if exc.errno not in (errno.EPIPE, errno.EBADF) and stream is not sys.stderr:
             raise
         # On devnull, what stays buffered flushes silently, at exit or in run().
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
@@ -237,10 +244,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     tol = _tolerance(args.degeneracy_tol)
     mesh = load_mesh(args.mesh)
-    validation = validate_mesh(mesh)
-    conformity = conformity_check(mesh)
     quality = mesh_quality(mesh, tol)
-    _emit(info_lines(args.mesh, mesh, validation, conformity, quality), "-")
+    _emit(info_lines(args.mesh, mesh, validate_mesh(mesh), quality), "-")
     return EXIT_OK
 
 

@@ -370,8 +370,8 @@ def _triangles(
     Edge i is the facet F_i: E_i = z_k - z_j for (i, j, k) a cyclic order.  The
     edges are rescaled exactly by 2^-e of the longest, into [0.5, 1) however
     small the triangle is in its cell.  The twice-area w is the norm of the
-    wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors (by
-    :func:`_norms`, so their squares cannot underflow).  With l_i = |E_i|, the
+    wedge E_1 ^ E_2, the root of the sum of its squared 2x2 minors, and l_i =
+    |E_i|: both by :func:`_norms`, so no square of a short edge underflows.  The
     angle between F_i and F_j is atan2(w, -E_i . E_j), the sine at vertex i is
     w / (l_j l_k), and |g_i| = l_i / w, in cell units by 2^-e.
     """
@@ -381,7 +381,7 @@ def _triangles(
     exponent = np.maximum(np.frexp(dist[ends[i], ends[j]].max(axis=0))[1], -1021)
     unscale = np.ldexp(1.0, -exponent)  # finite, as e >= -1021
     edges *= unscale[:, None]
-    sides = np.sqrt((edges * edges).sum(axis=2))
+    sides = _norms(edges.swapaxes(1, 2))
     a, b = _combinations(z.shape[1], 2).T
     u, v = edges[1], edges[2]
     twice_area = _norms(u[:, a] * v[:, b] - u[:, b] * v[:, a])

@@ -1,4 +1,4 @@
-"""Mesh data model, JSON ingestion, validation, conformity, and reports.
+"""Mesh data model, JSON ingestion, one validation pass (references and facets), and reports.
 
 The canonical mesh format is a single JSON document::
 
@@ -312,8 +312,13 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class ValidationReport(_Record):
-    """Referential problems found in a parsed mesh."""
+    """A mesh's shared facets and referential problems.  A facet is its sorted vertex-index set,
+    so conformity here (no (d-1)-facet in more than two cells) is combinatorial only."""
 
+    facet_count: int
+    boundary_facets: int
+    interior_facets: int
+    overshared_facets: tuple[tuple[tuple[int, ...], int], ...] = ()
     unused_vertices: tuple[int, ...] = ()
     duplicate_cells: tuple[int, ...] = ()
 
@@ -321,62 +326,37 @@ class ValidationReport(_Record):
     def is_clean(self) -> bool:
         return not (self.unused_vertices or self.duplicate_cells)
 
-
-def validate_mesh(mesh: Mesh) -> ValidationReport:
-    """Flag unused vertices and duplicate cells.
-
-    Only references are checked: which cells are degenerate is decided by
-    :func:`minangle.regularity.mesh_quality`.  Report-based: never raises
-    for mesh-content problems.
-    """
-    used = np.zeros(mesh.vertex_count, dtype=bool)
-    used[mesh.cells.ravel()] = True
-    unused = np.flatnonzero(~used).tolist()
-    # A cell is a duplicate when an earlier cell has the same vertex set.
-    first, _, owner = _row_groups(np.sort(mesh.cells, axis=1))
-    duplicates = np.flatnonzero(first[owner] != np.arange(mesh.cell_count)).tolist()
-    return ValidationReport(
-        unused_vertices=tuple(unused),
-        duplicate_cells=tuple(duplicates),
-    )
-
-
-class ConformityReport(_Record):
-    """Conformity summary from matching facets.
-
-    This is a combinatorial necessary condition only: every (d-1)-facet,
-    identified by its sorted vertex-index set, may be shared by at most two
-    cells.  Geometric (coordinate-level) conformity is out of scope.
-    """
-
-    facet_count: int
-    boundary_facets: int
-    interior_facets: int
-    overshared_facets: tuple[tuple[tuple[int, ...], int], ...] = ()
-
     @property
     def is_conforming(self) -> bool:
         return not self.overshared_facets
 
 
-def conformity_check(mesh: Mesh) -> ConformityReport:
-    """Count how many cells share each (d-1)-facet and report violations."""
+def validate_mesh(mesh: Mesh) -> ValidationReport:
+    """Count how many cells share each (d-1)-facet, and flag unused vertices and duplicate cells.
+
+    Only indices are checked, never coordinates: which cells are degenerate is decided by
+    :func:`minangle.regularity.mesh_quality`.  Report-based: never raises
+    for mesh-content problems.
+    """
+    used = np.zeros(mesh.vertex_count, dtype=bool)
+    used[mesh.cells.ravel()] = True
     cells = np.sort(mesh.cells, axis=1)
+    # A cell is a duplicate when an earlier cell has the same vertex set.
+    first, _, owner = _row_groups(cells)
+    duplicates = np.flatnonzero(first[owner] != np.arange(mesh.cell_count))
     m = cells.shape[1]
     # Dropping one entry of a sorted row leaves the facet's sorted key.
     facets = cells[:, _combinations(m, m - 1)[::-1]].reshape(-1, m - 1)
     first, counts, _ = _row_groups(facets)
-    overshared = tuple(
-        (tuple(key), count)
-        for key, count in zip(facets[first[counts > 2]].tolist(), counts[counts > 2].tolist())
-    )
-    boundary = int((counts == 1).sum())
-    interior = int((counts == 2).sum())
-    return ConformityReport(
+    shared = counts > 2
+    overshared = zip(facets[first[shared]].tolist(), counts[shared].tolist())
+    return ValidationReport(
         facet_count=len(counts),
-        boundary_facets=boundary,
-        interior_facets=interior,
-        overshared_facets=overshared,
+        boundary_facets=int((counts == 1).sum()),
+        interior_facets=int((counts == 2).sum()),
+        overshared_facets=tuple((tuple(key), count) for key, count in overshared),
+        unused_vertices=tuple(np.flatnonzero(~used).tolist()),
+        duplicate_cells=tuple(duplicates.tolist()),
     )
 
 
@@ -535,8 +515,7 @@ _INFO_DEGENERATE_ROW = "%5d        degenerate" + "%.0s" * 5 + "\n"
 
 
 def info_lines(
-    path: str | Path, mesh: Mesh, validation: ValidationReport, conformity: ConformityReport,
-    quality: MeshQuality,
+    path: str | Path, mesh: Mesh, validation: ValidationReport, quality: MeshQuality
 ) -> Iterator[str]:
     """The ``info`` text of the mesh at ``path``: its counts, conformity and warnings, then a
     table of each cell's quality columns, streamed ``_CHUNK_ROWS`` rows a piece."""
@@ -544,12 +523,12 @@ def info_lines(
     yield f"ambient dimension: {mesh.ambient_dim}\n"
     yield f"vertices: {mesh.vertex_count}\n"
     yield f"cells: {mesh.cell_count}\n"
-    if conformity.is_conforming:
-        interior, boundary = conformity.interior_facets, conformity.boundary_facets
+    if validation.is_conforming:
+        interior, boundary = validation.interior_facets, validation.boundary_facets
         yield f"conformity: OK ({interior} interior, {boundary} boundary facets)\n"
     else:
         yield "conformity: VIOLATED\n"
-        for facet_key, count in conformity.overshared_facets:
+        for facet_key, count in validation.overshared_facets:
             yield f"  facet {list(facet_key)} shared by {count} cells\n"
     if validation.unused_vertices:
         yield f"warning: unused vertices {list(validation.unused_vertices)}\n"

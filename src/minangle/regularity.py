@@ -66,10 +66,10 @@ AUDIT_TOLERANCE = 1e-9
 # scan refuses dimensions above this limit.
 DIMENSION_CAP = 12
 
-# The scan works on chunks of cells; this bounds the float64 values held by
-# the widest array of one chunk (512 KiB), so memory does not grow with the
-# mesh.
-_CHUNK_FLOATS = 1 << 16
+# The scan works on chunks of cells, so memory does not grow with the mesh; this bounds the
+# doubles of one chunk's widest array (2 MiB) for d <= 10.  A chunk has at least one cell, and
+# one cell's widest level is 426,888 doubles at d = 11 and 1,009,008 at d = 12.
+_CHUNK_FLOATS = 1 << 18
 
 CONDITION_MIN_DIHEDRAL = "min_dihedral"
 CONDITION_MIN_DSINE = "min_dsine"

@@ -1093,10 +1093,16 @@ class TestClosedStdout:
             # Read-only: each write to the descriptor fails with EBADF.
             ("2</dev/null", "missing", ["check", "--alpha0", "0.5"], EXIT_INPUT_ERROR),
             ("1</dev/null", "tetra", ["check", "--alpha0", "1.5", "-o", "-"], EXIT_VIOLATED),
+            # A usage error writes its usage lines to standard error or nowhere.
+            ("2>&-", "tetra", ["check", "--bogus"], EXIT_INPUT_ERROR),
+            # Full: a write to standard error that fails for any reason is dropped.
+            ("2>/dev/full", "missing", ["check", "--alpha0", "0.5"], EXIT_INPUT_ERROR),
+            ("2>/dev/full", "tetra", ["check", "--bogus"], EXIT_INPUT_ERROR),
         ],
         ids=[
             "stdout", "stderr", "stdout-check", "stdout-info",
             "stderr-missing", "stderr-read-only", "stdout-read-only",
+            "stderr-usage", "stderr-full-missing", "stderr-full-usage",
         ],
     )
     def test_stream_closed_from_the_start(

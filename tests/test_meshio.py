@@ -15,7 +15,6 @@ from minangle import (
     Mesh,
     MeshQuality,
     Simplex,
-    conformity_check,
     dump_mesh,
     load_mesh,
     mesh_quality,
@@ -192,18 +191,19 @@ class TestValidateMesh:
 
 class TestConformity:
     def test_glued_pair_is_conforming(self):
-        report = conformity_check(glued_pair_mesh())
+        report = validate_mesh(glued_pair_mesh())
         assert report.is_conforming
         assert report.interior_facets == 1
         assert report.boundary_facets == 6
 
     def test_three_cells_sharing_a_facet(self):
-        report = conformity_check(overshared_triple_mesh())
+        report = validate_mesh(overshared_triple_mesh())
         assert not report.is_conforming
+        assert report.is_clean  # an over-shared facet is no referential problem
         assert report.overshared_facets == (((0, 1, 2), 3),)
 
     def test_single_cell_is_conforming(self):
-        report = conformity_check(parse_mesh(json.dumps(TETRA_DOC)))
+        report = validate_mesh(parse_mesh(json.dumps(TETRA_DOC)))
         assert report.is_conforming
         assert report.boundary_facets == 4
         assert report.interior_facets == 0
@@ -556,14 +556,14 @@ class TestValidationAgainstReference:
         used = {v for cell in cells for v in cell}
         unused = tuple(v for v in range(mesh.vertex_count) if v not in used)
         assert report.unused_vertices == unused
-        conformity = conformity_check(mesh)
-        assert conformity.facet_count == len(counts)
-        assert conformity.boundary_facets == sum(c == 1 for c in counts.values())
-        assert conformity.interior_facets == sum(c == 2 for c in counts.values())
-        assert conformity.overshared_facets == tuple(
+        assert report.facet_count == len(counts)
+        assert report.boundary_facets == sum(c == 1 for c in counts.values())
+        assert report.interior_facets == sum(c == 2 for c in counts.values())
+        assert report.overshared_facets == tuple(
             (key, count) for key, count in sorted(counts.items()) if count > 2
         )
-        assert all(type(v) is int for key, count in conformity.overshared_facets
+        assert report.is_conforming == all(c <= 2 for c in counts.values())
+        assert all(type(v) is int for key, count in report.overshared_facets
                    for v in (*key, count))
 
     def test_planted_defects_on_a_refined_mesh(self):
@@ -579,8 +579,9 @@ class TestValidationAgainstReference:
         cells.append([cells[0][1], cells[0][0], 11])
         mesh = Mesh(vertices, cells)
         duplicates, counts = _reference_validation(cells)
-        assert validate_mesh(mesh).duplicate_cells == duplicates == (5,)
-        overshared = conformity_check(mesh).overshared_facets
+        report = validate_mesh(mesh)
+        assert report.duplicate_cells == duplicates == (5,)
+        overshared = report.overshared_facets
         assert overshared == tuple((k, c) for k, c in sorted(counts.items()) if c > 2)
         assert (tuple(sorted(cells[0][:2])), 3) in overshared
 

@@ -5,7 +5,6 @@ import pytest
 
 from minangle import (
     ConditionVerdict,
-    ConformityReport,
     DihedralAngleSet,
     Mesh,
     MeshQuality,
@@ -35,12 +34,9 @@ RECORDS = {
         {"degenerate_cells": ()},
     ),
     ValidationReport: (
-        ("unused_vertices", "duplicate_cells"),
-        {"unused_vertices": (), "duplicate_cells": ()},
-    ),
-    ConformityReport: (
-        ("facet_count", "boundary_facets", "interior_facets", "overshared_facets"),
-        {"overshared_facets": ()},
+        ("facet_count", "boundary_facets", "interior_facets", "overshared_facets",
+         "unused_vertices", "duplicate_cells"),
+        {"overshared_facets": (), "unused_vertices": (), "duplicate_cells": ()},
     ),
     DihedralAngleSet: (("simplex_dim", "angles"), {}),
     ProductDecomposition: (

@@ -513,6 +513,25 @@ class TestFlatSliversAtATinyTolerance:
         for field in ("forward_margin", "certified_bound", "backward_margin"):
             assert np.isfinite(getattr(quality, field)).all(), field
 
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_needle_stays_finite(self, d):
+        # A needle's short edges square below the normal range; each side is a _norms length.
+        def quality(t):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return mesh_quality(single_cell_mesh(needle_family(d, t)), 1e-300)
+
+        reference = quality(1e-150)
+        for t in (1e-170, 1e-200, 1e-250):
+            record = quality(t)
+            assert record.cells.tolist() == [0], t
+            for got, want in (
+                (record.min_dsine() / t, reference.min_dsine() / 1e-150),
+                (record.min_ball_ratio() / t, reference.min_ball_ratio() / 1e-150),
+                (record.max_dihedral(), reference.max_dihedral()),
+            ):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
     @pytest.mark.xfail(
         strict=True, reason="ROADMAP item 8: g_0 = -(g_1 + ... + g_k) cancels on a needle"
     )
