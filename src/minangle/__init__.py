@@ -24,7 +24,6 @@ _PUBLIC = {
     "generators": (
         "corner_simplex",
         "flatten_family",
-        "generate",
         "needle_family",
         "random_simplex",
         "regular_simplex",
@@ -75,3 +74,14 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _run() -> None:
+    """The console script: :func:`minangle.cli.run`, its imports made with the collector off,
+    as under ``python -m minangle.cli``."""
+    import gc
+
+    gc.disable()
+    from .cli import run
+
+    run()

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import DEGENERACY_REL_TOL, KINDS, _tolerance
+from .geometry import DEGENERACY_REL_TOL, _tolerance
 from .meshio import (
     Mesh,
     _ESCAPES,
@@ -70,9 +70,26 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
+# --kind -> its simplex, given the generators module and the parsed flags; each generator checks
+# its own arguments.  --param is the family parameter t of flatten and needle (default 1) and
+# the quality floor of random (default 0); only random reads --seed.
+_KINDS = {
+    "regular": lambda g, a: g.regular_simplex(a.dim, a.scale),
+    "corner": lambda g, a: g.corner_simplex(a.dim, a.scale),
+    "flatten": lambda g, a: g.flatten_family(a.dim, 1.0 if a.param is None else a.param, a.scale),
+    "needle": lambda g, a: g.needle_family(a.dim, 1.0 if a.param is None else a.param, a.scale),
+    "random": lambda g, a: g.random_simplex(
+        a.dim, a.seed, a.scale, 0.0 if a.param is None else a.param
+    ),
+}
+
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors go through :func:`_write`; argparse's go to stdout if stderr is closed."""
+    """Help and usage errors go through :func:`_write`: argparse drops a help that fails to
+    write, and writes usage errors to stdout if stderr is closed."""
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        _write(file or sys.stdout, [self.format_help()])
 
     def error(self, message: str) -> NoReturn:
         _write(sys.stderr, [self.format_usage(), f"{self.prog}: error: {message}\n"])
@@ -107,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.set_defaults(func=cmd_family)
 
     gen = sub.add_parser("generate", help="write a single-cell mesh from a generator")
-    gen.add_argument("--kind", required=True, choices=KINDS)
+    gen.add_argument("--kind", required=True, choices=_KINDS)
     gen.add_argument("--dim", required=True, type=int)
     gen.add_argument(
         "--param",
@@ -160,7 +177,8 @@ def _write(stream: TextIO | None, pieces: Iterable[str] = ()) -> None:
     """Write ``pieces`` to ``stream`` and flush it.  A character the stream cannot encode, say
     of a path under ``PYTHONIOENCODING=latin-1``, is written escaped, as standard error does.
     An output nobody can read ends the writing without an error: a reader that left (``| head``),
-    a stream closed at start (``None``) or read-only, or a standard error failing in any way."""
+    a stream closed at start (``None``) or read-only, or a standard error failing in any way.
+    Any other error, such as a full disk, is raised once: the stream then points at devnull."""
     if stream is None:
         return
     try:
@@ -172,10 +190,11 @@ def _write(stream: TextIO | None, pieces: Iterable[str] = ()) -> None:
                 stream.write(piece.encode(encoding, "backslashreplace").decode(encoding))
         stream.flush()
     except OSError as exc:
+        # On devnull, what stays buffered flushes silently, at exit or in run().
+        os.dup2(null := os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        os.close(null)
         if exc.errno not in (errno.EPIPE, errno.EBADF) and stream is not sys.stderr:
             raise
-        # On devnull, what stays buffered flushes silently, at exit or in run().
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _require_threshold(args: argparse.Namespace) -> None:
@@ -233,9 +252,9 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .generators import generate  # only this command builds simplices
+    from . import generators  # only this command builds simplices
 
-    simplex = generate(args.kind, args.dim, args.param, args.seed, args.scale)
+    simplex = _KINDS[args.kind](generators, args)
     mesh = Mesh(simplex.vertices, [list(range(simplex.vertex_count))])
     _emit(map(dump_mesh, [mesh]), args.output)  # lazy: -o opens first, as for a report
     return EXIT_OK
@@ -261,6 +280,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
+    except OSError as exc:  # --help to a full standard output
+        return _error(str(exc), EXIT_INPUT_ERROR)
     try:
         return args.func(args)
     except (InvalidInputError, GenerationError, OSError) as exc:

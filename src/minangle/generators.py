@@ -22,8 +22,8 @@ from typing import Iterator
 import numpy as np
 
 from .angles import vertex_sines
-from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import KINDS, Simplex, _require_integer, _require_real, _shown
+from .errors import DegeneracyError, GenerationError
+from .geometry import Simplex, _require_integer, _require_real, _shown
 
 _REJECTION_BUDGET = 10_000
 
@@ -151,29 +151,4 @@ def random_simplex(
     raise GenerationError(
         f"no simplex with min d-sine > {min_quality} in {_REJECTION_BUDGET} draws "
         f"(d={d}, seed={_shown(seed)})"
-    )
-
-
-def generate(
-    kind: str, dim: int, param: float | None = None, seed: int = 0, scale: float = 1.0
-) -> Simplex:
-    """Run the generator named ``kind``, one of :data:`KINDS`.
-
-    ``param`` means the family parameter t for flatten/needle (default 1)
-    and the quality floor for random (default 0); regular and corner ignore
-    it, and only random uses ``seed``.  Each generator checks its own
-    arguments.
-    """
-    if kind == "regular":
-        return regular_simplex(dim, scale)
-    if kind == "corner":
-        return corner_simplex(dim, scale)
-    if kind == "flatten":
-        return flatten_family(dim, 1.0 if param is None else param, scale)
-    if kind == "needle":
-        return needle_family(dim, 1.0 if param is None else param, scale)
-    if kind == "random":
-        return random_simplex(dim, seed, scale, 0.0 if param is None else param)
-    raise InvalidInputError(
-        f"unknown generator kind {_shown(kind, repr)}; expected one of {KINDS}"
     )

@@ -152,10 +152,6 @@ def _require_index(value: object, what: str, stop: int) -> None:
 # tolerance would mark every cell degenerate.
 DEGENERACY_REL_TOL = 1e-12
 
-# The simplex shapes :mod:`minangle.generators` builds, by name.  They live here
-# so that the CLI can list them without loading the generators.
-KINDS = ("regular", "corner", "flatten", "needle", "random")
-
 
 def _is_row(value: object) -> bool:
     """Whether ``value`` is a row: an ordered sequence or an array with ndim > 0, never text."""

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -968,6 +969,17 @@ gc.callbacks.append(_log)
         log = self.collections(tmp_path, ["-m", "minangle.cli", "info", str(tetra_path)])
         assert "before-main" not in log
 
+    def test_console_script_collects_nothing_before_main(self, tmp_path, tetra_path):
+        # The wrapper pip writes for the [project.scripts] entry, which names minangle._run.
+        assert 'minangle = "minangle:_run"' in (Path(SRC).parent / "pyproject.toml").read_text()
+        wrapper = (
+            "import sys\n"
+            "from minangle import _run\n"
+            f"sys.argv = ['minangle', 'info', {str(tetra_path)!r}]\n"
+            "sys.exit(_run())\n"
+        )
+        assert "before-main" not in self.collections(tmp_path, ["-c", wrapper])
+
     def test_program_collects_while_the_command_runs(self, tetra_path):
         # meshio is imported first, so cli.py, run as the program, takes the spy.
         code = (
@@ -1120,6 +1132,42 @@ class TestClosedStdout:
         assert (result.returncode, result.stdout, result.stderr) == (expected, b"", b"")
         if "report.json" in command:
             assert json.loads((tmp_path / "report.json").read_text())["verdicts"][0]["satisfied"]
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["info", "MESH"],
+            ["check", "MESH", "--alpha0", "0.5", "-o", "-"],
+            ["generate", "--kind", "regular", "--dim", "3", "-o", "-"],
+            ["--help"],
+        ],
+        ids=["info", "check", "generate", "help"],
+    )
+    def test_full_stdout_is_an_input_error(self, tetra_path, command, unbuffered):
+        # As `info mesh.json >/dev/full`: a write error that is not the reader's leaving exits 2
+        # with one error line, buffered or not, and no traceback from the flush at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = SRC
+        argv = [str(tetra_path) if arg == "MESH" else arg for arg in command]
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" 1>/dev/full', "sh", sys.executable, "-m", "minangle.cli",
+             *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        expected = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (result.returncode, result.stderr.decode()) == (EXIT_INPUT_ERROR, expected)
+
+    def test_full_report_file_keeps_no_descriptor(self, tetra_path, capsys):
+        # A failed write points its stream at devnull; the devnull descriptor is closed again.
+        before = len(os.listdir("/proc/self/fd"))
+        argv = ["check", str(tetra_path), "--alpha0", "0.5", "-o", "/dev/full"]
+        for _ in range(3):
+            assert main(argv) == EXIT_INPUT_ERROR
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err.count("error: ") == 3
 
     @staticmethod
     def closed_pipe_child(argv, unbuffered, stream, **streams):

@@ -1,5 +1,6 @@
 """Tests for the deterministic simplex generators."""
 
+import json
 import math
 
 import numpy as np
@@ -8,16 +9,17 @@ import pytest
 from minangle import (
     GenerationError,
     InvalidInputError,
+    Simplex,
     all_dihedral_angles,
     corner_simplex,
     flatten_family,
-    generate,
     needle_family,
     random_simplex,
     regular_simplex,
     simplex_measure,
     vertex_sines,
 )
+from minangle.cli import _KINDS, EXIT_INPUT_ERROR, EXIT_OK, main
 from oracles import HUGE_INT, planar_angle, shown
 
 
@@ -217,7 +219,6 @@ class TestScale:
             lambda: flatten_family(3, 0.5, scale),
             lambda: needle_family(3, 0.5, scale),
             lambda: random_simplex(3, seed=1, scale=scale),
-            lambda: generate("regular", 3, scale=scale),
         ]
         for make in makers:
             with pytest.raises(InvalidInputError) as error:
@@ -226,39 +227,50 @@ class TestScale:
 
 
 class TestGeneratorSpec:
-    """``generate(kind, dim, param, seed, scale)``, the dispatch the CLI runs."""
+    """``minangle generate``: each ``--kind`` runs its generator, given ``--param``/``--seed``."""
 
-    def test_dispatch_matches_direct_calls(self):
-        np.testing.assert_array_equal(
-            generate("regular", 4).vertices, regular_simplex(4).vertices
-        )
-        np.testing.assert_array_equal(
-            generate("flatten", 3, param=0.25).vertices, flatten_family(3, 0.25).vertices
-        )
-        np.testing.assert_array_equal(
-            generate("random", 3, seed=5).vertices, random_simplex(3, seed=5).vertices
-        )
-        np.testing.assert_array_equal(
-            generate("needle", 3, param=0.25).vertices, needle_family(3, 0.25).vertices
-        )
-        np.testing.assert_array_equal(generate("needle", 2).vertices, regular_simplex(2).vertices)
+    @staticmethod
+    def generate(capsys, *flags):
+        """The exit code of ``generate --kind`` with ``flags``, and the vertices it wrote or,
+        on a failure, its standard error."""
+        code = main(["generate", "--kind", *flags, "-o", "-"])
+        out, err = capsys.readouterr()
+        return code, np.array(json.loads(out)["vertices"]) if code == EXIT_OK else err
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown generator kind 'spiky'"):
-            generate("spiky", 3)
-        with pytest.raises(InvalidInputError, match="^unknown generator kind <int of 5001 digits>"):
-            generate(HUGE_INT, 3)
+    def test_dispatch_matches_direct_calls(self, capsys):
+        cases = [
+            (["regular", "--dim", "4"], regular_simplex(4)),
+            (["corner", "--dim", "3", "--scale", "3"], corner_simplex(3, 3.0)),
+            (["flatten", "--dim", "3", "--param", "0.25"], flatten_family(3, 0.25)),
+            (["random", "--dim", "3", "--seed", "5"], random_simplex(3, seed=5)),
+            (["needle", "--dim", "3", "--param", "0.25"], needle_family(3, 0.25)),
+            (["needle", "--dim", "2"], regular_simplex(2)),
+        ]
+        assert {flags[0] for flags, _ in cases} == set(_KINDS)
+        for flags, expected in cases:
+            code, vertices = self.generate(capsys, *flags)
+            assert code == EXIT_OK, flags
+            np.testing.assert_array_equal(vertices, expected.vertices)
 
-    def test_flatten_needs_three_dimensions(self):
-        with pytest.raises(InvalidInputError):
-            generate("flatten", 2)
+    def test_unknown_kind_rejected(self, capsys):
+        code, err = self.generate(capsys, "spiky", "--dim", "3")
+        assert code == EXIT_INPUT_ERROR
+        assert "argument --kind: invalid choice: 'spiky'" in err
 
-    def test_random_param_is_quality_floor(self):
-        floor = r"quality floor must lie in \[0, 1\), got 1\.0"
-        with pytest.raises(InvalidInputError, match=floor):
-            generate("random", 3, param=1.0)
+    def test_flatten_needs_three_dimensions(self, capsys):
+        expected = "error: dimension must be an integer >= 3, got 2\n"
+        assert self.generate(capsys, "flatten", "--dim", "2") == (EXIT_INPUT_ERROR, expected)
+
+    def test_random_param_is_quality_floor(self, capsys):
+        floor = "error: quality floor must lie in [0, 1), got 1.0\n"
+        assert self.generate(capsys, "random", "--dim", "3", "--param", "1") == (
+            EXIT_INPUT_ERROR, floor
+        )
         # The seed is checked before the floor.
-        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
-            generate("random", 3, param=1.0, seed=-1)
-        s = generate("random", 3, param=0.3, seed=11)
-        assert min(vertex_sines(s)) > 0.3
+        assert self.generate(capsys, "random", "--dim", "3", "--param", "1", "--seed", "-1") == (
+            EXIT_INPUT_ERROR, "error: seed must be an integer >= 0, got -1\n"
+        )
+        flags = ["random", "--dim", "3", "--param", "0.3", "--seed", "11"]
+        code, vertices = self.generate(capsys, *flags)
+        assert code == EXIT_OK
+        assert min(vertex_sines(Simplex(vertices))) > 0.3
