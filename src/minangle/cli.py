@@ -17,8 +17,7 @@ come from the records::
     2  input error (bad file, bad flags, unreadable manifest member)
     3  a MeshQuality.degenerate_cells is nonempty, or a DegeneracyError
 
-Angle thresholds are always given in radians; --degrees only adds degree
-annotations to the emitted reports and never changes a verdict.  Reports
+Angle thresholds and every angle in a report are in radians.  Reports
 go to the path given with -o/--report, or to standard output with ``-o -``.
 Identical inputs and flags produce byte-identical reports.
 """
@@ -151,11 +150,6 @@ def _add_threshold_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_report_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-o", "--report", default="-", help="report path, or - for stdout")
-    sub.add_argument(
-        "--degrees",
-        action="store_true",
-        help="annotate report angles in degrees (verdicts are unaffected)",
-    )
     _add_tolerance_arg(sub)
 
 
@@ -220,14 +214,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args.degeneracy_tol)
     quality = mesh_quality(load_mesh(args.mesh), tol)
     verdicts = _verdicts(quality, args)
-    _emit(_pieces(report_to_dict(quality, verdicts, args.degrees)), args.report)
+    _emit(_pieces(report_to_dict(quality, verdicts)), args.report)
     return _exit_code([quality], all(verdict.satisfied for verdict in verdicts))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     tol = _tolerance(args.degeneracy_tol)
     quality = mesh_quality(load_mesh(args.mesh), tol)
-    _emit(_pieces(audit_to_dict(quality, degrees=args.degrees)), args.report)
+    _emit(_pieces(audit_to_dict(quality)), args.report)
     return _exit_code([quality], quality.audit_satisfied())
 
 
@@ -246,7 +240,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     for path, mesh in zip(paths, meshes):
         quality = mesh_quality(mesh, tol)
         members.append((path, quality, _verdicts(quality, args)))
-    _emit(_pieces(family_to_dict(members, args.degrees)), args.report)
+    _emit(_pieces(family_to_dict(members)), args.report)
     _, qualities, verdicts = zip(*members)
     return _exit_code(qualities, all(verdict.satisfied for row in verdicts for verdict in row))
 

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The split mirrors the CLI exit codes: invalid input (bad arguments,
-malformed files) is distinct from degenerate geometry (angles are
-mathematically undefined), which is distinct from a generator giving up.
+Invalid input (bad arguments, malformed files), degenerate geometry (angles are
+mathematically undefined) and a generator giving up are distinct.  The CLI exit
+codes do not mirror the split: degeneracy exits 3, the other two both exit 2.
 """
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError
-from .geometry import Simplex, _require_integer, _require_real, _shown
+from .geometry import Simplex, _require_index, _require_integer, _require_real, _shown
 
 _REJECTION_BUDGET = 10_000
 
@@ -34,7 +34,7 @@ def _splitmix64(seed: int) -> Iterator[float]:
     """splitmix64, a 64-bit mixing generator with a one-word state: each step advances the
     state by the golden-ratio increment, applies the standard two-round xorshift-multiply
     finalizer and yields the top 53 bits of the result as a double in [0, 1)."""
-    state = int(seed) & _MASK64
+    state = int(seed)
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -136,6 +136,7 @@ def random_simplex(
     _require_integer(d, "dimension", 2)
     _require_scale(scale)
     _require_integer(seed, "seed", 0)
+    _require_index(seed, "seed", 1 << 64)  # the generator's state is one 64-bit word
     _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
     coords = _vertex_rows(d)  # sized before the first draw; Simplex copies it
     stream = _splitmix64(seed)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Sequence
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator
@@ -39,8 +38,6 @@ from .geometry import (
     _require_index, _require_integer,
 )
 from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
-
-_DEG_PER_RAD = 180.0 / math.pi
 
 # The C one-shot encoder: the same float repr, NaN/Infinity and ASCII
 # escaping as json.dumps, without the pure-Python path its indent takes.
@@ -398,35 +395,23 @@ def _aggregates(quality: MeshQuality, keys: Sequence[str] = tuple(_AGGREGATES)) 
     return {key: _AGGREGATES[key][1](quality) for key in keys}
 
 
-def _with_degrees(table: dict[str, Any], degrees: bool) -> dict[str, Any]:
-    """``table``, then with ``degrees`` a ``*_deg`` twin of each ``*_rad`` entry, in order."""
-    twins = {
-        key.removesuffix("_rad") + "_deg": None if value is None else value * _DEG_PER_RAD
-        for key, value in table.items() if degrees and key.endswith("_rad")
-    }  # a null stays null
-    return {**table, **twins}
-
-
-def report_to_dict(
-    quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = (), degrees: bool = False
-) -> dict[str, Any]:
+def report_to_dict(quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = ()) -> dict[str, Any]:
     """The quality report as a document for :func:`_pieces`, with deterministic key order.
 
     Its ``cells`` is a :class:`_Rows` table; ``json.loads`` of :func:`write_report`'s output
     gives the report as a dict.  The aggregates are the record's reductions over its good
-    cells.  Angles are in radians; ``degrees=True`` adds the ``*_deg`` twins and changes
-    nothing else.
+    cells.  Angles are in radians.
     """
     if not len(quality.cells) and not quality.degenerate_cells:
         raise InvalidInputError("refusing to build a report for an empty mesh")
     columns = _quality_columns(quality)
-    # A degenerate cell's row: null in each radian column, then the flag.
+    # A degenerate cell's row: null in each column, then the flag.
     degenerate = {**dict.fromkeys(columns), "degenerate": True}
     doc: dict[str, Any] = {
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
-        "aggregates": _with_degrees(_aggregates(quality), degrees),
-        "cells": _Rows(quality, _with_degrees(columns, degrees), degenerate),
+        "aggregates": _aggregates(quality),
+        "cells": _Rows(quality, columns, degenerate),
         "verdicts": [_verdict_dict(v) for v in verdicts],
     }
     if quality.degenerate_cells:
@@ -434,15 +419,13 @@ def report_to_dict(
     return doc
 
 
-def write_report(
-    quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str], degrees: bool = False
-) -> None:
+def write_report(quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str]) -> None:
     """Serialize a quality report as JSON to a text sink, ``_CHUNK_ROWS`` cells per write."""
-    for piece in _pieces(report_to_dict(quality, verdicts, degrees)):
+    for piece in _pieces(report_to_dict(quality, verdicts)):
         sink.write(piece)
 
 
-def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]:
+def audit_to_dict(quality: MeshQuality) -> dict[str, Any]:
     """The equivalence-audit report as a document for :func:`_pieces`; ``cells`` is a table."""
     columns = {
         "min_dsine": quality.min_vertex_dsine,
@@ -460,7 +443,7 @@ def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]
             "min_forward_margin": quality.min_forward_margin(),
             "min_backward_margin": quality.min_backward_margin(),
         },
-        "cells": _Rows(quality, _with_degrees(columns, degrees), {"degenerate": True}),
+        "cells": _Rows(quality, columns, {"degenerate": True}),
         "satisfied": quality.audit_satisfied(),
     }
     if quality.degenerate_cells:
@@ -470,7 +453,6 @@ def audit_to_dict(quality: MeshQuality, degrees: bool = False) -> dict[str, Any]
 
 def family_to_dict(
     members: Sequence[tuple[str | Path, MeshQuality, Sequence[ConditionVerdict]]],
-    degrees: bool = False,
 ) -> dict[str, Any]:
     """The family report of ``members``, each ``(path, quality, verdicts)``, coarse to fine.
 
@@ -482,7 +464,7 @@ def family_to_dict(
     for index, (path, quality, conditions) in enumerate(members):
         head = {"index": index, "path": str(path)}
         trend.append({**head, **_aggregates(quality, ("min_dihedral_rad", "min_dsine"))})
-        meshes.append({**head, **report_to_dict(quality, conditions, degrees)})
+        meshes.append({**head, **report_to_dict(quality, conditions)})
     verdicts = []
     for row in zip(*(conditions for *_, conditions in members)):  # the same conditions in each
         worst_mesh = min(range(len(row)), key=lambda index: row[index].worst_value)

@@ -203,6 +203,16 @@ def fraction_sqrt(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((x.numerator << 2 * shift) // x.denominator), 1 << shift)
 
 
+def exact_ball_ratio(vertices, forms) -> float:
+    """The ball ratio 1 / (h sum_j |g_j|) of a simplex, from the whole cell's grad2 in its
+    :func:`exact_subsimplex_forms` and its exact squared diameter h^2, each root taken by
+    :func:`fraction_sqrt`."""
+    points = [[Fraction(float(x)) for x in row] for row in np.asarray(vertices, dtype=float)]
+    h2 = max(sum((x - y) ** 2 for x, y in zip(p, q)) for p, q in itertools.combinations(points, 2))
+    grad2 = forms[tuple(range(len(points)))][3]
+    return float(1 / (fraction_sqrt(h2) * sum(map(fraction_sqrt, grad2))))
+
+
 def exact_angle(sin2: Fraction, obtuse: bool) -> float:
     """The angle in [0, pi] with sine squared ``sin2`` and a cosine of the sign ``obtuse`` says."""
     acute = math.atan2(float(fraction_sqrt(sin2)), float(fraction_sqrt(1 - sin2)))
@@ -321,7 +331,6 @@ def rigid_motion(vertices, rng: np.random.Generator) -> np.ndarray:
     return v @ rot.T + shift
 
 
-DEG_PER_RAD = 180.0 / math.pi
 # (report key, MeshQuality column) of a good cell's row, in report order.
 QUALITY_ROW = (
     ("min_dihedral_rad", "min_dihedral_all_sub"),
@@ -329,11 +338,6 @@ QUALITY_ROW = (
     ("min_dsine", "min_vertex_dsine"),
     ("ball_ratio", "ball_ratio"),
     ("dihedral_sum_rad", "dihedral_sum_top"),
-)
-QUALITY_ROW_DEG = (
-    ("min_dihedral_deg", "min_dihedral_all_sub"),
-    ("max_dihedral_deg", "max_dihedral_all_sub"),
-    ("dihedral_sum_deg", "dihedral_sum_top"),
 )
 AUDIT_ROW = (
     ("min_dsine", "min_vertex_dsine"),
@@ -343,14 +347,11 @@ AUDIT_ROW = (
     ("forward_margin", "forward_margin"),
     ("backward_margin", "backward_margin"),
 )
-AUDIT_ROW_DEG = QUALITY_ROW_DEG[:2]
 
 
-def _cell_rows(quality, row, row_deg, degenerate: dict) -> list[dict]:
-    """One dict per cell, by index: a good cell's values of ``row`` (and ``row_deg`` in degrees)."""
+def _cell_rows(quality, row, degenerate: dict) -> list[dict]:
+    """One dict per cell, by index: a good cell's values of ``row``."""
     columns = {key: getattr(quality, name).tolist() for key, name in row}
-    for key, name in row_deg:
-        columns[key] = [value * DEG_PER_RAD for value in getattr(quality, name).tolist()]
     position = {cell: i for i, cell in enumerate(quality.cells.tolist())}
     rows = []
     for index in range(len(quality.cells) + len(quality.degenerate_cells)):
@@ -375,27 +376,22 @@ def _verdict_doc(verdict) -> dict:
     return doc
 
 
-def report_doc(quality, verdicts, degrees: bool) -> dict:
+def report_doc(quality, verdicts) -> dict:
     """The ``check`` report of a MeshQuality as a dict; aggregates from the record's reducers."""
     has_cells = len(quality.cells) > 0
-    low = quality.min_dihedral() if has_cells else None
-    high = quality.max_dihedral() if has_cells else None
     aggregates = {
-        "min_dihedral_rad": low,
-        "max_dihedral_rad": high,
+        "min_dihedral_rad": quality.min_dihedral() if has_cells else None,
+        "max_dihedral_rad": quality.max_dihedral() if has_cells else None,
         "min_dsine": quality.min_dsine() if has_cells else None,
         "min_ball_ratio": quality.min_ball_ratio() if has_cells else None,
     }
-    if degrees:
-        aggregates["min_dihedral_deg"] = low * DEG_PER_RAD if has_cells else None
-        aggregates["max_dihedral_deg"] = high * DEG_PER_RAD if has_cells else None
     degenerate = {key: None for key, _ in QUALITY_ROW}
     degenerate["degenerate"] = True
     doc = {
         "ambient_dimension": quality.ambient_dim,
         "cell_count": len(quality.cells) + len(quality.degenerate_cells),
         "aggregates": aggregates,
-        "cells": _cell_rows(quality, QUALITY_ROW, QUALITY_ROW_DEG if degrees else (), degenerate),
+        "cells": _cell_rows(quality, QUALITY_ROW, degenerate),
         "verdicts": [_verdict_doc(verdict) for verdict in verdicts],
     }
     if quality.degenerate_cells:
@@ -403,7 +399,7 @@ def report_doc(quality, verdicts, degrees: bool) -> dict:
     return doc
 
 
-def audit_doc(quality, degrees: bool) -> dict:
+def audit_doc(quality) -> dict:
     """The ``audit`` report of a MeshQuality as a dict; aggregates from the record's reducers."""
     has_cells = len(quality.cells) > 0
     doc = {
@@ -414,9 +410,7 @@ def audit_doc(quality, degrees: bool) -> dict:
             "min_forward_margin": quality.min_forward_margin() if has_cells else None,
             "min_backward_margin": quality.min_backward_margin() if has_cells else None,
         },
-        "cells": _cell_rows(
-            quality, AUDIT_ROW, AUDIT_ROW_DEG if degrees else (), {"degenerate": True}
-        ),
+        "cells": _cell_rows(quality, AUDIT_ROW, {"degenerate": True}),
         "satisfied": quality.audit_satisfied(),
     }
     if quality.degenerate_cells:

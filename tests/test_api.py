@@ -111,7 +111,7 @@ PARAMETERS = {
     "verdict_min_dihedral": ("quality", "alpha0"),
     "verdict_min_dsine": ("quality", "dsine_min"),
     "vertex_sines": ("s",),
-    "write_report": ("quality", "verdicts", "sink", "degrees"),
+    "write_report": ("quality", "verdicts", "sink"),
 }
 
 

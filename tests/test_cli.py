@@ -161,22 +161,6 @@ class TestCheckCommand:
         assert main(argv + ["-o", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
-    def test_degrees_flag_annotates_but_does_not_change_verdicts(
-        self, tetra_path, tmp_path
-    ):
-        plain = tmp_path / "plain.json"
-        annotated = tmp_path / "deg.json"
-        assert main(["check", str(tetra_path), "--alpha0", "1.0", "-o", str(plain)]) == 0
-        assert (
-            main(["check", str(tetra_path), "--alpha0", "1.0", "--degrees",
-                  "-o", str(annotated)])
-            == 0
-        )
-        plain_doc = json.loads(plain.read_text())
-        annotated_doc = json.loads(annotated.read_text())
-        assert annotated_doc["verdicts"] == plain_doc["verdicts"]
-        assert annotated_doc["cells"][0]["min_dihedral_deg"] == pytest.approx(60.0)
-
     def test_report_to_stdout(self, tetra_path, capsys):
         assert main(["check", str(tetra_path), "--alpha0", "1.0", "-o", "-"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
@@ -292,10 +276,8 @@ class TestReportLayout:
 
     CHECK_TOP = ["ambient_dimension", "cell_count", "aggregates", "cells", "verdicts"]
     CHECK_AGGREGATES = ["min_dihedral_rad", "max_dihedral_rad", "min_dsine", "min_ball_ratio"]
-    CHECK_AGGREGATES_DEG = ["min_dihedral_deg", "max_dihedral_deg"]
     CHECK_ROW = ["index", "min_dihedral_rad", "max_dihedral_rad", "min_dsine", "ball_ratio",
                  "dihedral_sum_rad"]
-    CHECK_ROW_DEG = ["min_dihedral_deg", "max_dihedral_deg", "dihedral_sum_deg"]
     CHECK_DEGENERATE_ROW = [*CHECK_ROW, "degenerate"]
     VERDICT = ["condition", "threshold", "satisfied", "worst_cell", "worst_value"]
     AUDIT_TOP = ["ambient_dimension", "cell_count", "audit_tolerance", "aggregates", "cells",
@@ -303,7 +285,6 @@ class TestReportLayout:
     AUDIT_AGGREGATES = ["min_forward_margin", "min_backward_margin"]
     AUDIT_ROW = ["index", "min_dsine", "min_dihedral_rad", "max_dihedral_rad",
                  "certified_bound", "forward_margin", "backward_margin"]
-    AUDIT_ROW_DEG = ["min_dihedral_deg", "max_dihedral_deg"]
     AUDIT_DEGENERATE_ROW = ["index", "degenerate"]
 
     @staticmethod
@@ -320,30 +301,26 @@ class TestReportLayout:
         main([*argv, "-o", str(out)])
         return json.loads(out.read_text())
 
-    @pytest.mark.parametrize("degrees", [False, True])
     @pytest.mark.parametrize("with_degenerate", [False, True])
-    def test_check_report(self, tmp_path, degrees, with_degenerate):
+    def test_check_report(self, tmp_path, with_degenerate):
         path = self.mesh_file(tmp_path, with_degenerate)
-        flags = ["--alpha0", "0.5", "--dsine-min", "0.1"] + (["--degrees"] if degrees else [])
+        flags = ["--alpha0", "0.5", "--dsine-min", "0.1"]
         doc = self.report(tmp_path, ["check", str(path), *flags])
         tail = ["degenerate_cells"] if with_degenerate else []
         assert list(doc) == self.CHECK_TOP + tail
-        assert list(doc["aggregates"]) == self.CHECK_AGGREGATES + (
-            self.CHECK_AGGREGATES_DEG if degrees else []
-        )
-        assert list(doc["cells"][0]) == self.CHECK_ROW + (self.CHECK_ROW_DEG if degrees else [])
+        assert list(doc["aggregates"]) == self.CHECK_AGGREGATES
+        assert list(doc["cells"][0]) == self.CHECK_ROW
         if with_degenerate:
             assert list(doc["cells"][1]) == self.CHECK_DEGENERATE_ROW
         assert [list(verdict) for verdict in doc["verdicts"]] == [self.VERDICT + tail] * 2
 
-    @pytest.mark.parametrize("degrees", [False, True])
     @pytest.mark.parametrize("with_degenerate", [False, True])
-    def test_audit_report(self, tmp_path, degrees, with_degenerate):
+    def test_audit_report(self, tmp_path, with_degenerate):
         path = self.mesh_file(tmp_path, with_degenerate)
-        doc = self.report(tmp_path, ["audit", str(path), *(["--degrees"] if degrees else [])])
+        doc = self.report(tmp_path, ["audit", str(path)])
         assert list(doc) == self.AUDIT_TOP + (["degenerate_cells"] if with_degenerate else [])
         assert list(doc["aggregates"]) == self.AUDIT_AGGREGATES
-        assert list(doc["cells"][0]) == self.AUDIT_ROW + (self.AUDIT_ROW_DEG if degrees else [])
+        assert list(doc["cells"][0]) == self.AUDIT_ROW
         if with_degenerate:
             assert list(doc["cells"][1]) == self.AUDIT_DEGENERATE_ROW
 
@@ -859,9 +836,14 @@ class TestUsage:
         assert main([]) == EXIT_INPUT_ERROR
         capsys.readouterr()
 
-    def test_unknown_command(self, capsys):
+    def test_unknown_command(self, tetra_path, capsys):
         assert main(["polish"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+        # Every report writes its angles in radians alone; there is no --degrees.
+        assert main(["check", str(tetra_path), "--alpha0", "0.5", "--degrees"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --degrees" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
@@ -1036,6 +1018,29 @@ gc.callbacks.append(_log)
         assert first == "mesh: " + str(tmp_path / "m\\u20ac.json")
 
 
+# (argv, mesh) of an input error of each command but check, whose cases are listed apart: a
+# missing mesh or manifest, or for generate a dimension its kind refuses.
+INPUT_ERRORS = [
+    (["audit"], "missing"),
+    (["family", "--alpha0", "0.5"], "missing"),
+    (["info"], "missing"),
+    (["generate", "--kind", "flatten", "--dim", "2"], None),
+]
+# (argv, mesh, exit code) of each command but check that writes a report to standard output.
+STDOUT_REPORTS = [
+    (["audit", "-o", "-"], "tetra", EXIT_OK),
+    (["family", "--alpha0", "1.5", "-o", "-"], "tetra", EXIT_VIOLATED),
+    (["generate", "--kind", "regular", "--dim", "3", "-o", "-"], None, EXIT_OK),
+]
+
+
+def family_manifest(tmp_path, mesh_path):
+    """A manifest in ``tmp_path`` whose one member is the mesh at ``mesh_path``."""
+    manifest = tmp_path / "family.json"
+    manifest.write_text(json.dumps({"meshes": [str(mesh_path)]}))
+    return manifest
+
+
 class TestClosedStdout:
     """An output that nobody can read changes nothing: a reader that closes the pipe before
     the command writes, as `| head` can, or a standard stream closed or read-only from the
@@ -1077,9 +1082,7 @@ class TestClosedStdout:
             path = tmp_path / "kuhn.json"
             path.write_text(dump_mesh(kuhn_mesh(2, 18, seed=5)))
         if command[0] == "family":
-            manifest = tmp_path / "family.json"
-            manifest.write_text(json.dumps({"meshes": [path.name]}))
-            path = manifest
+            path = family_manifest(tmp_path, path)
         operands = [] if mesh is None else [str(path)]
         argv = [command[0], *operands, *command[1:]]
         result = self.closed_pipe_child(argv, unbuffered, "stdout", stderr=subprocess.PIPE)
@@ -1110,11 +1113,21 @@ class TestClosedStdout:
             # Full: a write to standard error that fails for any reason is dropped.
             ("2>/dev/full", "missing", ["check", "--alpha0", "0.5"], EXIT_INPUT_ERROR),
             ("2>/dev/full", "tetra", ["check", "--bogus"], EXIT_INPUT_ERROR),
+            # Every other command's input error, its line dropped at a full or closed stderr.
+            *((redirect, mesh, command, EXIT_INPUT_ERROR)
+              for command, mesh in INPUT_ERRORS for redirect in ("2>/dev/full", "2>&-")),
+            # Every other report to a standard output closed or read-only.
+            *((redirect, mesh, command, code)
+              for command, mesh, code in STDOUT_REPORTS for redirect in ("1>&-", "1</dev/null")),
         ],
         ids=[
             "stdout", "stderr", "stdout-check", "stdout-info",
             "stderr-missing", "stderr-read-only", "stdout-read-only",
             "stderr-usage", "stderr-full-missing", "stderr-full-usage",
+            *(f"{stream}-{command[0]}" for command, _ in INPUT_ERRORS
+              for stream in ("stderr-full", "stderr-closed")),
+            *(f"{stream}-{command[0]}" for command, *_ in STDOUT_REPORTS
+              for stream in ("stdout-closed", "stdout-read-only")),
         ],
     )
     def test_stream_closed_from_the_start(
@@ -1124,9 +1137,12 @@ class TestClosedStdout:
         # other stream, neither a traceback nor the error line.
         env = {**os.environ, "PYTHONPATH": SRC}
         path = tetra_path if mesh == "tetra" else tmp_path / "missing.json"
+        if command[0] == "family" and mesh == "tetra":
+            path = family_manifest(tmp_path, tetra_path)
+        operands = [] if mesh is None else [str(path)]
         result = subprocess.run(
             ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "minangle.cli",
-             command[0], str(path), *command[1:]],
+             command[0], *operands, *command[1:]],
             capture_output=True, env=env, timeout=120, cwd=tmp_path,
         )
         assert (result.returncode, result.stdout, result.stderr) == (expected, b"", b"")
@@ -1141,17 +1157,20 @@ class TestClosedStdout:
             ["check", "MESH", "--alpha0", "0.5", "-o", "-"],
             ["generate", "--kind", "regular", "--dim", "3", "-o", "-"],
             ["--help"],
+            ["audit", "MESH", "-o", "-"],
+            ["family", "MANIFEST", "--alpha0", "0.5", "-o", "-"],
         ],
-        ids=["info", "check", "generate", "help"],
+        ids=["info", "check", "generate", "help", "audit", "family"],
     )
-    def test_full_stdout_is_an_input_error(self, tetra_path, command, unbuffered):
+    def test_full_stdout_is_an_input_error(self, tetra_path, tmp_path, command, unbuffered):
         # As `info mesh.json >/dev/full`: a write error that is not the reader's leaving exits 2
         # with one error line, buffered or not, and no traceback from the flush at exit.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = SRC
-        argv = [str(tetra_path) if arg == "MESH" else arg for arg in command]
+        operands = {"MESH": str(tetra_path), "MANIFEST": str(family_manifest(tmp_path, tetra_path))}
+        argv = [operands.get(arg, arg) for arg in command]
         result = subprocess.run(
             ["sh", "-c", 'exec "$@" 1>/dev/full', "sh", sys.executable, "-m", "minangle.cli",
              *argv],

@@ -186,6 +186,11 @@ class TestRandomSimplex:
             with pytest.raises(InvalidInputError) as error:
                 random_simplex(2, seed=seed)
             assert str(error.value) == f"seed must be an integer >= 0, got {shown(seed, repr)}"
+        # The generator's state is one 64-bit word: a larger seed would alias a smaller one.
+        for seed in (2**64, HUGE_INT):
+            with pytest.raises(InvalidInputError) as error:
+                random_simplex(2, seed=seed)
+            assert str(error.value) == f"seed {shown(seed)} out of range 0..{2**64 - 1}"
         for seed in (np.int64(5), np.uint64(2**64 - 1), np.int8(7)):
             np.testing.assert_array_equal(
                 random_simplex(2, seed=seed).vertices, random_simplex(2, seed=int(seed)).vertices

@@ -30,8 +30,12 @@ from minangle import (
 from minangle.cli import main
 from minangle.meshio import dump_mesh
 from oracles import (
+    EPS,
     audit_doc,
     ball_ratio_cm,
+    exact_angle,
+    exact_ball_ratio,
+    exact_subsimplex_forms,
     hull_coordinates,
     kuhn_triangulation,
     report_doc,
@@ -195,6 +199,15 @@ def test_mesh_quality_matches_reference(corpus):
                 assert (got.satisfied, got.worst_cell) == (want.satisfied, want.worst_cell)
 
 
+def ball_ratio_c(vertices, measured):
+    """The least c that puts a measured ball ratio within c eps / beta_min relative of the
+    exact one, beta_min the cell's smallest exact angle over all its subsimplices."""
+    forms = exact_subsimplex_forms(vertices)
+    beta_min = min(min(map(exact_angle, sin2, obtuse)) for sin2, obtuse, *_ in forms.values())
+    want = exact_ball_ratio(vertices, forms)
+    return abs(measured - want) / want * beta_min / EPS
+
+
 def test_slivers_match_the_exact_oracle(corpus):
     # The cells compared to 1e-9 absolute above, each value within c eps / beta_min relative
     # of exact rationals (tests/test_geometry.py::TestSliverAccuracy), and no worse than the
@@ -213,6 +226,12 @@ def test_slivers_match_the_exact_oracle(corpus):
     assert len(sample) == 10
     for index in sample:
         assert measured_c(mesh.cell_simplex(index).vertices, kernel_level) <= SLIVER_C, index
+    # The ball ratio of the same cells against its exact value, to the same bound: its largest
+    # c was 0.76 on the slivers and 1.68 on the sample, both at d = 3.
+    quality = mesh_quality(mesh)
+    ball = dict(zip(quality.cells.tolist(), quality.ball_ratio.tolist()))
+    for index in [*below.tolist(), *sample.tolist()]:
+        assert ball_ratio_c(mesh.cell_simplex(index).vertices, ball[index]) <= SLIVER_C, index
 
 
 def test_equivalence_audit_matches_reference(corpus):
@@ -263,20 +282,16 @@ def test_cli_output_matches_json_dumps(corpus, tmp_path, capsys):
     flags = ["--alpha0", "0.01", "--dsine-min", "0.01"]
     verdicts = [verdict_min_dihedral(quality, 0.01), verdict_min_dsine(quality, 0.01)]
     report = tmp_path / "report.json"
-    for degrees in ([], ["--degrees"]):
-        expected = {
-            "check": report_doc(quality, verdicts, bool(degrees)),
-            "audit": audit_doc(quality, bool(degrees)),
-        }
-        for command, doc in expected.items():
-            argv = [command, str(path), *(flags if command == "check" else []), *degrees]
-            assert main([*argv, "-o", str(report)]) == 3
-            assert report.read_text() == json.dumps(doc, indent=2) + "\n"
-        assert main(["family", str(manifest), *flags, *degrees, "-o", str(report)]) == 3
-        text = report.read_text()
-        family = json.loads(text)
-        assert text == json.dumps(family, indent=2) + "\n"
-        assert family["meshes"][1] == {"index": 1, "path": str(path), **expected["check"]}
+    expected = {"check": report_doc(quality, verdicts), "audit": audit_doc(quality)}
+    for command, doc in expected.items():
+        argv = [command, str(path), *(flags if command == "check" else [])]
+        assert main([*argv, "-o", str(report)]) == 3
+        assert report.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert main(["family", str(manifest), *flags, "-o", str(report)]) == 3
+    text = report.read_text()
+    family = json.loads(text)
+    assert text == json.dumps(family, indent=2) + "\n"
+    assert family["meshes"][1] == {"index": 1, "path": str(path), **expected["check"]}
     assert main(["info", str(path)]) == 0
     out = capsys.readouterr().out
     table = out[out.index("dihedral_sum_rad\n") + len("dihedral_sum_rad\n"):]

@@ -220,10 +220,10 @@ class TestQualityReport:
         return quality, verdicts
 
     @staticmethod
-    def written(quality, verdicts, degrees=False):
+    def written(quality, verdicts):
         """The report ``write_report`` writes, decoded."""
         sink = io.StringIO()
-        write_report(quality, verdicts, sink, degrees)
+        write_report(quality, verdicts, sink)
         return json.loads(sink.getvalue())
 
     def test_regular_tetrahedron_report_values(self):
@@ -268,14 +268,6 @@ class TestQualityReport:
         degenerate_row = doc["cells"][1]
         assert degenerate_row["degenerate"] is True
         assert degenerate_row["min_dsine"] is None
-
-    def test_degree_annotations_are_additive(self):
-        quality, verdicts = self.build(parse_mesh(json.dumps(TETRA_DOC)), alpha0=1.0)
-        plain = self.written(quality, verdicts)
-        annotated = self.written(quality, verdicts, degrees=True)
-        assert annotated["verdicts"] == plain["verdicts"]
-        assert annotated["cells"][0]["min_dihedral_deg"] == pytest.approx(60.0, abs=1e-9)
-        assert "min_dihedral_deg" not in plain["cells"][0]
 
     def test_empty_quality_rejected(self):
         with pytest.raises(InvalidInputError, match="empty mesh"):
@@ -625,11 +617,9 @@ class TestJsonWriter:
         mesh = overshared_triple_mesh()
         quality = mesh_quality(mesh)
         verdicts = [verdict_min_dihedral(quality, 1.0)]
-        for degrees in (False, True):
-            doc = report_doc(quality, verdicts, degrees)
-            sink = io.StringIO()
-            write_report(quality, verdicts, sink, degrees)
-            assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
+        sink = io.StringIO()
+        write_report(quality, verdicts, sink)
+        assert sink.getvalue() == json.dumps(report_doc(quality, verdicts), indent=2) + "\n"
         doc = {
             "ambient_dimension": 3,
             "vertices": mesh.vertices.tolist(),
@@ -662,18 +652,15 @@ class TestRowRenderer:
     """A report's rows, rendered from the columns, against the oracle's dict per cell."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.one_of(qualities(), qualities(good=[False] * 3), qualities(good=[True] * 4)),
-        st.booleans(),
-    )
-    def test_reports_match_json_dumps_of_the_oracle(self, quality, degrees):
+    @given(st.one_of(qualities(), qualities(good=[False] * 3), qualities(good=[True] * 4)))
+    def test_reports_match_json_dumps_of_the_oracle(self, quality):
         # Random angles are not angles: their sines and margins may be NaN.
         with np.errstate(all="ignore"):
             verdicts = [verdict_min_dihedral(quality, 0.5), verdict_min_dsine(quality, 0.5)]
-            check = report_to_dict(quality, verdicts, degrees)
+            check = report_to_dict(quality, verdicts)
             pairs = [
-                (check, report_doc(quality, verdicts, degrees)),
-                (audit_to_dict(quality, degrees), audit_doc(quality, degrees)),
+                (check, report_doc(quality, verdicts)),
+                (audit_to_dict(quality), audit_doc(quality)),
             ]
         for doc, expected in pairs:
             assert "".join(_pieces(doc)) == json.dumps(expected, indent=2) + "\n"
@@ -701,7 +688,7 @@ class TestDistinctValues:
         quality = MeshQuality(3, np.arange(len(values)), *[column] * 6)
         verdicts = [verdict_min_dihedral(quality, 0.5)]
         text = "".join(_pieces(report_to_dict(quality, verdicts)))
-        assert text == json.dumps(report_doc(quality, verdicts, False), indent=2) + "\n"
+        assert text == json.dumps(report_doc(quality, verdicts), indent=2) + "\n"
         cells = json.loads(text)["cells"]
         assert [repr(row["min_dsine"]) for row in cells] == [repr(value) for value in values]
 
@@ -710,14 +697,13 @@ class TestStreamedTables:
     """A report reaches its sink in pieces: none holds more than ``_CHUNK_ROWS`` rows beyond
     the document's skeleton, so the text held at once does not grow with the mesh."""
 
-    @pytest.mark.parametrize("degrees", [False, True])
-    def test_no_piece_holds_more_than_a_chunk_of_rows(self, degrees):
+    def test_no_piece_holds_more_than_a_chunk_of_rows(self):
         quality = mesh_quality(kuhn_mesh(2, 40, seed=4))
         assert len(quality.cells) + len(quality.degenerate_cells) == 3200
         verdicts = [verdict_min_dihedral(quality, 0.5)]
         for write in (
-            lambda sink: write_report(quality, verdicts, sink, degrees),
-            lambda sink: sink.pieces.extend(_pieces(audit_to_dict(quality, degrees))),
+            lambda sink: write_report(quality, verdicts, sink),
+            lambda sink: sink.pieces.extend(_pieces(audit_to_dict(quality))),
         ):
             sink = RecordingSink()
             write(sink)
