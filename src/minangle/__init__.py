@@ -41,7 +41,6 @@ _PUBLIC = {
         "ValidationReport",
         "dump_mesh",
         "load_mesh",
-        "parse_family_manifest",
         "parse_mesh",
         "validate_mesh",
         "write_report",

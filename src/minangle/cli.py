@@ -2,11 +2,13 @@
 
 Commands::
 
-    minangle check <mesh> --alpha0 A [--dsine-min C] [-o report.json]
+    minangle check <mesh> [--alpha0 A] [--dsine-min C] [-o report.json]
     minangle audit <mesh> [-o report.json]
-    minangle family <manifest> --alpha0 A [--dsine-min C] [-o report.json]
+    minangle family <manifest> [--alpha0 A] [--dsine-min C] [-o report.json]
     minangle generate --kind regular --dim 3 [-o mesh.json]
     minangle info <mesh>
+
+check and family need at least one of --alpha0 and --dsine-min.
 
 Each command parses its arguments, loads, scans, builds the verdicts, and
 emits what :mod:`minangle.meshio` lays out.  Exit codes (usable directly in CI)
@@ -49,14 +51,13 @@ from .geometry import DEGENERACY_REL_TOL, _tolerance
 from .meshio import (
     Mesh,
     _ESCAPES,
+    _family_meshes,
     _pieces,
-    _read_file,
     audit_to_dict,
     dump_mesh,
     family_to_dict,
     info_lines,
     load_mesh,
-    parse_family_manifest,
     report_to_dict,
     validate_mesh,
 )
@@ -228,16 +229,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     _require_threshold(args)
     tol = _tolerance(args.degeneracy_tol)
-    manifest = Path(args.manifest)
-    parse = lambda data: parse_family_manifest(data, base_dir=manifest.parent)
-    paths = _read_file(manifest, "manifest", parse)
-    # Every member is read before any is scanned, so a read error comes first.
-    meshes = [load_mesh(path) for path in paths]
-    dims = sorted({mesh.ambient_dim for mesh in meshes})
-    if len(dims) > 1:
-        raise InvalidInputError(f"family members disagree on ambient dimension: {dims}")
     members = []
-    for path, mesh in zip(paths, meshes):
+    for path, mesh in _family_meshes(Path(args.manifest)):
         quality = mesh_quality(mesh, tol)
         members.append((path, quality, _verdicts(quality, args)))
     _emit(_pieces(family_to_dict(members)), args.report)

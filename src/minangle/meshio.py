@@ -248,21 +248,28 @@ def dump_mesh(mesh: Mesh) -> str:
     return "".join(_pieces(doc))
 
 
-def parse_family_manifest(source: str | bytes | IO, base_dir: str | Path | None = None) -> list[Path]:
-    """Parse a family manifest, resolving member paths against ``base_dir``."""
-    data = _read_json(source, "manifest")
-    if not isinstance(data, dict) or "meshes" not in data:
-        raise InvalidInputError("manifest document must be an object with a 'meshes' array")
-    members = data["meshes"]
-    if not isinstance(members, list) or not members:
-        raise InvalidInputError("manifest 'meshes' must be a nonempty array of paths")
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    paths = []
-    for pos, member in enumerate(members):
-        if not isinstance(member, str):
-            raise InvalidInputError(f"manifest entry {pos} is not a path string")
-        paths.append(base / member)
-    return paths
+def _family_meshes(manifest: Path) -> list[tuple[Path, Mesh]]:
+    """Each member of the family ``manifest`` lists and its mesh, the member's path resolved
+    against the manifest's own directory.  Every member is read before any is scanned, so a
+    read error comes first, and all must share one ambient dimension."""
+
+    def parse(data: bytes) -> list[Path]:
+        doc = _read_json(data, "manifest")
+        if not isinstance(doc, dict) or "meshes" not in doc:
+            raise InvalidInputError("manifest document must be an object with a 'meshes' array")
+        members = doc["meshes"]
+        if not isinstance(members, list) or not members:
+            raise InvalidInputError("manifest 'meshes' must be a nonempty array of paths")
+        for pos, member in enumerate(members):
+            if not isinstance(member, str):
+                raise InvalidInputError(f"manifest entry {pos} is not a path string")
+        return [manifest.parent / member for member in members]
+
+    family = [(path, load_mesh(path)) for path in _read_file(manifest, "manifest", parse)]
+    dims = sorted({mesh.ambient_dim for _, mesh in family})
+    if len(dims) > 1:
+        raise InvalidInputError(f"family members disagree on ambient dimension: {dims}")
+    return family
 
 
 def _read_json(source: str | bytes | IO, what: str) -> Any:

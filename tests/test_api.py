@@ -49,7 +49,6 @@ DEFINING_MODULE_NAMES = {
         "ValidationReport",
         "dump_mesh",
         "load_mesh",
-        "parse_family_manifest",
         "parse_mesh",
         "validate_mesh",
         "write_report",
@@ -101,7 +100,6 @@ PARAMETERS = {
     "mesh_quality": ("mesh", "degeneracy_rel_tol"),
     "needle_family": ("d", "t", "scale"),
     "outward_unit_normals": ("s",),
-    "parse_family_manifest": ("source", "base_dir"),
     "parse_mesh": ("source",),
     "product_decomposition": ("s", "i"),
     "random_simplex": ("d", "seed", "scale", "min_quality"),
@@ -116,7 +114,7 @@ PARAMETERS = {
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert set(minangle.__all__) == PUBLIC_NAMES
     assert len(minangle.__all__) == len(PUBLIC_NAMES)
     public = {
@@ -140,6 +138,8 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(minangle, "no_such_name")
     # The CLI maps a generator kind's name to its generator; the library has no such name.
     assert not hasattr(minangle, "generate")
+    # A family's manifest is read only by `minangle family`, against the manifest's directory.
+    assert not hasattr(minangle, "parse_family_manifest")
 
 
 def parameters(obj) -> tuple[str, ...]:

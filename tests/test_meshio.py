@@ -18,7 +18,6 @@ from minangle import (
     dump_mesh,
     load_mesh,
     mesh_quality,
-    parse_family_manifest,
     parse_mesh,
     regular_simplex,
     validate_mesh,
@@ -26,6 +25,7 @@ from minangle import (
     verdict_min_dsine,
     write_report,
 )
+from minangle.cli import main
 from minangle.meshio import _CHUNK_ROWS, _pieces, audit_to_dict, report_to_dict
 from oracles import HUGE_INT, audit_doc, report_doc, shown
 from test_golden import kuhn_mesh
@@ -290,25 +290,50 @@ class TestQualityReport:
             "".join(_pieces({"x": np.float32(1)}))
 
 
+def run_family(manifest, doc, capsys):
+    """``minangle family`` of ``doc`` written at ``manifest``: its exit code, stdout and stderr."""
+    manifest.write_text(json.dumps(doc))
+    code = main(["family", str(manifest), "--alpha0", "0.5", "-o", "-"])
+    return (code, *capsys.readouterr())
+
+
 class TestFamilyManifest:
-    def test_paths_resolve_against_base_dir(self, tmp_path):
-        manifest = json.dumps({"meshes": ["a.json", "sub/b.json"]})
-        paths = parse_family_manifest(manifest, base_dir=tmp_path)
-        assert paths == [tmp_path / "a.json", tmp_path / "sub" / "b.json"]
+    """The manifest's rules, through the one command that reads a manifest."""
 
-    def test_absolute_paths_kept(self, tmp_path):
-        manifest = json.dumps({"meshes": [str(tmp_path / "abs.json")]})
-        assert parse_family_manifest(manifest, base_dir="/elsewhere") == [
-            tmp_path / "abs.json"
-        ]
+    def test_paths_resolve_against_the_manifest_directory(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        for member in ("a.json", "sub/b.json"):
+            (tmp_path / member).write_text(json.dumps(TETRA_DOC))
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        doc = {"meshes": ["a.json", "sub/b.json"]}
+        code, out, err = run_family(tmp_path / "family.json", doc, capsys)
+        assert (code, err) == (0, "")
+        paths = [member["path"] for member in json.loads(out)["meshes"]]
+        assert paths == [str(tmp_path / "a.json"), str(tmp_path / "sub" / "b.json")]
 
-    def test_empty_manifest_rejected(self):
-        with pytest.raises(InvalidInputError):
-            parse_family_manifest(json.dumps({"meshes": []}))
+    def test_absolute_paths_kept(self, tmp_path, capsys):
+        (tmp_path / "abs.json").write_text(json.dumps(TETRA_DOC))
+        (tmp_path / "elsewhere").mkdir()
+        manifest = tmp_path / "elsewhere" / "family.json"
+        code, out, err = run_family(manifest, {"meshes": [str(tmp_path / "abs.json")]}, capsys)
+        assert (code, err) == (0, "")
+        paths = [member["path"] for member in json.loads(out)["meshes"]]
+        assert paths == [str(tmp_path / "abs.json")]
 
-    def test_missing_key_rejected(self):
-        with pytest.raises(InvalidInputError):
-            parse_family_manifest(json.dumps({"files": ["a.json"]}))
+    def test_empty_manifest_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "family.json"
+        message = "manifest 'meshes' must be a nonempty array of paths"
+        assert run_family(manifest, {"meshes": []}, capsys) == (
+            2, "", f"error: {manifest}: {message}\n"
+        )
+
+    def test_missing_key_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "family.json"
+        message = "manifest document must be an object with a 'meshes' array"
+        assert run_family(manifest, {"files": ["a.json"]}, capsys) == (
+            2, "", f"error: {manifest}: {message}\n"
+        )
 
 
 class TestMeshConstruction:
@@ -495,14 +520,10 @@ class TestStructuralErrors:
         deep = '{"ambient_dimension": 3, "vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
         with pytest.raises(InvalidInputError, match="nested too deeply"):
             parse_mesh(deep)
-        with pytest.raises(InvalidInputError, match="nested too deeply"):
-            parse_family_manifest('{"meshes": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_invalid_utf8_is_an_input_error(self):
         with pytest.raises(InvalidInputError, match="not valid UTF-8"):
             parse_mesh(b'{"ambient_dimension": 3, "\xff": 1}')
-        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
-            parse_family_manifest(b'{"meshes": ["\xff.json"]}')
 
 
 def _reference_validation(cells):

@@ -514,6 +514,27 @@ class TestFlatSliversAtATinyTolerance:
             assert np.isfinite(getattr(quality, field)).all(), field
 
     @pytest.mark.parametrize("d", range(3, 13))
+    @pytest.mark.parametrize("e", [10, 20, 50, 100, 150, 200, 250, 300])
+    def test_flatten_sweep_is_finite_and_positive(self, d, e):
+        # The exact smallest d-sine is about t^(d-1): 0.0 is its correctly rounded value only
+        # once that lies below the subnormal range.  At t = 1e-300 the cell fails the rule.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            quality = mesh_quality(single_cell_mesh(flatten_family(d, 10.0**-e)), 1e-300)
+        if e == 300:
+            assert (quality.cells.tolist(), quality.degenerate_cells) == ([], (0,))
+            return
+        assert (quality.cells.tolist(), quality.degenerate_cells) == ([0], ())
+        for field in ("min_dihedral_all_sub", "max_dihedral_all_sub", "ball_ratio",
+                      "dihedral_sum_top"):
+            value = getattr(quality, field)[0]
+            assert math.isfinite(value) and value > 0.0, field
+        dsine = quality.min_vertex_dsine[0]
+        assert math.isfinite(dsine) and (dsine > 0.0 if (d - 1) * e <= 300 else dsine >= 0.0)
+        for field in ("forward_margin", "certified_bound", "backward_margin"):
+            assert np.isfinite(getattr(quality, field)).all(), field
+
+    @pytest.mark.parametrize("d", range(3, 13))
     def test_needle_stays_finite(self, d):
         # A needle's short edges square below the normal range; each side is a _norms length.
         def quality(t):
