@@ -74,12 +74,12 @@ EXIT_DEGENERATE = 3
 # its own arguments.  --param is the family parameter t of flatten and needle (default 1) and
 # the quality floor of random (default 0); only random reads --seed.
 _KINDS = {
-    "regular": lambda g, a: g.regular_simplex(a.dim, a.scale),
-    "corner": lambda g, a: g.corner_simplex(a.dim, a.scale),
-    "flatten": lambda g, a: g.flatten_family(a.dim, 1.0 if a.param is None else a.param, a.scale),
-    "needle": lambda g, a: g.needle_family(a.dim, 1.0 if a.param is None else a.param, a.scale),
+    "regular": lambda g, a: g.regular_simplex(a.dim),
+    "corner": lambda g, a: g.corner_simplex(a.dim),
+    "flatten": lambda g, a: g.flatten_family(a.dim, 1.0 if a.param is None else a.param),
+    "needle": lambda g, a: g.needle_family(a.dim, 1.0 if a.param is None else a.param),
     "random": lambda g, a: g.random_simplex(
-        a.dim, a.seed, a.scale, 0.0 if a.param is None else a.param
+        a.dim, a.seed, min_quality=0.0 if a.param is None else a.param
     ),
 }
 
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="family parameter t for flatten/needle, quality floor for random",
     )
     gen.add_argument("--seed", type=int, default=0, help="random generator seed")
-    gen.add_argument("--scale", type=float, default=1.0)
     gen.add_argument("-o", "--output", default="-", help="output path, or - for stdout")
     gen.set_defaults(func=cmd_generate)
 

@@ -9,7 +9,7 @@ exactly the degeneration the regularity conditions are designed to catch.
 Random simplices are reproducible across runs and across language ports:
 coordinates come from a splitmix64 stream (seeded 64-bit mixing
 generator), (d+1) vertices drawn row by row, each coordinate a uniform
-double in [0, scale) built from the top 53 bits of the next output.
+double in [0, 1) built from the top 53 bits of the next output.
 Rejection continues until the smallest vertex d-sine clears the requested
 quality floor.
 """
@@ -42,10 +42,6 @@ def _splitmix64(seed: int) -> Iterator[float]:
         yield ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
-def _require_scale(scale: float) -> None:
-    _require_real(scale, "scale must be positive and finite", lambda x: 0.0 < x < math.inf)
-
-
 def _require_param(t: float) -> None:
     _require_real(t, "family parameter must lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
 
@@ -58,90 +54,83 @@ def _vertex_rows(d: int) -> np.ndarray:
         raise MemoryError(str(exc)) from None
 
 
-def regular_simplex(d: int, scale: float = 1.0) -> Simplex:
-    """Regular d-simplex with edge length ``scale``.
+def regular_simplex(d: int) -> Simplex:
+    """Regular d-simplex with unit edge length.
 
     Built by the iterative coordinate lift: vertex k sits above the
     centroid of the previous ones at height sqrt((k+1)/(2k)), which keeps
-    every edge at unit length before scaling.
+    every edge at unit length.
     """
     _require_integer(d, "dimension", 2)
-    _require_scale(scale)
     v = _vertex_rows(d)
     v[1, 0] = 1.0
     for k in range(2, d + 1):
         v[k] = v[:k].mean(axis=0)
         v[k, k - 1] = math.sqrt((k + 1) / (2.0 * k))
-    return Simplex(v * scale)
+    return Simplex(v)
 
 
-def corner_simplex(d: int, scale: float = 1.0) -> Simplex:
-    """Corner (orthogonal-edge) d-simplex conv{0, scale*e_1, ..., scale*e_d}.
+def corner_simplex(d: int) -> Simplex:
+    """Corner (orthogonal-edge) d-simplex conv{0, e_1, ..., e_d}.
 
     Its d-sine at vertex 0 is exactly 1, the largest possible value.
     """
     _require_integer(d, "dimension", 2)
-    _require_scale(scale)
     v = _vertex_rows(d)
-    v[1:] = np.eye(d) * scale
+    v[1:] = np.eye(d)
     return Simplex(v)
 
 
-def flatten_family(d: int, t: float, scale: float = 1.0) -> Simplex:
-    """Sliver family: regular (d-1)-simplex base with an apex at height t*scale.
+def flatten_family(d: int, t: float) -> Simplex:
+    """Sliver family: regular (d-1)-simplex base with an apex at height t.
 
-    The base has edge length ``scale`` and lies in the hyperplane x_d = 0;
+    The base has unit edge length and lies in the hyperplane x_d = 0;
     the apex sits over the base centroid.  At t = sqrt((d+1) / (2d)) the
     apex reaches the regular height and the simplex is regular; as t -> 0
     the cell flattens, its measure shrinking linearly in t while the
     largest dihedral angle climbs toward pi.
     """
     _require_integer(d, "dimension", 3)
-    _require_scale(scale)
     _require_param(t)
-    base = regular_simplex(d - 1, scale).vertices
+    base = regular_simplex(d - 1).vertices
     lifted = np.hstack([base, np.zeros((d, 1))])
-    apex = np.append(base.mean(axis=0), t * scale)
+    apex = np.append(base.mean(axis=0), t)
     return Simplex(np.vstack([lifted, apex]))
 
 
-def needle_family(d: int, t: float, scale: float = 1.0) -> Simplex:
-    """Needle family: regular simplex with one edge shrunk to t*scale.
+def needle_family(d: int, t: float) -> Simplex:
+    """Needle family: unit regular simplex with one edge shrunk to length t.
 
     Vertex 1 is pulled toward vertex 0 along their shared edge; t = 1
     reproduces the regular simplex, t -> 0 collapses the edge.
     """
     _require_integer(d, "dimension", 2)
-    _require_scale(scale)
     _require_param(t)
-    v = regular_simplex(d, scale).vertices.copy()
+    v = regular_simplex(d).vertices.copy()
     v[1] = v[0] + t * (v[1] - v[0])
     return Simplex(v)
 
 
-def random_simplex(
-    d: int, seed: int = 0, scale: float = 1.0, min_quality: float = 0.0
-) -> Simplex:
-    """Reproducible random simplex drawn uniformly from the scale-cube.
+def random_simplex(d: int, seed: int = 0, *, min_quality: float = 0.0) -> Simplex:
+    """Reproducible random simplex drawn uniformly from the unit cube [0, 1)^d.
 
     Vertices are redrawn until the simplex is nondegenerate (at the
     default tolerance) and its smallest vertex d-sine exceeds
-    ``min_quality``.  The same (d, seed, scale, min_quality) always returns
-    the same simplex.
+    ``min_quality``.  The same (d, seed, min_quality) always returns the
+    same simplex.
 
     Raises:
         GenerationError: if the rejection budget (10^4 draws) runs out,
             which happens only for quality floors close to 1.
     """
     _require_integer(d, "dimension", 2)
-    _require_scale(scale)
     _require_integer(seed, "seed", 0)
     _require_index(seed, "seed", 1 << 64)  # the generator's state is one 64-bit word
     _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
     coords = _vertex_rows(d)  # sized before the first draw; Simplex copies it
     stream = _splitmix64(seed)
     for _ in range(_REJECTION_BUDGET):
-        coords[:] = [[next(stream) * scale for _ in range(d)] for _ in range(d + 1)]
+        coords[:] = [[next(stream) for _ in range(d)] for _ in range(d + 1)]
         candidate = Simplex(coords)
         try:
             sines = vertex_sines(candidate)

@@ -3,6 +3,7 @@
 Adding or removing a name or a parameter must show up here.
 """
 
+import argparse
 import importlib
 import inspect
 import re
@@ -10,7 +11,7 @@ import types
 from pathlib import Path
 
 import minangle
-from minangle.cli import main
+from minangle.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,25 +92,35 @@ PARAMETERS = {
     "all_dihedral_angles": ("s",),
     "cell_quality": ("s",),
     "certified_dsine_bound": ("alpha0", "gamma0", "d"),
-    "corner_simplex": ("d", "scale"),
+    "corner_simplex": ("d",),
     "dump_mesh": ("mesh",),
     "facet": ("s", "i"),
-    "flatten_family": ("d", "t", "scale"),
+    "flatten_family": ("d", "t"),
     "is_degenerate": ("s", "degeneracy_rel_tol"),
     "load_mesh": ("path",),
     "mesh_quality": ("mesh", "degeneracy_rel_tol"),
-    "needle_family": ("d", "t", "scale"),
+    "needle_family": ("d", "t"),
     "outward_unit_normals": ("s",),
     "parse_mesh": ("source",),
     "product_decomposition": ("s", "i"),
-    "random_simplex": ("d", "seed", "scale", "min_quality"),
-    "regular_simplex": ("d", "scale"),
+    "random_simplex": ("d", "seed", "min_quality"),
+    "regular_simplex": ("d",),
     "simplex_measure": ("s",),
     "validate_mesh": ("mesh",),
     "verdict_min_dihedral": ("quality", "alpha0"),
     "verdict_min_dsine": ("quality", "dsine_min"),
     "vertex_sines": ("s",),
     "write_report": ("quality", "verdicts", "sink"),
+}
+
+# CLI command -> the values it lets a caller set: its positional arguments by dest, then its
+# long options (help aside).  The command line's counterpart of PARAMETERS.
+CLI_OPTIONS = {
+    "check": ("mesh", "--alpha0", "--dsine-min", "--report", "--degeneracy-tol"),
+    "audit": ("mesh", "--report", "--degeneracy-tol"),
+    "family": ("manifest", "--alpha0", "--dsine-min", "--report", "--degeneracy-tol"),
+    "generate": ("--kind", "--dim", "--param", "--seed", "--output"),
+    "info": ("mesh", "--degeneracy-tol"),
 }
 
 
@@ -158,6 +169,18 @@ def test_parameters_are_the_listed_ones():
               and issubclass(obj, Exception)}
     assert set(PARAMETERS) == {name for name, obj in public.items() if callable(obj)} - errors
     assert {name: parameters(getattr(minangle, name)) for name in PARAMETERS} == PARAMETERS
+
+
+def test_cli_options_are_the_listed_ones():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {}
+    for name, sub in commands.choices.items():
+        settable = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        options[name] = tuple(
+            next((o for o in a.option_strings if o.startswith("--")), a.dest) for a in settable
+        )
+    assert options == CLI_OPTIONS
+    assert sum(map(len, CLI_OPTIONS.values())) == 20
 
 
 def test_readme_library_blocks_run(tmp_path, monkeypatch):

@@ -33,9 +33,8 @@ def edge_lengths(simplex):
 
 class TestRegularSimplex:
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_all_edges_equal_scale(self, d):
-        lengths = edge_lengths(regular_simplex(d, scale=2.5))
-        np.testing.assert_allclose(lengths, 2.5, atol=1e-12 * 2.5)
+    def test_all_edges_equal_one(self, d):
+        np.testing.assert_allclose(edge_lengths(regular_simplex(d)), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_dihedral_angles_closed_form(self, d):
@@ -45,8 +44,6 @@ class TestRegularSimplex:
     def test_dimension_validation(self):
         with pytest.raises(InvalidInputError):
             regular_simplex(1)
-        with pytest.raises(InvalidInputError):
-            regular_simplex(3, scale=0.0)
         for d in (3.0, True, "3", None, -HUGE_INT):
             with pytest.raises(InvalidInputError) as error:
                 regular_simplex(d)
@@ -56,14 +53,14 @@ class TestRegularSimplex:
 
 
 class TestCornerSimplex:
-    def test_vertices_are_scaled_axes(self):
-        s = corner_simplex(3, scale=2.0)
-        expected = np.vstack([np.zeros(3), 2.0 * np.eye(3)])
-        np.testing.assert_array_equal(s.vertices, expected)
+    def test_vertices_are_unit_axes(self):
+        expected = np.vstack([np.zeros(3), np.eye(3)])
+        np.testing.assert_array_equal(corner_simplex(3).vertices, expected)
 
-    def test_volume_closed_form(self):
-        assert simplex_measure(corner_simplex(3, scale=2.0)) == pytest.approx(
-            8.0 / 6.0, rel=1e-12
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_volume_closed_form(self, d):
+        assert simplex_measure(corner_simplex(d)) == pytest.approx(
+            1.0 / math.factorial(d), rel=1e-12
         )
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -93,10 +90,10 @@ class TestFlattenFamily:
         with pytest.raises(InvalidInputError):
             flatten_family(2, 0.5)  # needs d >= 3
         for family in (flatten_family, needle_family):
-            for t in ("a", None, True, "1", math.nan, 10**400, -(10**400)):
+            for t in ("a", None, True, "1", math.nan, 10**400, -(10**400), HUGE_INT, -HUGE_INT):
                 with pytest.raises(InvalidInputError) as error:
                     family(3, t)
-                assert str(error.value) == f"family parameter must lie in (0, 1], got {t}"
+                assert str(error.value) == f"family parameter must lie in (0, 1], got {shown(t)}"
 
     def test_quality_decays_smoothly_under_halving(self):
         previous = min(vertex_sines(flatten_family(3, 0.5)))
@@ -163,10 +160,10 @@ class TestRandomSimplex:
             s = random_simplex(3, seed=seed, min_quality=0.2)
             assert min(vertex_sines(s)) > 0.2
 
-    def test_scale_bounds_coordinates(self):
-        s = random_simplex(4, seed=9, scale=0.5)
+    def test_coordinates_lie_in_the_unit_interval(self):
+        s = random_simplex(4, seed=9)
         assert np.all(s.vertices >= 0.0)
-        assert np.all(s.vertices < 0.5)
+        assert np.all(s.vertices < 1.0)
 
     def test_triangle_sines_match_classical(self):
         tri = random_simplex(2, seed=77)
@@ -197,10 +194,10 @@ class TestRandomSimplex:
             )
         with pytest.raises(InvalidInputError):
             random_simplex(3, min_quality=1.0)
-        for floor in ("x", None, True, "1", math.nan, 10**400, -(10**400)):
+        for floor in ("x", None, True, "1", math.nan, 10**400, -(10**400), HUGE_INT, -HUGE_INT):
             with pytest.raises(InvalidInputError) as error:
-                random_simplex(3, 0, 1.0, floor)
-            assert str(error.value) == f"quality floor must lie in [0, 1), got {floor}"
+                random_simplex(3, 0, min_quality=floor)
+            assert str(error.value) == f"quality floor must lie in [0, 1), got {shown(floor)}"
         np.testing.assert_array_equal(
             random_simplex(2, min_quality=np.float32(0.25)).vertices,
             random_simplex(2, min_quality=0.25).vertices,
@@ -209,26 +206,15 @@ class TestRandomSimplex:
             random_simplex(1)
 
 
-class TestScale:
-    @pytest.mark.parametrize(
-        "scale",
-        [math.inf, -math.inf, math.nan, 0.0, -1.0, "a", None, True, "1",
-         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
-         pytest.param(HUGE_INT, id="1e5000"), pytest.param(-HUGE_INT, id="-1e5000")],
-    )
-    def test_scale_must_be_positive_and_finite(self, scale):
-        """Rejected up front, before an infinite scale turns into inf - inf = nan coordinates."""
-        makers = [
-            lambda: regular_simplex(3, scale),
-            lambda: corner_simplex(3, scale),
-            lambda: flatten_family(3, 0.5, scale),
-            lambda: needle_family(3, 0.5, scale),
-            lambda: random_simplex(3, seed=1, scale=scale),
-        ]
-        for make in makers:
-            with pytest.raises(InvalidInputError) as error:
-                make()
-            assert str(error.value) == f"scale must be positive and finite, got {shown(scale)}"
+@pytest.mark.parametrize(
+    "make", [lambda: random_simplex(3, 1, 0.5), lambda: regular_simplex(3, 2.0)],
+    ids=["random", "regular"],
+)
+def test_generators_take_no_size(make):
+    """Each generator draws its unit shape: a call that passes a size fails, and random's
+    third positional argument never turns into its quality floor."""
+    with pytest.raises(TypeError):
+        make()
 
 
 class TestGeneratorSpec:
@@ -245,7 +231,7 @@ class TestGeneratorSpec:
     def test_dispatch_matches_direct_calls(self, capsys):
         cases = [
             (["regular", "--dim", "4"], regular_simplex(4)),
-            (["corner", "--dim", "3", "--scale", "3"], corner_simplex(3, 3.0)),
+            (["corner", "--dim", "3"], corner_simplex(3)),
             (["flatten", "--dim", "3", "--param", "0.25"], flatten_family(3, 0.25)),
             (["random", "--dim", "3", "--seed", "5"], random_simplex(3, seed=5)),
             (["needle", "--dim", "3", "--param", "0.25"], needle_family(3, 0.25)),
