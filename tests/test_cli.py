@@ -533,6 +533,15 @@ class TestGenerateCommand:
         )
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0"])
+    def test_scale_is_a_usage_error(self, capsys, scale):
+        # Generators draw unit shapes; there is no --scale, whatever its value.
+        argv = ["generate", "--kind", "regular", "--dim", "3", f"--scale={scale}"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --scale={scale}" in captured.err
+
     def test_huge_dimension_is_one_error_line(self, capsys):
         # Its (d+1, d) vertex array would take 71 PiB, or more bytes than an index can count,
         # or more rows than a dimension can hold, so the allocation fails at once: for random

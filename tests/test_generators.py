@@ -207,12 +207,24 @@ class TestRandomSimplex:
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: random_simplex(3, 1, 0.5), lambda: regular_simplex(3, 2.0)],
-    ids=["random", "regular"],
+    "make",
+    [
+        pytest.param(lambda: random_simplex(3, 1, 0.5), id="random"),
+        pytest.param(lambda: regular_simplex(3, 2.0), id="regular"),
+        pytest.param(lambda: corner_simplex(3, 2.0), id="corner"),
+        pytest.param(lambda: flatten_family(3, 0.5, 2.0), id="flatten"),
+        pytest.param(lambda: needle_family(3, 0.5, 2.0), id="needle"),
+        pytest.param(lambda: random_simplex(3, seed=1, scale=0.5), id="random-keyword"),
+        pytest.param(lambda: regular_simplex(3, scale=2.0), id="regular-keyword"),
+        pytest.param(lambda: corner_simplex(3, scale=2.0), id="corner-keyword"),
+        pytest.param(lambda: flatten_family(3, 0.5, scale=2.0), id="flatten-keyword"),
+        pytest.param(lambda: needle_family(3, 0.5, scale=2.0), id="needle-keyword"),
+    ],
 )
 def test_generators_take_no_size(make):
-    """Each generator draws its unit shape: a call that passes a size fails, and random's
-    third positional argument never turns into its quality floor."""
+    """Each generator draws its unit shape: a call that passes a size, by position or as
+    ``scale=``, fails, and random's third positional argument never turns into its
+    quality floor."""
     with pytest.raises(TypeError):
         make()
 
