@@ -13,13 +13,6 @@ import importlib
 
 # Submodule -> the public names it defines: the one list of them, as no submodule has __all__.
 _PUBLIC = {
-    "angles": (
-        "DihedralAngleSet",
-        "ProductDecomposition",
-        "all_dihedral_angles",
-        "product_decomposition",
-        "vertex_sines",
-    ),
     "errors": ("DegeneracyError", "GenerationError", "InvalidInputError", "MinAngleError"),
     "generators": (
         "corner_simplex",
@@ -30,11 +23,16 @@ _PUBLIC = {
     ),
     "geometry": (
         "DEGENERACY_REL_TOL",
+        "DihedralAngleSet",
+        "ProductDecomposition",
         "Simplex",
+        "all_dihedral_angles",
         "facet",
         "is_degenerate",
         "outward_unit_normals",
+        "product_decomposition",
         "simplex_measure",
+        "vertex_sines",
     ),
     "meshio": (
         "Mesh",

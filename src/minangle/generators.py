@@ -21,20 +21,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .angles import vertex_sines
 from .errors import DegeneracyError, GenerationError
-from .geometry import Simplex, _require_index, _require_integer, _require_real, _shown
+from .geometry import (
+    Simplex, _require_index, _require_integer, _require_real, _shown, vertex_sines,
+)
 
 _REJECTION_BUDGET = 10_000
 
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(seed: int) -> Iterator[float]:
-    """splitmix64, a 64-bit mixing generator with a one-word state: each step advances the
-    state by the golden-ratio increment, applies the standard two-round xorshift-multiply
+def _splitmix64(state: int) -> Iterator[float]:
+    """splitmix64, a 64-bit mixing generator with a one-word state, the seed: each step advances
+    the state by the golden-ratio increment, applies the standard two-round xorshift-multiply
     finalizer and yields the top 53 bits of the result as a double in [0, 1)."""
-    state = int(seed)
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -61,7 +61,7 @@ def regular_simplex(d: int) -> Simplex:
     centroid of the previous ones at height sqrt((k+1)/(2k)), which keeps
     every edge at unit length.
     """
-    _require_integer(d, "dimension", 2)
+    d = _require_integer(d, "dimension", 2)
     v = _vertex_rows(d)
     v[1, 0] = 1.0
     for k in range(2, d + 1):
@@ -75,7 +75,7 @@ def corner_simplex(d: int) -> Simplex:
 
     Its d-sine at vertex 0 is exactly 1, the largest possible value.
     """
-    _require_integer(d, "dimension", 2)
+    d = _require_integer(d, "dimension", 2)
     v = _vertex_rows(d)
     v[1:] = np.eye(d)
     return Simplex(v)
@@ -90,7 +90,7 @@ def flatten_family(d: int, t: float) -> Simplex:
     the cell flattens, its measure shrinking linearly in t while the
     largest dihedral angle climbs toward pi.
     """
-    _require_integer(d, "dimension", 3)
+    d = _require_integer(d, "dimension", 3)
     _require_param(t)
     base = regular_simplex(d - 1).vertices
     lifted = np.hstack([base, np.zeros((d, 1))])
@@ -104,7 +104,7 @@ def needle_family(d: int, t: float) -> Simplex:
     Vertex 1 is pulled toward vertex 0 along their shared edge; t = 1
     reproduces the regular simplex, t -> 0 collapses the edge.
     """
-    _require_integer(d, "dimension", 2)
+    d = _require_integer(d, "dimension", 2)
     _require_param(t)
     v = regular_simplex(d).vertices.copy()
     v[1] = v[0] + t * (v[1] - v[0])
@@ -123,8 +123,8 @@ def random_simplex(d: int, seed: int = 0, *, min_quality: float = 0.0) -> Simple
         GenerationError: if the rejection budget (10^4 draws) runs out,
             which happens only for quality floors close to 1.
     """
-    _require_integer(d, "dimension", 2)
-    _require_integer(seed, "seed", 0)
+    d = _require_integer(d, "dimension", 2)
+    seed = _require_integer(seed, "seed", 0)
     _require_index(seed, "seed", 1 << 64)  # the generator's state is one 64-bit word
     _require_real(min_quality, "quality floor must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
     coords = _vertex_rows(d)  # sized before the first draw; Simplex copies it

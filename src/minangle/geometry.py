@@ -25,13 +25,23 @@ each array runs over the simplices, so each vector operation spans them all.
 
 (Brandts, Korotov and Krizek, CAMWA 2008; Shewchuk, "What is a good linear
 finite element?", 2002).  Both atan2 forms stay accurate for angles near 0
-and pi, where the inverse cosine of a cosine loses half the digits.
+and pi, where the inverse cosine of a cosine loses half the digits.  The
+k-sine is the d-sine of the paper, in measures of the simplex and its facets,
 
-The single-simplex functions here and in :mod:`minangle.angles`, the
-measure and the degeneracy test too, read the kernel's one result at N=1
-(:func:`_level`), so they equal a one-cell scan, ``cell_quality``, bit for
-bit.  Inside ``mesh_quality``, over many cells, a cell's values can differ
-in the last bit, as numpy's reductions round with the batch shape.
+    sin_d(A_i) = d^(d-1) * meas_d(S)^(d-1)
+                 / ( (d-1)! * prod_{j != i} meas_{d-1}(F_j) ),
+
+which for d = 2 is the ordinary sine of the planar angle.  It factors
+through the facet omitting the last vertex (:func:`product_decomposition`):
+the d-sine at A_i is the (d-1)-sine of A_i inside that facet times the
+sines of the dihedral angles at it, the identity behind the equivalence
+checks of :mod:`minangle.regularity`.
+
+Every single-simplex function here, the measure and the degeneracy test
+too, reads the kernel's one result at N=1 (:func:`_level`), so it equals a
+one-cell scan, ``cell_quality``, bit for bit.  Inside ``mesh_quality``, over
+many cells, a cell's values can differ in the last bit, as numpy's
+reductions round with the batch shape.
 Only :func:`outward_unit_normals` leaves hull coordinates: it needs Q, which
 it orthogonalizes twice, to rotate the normals back into the simplex's own.
 
@@ -118,12 +128,14 @@ def _shown(value: object, form: Callable[[object], str] = str) -> str:
         return f"<{sign}int of {Decimal(value).adjusted() + 1} digits>"
 
 
-def _require_integer(value: object, what: str, minimum: int) -> None:
-    """InvalidInputError naming ``value`` unless it is an integer >= minimum."""
+def _require_integer(value: object, what: str, minimum: int) -> int:
+    """``value`` as a Python int, so no later sum wraps in a fixed-width numpy type, or
+    InvalidInputError naming it unless it is an integer >= minimum."""
     if not _is_index_type(type(value)) or value < minimum:
         raise InvalidInputError(
             f"{what} must be an integer >= {minimum}, got {_shown(value, repr)}"
         )
+    return int(value)
 
 
 def _require_real(value: object, rule: str, inside: Callable[[float], bool]) -> None:
@@ -517,3 +529,112 @@ def outward_unit_normals(s: Simplex) -> np.ndarray:
     q, again = _gram_schmidt(q)  # E^T = Q (again R)
     grads = _gradients(np.einsum("ij...,jl...->il...", again, r))[:, :, 0, 0]
     return -(grads / _norms(grads)[:, None]) @ q[:, 0, :, 0]
+
+
+class DihedralAngleSet(_Record, eq=False):
+    """All k(k+1)/2 dihedral angles of one simplex.
+
+    Angles are keyed by the unordered facet pair (i, j) with i < j and are
+    given in radians.  They come from the barycentric gradients in
+    coordinates of the simplex's own affine hull (:func:`_gradient_forms`),
+    as in the scan.  Sets compare and hash by identity, as their field
+    holds a dict.
+    """
+
+    simplex_dim: int
+    angles: dict[tuple[int, int], float]
+
+    def angle(self, i: int, j: int) -> float:
+        """The angle between facets F_i and F_j, symmetric in (i, j), in [0, pi]."""
+        for index in (i, j):
+            _require_index(index, "facet index", self.simplex_dim + 1)
+        if i == j:
+            raise InvalidInputError("dihedral angle needs two distinct facets")
+        return self.angles[(i, j) if i < j else (j, i)]
+
+    def values(self) -> list[float]:
+        return list(self.angles.values())
+
+    def min_angle(self) -> float:
+        return min(self.angles.values())
+
+    def max_angle(self) -> float:
+        return max(self.angles.values())
+
+
+class ProductDecomposition(_Record):
+    """One vertex d-sine factored through the facet omitting the last vertex.
+
+    ``product`` is sub_sine times the product of ``dihedral_sines`` (exact
+    by construction); ``residual`` is its relative deviation from the
+    directly evaluated ``d_sine``.  The residual is reported, not asserted:
+    near-degenerate simplices legitimately produce large residuals and the
+    caller needs the diagnostic.
+    """
+
+    vertex_index: int
+    sub_sine: float
+    dihedral_sines: tuple[float, ...]
+    product: float
+    d_sine: float
+    residual: float
+
+
+def all_dihedral_angles(s: Simplex) -> DihedralAngleSet:
+    """Every dihedral angle of ``s``, computed from one set of normals.
+
+    Every simplex, full-dimensional or embedded (k < d), is measured in
+    coordinates of its own affine hull, so the angles are intrinsic and
+    equal the one-cell scan's.  Requires intrinsic dimension >= 2.
+    """
+    k = s.intrinsic_dim
+    _require_angle_dim(k, s)
+    values = _simplex_forms(s, "dihedral angles")[0]
+    pairs = map(tuple, _combinations(k + 1, 2).tolist())
+    return DihedralAngleSet(simplex_dim=k, angles=dict(zip(pairs, values.tolist())))
+
+
+def vertex_sines(s: Simplex) -> tuple[float, ...]:
+    """The d+1 vertex d-sines of a full-dimensional simplex, d >= 2, in vertex order.
+
+    The d-sine at a vertex lies in (0, 1] for nondegenerate input; 1 is
+    attained exactly at the corner of a right-angle (orthogonal-edge)
+    simplex.
+
+    Raises:
+        InvalidInputError: if ``s`` is not full-dimensional or d < 2.
+        DegeneracyError: if ``s`` is degenerate.
+    """
+    _require_full_dim(s, "d-sine", 2)
+    return tuple(_simplex_forms(s, "d-sine")[1].tolist())
+
+
+def product_decomposition(s: Simplex, i: int) -> ProductDecomposition:
+    """Factor the d-sine at vertex ``i`` through the facet omitting the last vertex.
+
+    The sub-sine is the (d-1)-sine of vertex ``i`` inside the facet
+    conv{A_0..A_{d-1}}, measured in its own affine hull; the dihedral
+    factors are sin(beta_j) for the angles between the facet omitting A_j
+    and the facet omitting A_d, j != i.  Vertex ``i`` must belong to the
+    shared facet (i < d); reorder the vertices first if it does not.
+    """
+    d = _require_full_dim(s, "product decomposition", 3)
+    if not _is_index_type(type(i)) or not 0 <= i < d:
+        raise InvalidInputError(
+            f"vertex index {_shown(i, repr)} must lie in the facet omitting the last vertex "
+            f"(0..{d - 1}); reorder the vertices first"
+        )
+    angles, sines, _ = _simplex_forms(s, "product decomposition")
+    at_last = angles[_combinations(d + 1, 2)[:, 1] == d].tolist()  # the pairs (j, d), j = 0..d-1
+    dihedral_sines = tuple(math.sin(beta) for j, beta in enumerate(at_last) if j != i)
+    sub_sine = float(_simplex_forms(facet(s, d), "d-sine")[1][i])
+    product = sub_sine * math.prod(dihedral_sines)
+    direct = float(sines[i])
+    return ProductDecomposition(
+        vertex_index=int(i),
+        sub_sine=sub_sine,
+        dihedral_sines=dihedral_sines,
+        product=product,
+        d_sine=direct,
+        residual=abs(direct - product) / direct,
+    )

@@ -217,7 +217,7 @@ def parse_mesh(source: str | bytes | IO) -> Mesh:
         if key not in data:
             raise InvalidInputError(f"mesh document is missing the {key!r} field")
     dim = data["ambient_dimension"]
-    _require_integer(dim, "ambient_dimension", 1)
+    dim = _require_integer(dim, "ambient_dimension", 1)
     return Mesh(_coordinates(data["vertices"], dim), data["cells"])
 
 

@@ -310,7 +310,7 @@ def certified_dsine_bound(alpha0: float, gamma0: float, d: int) -> float:
     exponent unrolls the product decomposition down to dimension 2: level
     d' contributes d'-1 factors and the planar base case one more.
     """
-    _require_integer(d, "dimension", 2)
+    d = _require_integer(d, "dimension", 2)
     reals = _is_real_type(type(alpha0)) and _is_real_type(type(gamma0))
     if not (reals and 0.0 < alpha0 <= gamma0 < math.pi):
         raise InvalidInputError(

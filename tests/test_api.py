@@ -13,17 +13,11 @@ from pathlib import Path
 import minangle
 from minangle.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # Defining submodule -> the public names it contributes.
 DEFINING_MODULE_NAMES = {
-    "angles": {
-        "DihedralAngleSet",
-        "ProductDecomposition",
-        "all_dihedral_angles",
-        "product_decomposition",
-        "vertex_sines",
-    },
     "errors": {
         "DegeneracyError",
         "GenerationError",
@@ -39,11 +33,16 @@ DEFINING_MODULE_NAMES = {
     },
     "geometry": {
         "DEGENERACY_REL_TOL",
+        "DihedralAngleSet",
+        "ProductDecomposition",
         "Simplex",
+        "all_dihedral_angles",
         "facet",
         "is_degenerate",
         "outward_unit_normals",
+        "product_decomposition",
         "simplex_measure",
+        "vertex_sines",
     },
     "meshio": {
         "Mesh",
@@ -143,6 +142,12 @@ def test_each_name_is_the_object_its_module_defines():
         assert not hasattr(module, "__all__"), module_name
         for name in names:
             assert getattr(minangle, name) is vars(module)[name], name
+
+
+def test_modules_are_the_defining_ones_and_cli():
+    # No module only re-exports another's names, and none lies outside the table.
+    modules = {path.stem for path in (ROOT / "src" / "minangle").glob("*.py")}
+    assert modules == {*DEFINING_MODULE_NAMES, "cli", "__init__"}
 
 
 def test_unknown_name_is_an_attribute_error():

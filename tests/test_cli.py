@@ -886,14 +886,28 @@ class TestProcessStartup:
         code = "import os, numpy, minangle.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         assert self.child(code) == ["None"]
 
-    def test_info_loads_neither_generators_nor_angles(self, tetra_path):
+    @pytest.mark.parametrize("command", ["check", "audit", "family", "info", "generate"])
+    def test_each_command_loads_only_its_modules(self, command, tetra_path, tmp_path):
+        manifest = tmp_path / "family.json"
+        manifest.write_text(json.dumps({"meshes": [str(tetra_path)]}))
+        report = str(tmp_path / "out.json")
+        argv = {
+            "check": ["check", str(tetra_path), "--alpha0", "0.5", "-o", report],
+            "audit": ["audit", str(tetra_path), "-o", report],
+            "family": ["family", str(manifest), "--alpha0", "0.5", "-o", report],
+            "info": ["info", str(tetra_path)],
+            "generate": ["generate", "--kind", "regular", "--dim", "3", "-o", report],
+        }[command]
         code = (
             "import sys\n"
             "from minangle.cli import main\n"
-            f"code = main(['info', {str(tetra_path)!r}])\n"
-            "print(code, *(f'minangle.{m}' in sys.modules for m in ('generators', 'angles')))"
+            f"code = main({argv!r})\n"
+            "print(code, ','.join(sorted(m for m in sys.modules if m.startswith('minangle'))))"
         )
-        assert self.child(code)[-3:] == ["0", "False", "False"]
+        modules = ["cli", "errors", "geometry", "meshio", "regularity"]
+        modules += ["generators"] if command == "generate" else []  # only it builds simplices
+        loaded = ",".join(sorted(["minangle", *(f"minangle.{m}" for m in modules)]))
+        assert self.child(code)[-2:] == ["0", loaded]
 
     def test_cli_loads_dataclasses_only_if_numpy_does(self):
         code = "import sys, {}; print('dataclasses' in sys.modules)"

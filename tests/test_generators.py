@@ -50,6 +50,10 @@ class TestRegularSimplex:
             assert str(error.value) == f"dimension must be an integer >= 2, got {shown(d, repr)}"
         for make in (regular_simplex, corner_simplex, random_simplex):
             np.testing.assert_array_equal(make(np.int64(3)).vertices, make(3).vertices)
+        # A numpy integer counts by value: d + 1 must not wrap in its fixed width.
+        for make in (regular_simplex, corner_simplex, lambda d: needle_family(d, 0.5)):
+            for d in (np.uint8(255), np.int8(127)):
+                np.testing.assert_array_equal(make(d).vertices, make(int(d)).vertices)
 
 
 class TestCornerSimplex:

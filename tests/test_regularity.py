@@ -296,7 +296,9 @@ class TestCertifiedBound:
             with pytest.raises(InvalidInputError) as error:
                 certified_dsine_bound(0.5, 1.0, d)
             assert str(error.value) == f"dimension must be an integer >= 2, got {shown(d, repr)}"
-        assert certified_dsine_bound(0.5, 0.6, np.int64(3)) == certified_dsine_bound(0.5, 0.6, 3)
+        # A numpy integer counts by value: d * (d - 1) // 2 must not wrap in its fixed width.
+        for d in (np.int64(3), np.int8(17), np.uint8(23)):
+            assert certified_dsine_bound(0.5, 0.6, d) == certified_dsine_bound(0.5, 0.6, int(d))
         windows = [("a", 1.0), (0.5, None), (True, 1.0), (0.5, "1.0"), (HUGE_INT, 1.0),
                    (0.5, -HUGE_INT)]
         for alpha0, gamma0 in windows:
