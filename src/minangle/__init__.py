@@ -21,21 +21,7 @@ _PUBLIC = {
         "random_simplex",
         "regular_simplex",
     ),
-    "geometry": (
-        "DEGENERACY_REL_TOL",
-        "DihedralAngleSet",
-        "ProductDecomposition",
-        "Simplex",
-        "all_dihedral_angles",
-        "facet",
-        "is_degenerate",
-        "outward_unit_normals",
-        "product_decomposition",
-        "simplex_measure",
-        "vertex_sines",
-    ),
     "meshio": (
-        "Mesh",
         "ValidationReport",
         "dump_mesh",
         "load_mesh",
@@ -46,12 +32,24 @@ _PUBLIC = {
     "regularity": (
         "AUDIT_TOLERANCE",
         "ConditionVerdict",
+        "DEGENERACY_REL_TOL",
+        "DihedralAngleSet",
+        "Mesh",
         "MeshQuality",
+        "ProductDecomposition",
+        "Simplex",
+        "all_dihedral_angles",
         "cell_quality",
         "certified_dsine_bound",
+        "facet",
+        "is_degenerate",
         "mesh_quality",
+        "outward_unit_normals",
+        "product_decomposition",
+        "simplex_measure",
         "verdict_min_dihedral",
         "verdict_min_dsine",
+        "vertex_sines",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

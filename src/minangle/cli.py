@@ -47,9 +47,7 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .errors import DegeneracyError, GenerationError, InvalidInputError
-from .geometry import DEGENERACY_REL_TOL, _tolerance
 from .meshio import (
-    Mesh,
     _ESCAPES,
     _family_meshes,
     _pieces,
@@ -62,7 +60,8 @@ from .meshio import (
     validate_mesh,
 )
 from .regularity import (
-    ConditionVerdict, MeshQuality, mesh_quality, verdict_min_dihedral, verdict_min_dsine
+    DEGENERACY_REL_TOL, ConditionVerdict, Mesh, MeshQuality, _tolerance, mesh_quality,
+    verdict_min_dihedral, verdict_min_dsine,
 )
 
 EXIT_OK = 0

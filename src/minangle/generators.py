@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, GenerationError
-from .geometry import (
+from .regularity import (
     Simplex, _require_index, _require_integer, _require_real, _shown, vertex_sines,
 )
 

@@ -1,4 +1,4 @@
-"""Mesh data model, JSON ingestion, one validation pass (references and facets), and reports.
+"""Mesh files: JSON ingestion, one validation pass (references and facets), and reports.
 
 The canonical mesh format is a single JSON document::
 
@@ -24,7 +24,6 @@ inputs produce byte-identical report files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Sequence
 from pathlib import Path
@@ -33,11 +32,10 @@ from typing import IO, Any, Callable, Iterator
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (
-    Simplex, _combinations, _coordinates, _is_index_type, _is_row, _read_only, _Record,
-    _require_index, _require_integer,
+from .regularity import (
+    AUDIT_TOLERANCE, ConditionVerdict, Mesh, MeshQuality, _combinations, _coordinates, _Record,
+    _require_integer,
 )
-from .regularity import AUDIT_TOLERANCE, ConditionVerdict, MeshQuality
 
 # The C one-shot encoder: the same float repr, NaN/Infinity and ASCII
 # escaping as json.dumps, without the pure-Python path its indent takes.
@@ -122,86 +120,6 @@ class _Rows(_Record, eq=False):
         yield "[" + first[1:] if first else "["  # the first row has no comma before it
         yield from chunks
         yield "\n" + indent + "]" if first else "]"
-
-
-class Mesh:
-    """A simplicial mesh: a vertex pool plus (d+1)-tuples of vertex indices.
-
-    Construction enforces the structural invariants (the vertex rule of
-    :class:`Simplex`; index ranges, cell arity, distinct indices per cell);
-    geometric degeneracy is decided by :func:`minangle.regularity.mesh_quality`.
-    """
-
-    __slots__ = ("_vertices", "_cells")
-
-    def __init__(self, vertices, cells) -> None:
-        self._vertices = _coordinates(vertices)
-        vertex_count, dim = self._vertices.shape
-        self._cells = _cell_indices(cells, dim, vertex_count)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self._vertices
-
-    @property
-    def cells(self) -> np.ndarray:
-        return self._cells
-
-    @property
-    def ambient_dim(self) -> int:
-        return self._vertices.shape[1]
-
-    @property
-    def vertex_count(self) -> int:
-        return self._vertices.shape[0]
-
-    @property
-    def cell_count(self) -> int:
-        return self._cells.shape[0]
-
-    def cell_simplex(self, index: int) -> Simplex:
-        """The cell at ``index`` as a full-dimensional Simplex."""
-        _require_index(index, "cell index", self.cell_count)
-        return Simplex(self._vertices[self._cells[index]])
-
-    def __repr__(self) -> str:
-        return (
-            f"Mesh(d={self.ambient_dim}, vertices={self.vertex_count}, "
-            f"cells={self.cell_count})"
-        )
-
-
-def _cell_indices(cells, dim: int, vertex_count: int) -> np.ndarray:
-    """``cells`` as a read-only (N, dim+1) int64 copy, N >= 1, or InvalidInputError naming the
-    first bad cell.  A cell is a row of dim + 1 integers (never bools) in range, none repeated:
-    one scan of the index types and one check of the stacked, row-sorted array take valid
-    input; else each row is checked by these rules, in this order."""
-    if not _is_row(cells) or not len(cells):
-        raise InvalidInputError("cells must be a nonempty array of index arrays")
-    try:
-        if all(map(_is_index_type, set(map(type, itertools.chain.from_iterable(cells))))):
-            stacked = np.array(cells, dtype=np.int64)
-            ordered = np.sort(stacked, axis=-1)
-            shaped = stacked.ndim == 2 and stacked.shape[1] == dim + 1
-            in_range = shaped and 0 <= ordered[:, 0].min() and ordered[:, -1].max() < vertex_count
-            if in_range and (ordered[:, 1:] != ordered[:, :-1]).all():
-                return _read_only(stacked)
-    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, an int past int64
-        pass
-    for pos, cell in enumerate(cells):
-        if not _is_row(cell):
-            raise InvalidInputError(f"cell {pos}: expected an array of vertex indices")
-        indices = list(cell)
-        if len(indices) != dim + 1:
-            raise InvalidInputError(
-                f"cell {pos}: expected {dim + 1} vertex indices for dimension {dim}, "
-                f"got {len(indices)}"
-            )
-        for idx in indices:
-            _require_index(idx, f"cell {pos}: vertex index", vertex_count)
-        if len(set(indices)) != len(indices):
-            raise InvalidInputError(f"cell {pos}: repeated vertex index in {indices}")
-    raise InvalidInputError("cells do not form an integer array")  # every row passed alone
 
 
 def parse_mesh(source: str | bytes | IO) -> Mesh:

@@ -4,10 +4,12 @@ Adding or removing a name or a parameter must show up here.
 """
 
 import argparse
+import ast
 import importlib
 import inspect
 import re
 import types
+import typing
 from pathlib import Path
 
 import minangle
@@ -31,21 +33,7 @@ DEFINING_MODULE_NAMES = {
         "random_simplex",
         "regular_simplex",
     },
-    "geometry": {
-        "DEGENERACY_REL_TOL",
-        "DihedralAngleSet",
-        "ProductDecomposition",
-        "Simplex",
-        "all_dihedral_angles",
-        "facet",
-        "is_degenerate",
-        "outward_unit_normals",
-        "product_decomposition",
-        "simplex_measure",
-        "vertex_sines",
-    },
     "meshio": {
-        "Mesh",
         "ValidationReport",
         "dump_mesh",
         "load_mesh",
@@ -56,12 +44,24 @@ DEFINING_MODULE_NAMES = {
     "regularity": {
         "AUDIT_TOLERANCE",
         "ConditionVerdict",
+        "DEGENERACY_REL_TOL",
+        "DihedralAngleSet",
+        "Mesh",
         "MeshQuality",
+        "ProductDecomposition",
+        "Simplex",
+        "all_dihedral_angles",
         "cell_quality",
         "certified_dsine_bound",
+        "facet",
+        "is_degenerate",
         "mesh_quality",
+        "outward_unit_normals",
+        "product_decomposition",
+        "simplex_measure",
         "verdict_min_dihedral",
         "verdict_min_dsine",
+        "vertex_sines",
     },
 }
 PUBLIC_NAMES = set().union(*DEFINING_MODULE_NAMES.values())
@@ -122,6 +122,21 @@ CLI_OPTIONS = {
     "info": ("mesh", "--degeneracy-tol"),
 }
 
+# Importing module -> {defining module: the private names it imports from there}: how far the
+# modules reach into each other.  The coupling counterpart of CLI_OPTIONS.
+PRIVATE_IMPORTS = {
+    "cli": {
+        "meshio": {"_ESCAPES", "_family_meshes", "_pieces"},
+        "regularity": {"_tolerance"},
+    },
+    "generators": {
+        "regularity": {"_require_index", "_require_integer", "_require_real", "_shown"},
+    },
+    "meshio": {
+        "regularity": {"_Record", "_combinations", "_coordinates", "_require_integer"},
+    },
+}
+
 
 def test_public_names_are_the_listed_ones():
     assert len(PUBLIC_NAMES) == 35
@@ -150,6 +165,18 @@ def test_modules_are_the_defining_ones_and_cli():
     assert modules == {*DEFINING_MODULE_NAMES, "cli", "__init__"}
 
 
+def test_private_imports_are_the_listed_ones():
+    imports = {}
+    for path in (ROOT / "src" / "minangle").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    imports.setdefault(path.stem, {}).setdefault(node.module, set()).update(names)
+    assert imports == PRIVATE_IMPORTS
+    assert sum(len(names) for by_module in imports.values() for names in by_module.values()) == 12
+
+
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(minangle, "no_such_name")
     # The CLI maps a generator kind's name to its generator; the library has no such name.
@@ -174,6 +201,25 @@ def test_parameters_are_the_listed_ones():
               and issubclass(obj, Exception)}
     assert set(PARAMETERS) == {name for name, obj in public.items() if callable(obj)} - errors
     assert {name: parameters(getattr(minangle, name)) for name in PARAMETERS} == PARAMETERS
+
+
+def annotated(obj) -> list:
+    """A public function, or a public class's own __init__, methods and property getters."""
+    if not isinstance(obj, type):
+        return [obj]
+    members = [m.fget if isinstance(m, property) else m for m in vars(obj).values()]
+    return [m for m in members if inspect.isfunction(m)]
+
+
+def test_every_public_annotation_resolves():
+    # Each module postpones its annotations, so a name one of them uses but its module does
+    # not import goes unnoticed until a caller resolves it.
+    public = [getattr(minangle, name) for name in sorted(PUBLIC_NAMES)]
+    functions = [f for obj in public if callable(obj) for f in annotated(obj)]
+    assert minangle.mesh_quality in functions and minangle.Mesh.cell_simplex in functions
+    for function in functions:
+        typing.get_type_hints(function)
+    assert typing.get_type_hints(minangle.mesh_quality)["mesh"] is minangle.Mesh
 
 
 def test_cli_options_are_the_listed_ones():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import minangle
 from minangle import (
+    DegeneracyError,
     Mesh,
     Simplex,
     all_dihedral_angles,
@@ -119,6 +120,16 @@ class TestCheckCommand:
         doc = json.loads(report.read_text())
         assert doc["degenerate_cells"] == [0]
         assert doc["verdicts"][0]["satisfied"] is False
+
+    def test_degeneracy_error_exits_degenerate(self, tetra_path, monkeypatch, capsys):
+        # No command raises DegeneracyError today; if one did, main would map it to exit 3.
+        def degenerate(mesh, tol):
+            raise DegeneracyError("no angles for this cell")
+
+        monkeypatch.setattr("minangle.cli.mesh_quality", degenerate)
+        assert main(["check", str(tetra_path), "--alpha0", "0.5", "-o", "-"]) == EXIT_DEGENERATE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: degenerate geometry: no angles for this cell\n")
 
     def test_clustered_vertices_exit_degenerate_and_warn_nothing(self, tmp_path, capsys):
         # Three vertices 1e-155 apart: a triangle that passes its own rule at a
@@ -904,7 +915,7 @@ class TestProcessStartup:
             f"code = main({argv!r})\n"
             "print(code, ','.join(sorted(m for m in sys.modules if m.startswith('minangle'))))"
         )
-        modules = ["cli", "errors", "geometry", "meshio", "regularity"]
+        modules = ["cli", "errors", "meshio", "regularity"]
         modules += ["generators"] if command == "generate" else []  # only it builds simplices
         loaded = ",".join(sorted(["minangle", *(f"minangle.{m}" for m in modules)]))
         assert self.child(code)[-2:] == ["0", loaded]

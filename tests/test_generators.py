@@ -2,11 +2,13 @@
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from minangle import (
+    DegeneracyError,
     GenerationError,
     InvalidInputError,
     Simplex,
@@ -19,6 +21,7 @@ from minangle import (
     simplex_measure,
     vertex_sines,
 )
+from minangle import generators
 from minangle.cli import _KINDS, EXIT_INPUT_ERROR, EXIT_OK, main
 from oracles import HUGE_INT, planar_angle, shown
 
@@ -175,6 +178,25 @@ class TestRandomSimplex:
             assert vertex_sines(tri)[i] == pytest.approx(
                 math.sin(planar_angle(tri.vertices, i)), abs=1e-12
             )
+
+    def test_degenerate_draw_is_redrawn(self, monkeypatch):
+        # Twelve equal coordinates put the four vertices of the first draw on one point.
+        # The draw is degenerate, so the next twelve values of the stream make the simplex.
+        expected = random_simplex(3, 5).vertices
+        real = generators._splitmix64
+        monkeypatch.setattr(generators, "_splitmix64", lambda seed: chain([0.5] * 12, real(seed)))
+        failed = []
+
+        def sines(simplex):
+            try:
+                return vertex_sines(simplex)
+            except DegeneracyError:
+                failed.append(simplex.vertices.tolist())
+                raise
+
+        monkeypatch.setattr(generators, "vertex_sines", sines)
+        np.testing.assert_array_equal(random_simplex(3, 5).vertices, expected)
+        assert failed == [[[0.5] * 3] * 4]
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(GenerationError):

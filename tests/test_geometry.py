@@ -24,7 +24,7 @@ from minangle import (
     regular_simplex,
     simplex_measure,
 )
-from minangle.geometry import _combinations, _gradients, _level, _normalized
+from minangle.regularity import _combinations, _gradients, _level, _normalized
 from oracles import (
     HUGE_INT,
     accuracy_constant,

@@ -27,8 +27,7 @@ from minangle import (
     verdict_min_dsine,
     vertex_sines,
 )
-from minangle.geometry import _combinations
-from minangle.regularity import _scan_chunk
+from minangle.regularity import _combinations, _scan_chunk
 from oracles import (
     HUGE_INT,
     exact_angle,
