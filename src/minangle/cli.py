@@ -2,11 +2,11 @@
 
 Commands::
 
-    minangle check <mesh> [--alpha0 A] [--dsine-min C] [-o report.json]
-    minangle audit <mesh> [-o report.json]
-    minangle family <manifest> [--alpha0 A] [--dsine-min C] [-o report.json]
+    minangle check <mesh> [--alpha0 A] [--dsine-min C] [-o report.json] [--degeneracy-tol T]
+    minangle audit <mesh> [-o report.json] [--degeneracy-tol T]
+    minangle family <manifest> [--alpha0 A] [--dsine-min C] [-o report.json] [--degeneracy-tol T]
     minangle generate --kind regular --dim 3 [-o mesh.json]
-    minangle info <mesh>
+    minangle info <mesh> [--degeneracy-tol T]
 
 check and family need at least one of --alpha0 and --dsine-min.
 
@@ -36,8 +36,8 @@ import sys
 if __name__ == "__main__":
     gc.disable()
 # minangle gives BLAS no work: its kernel is elementwise array arithmetic, with no
-# LAPACK call.  Yet OpenBLAS starts a thread pool when numpy loads,
-# which cost 70-85 ms of every command on a 2-vCPU machine.  The variable only
+# LAPACK call.  Yet OpenBLAS starts a pool of one thread per core when numpy loads
+# (README, "Start-up", gives what that cost on a 2-vCPU machine).  The variable only
 # takes effect before numpy's first import, and a value the user set is kept.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     family.set_defaults(func=cmd_family)
 
     gen = sub.add_parser("generate", help="write a single-cell mesh from a generator")
-    gen.add_argument("--kind", required=True, choices=_KINDS)
-    gen.add_argument("--dim", required=True, type=int)
+    gen.add_argument("--kind", required=True, choices=_KINDS, help="the simplex to write")
+    gen.add_argument("--dim", required=True, type=int, help="dimension d of the simplex")
     gen.add_argument(
         "--param",
         type=float,
@@ -153,7 +153,8 @@ def _add_report_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_tolerance_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_REL_TOL)
+    rule = "relative degeneracy tolerance in (0, sqrt(3)/2) (default %(default)s)"
+    sub.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_REL_TOL, help=rule)
 
 
 def _emit(pieces: Iterable[str], destination: str) -> None:

@@ -85,7 +85,7 @@ def _cell_lines(
 ) -> Iterator[str]:
     """Each cell's template by index, filled with the index and its row of ``columns`` or Nones,
     ``_CHUNK_ROWS`` cells a piece; ``encode`` maps a chunk's rows of values to their fills."""
-    count = len(quality.cells) + len(quality.degenerate_cells)
+    count = _cell_count(quality)
     slots = np.full(count, -1)  # a cell's row in the columns; -1 for a degenerate cell
     slots[quality.cells] = np.arange(len(quality.cells))
     for start in range(0, count, _CHUNK_ROWS):
@@ -116,10 +116,10 @@ class _Rows(_Record, eq=False):
         degenerate = _element_template({"index": _PLACEHOLDER, **self.degenerate}, indent)
         degenerate += "%.0s" * len(self.columns)
         chunks = _cell_lines(self.quality, good, degenerate, [*self.columns.values()], _json_floats)
-        first = next(chunks, None)
-        yield "[" + first[1:] if first else "["  # the first row has no comma before it
+        # A report holds at least one cell, and the first row has no comma before it.
+        yield "[" + next(chunks)[1:]
         yield from chunks
-        yield "\n" + indent + "]" if first else "]"
+        yield "\n" + indent + "]"
 
 
 def parse_mesh(source: str | bytes | IO) -> Mesh:
@@ -320,6 +320,20 @@ def _aggregates(quality: MeshQuality, keys: Sequence[str] = tuple(_AGGREGATES)) 
     return {key: _AGGREGATES[key][1](quality) for key in keys}
 
 
+def _cell_count(quality: MeshQuality) -> int:
+    return len(quality.cells) + len(quality.degenerate_cells)
+
+
+def _report(quality: MeshQuality, body: dict[str, Any]) -> dict[str, Any]:
+    """A report of ``quality``: its head, ``body``, then the degenerate cells if there are any."""
+    if not (count := _cell_count(quality)):
+        raise InvalidInputError("refusing to build a report for an empty mesh")
+    doc = {"ambient_dimension": quality.ambient_dim, "cell_count": count, **body}
+    if quality.degenerate_cells:
+        doc["degenerate_cells"] = list(quality.degenerate_cells)
+    return doc
+
+
 def report_to_dict(quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = ()) -> dict[str, Any]:
     """The quality report as a document for :func:`_pieces`, with deterministic key order.
 
@@ -327,21 +341,14 @@ def report_to_dict(quality: MeshQuality, verdicts: Sequence[ConditionVerdict] = 
     gives the report as a dict.  The aggregates are the record's reductions over its good
     cells.  Angles are in radians.
     """
-    if not len(quality.cells) and not quality.degenerate_cells:
-        raise InvalidInputError("refusing to build a report for an empty mesh")
     columns = _quality_columns(quality)
     # A degenerate cell's row: null in each column, then the flag.
     degenerate = {**dict.fromkeys(columns), "degenerate": True}
-    doc: dict[str, Any] = {
-        "ambient_dimension": quality.ambient_dim,
-        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
+    return _report(quality, {
         "aggregates": _aggregates(quality),
         "cells": _Rows(quality, columns, degenerate),
         "verdicts": [_verdict_dict(v) for v in verdicts],
-    }
-    if quality.degenerate_cells:
-        doc["degenerate_cells"] = list(quality.degenerate_cells)
-    return doc
+    })
 
 
 def write_report(quality: MeshQuality, verdicts: Sequence[ConditionVerdict], sink: IO[str]) -> None:
@@ -360,9 +367,7 @@ def audit_to_dict(quality: MeshQuality) -> dict[str, Any]:
         "forward_margin": quality.forward_margin,
         "backward_margin": quality.backward_margin,
     }
-    doc: dict[str, Any] = {
-        "ambient_dimension": quality.ambient_dim,
-        "cell_count": len(quality.cells) + len(quality.degenerate_cells),
+    return _report(quality, {
         "audit_tolerance": AUDIT_TOLERANCE,
         "aggregates": {
             "min_forward_margin": quality.min_forward_margin(),
@@ -370,10 +375,7 @@ def audit_to_dict(quality: MeshQuality) -> dict[str, Any]:
         },
         "cells": _Rows(quality, columns, {"degenerate": True}),
         "satisfied": quality.audit_satisfied(),
-    }
-    if quality.degenerate_cells:
-        doc["degenerate_cells"] = list(quality.degenerate_cells)
-    return doc
+    })
 
 
 def family_to_dict(

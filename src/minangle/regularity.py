@@ -843,26 +843,24 @@ class ConditionVerdict(_Record):
 
 
 def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Each cell's first degenerate subset, or -1, then :class:`MeshQuality`'s metric columns.
+    """Each cell's first degenerate subset, then :class:`MeshQuality`'s metric columns.
 
-    The position counts the subsets the scan visits, the cell last: the
-    :func:`_combinations` rows of each size from 3 up to m.  The metric
-    entries of a degenerate cell are meaningless.
+    The subset is a row of m vertex indices padded with -1, all -1 for a good cell: the first
+    in the scan's order, the :func:`_combinations` rows of each size from 3 up to m, the cell
+    last.  The metric entries of a degenerate cell are meaningless.
     """
     n, m, _ = points.shape
     z, dist, _ = _normalized(points)
-    first = np.full(n, -1)
+    failing = np.full((n, m), -1)
     lo = np.full(n, np.inf)
     hi = np.full(n, -np.inf)
     forward = np.full(n, np.inf)
-    position = 0
     for size in range(3, m + 1):
         subsets = _combinations(m, size)
         # The subsimplices of a flagged cell get _level's unit stand-in; these cells are discarded.
-        degenerate, _, lengths, angles, dsines = _level(z, dist, subsets, tol, first >= 0)
-        hit = degenerate.any(axis=0) & (first < 0)
-        first[hit] = position + degenerate[:, hit].argmax(axis=0)
-        position += len(subsets)
+        degenerate, _, lengths, angles, dsines = _level(z, dist, subsets, tol, failing[:, 0] >= 0)
+        hit = degenerate.any(axis=0) & (failing[:, 0] < 0)
+        failing[hit, :size] = subsets[degenerate[:, hit].argmax(axis=0)]
         lo = np.minimum(lo, angles.min(axis=(0, 1)))
         hi = np.maximum(hi, angles.max(axis=(0, 1)))
         # Forward direction: every dihedral sine of a subsimplex must dominate
@@ -872,11 +870,12 @@ def _scan_chunk(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     # The last level holds one subset, the cell itself.
     min_dsine = dsines[:, 0].min(axis=0)
     ball = 1.0 / lengths[:, 0].sum(axis=0)  # the normalized diameter is 1
-    return first, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=0), forward
+    return failing, lo, hi, min_dsine, ball, angles[:, 0].sum(axis=0), forward
 
 
-def _scan(points: np.ndarray, tol: float) -> MeshQuality:
-    """The quality of each cell (N, m, d), m >= 3, from every subsimplex of dimension >= 2.
+def _scan(points: np.ndarray, tol: float) -> tuple[MeshQuality, np.ndarray]:
+    """The quality of each cell (N, m, d), m >= 3, from every subsimplex of dimension >= 2, and
+    the :func:`_scan_chunk` subset of each degenerate cell, a row per ``degenerate_cells`` entry.
 
     A cell is degenerate when one of its subsimplices, itself included, fails the degeneracy rule.
     """
@@ -889,14 +888,12 @@ def _scan(points: np.ndarray, tol: float) -> MeshQuality:
     )
     step = max(1, _CHUNK_FLOATS // floats_per_cell)
     parts = [_scan_chunk(points[i : i + step], tol) for i in range(0, len(points), step)]
-    first, *columns = map(np.concatenate, zip(*parts))
-    good = first < 0
-    return MeshQuality(
-        d,
-        np.flatnonzero(good),
-        *(column[good] for column in columns),
-        tuple(np.flatnonzero(~good).tolist()),
-    )
+    failing, *columns = map(np.concatenate, zip(*parts))
+    good = failing[:, 0] < 0
+    degenerate = np.flatnonzero(~good)
+    columns = (column[good] for column in columns)
+    quality = MeshQuality(d, np.flatnonzero(good), *columns, tuple(degenerate.tolist()))
+    return quality, failing[degenerate]
 
 
 def _check_scan_dim(k: int, what: object) -> None:
@@ -917,13 +914,12 @@ def cell_quality(s: Simplex) -> MeshQuality:
         DegeneracyError: naming the first degenerate vertex subset, in the
             order of ascending size, lexicographic within a size.
     """
-    d = _require_full_dim(s, "cell quality")
-    _check_scan_dim(d, s)
-    first, *columns = _scan_chunk(s.vertices[None], DEGENERACY_REL_TOL)
-    if first[0] >= 0:
-        subsets = [row for size in range(3, d + 2) for row in _combinations(d + 1, size).tolist()]
-        raise DegeneracyError(f"degenerate subsimplex on vertex subset {tuple(subsets[first[0]])}")
-    return MeshQuality(d, np.zeros(1, dtype=np.intp), *columns)
+    _check_scan_dim(_require_full_dim(s, "cell quality"), s)
+    quality, failing = _scan(s.vertices[None], DEGENERACY_REL_TOL)
+    if quality.degenerate_cells:
+        subset = tuple(failing[0, failing[0] >= 0].tolist())
+        raise DegeneracyError(f"degenerate subsimplex on vertex subset {subset}")
+    return quality
 
 
 def mesh_quality(mesh: Mesh, degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> MeshQuality:
@@ -937,7 +933,7 @@ def mesh_quality(mesh: Mesh, degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> 
     is deterministic.
     """
     _check_scan_dim(mesh.ambient_dim, mesh)
-    return _scan(mesh.vertices[mesh.cells], _tolerance(degeneracy_rel_tol))
+    return _scan(mesh.vertices[mesh.cells], _tolerance(degeneracy_rel_tol))[0]
 
 
 def _verdict(

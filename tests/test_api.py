@@ -230,6 +230,8 @@ def test_cli_options_are_the_listed_ones():
         options[name] = tuple(
             next((o for o in a.option_strings if o.startswith("--")), a.dest) for a in settable
         )
+        undocumented = [a.dest for a in settable if not (a.help or "").strip()]
+        assert not undocumented, (name, undocumented)
     assert options == CLI_OPTIONS
     assert sum(map(len, CLI_OPTIONS.values())) == 20
 

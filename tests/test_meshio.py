@@ -269,9 +269,10 @@ class TestQualityReport:
         assert degenerate_row["degenerate"] is True
         assert degenerate_row["min_dsine"] is None
 
-    def test_empty_quality_rejected(self):
+    @pytest.mark.parametrize("to_dict", [report_to_dict, audit_to_dict])
+    def test_empty_quality_rejected(self, to_dict):
         with pytest.raises(InvalidInputError, match="empty mesh"):
-            report_to_dict(MeshQuality(3, *[np.empty(0)] * 7), ())
+            to_dict(MeshQuality(3, *[np.empty(0)] * 7))
 
     @pytest.mark.parametrize("verdict", [verdict_min_dihedral, verdict_min_dsine])
     def test_numpy_scalar_threshold_writes_the_same_bytes(self, verdict):

@@ -73,7 +73,7 @@ BUILT = {
     ),
     "_Scan": lambda: _scan(
         np.stack([regular_simplex(3).vertices, flatten_family(3, 1e-15).vertices]), 1e-12
-    ),
+    )[0],
 }
 CASES = {cls.__name__: (cls, lambda cls=cls: sample(cls)) for cls in RECORDS} | {
     name: (MeshQuality, built(build)) for name, build in BUILT.items()

@@ -27,7 +27,7 @@ from minangle import (
     verdict_min_dsine,
     vertex_sines,
 )
-from minangle.regularity import _combinations, _scan_chunk
+from minangle.regularity import _combinations, _scan
 from oracles import (
     HUGE_INT,
     exact_angle,
@@ -595,11 +595,8 @@ class TestCellQuality:
 
 def first_degenerate_subset(s, tol):
     """The scan's first vertex subset of ``s`` that fails the rule at ``tol``, or None."""
-    first = _scan_chunk(s.vertices[None], tol)[0][0]
-    d = s.intrinsic_dim
-    sizes = range(3, d + 2)
-    subsets = [tuple(row) for size in sizes for row in _combinations(d + 1, size).tolist()]
-    return subsets[first] if first >= 0 else None
+    quality, failing = _scan(s.vertices[None], tol)
+    return tuple(failing[0, failing[0] >= 0].tolist()) if quality.degenerate_cells else None
 
 
 class TestOneDegeneracyRule:
@@ -643,3 +640,64 @@ class TestOneDegeneracyRule:
         assert is_degenerate(triangle, tol) == degenerate
         assert mesh_quality(single_cell_mesh(cell), tol).degenerate_cells == (0,)
         assert (first_degenerate_subset(cell, tol) == (0, 1, 2)) == degenerate
+
+
+def oracle_first_subset(s):
+    """The first vertex subset of ``s`` that is_degenerate flags, sizes 3 to d + 1 in turn,
+    each in itertools.combinations order: the scan's visiting order, stated without it."""
+    d = s.vertex_count - 1
+    for size in range(3, d + 2):
+        for subset in itertools.combinations(range(d + 1), size):
+            if is_degenerate(Simplex(s.vertices[list(subset)])):
+                return subset
+    return None
+
+
+# Cells whose degenerate faces sit at different places in the scan's order, each with the
+# first of them.  "x ~ y": vertex y lies 1e-14 from vertex x, so every triangle on both is
+# degenerate and every other one is not.
+VISITING_ORDER = {
+    "d2-flat": ([[0, 0], [1, 0], [0.5, 1e-14]], (0, 1, 2)),
+    "d3-0~1": ([[0, 0, 0], [1e-14, 0, 0], [1, 0, 0], [0.3, 0.8, 0.5]], (0, 1, 2)),
+    "d3-1~3": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1e-14, 0]], (0, 1, 3)),
+    "d3-2~3": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1e-14, 1, 0]], (0, 2, 3)),
+    # Every face a good triangle, the cell flat.
+    "d3-flat-cell": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.7, 0.6, 1e-14]], (0, 1, 2, 3)),
+    "d4-3~4": (
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1e-14, 1, 0]], (0, 3, 4)
+    ),
+    # Vertices 1..4 are a planar quadrilateral: (1, 2, 3, 4) is the last tetrahedron visited.
+    "d4-flat-last-tet": (
+        [[0, 0, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0], [1.2, 0.9, 0, 0], [0.1, 1, 0, 0]],
+        (1, 2, 3, 4),
+    ),
+    # Five points in general position in a hyperplane: only the cell itself is flat.
+    "d4-flat-cell": (
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0.3, 0.2, 0.4, 1e-14]],
+        (0, 1, 2, 3, 4),
+    ),
+}
+
+
+class TestVisitingOrder:
+    """The subset a degenerate cell names is the first one an itertools oracle over sizes 3 to
+    d + 1 finds with is_degenerate, wherever in the order it sits."""
+
+    @pytest.mark.parametrize("vertices, expected", VISITING_ORDER.values(), ids=VISITING_ORDER)
+    def test_cell_quality_names_the_oracles_subset(self, vertices, expected):
+        cell = Simplex(vertices)
+        assert oracle_first_subset(cell) == expected
+        with pytest.raises(DegeneracyError) as caught:
+            cell_quality(cell)
+        assert str(caught.value) == f"degenerate subsimplex on vertex subset {expected}"
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_a_mesh_scan_keeps_one_subset_per_degenerate_cell(self, d):
+        cases = [case for case in VISITING_ORDER.values() if len(case[0]) == d + 1]
+        good = regular_simplex(d).vertices
+        points = np.stack([good, *(np.array(vertices, float) for vertices, _ in cases), good])
+        quality, failing = _scan(points, 1e-12)
+        assert quality.cells.tolist() == [0, len(cases) + 1]
+        assert quality.degenerate_cells == tuple(range(1, len(cases) + 1))
+        named = [tuple(row[row >= 0].tolist()) for row in failing]
+        assert named == [expected for _, expected in cases]
